@@ -1,19 +1,35 @@
 """Spectral clustering, plain and representation-constrained.
 
-Four algorithms share one skeleton: build a Laplacian, take the eigenvectors
-at the bottom of its spectrum, and run k-means on the rows.
+All six spectral algorithms solve one problem and then run k-means on the
+rows of its solution:
 
-* usc: unnormalized Laplacian D - A.
-* nsc: normalized Laplacian I - D^{-1/2} A D^{-1/2}, rows of the embedding
-  scaled to unit length before k-means.
-* urepsc / nrepsc: same objectives, but the optimization is restricted to
-  the null space of the centered representation matrix R (I - 11^T/N), which
-  forces the relaxed indicator vectors to respect proportional
-  representation. The normalized variant whitens the restricted problem by
-  the square root of Y^T D Y and, unlike nsc, applies no row scaling.
-* urepsc_approx / nrepsc_approx: replace R by its best low-rank
-  approximation first, so the constraint null space is guaranteed to be wide
-  enough even when R has nearly full rank.
+    minimize tr(H^T L H)  subject to  H^T B H = I,  H in span(Y),
+
+with L = D - A the unnormalized Laplacian of the similarity graph. B is the
+identity (ratio-cut flavor) or the degree matrix D (normalized-cut
+flavor); Y is the identity or an orthonormal basis of the null space of the
+centered representation matrix R (I - 11^T/N), which forces the relaxed
+indicator vectors to respect proportional representation. Writing H = Y Z,
+the solution is the bottom-k generalized eigenvectors of
+(Y^T L Y, Y^T B Y), re-expanded by Y.
+
+============== ===== ==================================== ===================
+algorithm      B     Y                                    rows fed to k-means
+============== ===== ==================================== ===================
+usc            I     I                                    as they are
+nsc            D     I                                    scaled to unit length
+urepsc         I     null basis of R                      as they are
+nrepsc         D     null basis of R                      as they are
+urepsc_approx  I     null basis of R's rank-r truncation  as they are
+nrepsc_approx  D     null basis of R's rank-r truncation  as they are
+============== ===== ==================================== ===================
+
+nsc's unit-length scaling cancels the D^{-1/2} factor between the
+generalized eigenvectors and those of I - D^{-1/2} A D^{-1/2}, so it
+clusters the classic normalized embedding. ``constraint_null_basis`` builds
+every Y from one eigendecomposition of R; for the approximate variants the
+null space of the truncation is spanned by the eigenvectors the truncation
+discards, so no rank-r matrix is ever formed.
 
 k-means is implemented here rather than borrowed so that seeding, restarts,
 tie-breaking and empty-cluster repair are fully deterministic functions of
@@ -26,20 +42,23 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     IsolatedNodeError,
     KTooLargeError,
-    NotPositiveDefiniteError,
     NullSpaceTooSmallError,
     RankTooLargeError,
 )
 from .graphs import ClusterAssignment, as_adjacency
-from .linalg import low_rank_approx, null_space_basis, sqrt_and_inv_sqrt, sym_eig
+from .linalg import RANK_REL_TOL, _fix_signs, sym_eig
 
 logger = logging.getLogger(__name__)
 
 DEGENERATE_GAP_TOL = 1e-10
+# The all-ones direction counts as orthogonal to null(R) when its unit
+# vector's projection there is shorter than this.
+ONES_IN_NULL_ATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -186,15 +205,94 @@ def _gap_warnings(eigenvalues: np.ndarray, k: int) -> tuple[str, ...]:
     return ()
 
 
-def _cluster_rows(embedding: np.ndarray, k: int, cfg: KMeansConfig,
-                  spectrum: np.ndarray, warnings: tuple[str, ...]) -> ClusteringResult:
+def _cluster_rows(embedding: np.ndarray, spectrum: np.ndarray, warnings: tuple[str, ...],
+                  k: int, cfg: KMeansConfig) -> ClusteringResult:
     labels, _, inertia = kmeans(embedding, replace(cfg, k=k))
     assignment = ClusterAssignment(labels, k)
     return ClusteringResult(assignment, embedding, inertia, spectrum, warnings)
 
 
-def _laplacian(adjacency: np.ndarray) -> np.ndarray:
-    return np.diag(adjacency.sum(axis=1)) - adjacency
+def constraint_null_basis(rep_graph_or_matrix, rank: int | None = None) -> np.ndarray:
+    """Orthonormal basis Y of the null space of R (I - 11^T/N).
+
+    Every vector in this space, viewed as a relaxed cluster indicator,
+    assigns each node's representatives to clusters in proportion to
+    cluster sizes. The space is span(1) plus the part of null(R) orthogonal
+    to 1, so one eigendecomposition of R gives it: eigenvalues with
+    |lambda| <= RANK_REL_TOL * max|lambda| * N count as zero. With ``rank``,
+    R is replaced by its best rank-``rank`` approximation (the eigenpairs of
+    largest |lambda|, ties kept in ascending position), whose null space is
+    spanned by the discarded eigenvectors and the kept null ones.
+
+    Column 0 is the normalized all-ones vector; every column carries the
+    linalg sign convention.
+    """
+    r = as_adjacency(rep_graph_or_matrix)
+    n = r.shape[0]
+    if rank is not None and not 0 <= rank <= n:
+        raise ValueError(f"rank must lie in [0, {n}], got {rank}")
+    values, vectors = sym_eig(r)
+    magnitude = np.abs(values)
+    null = magnitude <= RANK_REL_TOL * (magnitude.max() if n else 0.0) * n
+    if rank is not None:
+        null[np.argsort(-magnitude, kind="stable")[rank:]] = True
+    ones = np.full(n, 1.0 / np.sqrt(n))
+    rest = vectors[:, null]
+    overlap = rest.T @ ones
+    if np.linalg.norm(overlap) > ONES_IN_NULL_ATOL:
+        rest = _fix_signs(rest @ scipy.linalg.null_space(overlap[None, :]))
+    return np.column_stack([ones, rest])
+
+
+def _embed(graph, k: int, rep_graph=None, rank: int | None = None,
+           normalized: bool = False) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Solve the module's restricted problem; return (Y Z, spectrum, warnings).
+
+    B is D when ``normalized`` and I otherwise; Y is the identity without a
+    ``rep_graph`` and ``constraint_null_basis(rep_graph, rank)`` with one.
+    """
+    a = as_adjacency(graph)
+    n = a.shape[0]
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    degrees = a.sum(axis=1)
+    if normalized and np.any(degrees <= 0.0):
+        bad = np.flatnonzero(degrees <= 0.0)
+        raise IsolatedNodeError(f"nodes with non-positive degree: {bad.tolist()}")
+    laplacian = np.diag(degrees) - a
+    weight = None
+    if rep_graph is None:
+        if k > n:
+            raise KTooLargeError(f"k={k} exceeds node count {n}")
+        basis = None
+        if normalized:
+            weight = np.diag(degrees)
+    else:
+        r = as_adjacency(rep_graph)
+        if r.shape[0] != n:
+            raise ValueError(f"graph has {n} nodes but representation matrix has {r.shape[0]}")
+        if rank is not None:
+            if rank < 1:
+                raise ValueError(f"rank must be at least 1, got {rank}")
+            if rank > n - k:
+                raise RankTooLargeError(
+                    f"rank {rank} exceeds n - k = {n - k}; the constraint null space "
+                    "would be too small"
+                )
+        basis = constraint_null_basis(r, rank)
+        if basis.shape[1] < k:
+            raise NullSpaceTooSmallError(
+                f"constraint null space has {basis.shape[1]} dimensions, need at least k={k}"
+            )
+        # Rounding leaves the products slightly asymmetric; average it away.
+        reduced = basis.T @ laplacian @ basis
+        laplacian = (reduced + reduced.T) / 2.0
+        if normalized:
+            reduced = basis.T @ (degrees[:, None] * basis)
+            weight = (reduced + reduced.T) / 2.0
+    values, vectors = sym_eig(laplacian, weight, count=k + 1)
+    embedding = vectors[:, :k] if basis is None else basis @ vectors[:, :k]
+    return embedding, values[:k], _gap_warnings(values, k)
 
 
 def usc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
@@ -203,15 +301,7 @@ def usc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     Accepts a Graph or any symmetric real matrix (so expected-case inputs
     can be clustered directly).
     """
-    a = as_adjacency(graph)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if k > a.shape[0]:
-        raise KTooLargeError(f"k={k} exceeds node count {a.shape[0]}")
-    decomposition = sym_eig(_laplacian(a))
-    embedding = decomposition.eigenvectors[:, :k]
-    warnings = _gap_warnings(decomposition.eigenvalues, k)
-    return _cluster_rows(embedding, k, cfg, decomposition.eigenvalues[:k], warnings)
+    return _cluster_rows(*_embed(graph, k), k, cfg)
 
 
 def nsc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
@@ -220,19 +310,7 @@ def nsc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     Raises IsolatedNodeError when some degree is not positive, since the
     normalized Laplacian is undefined there.
     """
-    a = as_adjacency(graph)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if k > a.shape[0]:
-        raise KTooLargeError(f"k={k} exceeds node count {a.shape[0]}")
-    degrees = a.sum(axis=1)
-    if np.any(degrees <= 0.0):
-        bad = np.flatnonzero(degrees <= 0.0)
-        raise IsolatedNodeError(f"nodes with non-positive degree: {bad.tolist()}")
-    inv_root = 1.0 / np.sqrt(degrees)
-    norm_lap = np.eye(a.shape[0]) - inv_root[:, None] * a * inv_root[None, :]
-    decomposition = sym_eig((norm_lap + norm_lap.T) / 2.0)
-    embedding = decomposition.eigenvectors[:, :k].copy()
+    embedding, spectrum, warnings = _embed(graph, k, normalized=True)
     norms = np.linalg.norm(embedding, axis=1)
     zero_rows = norms <= 1e-12
     if np.any(zero_rows):
@@ -240,23 +318,8 @@ def nsc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
             "nsc: %d embedding rows have zero norm and stay at the origin",
             int(zero_rows.sum()),
         )
-    scale = np.where(zero_rows, 1.0, norms)
-    embedding /= scale[:, None]
-    warnings = _gap_warnings(decomposition.eigenvalues, k)
-    return _cluster_rows(embedding, k, cfg, decomposition.eigenvalues[:k], warnings)
-
-
-def constraint_null_basis(rep_graph_or_matrix) -> np.ndarray:
-    """Orthonormal basis Y of the null space of R (I - 11^T/N).
-
-    Every vector in this space, viewed as a relaxed cluster indicator,
-    assigns each node's representatives to clusters in proportion to
-    cluster sizes.
-    """
-    r = as_adjacency(rep_graph_or_matrix)
-    n = r.shape[0]
-    centered = r - np.outer(r.sum(axis=1), np.full(n, 1.0 / n))
-    return null_space_basis(centered)
+    embedding /= np.where(zero_rows, 1.0, norms)[:, None]
+    return _cluster_rows(embedding, spectrum, warnings, k, cfg)
 
 
 def urepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
@@ -266,88 +329,32 @@ def urepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> Clus
     space of the centered representation matrix, then clusters the rows of
     the re-expanded embedding Y Z.
     """
-    a = as_adjacency(graph)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    basis = constraint_null_basis(rep_graph)
-    if basis.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"graph has {a.shape[0]} nodes but representation matrix has {basis.shape[0]}"
-        )
-    if basis.shape[1] < k:
-        raise NullSpaceTooSmallError(
-            f"constraint null space has {basis.shape[1]} dimensions, need at least k={k}"
-        )
-    reduced = basis.T @ _laplacian(a) @ basis
-    decomposition = sym_eig((reduced + reduced.T) / 2.0)
-    embedding = basis @ decomposition.eigenvectors[:, :k]
-    warnings = _gap_warnings(decomposition.eigenvalues, k)
-    return _cluster_rows(embedding, k, cfg, decomposition.eigenvalues[:k], warnings)
+    return _cluster_rows(*_embed(graph, k, rep_graph), k, cfg)
 
 
 def nrepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     """Representation-constrained normalized spectral clustering.
 
-    Works on Q^{-1} Y^T L Y Q^{-1} with Q the symmetric square root of
-    Y^T D Y, so the volume-scaled indicator relaxation stays inside the
-    constraint space. The embedding rows are fed to k-means as they are;
-    no unit-length scaling is applied.
+    Solves Y^T L Y z = mu Y^T D Y z, so the volume-scaled indicator
+    relaxation stays inside the constraint space and the embedding Y Z is
+    D-orthonormal. The embedding rows are fed to k-means as they are; no
+    unit-length scaling is applied.
     """
-    a = as_adjacency(graph)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    degrees = a.sum(axis=1)
-    if np.any(degrees <= 0.0):
-        bad = np.flatnonzero(degrees <= 0.0)
-        raise IsolatedNodeError(f"nodes with non-positive degree: {bad.tolist()}")
-    basis = constraint_null_basis(rep_graph)
-    if basis.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"graph has {a.shape[0]} nodes but representation matrix has {basis.shape[0]}"
-        )
-    if basis.shape[1] < k:
-        raise NullSpaceTooSmallError(
-            f"constraint null space has {basis.shape[1]} dimensions, need at least k={k}"
-        )
-    restricted_degree = basis.T @ (degrees[:, None] * basis)
-    try:
-        _, inv_root = sqrt_and_inv_sqrt((restricted_degree + restricted_degree.T) / 2.0)
-    except NotPositiveDefiniteError as exc:
-        raise IsolatedNodeError(
-            f"restricted degree matrix is numerically singular: {exc}"
-        ) from exc
-    reduced = inv_root @ basis.T @ _laplacian(a) @ basis @ inv_root
-    decomposition = sym_eig((reduced + reduced.T) / 2.0)
-    embedding = basis @ inv_root @ decomposition.eigenvectors[:, :k]
-    warnings = _gap_warnings(decomposition.eigenvalues, k)
-    return _cluster_rows(embedding, k, cfg, decomposition.eigenvalues[:k], warnings)
-
-
-def _approx_rep(rep_graph, k: int, rank: int) -> np.ndarray:
-    r = as_adjacency(rep_graph)
-    n = r.shape[0]
-    if rank < 1:
-        raise ValueError(f"rank must be at least 1, got {rank}")
-    if rank > n - k:
-        raise RankTooLargeError(
-            f"rank {rank} exceeds n - k = {n - k}; the constraint null space "
-            "would be too small"
-        )
-    return low_rank_approx(r, rank)
+    return _cluster_rows(*_embed(graph, k, rep_graph, normalized=True), k, cfg)
 
 
 def urepsc_approx(graph, rep_graph, k: int, rank: int,
                   cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     """urepsc on the best rank-``rank`` approximation of the representation matrix.
 
-    Keeping rank <= n - k guarantees the approximated constraint leaves at
-    least k null dimensions, at the price of only approximately satisfying
-    the original constraint.
+    Keeping 1 <= rank <= n - k guarantees the approximated constraint leaves
+    at least k null dimensions, at the price of only approximately
+    satisfying the original constraint.
     """
-    return urepsc(graph, _approx_rep(rep_graph, k, rank), k, cfg)
+    return _cluster_rows(*_embed(graph, k, rep_graph, rank), k, cfg)
 
 
 def nrepsc_approx(graph, rep_graph, k: int, rank: int,
                   cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     """nrepsc on the best low-rank approximation of the representation matrix."""
-    return nrepsc(graph, _approx_rep(rep_graph, k, rank), k, cfg)
+    return _cluster_rows(*_embed(graph, k, rep_graph, rank, normalized=True), k, cfg)

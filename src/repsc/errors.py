@@ -22,10 +22,6 @@ class EigenConvergenceError(RepscError):
     """The eigenvalue backend failed to converge."""
 
 
-class NotPositiveDefiniteError(RepscError):
-    """Matrix square root requested for a matrix that is not positive definite."""
-
-
 class RankTooLargeError(RepscError):
     """Requested approximation rank exceeds what the input admits."""
 

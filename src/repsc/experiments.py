@@ -19,6 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,28 +38,11 @@ from .graphs import (
     write_graph,
 )
 from .metrics import score_partition
-from .multiplex import (
-    aggregate_layers,
-    drop_isolated_nodes,
-    knn_layer_graph,
-    layer_positions_for_id_range,
-    load_node_names,
-    parse_multiplex,
-)
+from .multiplex import build_working_graphs, load_node_names
 from .theory import expected_spectrum, misclustering_bound_shape
 from .graphs import expected_adjacency
 
 MODES = ("d_regular_sweep", "planted_partition_sweep", "real_network", "expected_case_check")
-ALGORITHMS = (
-    "usc",
-    "nsc",
-    "urepsc",
-    "nrepsc",
-    "urepsc_approx",
-    "nrepsc_approx",
-    "fair_sc_baseline",
-)
-_APPROX = ("urepsc_approx", "nrepsc_approx")
 
 CSV_COLUMNS = (
     "mode", "algorithm", "N", "K", "d", "rank", "p", "q", "r", "s",
@@ -123,7 +107,7 @@ class ExperimentConfig:
             raise ConfigError("at least one algorithm is required")
         for name in self.algorithms:
             if name not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
+                raise ConfigError(f"unknown algorithm {name!r}; choose from {tuple(ALGORITHMS)}")
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
         if self.threads < 1:
@@ -250,6 +234,37 @@ def fair_sc_baseline(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig(
     return algorithm(graph, induced_graph, k, cfg)
 
 
+class _Algorithm(NamedTuple):
+    """A sweep algorithm: ``run(graph, rep, k, rank, kcfg, cfg)``.
+
+    ``ranked`` algorithms take the approximation rank (swept over
+    ``rank_values``, default a tenth of the node count); the others get
+    ``rank=None``.
+    """
+
+    run: Callable[..., ClusteringResult]
+    ranked: bool = False
+
+
+ALGORITHMS = {
+    "usc": _Algorithm(lambda graph, rep, k, rank, kcfg, cfg: clustering.usc(graph, k, kcfg)),
+    "nsc": _Algorithm(lambda graph, rep, k, rank, kcfg, cfg: clustering.nsc(graph, k, kcfg)),
+    "urepsc": _Algorithm(
+        lambda graph, rep, k, rank, kcfg, cfg: clustering.urepsc(graph, rep, k, kcfg)),
+    "nrepsc": _Algorithm(
+        lambda graph, rep, k, rank, kcfg, cfg: clustering.nrepsc(graph, rep, k, kcfg)),
+    "urepsc_approx": _Algorithm(
+        lambda graph, rep, k, rank, kcfg, cfg: clustering.urepsc_approx(graph, rep, k, rank, kcfg),
+        ranked=True),
+    "nrepsc_approx": _Algorithm(
+        lambda graph, rep, k, rank, kcfg, cfg: clustering.nrepsc_approx(graph, rep, k, rank, kcfg),
+        ranked=True),
+    "fair_sc_baseline": _Algorithm(
+        lambda graph, rep, k, rank, kcfg, cfg: fair_sc_baseline(
+            graph, rep, k, kcfg, groups=cfg.baseline_groups)),
+}
+
+
 @dataclass(frozen=True)
 class _Task:
     grid_index: int
@@ -272,7 +287,7 @@ def _build_tasks(cfg: ExperimentConfig) -> list[_Task]:
     for grid_index, (n, k, d) in enumerate(grid):
         for trial in range(cfg.trials):
             for algorithm in cfg.algorithms:
-                if algorithm in _APPROX and cfg.rank_values:
+                if ALGORITHMS[algorithm].ranked and cfg.rank_values:
                     ranks: tuple[int | None, ...] = cfg.rank_values
                 else:
                     ranks = (None,)
@@ -298,18 +313,10 @@ def _regular_setup(cfg: ExperimentConfig, n: int, k: int, d: int):
 
 @functools.lru_cache(maxsize=4)
 def _real_setup(cfg: ExperimentConfig):
-    net = parse_multiplex(Path(cfg.multiplex_file), index_base=cfg.index_base)
-    rep_positions = layer_positions_for_id_range(net, *cfg.rep_layers)
-    sim_positions = layer_positions_for_id_range(net, *cfg.sim_layers)
-    rep_parts = [knn_layer_graph(net, t, cfg.knn_k) for t in rep_positions]
-    sim_parts = [knn_layer_graph(net, t, cfg.knn_k) for t in sim_positions]
-    rep = aggregate_layers(rep_parts, force_diagonal=True)
-    sim = aggregate_layers(sim_parts, force_diagonal=False)
-    if cfg.drop_isolated:
-        sim, rep, kept = drop_isolated_nodes(sim, rep)
-    else:
-        kept = np.arange(sim.n)
-    return sim, rep, kept
+    return build_working_graphs(
+        Path(cfg.multiplex_file), cfg.rep_layers, cfg.sim_layers, cfg.knn_k,
+        index_base=cfg.index_base, drop_isolated=cfg.drop_isolated,
+    )
 
 
 def _task_inputs(cfg: ExperimentConfig, task: _Task, seed: int):
@@ -334,25 +341,6 @@ def _task_inputs(cfg: ExperimentConfig, task: _Task, seed: int):
     raise ConfigError(f"unknown mode {cfg.mode!r}")
 
 
-def _run_algorithm(name: str, graph, rep, k: int, rank: int | None,
-                   kcfg: KMeansConfig, cfg: ExperimentConfig) -> ClusteringResult:
-    if name == "usc":
-        return clustering.usc(graph, k, kcfg)
-    if name == "nsc":
-        return clustering.nsc(graph, k, kcfg)
-    if name == "urepsc":
-        return clustering.urepsc(graph, rep, k, kcfg)
-    if name == "nrepsc":
-        return clustering.nrepsc(graph, rep, k, kcfg)
-    if name == "urepsc_approx":
-        return clustering.urepsc_approx(graph, rep, k, rank, kcfg)
-    if name == "nrepsc_approx":
-        return clustering.nrepsc_approx(graph, rep, k, rank, kcfg)
-    if name == "fair_sc_baseline":
-        return fair_sc_baseline(graph, rep, k, kcfg, groups=cfg.baseline_groups)
-    raise ConfigError(f"unknown algorithm {name!r}")
-
-
 def _execute_task(args: tuple[ExperimentConfig, _Task]) -> dict:
     cfg, task = args
     seed = cfg.base_seed + task.trial
@@ -375,12 +363,13 @@ def _execute_task(args: tuple[ExperimentConfig, _Task]) -> dict:
         row["N"] = n
         if info is not None:
             row["gamma"], row["bound_shape_unnormalized"], row["bound_shape_normalized"] = info
+        algorithm = ALGORITHMS[task.algorithm]
         rank = task.rank
-        if task.algorithm in _APPROX and rank is None:
+        if algorithm.ranked and rank is None:
             rank = max(1, n // 10)
             row["rank"] = rank
         start = time.perf_counter()
-        result = _run_algorithm(task.algorithm, graph, rep, task.k, rank, kcfg, cfg)
+        result = algorithm.run(graph, rep, task.k, rank, kcfg, cfg)
         row["runtime_ms"] = (time.perf_counter() - start) * 1000.0
         score = score_partition(graph, rep, result.assignment, truth)
         row.update(
@@ -393,7 +382,7 @@ def _execute_task(args: tuple[ExperimentConfig, _Task]) -> dict:
             max_representation_residual=score.max_representation_residual,
             balance_over_rcut=score.balance_over_rcut,
         )
-    except (RepscError, ValueError) as exc:
+    except Exception as exc:  # any failure stays in its own row; the sweep goes on
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -657,15 +646,10 @@ def ingest_to_dir(multiplex_file, rep_layers: tuple[int, int], sim_layers: tuple
     to the layer ids as written in the file.
     """
     names = load_node_names(Path(names_file)) if names_file is not None else None
-    net = parse_multiplex(Path(multiplex_file), index_base=index_base, names=names)
-    rep_parts = [knn_layer_graph(net, t, knn_k) for t in layer_positions_for_id_range(net, *rep_layers)]
-    sim_parts = [knn_layer_graph(net, t, knn_k) for t in layer_positions_for_id_range(net, *sim_layers)]
-    rep = aggregate_layers(rep_parts, force_diagonal=True)
-    sim = aggregate_layers(sim_parts, force_diagonal=False)
-    if drop_isolated:
-        sim, rep, kept = drop_isolated_nodes(sim, rep)
-    else:
-        kept = np.arange(sim.n)
+    sim, rep, kept = build_working_graphs(
+        Path(multiplex_file), rep_layers, sim_layers, knn_k,
+        index_base=index_base, drop_isolated=drop_isolated, names=names,
+    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -675,8 +659,8 @@ def ingest_to_dir(multiplex_file, rep_layers: tuple[int, int], sim_layers: tuple
     }
     write_graph(rep, paths["representation"])
     write_graph(sim, paths["similarity"])
-    if net.node_names is not None:
-        lines = [f"{i}\t{net.node_names[i]}" for i in kept]
+    if names is not None:
+        lines = [f"{i}\t{names[i]}" for i in kept]
     else:
         lines = [str(i) for i in kept]
     paths["kept_nodes"].write_text("\n".join(lines) + "\n")

@@ -6,8 +6,8 @@ everything is dense and exact up to LAPACK precision. Two conventions are
 applied everywhere so that repeated runs and different call sites agree
 bit for bit:
 
-* eigenvalues (and singular values) are reported in ascending order;
-* in every eigenvector / basis column, the first entry whose magnitude
+* eigenvalues are reported in ascending order;
+* in every eigenvector column, the first entry whose magnitude
   exceeds 1e-12 is made positive by flipping the column sign if needed.
 """
 
@@ -21,9 +21,8 @@ import scipy.linalg
 from .errors import (
     EigenConvergenceError,
     NonSquareError,
-    NotPositiveDefiniteError,
     NotSymmetricError,
-    RankTooLargeError,
+    SizeMismatchError,
 )
 
 SYMMETRY_ATOL = 1e-10
@@ -32,7 +31,7 @@ RANK_REL_TOL = 1e-10
 
 
 class EigenDecomposition(NamedTuple):
-    """Full spectrum of a symmetric matrix.
+    """Spectrum (or its bottom part) of a symmetric matrix.
 
     ``eigenvalues`` is ascending; column ``eigenvectors[:, i]`` belongs to
     ``eigenvalues[i]`` and carries the deterministic sign convention.
@@ -85,106 +84,42 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def sym_eig(m) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix.
+def sym_eig(m, b=None, count: int | None = None) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix, optionally generalized.
+
+    With ``b`` the problem is ``m z = lambda b z`` for a symmetric positive
+    definite ``b``, and the eigenvectors are b-orthonormal (Z^T b Z = I).
+    With ``count`` only the ``count`` smallest eigenpairs are computed.
+    The LAPACK driver follows from the call: the divide-and-conquer drivers
+    (``evd``/``gvd``) for a full spectrum, the subset drivers otherwise.
 
     Args:
         m: square matrix, symmetric up to 1e-10 absolute tolerance.
+        b: optional positive definite matrix of the same shape.
+        count: optional number of bottom eigenpairs, at least 1.
 
     Returns:
         EigenDecomposition with ascending eigenvalues and sign-fixed
-        orthonormal eigenvectors.
+        eigenvectors (orthonormal, or b-orthonormal when ``b`` is given).
 
     Raises:
-        NonSquareError, NotSymmetricError, EigenConvergenceError.
+        NonSquareError, NotSymmetricError, SizeMismatchError,
+        EigenConvergenceError (also when ``b`` is not positive definite).
     """
     a = ensure_symmetric(m)
+    n = a.shape[0]
+    if b is not None:
+        b = ensure_symmetric(b, "b")
+        if b.shape != a.shape:
+            raise SizeMismatchError(f"b has shape {b.shape}, matrix has {a.shape}")
+    if count is not None and count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    if count is None or count >= n:
+        options = {"driver": "evd" if b is None else "gvd"}
+    else:
+        options = {"subset_by_index": [0, count - 1]}
     try:
-        values, vectors = scipy.linalg.eigh(a)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
+        values, vectors = scipy.linalg.eigh(a, b, **options)
+    except scipy.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
     return EigenDecomposition(values, _fix_signs(vectors))
-
-
-def null_space_basis(m, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
-    """Orthonormal basis of the (right) null space of a real matrix.
-
-    Singular values at or below ``rel_tol * sigma_max * max(m.shape)`` count
-    as zero. Columns are ordered by ascending singular value and carry the
-    sign convention, so the basis is a deterministic function of the input.
-
-    Args:
-        m: real matrix, not necessarily symmetric.
-        rel_tol: relative rank cutoff.
-
-    Returns:
-        Array of shape (m.shape[1], nullity). A full-rank input yields a
-        matrix with zero columns, which is a valid (empty) basis.
-    """
-    a = as_float_matrix(m)
-    try:
-        _, sigma, vh = scipy.linalg.svd(a)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
-        raise EigenConvergenceError(str(exc)) from exc
-    cutoff = rel_tol * (sigma[0] if sigma.size else 0.0) * max(a.shape)
-    rank = int(np.sum(sigma > cutoff))
-    # svd returns sigma descending, so the null rows are at the tail; reverse
-    # them to get ascending singular value order.
-    basis = vh[rank:][::-1].T
-    return _fix_signs(basis)
-
-
-def sqrt_and_inv_sqrt(m) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric square root and its inverse for a positive definite matrix.
-
-    Args:
-        m: symmetric matrix with smallest eigenvalue > 1e-12 * largest.
-
-    Returns:
-        (s, s_inv) with s @ s ~= m and s @ s_inv ~= identity, both symmetric.
-
-    Raises:
-        NotPositiveDefiniteError if the spectrum does not clear the cutoff.
-    """
-    values, vectors = sym_eig(m)
-    largest = values[-1] if values.size else 0.0
-    if largest <= 0.0 or values[0] <= 1e-12 * largest:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: eigenvalue range [{values[0]:.3e}, {largest:.3e}]"
-        )
-    root = vectors @ np.diag(np.sqrt(values)) @ vectors.T
-    inv_root = vectors @ np.diag(1.0 / np.sqrt(values)) @ vectors.T
-    return (root + root.T) / 2.0, (inv_root + inv_root.T) / 2.0
-
-
-def low_rank_approx(m, rank: int) -> np.ndarray:
-    """Best approximation of a symmetric matrix by the given number of eigenpairs.
-
-    Keeps the ``rank`` eigenpairs of largest absolute eigenvalue (ties broken
-    by ascending eigenvalue position, which makes the choice deterministic)
-    and discards the rest. The eigenvectors themselves are kept as-is, so the
-    result is generally not a 0/1 matrix even when the input is.
-
-    Args:
-        m: symmetric matrix.
-        rank: number of eigenpairs to keep, 1 <= rank <= m.shape[0].
-
-    Returns:
-        The reconstructed symmetric matrix of the requested rank (or less,
-        when the spectrum itself has fewer nonzero eigenvalues).
-
-    Raises:
-        RankTooLargeError if rank exceeds the dimension; ValueError if rank < 1.
-    """
-    values, vectors = sym_eig(m)
-    n = values.shape[0]
-    if rank < 1:
-        raise ValueError(f"rank must be at least 1, got {rank}")
-    if rank > n:
-        raise RankTooLargeError(f"rank {rank} exceeds matrix dimension {n}")
-    order = np.argsort(-np.abs(values), kind="stable")
-    keep = order[:rank]
-    kept_values = values[keep]
-    kept_vectors = vectors[:, keep]
-    approx = (kept_vectors * kept_values) @ kept_vectors.T
-    return (approx + approx.T) / 2.0

@@ -229,3 +229,31 @@ def drop_isolated_nodes(similarity: Graph, representation: Graph
     sim = Graph(similarity.adjacency[np.ix_(kept, kept)], similarity.allows_self_loops)
     rep = Graph(representation.adjacency[np.ix_(kept, kept)], representation.allows_self_loops)
     return sim, rep, kept
+
+
+def build_working_graphs(source, rep_layers: tuple[int, int], sim_layers: tuple[int, int],
+                         knn_k: int, index_base: int = 0, drop_isolated: bool = True,
+                         names=None) -> tuple[Graph, Graph, np.ndarray]:
+    """Reduce a multiplex edge list to the similarity and representation graphs.
+
+    Parses ``source``, applies the nearest-neighbor reduction to every layer,
+    aggregates each inclusive layer-id range by union (the representation
+    range with its diagonal forced to ones) and, with ``drop_isolated``,
+    removes the nodes isolated in either graph.
+
+    Returns:
+        (similarity, representation, kept), where ``kept`` maps the new node
+        indices to the original ones.
+    """
+    net = parse_multiplex(source, index_base=index_base, names=names)
+
+    def aggregate(layer_ids: tuple[int, int], force_diagonal: bool) -> Graph:
+        positions = layer_positions_for_id_range(net, *layer_ids)
+        parts = [knn_layer_graph(net, t, knn_k) for t in positions]
+        return aggregate_layers(parts, force_diagonal=force_diagonal)
+
+    rep = aggregate(rep_layers, True)
+    sim = aggregate(sim_layers, False)
+    if drop_isolated:
+        return drop_isolated_nodes(sim, rep)
+    return sim, rep, np.arange(sim.n)

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import constraint_null_basis
+from .clustering import DEGENERATE_GAP_TOL, constraint_null_basis
 from .errors import AssumptionViolatedError, DivisibilityError, ZeroGapError
 from .graphs import RppParams, expected_adjacency, validate_regular_representation
 from .linalg import sym_eig
 
 SPECTRUM_REL_TOL = 1e-7
-DEGENERATE_GAP_TOL = 1e-10
 
 logger = logging.getLogger(__name__)
 
@@ -137,7 +136,7 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
             "restricted eigengap %.3g is numerically degenerate; the "
             "recovery guarantees do not apply at this configuration", gamma
         )
-    lambda_bar = float(sym_eig(centered).eigenvalues[0] + params.p)
+    lambda_bar = float(sym_eig(centered, count=1).eigenvalues[0] + params.p)
     if expected_degree <= 1e-12:
         raise ZeroGapError(
             f"expected degree {expected_degree:g} is not positive; the "

@@ -283,3 +283,74 @@ def test_cli_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "results.csv" in proc.stdout
+
+
+def test_unexpected_exception_is_isolated_to_its_rows(tmp_path, monkeypatch):
+    config_path = tmp_path / "sweep.cfg"
+    config_path.write_text(sweep_config(tmp_path / "clean"))
+    assert main(["run", "--config", str(config_path)]) == 0
+    clean = (tmp_path / "clean" / "results.csv").read_text().splitlines()
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver exploded")
+
+    monkeypatch.setattr(repsc.clustering, "urepsc", broken)
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "broken")]) == 1
+    lines = (tmp_path / "broken" / "results.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    algorithm_col = header.index("algorithm")
+    error_col = header.index("error")
+    runtime_col = header.index("runtime_ms")
+    assert len(lines) == len(clean) == 5
+    for line, reference in zip(lines[1:], clean[1:]):
+        cells, expected = line.split(","), reference.split(",")
+        if cells[algorithm_col] == "urepsc":
+            assert cells[error_col] == "RuntimeError: solver exploded"
+        else:
+            cells[runtime_col] = expected[runtime_col] = ""
+            assert cells == expected
+
+
+def synthetic_multiplex(seed: int, nodes: int = 30, layers: int = 6) -> str:
+    """Two planted communities; every layer links nodes mostly inside them."""
+    rng = np.random.default_rng(seed)
+    community = np.arange(nodes) % 2
+    lines = []
+    for layer in range(1, layers + 1):
+        for src in range(nodes):
+            for dst in rng.choice(nodes, size=4, replace=False):
+                if dst != src and (community[dst] == community[src] or rng.random() < 0.2):
+                    lines.append(f"{layer} {src} {dst} {rng.integers(1, 10)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_real_network_sweep_clusters_the_ingested_graphs(tmp_path):
+    from repsc.experiments import _real_setup
+
+    edges = tmp_path / "multiplex.edges"
+    edges.write_text(synthetic_multiplex(3))
+    # Node 30 only talks to itself: it must be dropped from both graphs.
+    with edges.open("a") as handle:
+        handle.write("1 30 30 1\n4 30 30 1\n")
+    cfg = repsc.parse_config_text(
+        "mode = real_network\n"
+        "algorithms = usc, urepsc_approx, fair_sc_baseline\n"
+        f"multiplex_file = {edges}\n"
+        "rep_layers = 1..3\n"
+        "sim_layers = 4..6\n"
+        "knn_k = 3\n"
+        "k_values = 2\n"
+        "baseline_groups = 2\n"
+        f"out = {tmp_path / 'sweep'}\n"
+    )
+    result = repsc.run_experiment(cfg)
+    assert result.error_count == 0
+    assert [row["algorithm"] for row in result.rows] == ["usc", "urepsc_approx", "fair_sc_baseline"]
+    paths = repsc.experiments.ingest_to_dir(edges, (1, 3), (4, 6), 3, tmp_path / "ingested")
+    sim, rep, kept = _real_setup(cfg)
+    assert kept.tolist() == list(range(30))
+    assert all(row["N"] == 30 for row in result.rows)
+    assert np.array_equal(repsc.read_graph(paths["similarity"]).adjacency, sim.adjacency)
+    assert np.array_equal(repsc.read_graph(paths["representation"]).adjacency, rep.adjacency)
+    written = (tmp_path / "ingested" / "kept_nodes.txt").read_text().split()
+    assert written == [str(i) for i in kept]
