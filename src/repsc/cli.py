@@ -71,7 +71,7 @@ def _apply_overrides(cfg, args):
     updates = {}
     if getattr(args, "out", None):
         updates["out"] = args.out
-    if getattr(args, "threads", None):
+    if getattr(args, "threads", None) is not None:
         updates["threads"] = args.threads
     if getattr(args, "base_seed", None) is not None:
         updates["base_seed"] = args.base_seed

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.spatial.distance import cdist
 
 from .errors import (
     IsolatedNodeError,
@@ -103,17 +104,12 @@ class ClusteringResult:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
-
-
 def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: spread initial centroids by squared distance."""
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    closest = _sq_distances(points, centroids[:1])[:, 0]
+    closest = cdist(points, centroids[:1], "sqeuclidean")[:, 0]
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -122,44 +118,41 @@ def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             pick = int(rng.choice(n, p=closest / total))
         centroids[j] = points[pick]
-        closest = np.minimum(closest, _sq_distances(points, centroids[j:j + 1])[:, 0])
+        closest = np.minimum(closest, cdist(points, centroids[j:j + 1], "sqeuclidean")[:, 0])
     return centroids
+
+
+def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nearest-centroid labels and inertia, no cluster left empty (needs n >= k).
+
+    Each empty cluster takes the point farthest from its centroid among
+    clusters with two or more members; that point then adds 0 to the inertia.
+    """
+    d2 = cdist(points, centroids, "sqeuclidean")
+    labels = d2.argmin(axis=1)
+    assigned = d2[np.arange(points.shape[0]), labels]
+    counts = np.bincount(labels, minlength=centroids.shape[0])
+    for empty in np.flatnonzero(counts == 0):
+        far = int(np.where(counts[labels] > 1, assigned, -1.0).argmax())
+        counts[labels[far]] -= 1
+        counts[empty] = 1
+        labels[far] = empty
+        assigned[far] = 0.0
+    return labels, float(assigned.sum())
 
 
 def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
            max_iters: int, rel_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    n = points.shape[0]
     centroids = _seed_centroids(points, k, rng)
     prev_inertia = np.inf
-    labels = np.zeros(n, dtype=np.int64)
     for _ in range(max_iters):
-        d2 = _sq_distances(points, centroids)
-        labels = d2.argmin(axis=1)
-        assigned = d2[np.arange(n), labels]
-        # Repair empty clusters: hand each one the point farthest from its
-        # current centroid, one point per empty cluster.
-        counts = np.bincount(labels, minlength=k)
-        for empty in np.flatnonzero(counts == 0):
-            far = int(assigned.argmax())
-            labels[far] = empty
-            assigned[far] = 0.0
-        inertia = float(assigned.sum())
+        labels, inertia = _assign(points, centroids)
         for j in range(k):
-            members = points[labels == j]
-            if members.size:
-                centroids[j] = members.mean(axis=0)
+            centroids[j] = points[labels == j].mean(axis=0)
         if prev_inertia - inertia <= rel_tol * max(abs(prev_inertia), 1e-300):
             break
         prev_inertia = inertia
-    d2 = _sq_distances(points, centroids)
-    labels = d2.argmin(axis=1)
-    counts = np.bincount(labels, minlength=k)
-    assigned = d2[np.arange(n), labels]
-    for empty in np.flatnonzero(counts == 0):
-        far = int(assigned.argmax())
-        labels[far] = empty
-        assigned[far] = 0.0
-    inertia = float(assigned.sum())
+    labels, inertia = _assign(points, centroids)
     return labels, centroids, inertia
 
 

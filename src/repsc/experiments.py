@@ -17,7 +17,7 @@ import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -27,7 +27,6 @@ from . import clustering
 from .clustering import KMeansConfig, ClusteringResult, usc, urepsc, nrepsc
 from .errors import ConfigError, RepscError
 from .graphs import (
-    ClusterAssignment,
     Graph,
     RppParams,
     as_adjacency,
@@ -141,12 +140,12 @@ _STR_KEYS = {"mode", "out", "multiplex_file"}
 def parse_layer_range(text: str) -> tuple[int, int]:
     """Parse an inclusive ``a..b`` range (``a`` alone means ``a..a``)."""
     parts = text.split("..")
-    if len(parts) == 1:
-        lo = hi = int(parts[0])
-    elif len(parts) == 2:
-        lo, hi = int(parts[0]), int(parts[1])
-    else:
+    if len(parts) not in (1, 2):
         raise ConfigError(f"expected a range 'a..b', got {text!r}")
+    try:
+        lo, hi = int(parts[0]), int(parts[-1])
+    except ValueError:
+        raise ConfigError(f"range bounds must be integers, got {text!r}")
     if hi < lo:
         raise ConfigError(f"range {text!r} is empty")
     return lo, hi
@@ -194,9 +193,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
             elif key in _STR_KEYS:
                 values[key] = value
             else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+                raise ConfigError(f"unknown key {key!r}")
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}")
     if "mode" not in values:
@@ -314,7 +313,7 @@ def _regular_setup(cfg: ExperimentConfig, n: int, k: int, d: int):
 @functools.lru_cache(maxsize=4)
 def _real_setup(cfg: ExperimentConfig):
     return build_working_graphs(
-        Path(cfg.multiplex_file), cfg.rep_layers, cfg.sim_layers, cfg.knn_k,
+        cfg.multiplex_file, cfg.rep_layers, cfg.sim_layers, cfg.knn_k,
         index_base=cfg.index_base, drop_isolated=cfg.drop_isolated,
     )
 
@@ -645,9 +644,9 @@ def ingest_to_dir(multiplex_file, rep_layers: tuple[int, int], sim_layers: tuple
     when a name sidecar file is given). Layer ranges are inclusive and refer
     to the layer ids as written in the file.
     """
-    names = load_node_names(Path(names_file)) if names_file is not None else None
+    names = load_node_names(names_file) if names_file is not None else None
     sim, rep, kept = build_working_graphs(
-        Path(multiplex_file), rep_layers, sim_layers, knn_k,
+        multiplex_file, rep_layers, sim_layers, knn_k,
         index_base=index_base, drop_isolated=drop_isolated, names=names,
     )
     out = Path(out_dir)

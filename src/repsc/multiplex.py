@@ -6,7 +6,9 @@ real data builds, per layer, an undirected nearest-neighbor graph (each
 node keeps its strongest neighbors, then edges are symmetrized by union),
 aggregates a range of layers by entrywise OR, and finally drops nodes that
 end up isolated. Each of those steps is its own function here so the
-protocol stays inspectable and re-composable.
+protocol stays inspectable and re-composable. Each parsed layer is one
+edge table (``src``, ``dst``, ``weight`` arrays sorted by (src, dst)), and
+the nearest-neighbor reduction works on it without a dense weight matrix.
 """
 
 from __future__ import annotations
@@ -30,14 +32,16 @@ from .graphs import Graph
 class MultiplexNetwork:
     """Parsed multiplex network.
 
-    ``layers[t]`` is a sorted tuple of (src, dst, weight) triples with
-    duplicate (src, dst) pairs already summed; ``layer_ids[t]`` is the id the
-    file used for that layer (ids are remapped to contiguous 0-based
-    positions in ascending order).
+    ``layers[t]`` is a ``(src, dst, weight)`` triple of equal-length arrays
+    (int64, int64, float64): the edges of the layer at 0-based position t,
+    sorted by (src, dst), with the weights of duplicate (src, dst) lines
+    summed in file order. ``layer_ids[t]`` is the id the file used for that
+    layer (ids are remapped to contiguous 0-based positions in ascending
+    order).
     """
 
     n: int
-    layers: tuple[tuple[tuple[int, int, float], ...], ...]
+    layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     layer_ids: tuple[int, ...]
     node_names: tuple[str, ...] | None = None
 
@@ -53,35 +57,37 @@ class MultiplexNetwork:
 
     def layer_matrix(self, layer: int) -> np.ndarray:
         """Dense directed weight matrix of one layer (by 0-based position)."""
-        if not (0 <= layer < self.num_layers):
-            raise LayerOutOfRangeError(
-                f"layer {layer} out of range [0, {self.num_layers})"
-            )
+        src, dst, weight = _layer_edges(self, layer)
         w = np.zeros((self.n, self.n))
-        for src, dst, weight in self.layers[layer]:
-            w[src, dst] += weight
+        w[src, dst] = weight
         return w
 
 
-def load_node_names(source) -> tuple[str, ...]:
+def _layer_edges(net: MultiplexNetwork, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if not (0 <= layer < net.num_layers):
+        raise LayerOutOfRangeError(f"layer {layer} out of range [0, {net.num_layers})")
+    return net.layers[layer]
+
+
+def load_node_names(path) -> tuple[str, ...]:
     """Read a node-name sidecar file: one name per line, blanks skipped."""
-    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and Path(source).exists()):
-        text = Path(source).read_text()
-    else:
-        text = source
-    return tuple(line.strip() for line in text.splitlines() if line.strip())
+    return tuple(line.strip() for line in Path(path).read_text().splitlines() if line.strip())
 
 
-def parse_multiplex(source, index_base: int = 0, names=None) -> MultiplexNetwork:
+def parse_multiplex(path, index_base: int = 0, names=None) -> MultiplexNetwork:
+    """``parse_multiplex_text`` of the file at ``path`` (FileNotFoundError if missing)."""
+    return parse_multiplex_text(Path(path).read_text(), index_base=index_base, names=names)
+
+
+def parse_multiplex_text(text: str, index_base: int = 0, names=None) -> MultiplexNetwork:
     """Parse ``layer_id src dst weight`` lines into a MultiplexNetwork.
 
-    ``source`` is a path or a string of file content. Lines that are blank
-    or start with ``#`` are skipped. ``index_base`` is subtracted from node
-    indices, so files counting nodes from 1 parse with index_base=1. Node
-    count is inferred as the largest adjusted index plus one, unless
-    ``names`` (a sequence of node names) is given, in which case the count
-    is len(names) and every edge index must fall below it. Duplicate
-    (layer, src, dst) triples have their weights summed.
+    Lines that are blank or start with ``#`` are skipped. ``index_base`` is
+    subtracted from node indices, so files counting nodes from 1 parse with
+    index_base=1. Node count is inferred as the largest adjusted index plus
+    one, unless ``names`` (a sequence of node names) is given, in which case
+    the count is len(names) and every edge index must fall below it.
+    Duplicate (layer, src, dst) triples have their weights summed.
 
     Raises:
         MalformedLineError: wrong token count or non-numeric fields, with
@@ -90,12 +96,8 @@ def parse_multiplex(source, index_base: int = 0, names=None) -> MultiplexNetwork
             at least len(names) when names are given.
         NoLayersError: no edges at all.
     """
-    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and Path(source).exists()):
-        text = Path(source).read_text()
-    else:
-        text = source
-    weights: dict[int, dict[tuple[int, int], float]] = {}
-    max_node = -1
+    keys: list[tuple[int, int, int]] = []
+    weights: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -126,19 +128,25 @@ def parse_multiplex(source, index_base: int = 0, names=None) -> MultiplexNetwork
                 f"line {lineno}: node index {max(src, dst)} but only "
                 f"{len(names)} names were given"
             )
-        max_node = max(max_node, src, dst)
-        weights.setdefault(layer_id, {}).setdefault((src, dst), 0.0)
-        weights[layer_id][(src, dst)] += weight
-    if not weights:
+        keys.append((layer_id, src, dst))
+        weights.append(weight)
+    if not keys:
         raise NoLayersError("multiplex input contains no edges")
-    layer_ids = tuple(sorted(weights))
-    layers = tuple(
-        tuple((src, dst, w) for (src, dst), w in sorted(weights[lid].items()))
-        for lid in layer_ids
-    )
+    try:
+        rows = np.array(keys, dtype=np.int64)
+    except OverflowError:
+        raise IndexOutOfRangeError("a layer id or node index does not fit in 64 bits")
+    # Rows sorted by (layer, src, dst); bincount adds each row's duplicates
+    # in file order, exactly as a running sum over the lines would.
+    edges, inverse = np.unique(rows, axis=0, return_inverse=True)
+    summed = np.bincount(inverse, weights=weights, minlength=len(edges))
+    layer_of, src, dst = edges.T
+    ids, starts = np.unique(layer_of, return_index=True)
+    bounds = zip(starts, [*starts[1:], len(edges)])
+    layers = tuple((src[a:b], dst[a:b], summed[a:b]) for a, b in bounds)
     node_names = tuple(names) if names is not None else None
-    n = len(node_names) if node_names is not None else max_node + 1
-    return MultiplexNetwork(n=n, layers=layers, layer_ids=layer_ids,
+    n = len(node_names) if node_names is not None else int(edges[:, 1:].max()) + 1
+    return MultiplexNetwork(n=n, layers=layers, layer_ids=tuple(ids.tolist()),
                             node_names=node_names)
 
 
@@ -169,19 +177,17 @@ def knn_layer_graph(net: MultiplexNetwork, layer: int, k: int) -> Graph:
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    w = net.layer_matrix(layer)
-    n = net.n
-    np.fill_diagonal(w, 0.0)
-    selected = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        candidates = np.flatnonzero(w[i] != 0.0)
-        if candidates.size == 0:
-            continue
-        # Sort by descending weight, then ascending index; take the top k.
-        order = sorted(candidates, key=lambda j: (-w[i, j], j))
-        for j in order[:k]:
-            selected[i, j] = True
-    adjacency = (selected | selected.T).astype(np.float64)
+    src, dst, weight = _layer_edges(net, layer)
+    keep = (src != dst) & (weight != 0.0)
+    src, dst, weight = src[keep], dst[keep], weight[keep]
+    # Group by source; within a source, descending weight, then ascending
+    # neighbor index. Each source keeps the first k entries of its group.
+    order = np.lexsort((dst, -weight, src))
+    src, dst = src[order], dst[order]
+    top = np.arange(src.size) - np.searchsorted(src, src) < k
+    src, dst = src[top], dst[top]
+    adjacency = np.zeros((net.n, net.n))
+    adjacency[src, dst] = adjacency[dst, src] = 1.0
     return Graph(adjacency, allows_self_loops=False)
 
 
@@ -231,21 +237,21 @@ def drop_isolated_nodes(similarity: Graph, representation: Graph
     return sim, rep, kept
 
 
-def build_working_graphs(source, rep_layers: tuple[int, int], sim_layers: tuple[int, int],
+def build_working_graphs(path, rep_layers: tuple[int, int], sim_layers: tuple[int, int],
                          knn_k: int, index_base: int = 0, drop_isolated: bool = True,
                          names=None) -> tuple[Graph, Graph, np.ndarray]:
     """Reduce a multiplex edge list to the similarity and representation graphs.
 
-    Parses ``source``, applies the nearest-neighbor reduction to every layer,
-    aggregates each inclusive layer-id range by union (the representation
-    range with its diagonal forced to ones) and, with ``drop_isolated``,
-    removes the nodes isolated in either graph.
+    Parses the file at ``path``, applies the nearest-neighbor reduction to
+    every layer, aggregates each inclusive layer-id range by union (the
+    representation range with its diagonal forced to ones) and, with
+    ``drop_isolated``, removes the nodes isolated in either graph.
 
     Returns:
         (similarity, representation, kept), where ``kept`` maps the new node
         indices to the original ones.
     """
-    net = parse_multiplex(source, index_base=index_base, names=names)
+    net = parse_multiplex(path, index_base=index_base, names=names)
 
     def aggregate(layer_ids: tuple[int, int], force_diagonal: bool) -> Graph:
         positions = layer_positions_for_id_range(net, *layer_ids)

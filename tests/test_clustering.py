@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repsc
-from repsc.clustering import constraint_null_basis
+from repsc.clustering import _assign, constraint_null_basis
 from conftest import random_orthonormal, same_partition
 
 
@@ -46,6 +47,31 @@ def test_kmeans_identical_points():
     labels, _, inertia = repsc.kmeans(points, repsc.KMeansConfig(k=2, seed=0))
     assert inertia == 0.0
     assert set(labels.tolist()) == {0, 1}  # empty-cluster repair keeps k clusters
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**16))
+def test_kmeans_never_returns_an_empty_cluster(data, k, dim, seed):
+    # Coarse integer coordinates make duplicate points and distance ties common.
+    n = data.draw(st.integers(k, 14))
+    coords = data.draw(st.lists(st.integers(-2, 2), min_size=n * dim, max_size=n * dim))
+    points = np.array(coords, dtype=np.float64).reshape(n, dim)
+    if len(np.unique(points, axis=0)) < k:
+        return
+    labels, _, _ = repsc.kmeans(points, repsc.KMeansConfig(k=k, restarts=2, max_iters=5, seed=seed))
+    assert np.bincount(labels, minlength=k).min() >= 1
+    assert labels.max() < k
+
+
+def test_assignment_repair_never_empties_a_cluster():
+    # Centroids of this partition leave cluster 1 empty, and the farthest
+    # point is the only member of cluster 0: moving it would empty cluster 0.
+    points = np.array([[0.179], [-0.937], [-0.252], [1.174], [-0.147], [1.553], [0.224]])
+    previous = np.array([2, 0, 2, 1, 0, 3, 1])
+    centroids = np.array([points[previous == j].mean(axis=0) for j in range(4)])
+    labels, inertia = _assign(points, centroids)
+    assert labels.tolist() == [2, 0, 2, 1, 2, 3, 2]
+    assert inertia == pytest.approx(0.328976)
 
 
 def test_kmeans_close_to_brute_force_restarts():

@@ -76,6 +76,11 @@ def test_parse_layer_range():
         parse_layer_range("5..2")
     with pytest.raises(repsc.ConfigError):
         parse_layer_range("1..2..3")
+    with pytest.raises(repsc.ConfigError):
+        parse_layer_range("x..y")
+    # In a config, range errors name their line like every other bad value.
+    with pytest.raises(repsc.ConfigError, match="line 2: range '5..2' is empty"):
+        repsc.parse_config_text("mode = real_network\nrep_layers = 5..2\n")
 
 
 def test_small_sweep_rows(tmp_path):
@@ -252,6 +257,21 @@ def test_cli_failure_exit_codes(tmp_path):
     bad.write_text("mode = d_regular_sweep\nwibble = 3\n")
     assert main(["run", "--config", str(bad)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_cli_rejects_bad_ranges_and_thread_counts(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(MULTIPLEX_SAMPLE)
+    assert main([
+        "ingest", "--multiplex", str(edges), "--rep-layers", "x..y",
+        "--sim-layers", "2..2", "--out", str(tmp_path / "ingested"),
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
+    config_path = tmp_path / "sweep.cfg"
+    config_path.write_text(sweep_config(tmp_path / "out"))
+    assert main(["run", "--config", str(config_path), "--threads", "0"]) == 2
+    assert "threads must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_ingest_with_names(tmp_path):

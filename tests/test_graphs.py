@@ -1,7 +1,11 @@
 """Graph types, the two samplers, the regular builder, serialization."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repsc
 from conftest import REGULAR_INSTANCES, SWEEP_PROBS
@@ -268,3 +272,21 @@ def test_assignment_round_trip(tmp_path):
     bad.write_text("0\nx\n")
     with pytest.raises(repsc.MalformedLineError):
         repsc.read_assignment(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.booleans(), st.integers(0, 2**32 - 1))
+def test_graph_and_assignment_round_trip_property(n, self_loops, seed):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < 0.4, k=0 if self_loops else 1)
+    graph = repsc.Graph((upper | upper.T).astype(np.float64), allows_self_loops=self_loops)
+    labels = rng.integers(0, 4, size=n)
+    assignment = repsc.ClusterAssignment(labels, int(labels.max()) + 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        repsc.write_graph(graph, Path(tmp) / "g.edges")
+        back = repsc.read_graph(Path(tmp) / "g.edges")
+        repsc.write_assignment(assignment, Path(tmp) / "labels.txt")
+        read = repsc.read_assignment(Path(tmp) / "labels.txt")
+    assert np.array_equal(back.adjacency, graph.adjacency)
+    assert back.allows_self_loops == self_loops
+    assert np.array_equal(read.labels, assignment.labels) and read.k == assignment.k
