@@ -29,7 +29,10 @@ generalized eigenvectors and those of I - D^{-1/2} A D^{-1/2}, so it
 clusters the classic normalized embedding. ``constraint_null_basis`` builds
 every Y from one eigendecomposition of R; for the approximate variants the
 null space of the truncation is spanned by the eigenvectors the truncation
-discards, so no rank-r matrix is ever formed.
+discards, so no rank-r matrix is ever formed. That eigendecomposition depends
+on R alone, so the function keeps the most recent one in a one-entry memo:
+the experiment setup, urepsc/nrepsc and the ``_approx`` pairs that follow it
+on the same R share one decomposition.
 
 k-means is implemented here rather than borrowed so that seeding, restarts,
 tie-breaking and empty-cluster repair are fully deterministic functions of
@@ -38,6 +41,7 @@ the config seed.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -52,7 +56,7 @@ from .errors import (
     RankTooLargeError,
 )
 from .graphs import ClusterAssignment, as_adjacency
-from .linalg import RANK_REL_TOL, _fix_signs, sym_eig
+from .linalg import RANK_REL_TOL, EigenDecomposition, _fix_signs, sym_eig
 
 logger = logging.getLogger(__name__)
 
@@ -205,6 +209,33 @@ def _cluster_rows(embedding: np.ndarray, spectrum: np.ndarray, warnings: tuple[s
     return ClusteringResult(assignment, embedding, inertia, spectrum, warnings)
 
 
+# (key, EigenDecomposition) of the last R that constraint_null_basis decomposed.
+_last_spectrum: tuple[tuple, EigenDecomposition] | None = None
+
+
+def _spectrum(r: np.ndarray) -> EigenDecomposition:
+    """``sym_eig(r)``, reused while consecutive calls see equal matrices.
+
+    The key is the shape, the dtype and a sha1 digest of the buffer (hashed
+    in place, without a copy). The cached arrays are read-only, and a
+    failed decomposition is not cached.
+    """
+    global _last_spectrum
+    r = np.ascontiguousarray(r)
+    key = (r.shape, r.dtype.str, hashlib.sha1(r.data).digest())
+    entry = _last_spectrum
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    # Drop the stale entry first, so that it does not add to the peak memory
+    # of the new decomposition.
+    _last_spectrum = entry = None
+    spectrum = sym_eig(r)
+    for array in spectrum:
+        array.flags.writeable = False
+    _last_spectrum = (key, spectrum)
+    return spectrum
+
+
 def constraint_null_basis(rep_graph_or_matrix, rank: int | None = None) -> np.ndarray:
     """Orthonormal basis Y of the null space of R (I - 11^T/N).
 
@@ -218,13 +249,15 @@ def constraint_null_basis(rep_graph_or_matrix, rank: int | None = None) -> np.nd
     spanned by the discarded eigenvectors and the kept null ones.
 
     Column 0 is the normalized all-ones vector; every column carries the
-    linalg sign convention.
+    linalg sign convention. R's eigendecomposition comes from a one-entry
+    memo keyed by R's content, so consecutive calls on an equal R (with any
+    ``rank``) decompose it once; the returned basis is always a fresh array.
     """
     r = as_adjacency(rep_graph_or_matrix)
     n = r.shape[0]
     if rank is not None and not 0 <= rank <= n:
         raise ValueError(f"rank must lie in [0, {n}], got {rank}")
-    values, vectors = sym_eig(r)
+    values, vectors = _spectrum(r)
     magnitude = np.abs(values)
     null = magnitude <= RANK_REL_TOL * (magnitude.max() if n else 0.0) * n
     if rank is not None:
@@ -252,7 +285,8 @@ def _embed(graph, k: int, rep_graph=None, rank: int | None = None,
     if normalized and np.any(degrees <= 0.0):
         bad = np.flatnonzero(degrees <= 0.0)
         raise IsolatedNodeError(f"nodes with non-positive degree: {bad.tolist()}")
-    laplacian = np.diag(degrees) - a
+    laplacian = np.diag(degrees)
+    laplacian -= a
     weight = None
     if rep_graph is None:
         if k > n:

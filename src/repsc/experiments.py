@@ -111,6 +111,8 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
         if self.threads < 1:
             raise ConfigError(f"threads must be at least 1, got {self.threads}")
+        if self.knn_k < 1:
+            raise ConfigError(f"knn_k must be at least 1, got {self.knn_k}")
         if self.mode in ("d_regular_sweep", "expected_case_check"):
             if not (self.n_values and self.k_values and self.d_values):
                 raise ConfigError(f"mode {self.mode} needs n_values, k_values and d_values")

@@ -407,15 +407,30 @@ def read_graph(path) -> Graph:
 
 
 def write_assignment(assignment: ClusterAssignment, path) -> None:
-    """One 0-based cluster label per line, node order."""
-    Path(path).write_text("\n".join(str(x) for x in assignment.labels) + "\n")
+    """A ``# k = K`` line, then one 0-based cluster label per line, node order."""
+    lines = [f"# k = {assignment.k}", *(str(x) for x in assignment.labels)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_assignment(path) -> ClusterAssignment:
+    """Parse the assignment format; k comes from a ``# k = K`` line if any.
+
+    Without such a line (files written before it existed) k is the largest
+    label plus one. Other ``#`` lines and blank lines are skipped.
+    """
     labels = []
+    k = None
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if stripped.startswith("#"):
+            key, sep, value = stripped[1:].partition("=")
+            if sep and key.strip() == "k":
+                try:
+                    k, k_line = int(value), lineno
+                except ValueError:
+                    raise MalformedLineError(lineno, f"expected an integer k, got {line!r}")
+            continue
+        if not stripped:
             continue
         try:
             labels.append(int(stripped))
@@ -424,4 +439,8 @@ def read_assignment(path) -> ClusterAssignment:
     if not labels:
         raise MalformedLineError(1, "assignment file contains no labels")
     arr = np.asarray(labels, dtype=np.int64)
-    return ClusterAssignment(arr, int(arr.max()) + 1)
+    if k is None:
+        k = int(arr.max()) + 1
+    elif k <= arr.max():
+        raise MalformedLineError(k_line, f"k = {k} but a label is {int(arr.max())}")
+    return ClusterAssignment(arr, k)

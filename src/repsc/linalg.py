@@ -9,6 +9,10 @@ bit for bit:
 * eigenvalues are reported in ascending order;
 * in every eigenvector column, the first entry whose magnitude
   exceeds 1e-12 is made positive by flipping the column sign if needed.
+
+``sym_eig`` never modifies its inputs: LAPACK works on the symmetrized
+copies that ``ensure_symmetric`` makes, in place, so each argument is copied
+exactly once.
 """
 
 from __future__ import annotations
@@ -65,23 +69,29 @@ def ensure_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     away; anything larger is an error in the caller's data.
     """
     a = ensure_square(m, name)
-    gap = np.max(np.abs(a - a.T)) if a.size else 0.0
+    sym = np.subtract(a, a.T)
+    np.abs(sym, out=sym)
+    gap = sym.max() if a.size else 0.0
     if gap > SYMMETRY_ATOL:
         raise NotSymmetricError(
             f"{name} is not symmetric: max|m - m^T| = {gap:.3e} exceeds {SYMMETRY_ATOL:.0e}"
         )
-    return (a + a.T) / 2.0
+    np.add(a, a.T, out=sym)
+    sym /= 2.0
+    return sym
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip column signs so the first entry above the threshold is positive."""
-    v = vectors.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
+    """Flip column signs in place so the first entry above the threshold is
+    positive; return ``vectors``."""
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
         idx = np.flatnonzero(np.abs(col) > SIGN_THRESHOLD)
         if idx.size and col[idx[0]] < 0:
-            v[:, j] = -col
-    return v
+            # Not np.negative(col, out=col): numpy 2.4.6 writes wrong values
+            # through a column view whose rows are 8 doubles apart.
+            vectors[:, j] = -col
+    return vectors
 
 
 def sym_eig(m, b=None, count: int | None = None) -> EigenDecomposition:
@@ -92,6 +102,9 @@ def sym_eig(m, b=None, count: int | None = None) -> EigenDecomposition:
     With ``count`` only the ``count`` smallest eigenpairs are computed.
     The LAPACK driver follows from the call: the divide-and-conquer drivers
     (``evd``/``gvd``) for a full spectrum, the subset drivers otherwise.
+    ``m`` and ``b`` are never modified: LAPACK overwrites the symmetrized
+    copies made here, whose transposes are the Fortran-ordered views it
+    reads without copying again (the copies are exactly symmetric).
 
     Args:
         m: square matrix, symmetric up to 1e-10 absolute tolerance.
@@ -119,7 +132,10 @@ def sym_eig(m, b=None, count: int | None = None) -> EigenDecomposition:
     else:
         options = {"subset_by_index": [0, count - 1]}
     try:
-        values, vectors = scipy.linalg.eigh(a, b, **options)
+        values, vectors = scipy.linalg.eigh(
+            a.T, None if b is None else b.T, overwrite_a=True, overwrite_b=True,
+            check_finite=False, **options,
+        )
     except scipy.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
     return EigenDecomposition(values, _fix_signs(vectors))

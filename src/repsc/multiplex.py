@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     IndexOutOfRangeError,
     LayerOutOfRangeError,
     MalformedLineError,
@@ -250,7 +251,12 @@ def build_working_graphs(path, rep_layers: tuple[int, int], sim_layers: tuple[in
     Returns:
         (similarity, representation, kept), where ``kept`` maps the new node
         indices to the original ones.
+
+    Raises:
+        ConfigError when ``knn_k`` is below 1 (before the file is read).
     """
+    if knn_k < 1:
+        raise ConfigError(f"knn_k must be at least 1, got {knn_k}")
     net = parse_multiplex(path, index_base=index_base, names=names)
 
     def aggregate(layer_ids: tuple[int, int], force_diagonal: bool) -> Graph:

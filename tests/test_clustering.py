@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repsc
+from repsc import clustering
 from repsc.clustering import _assign, constraint_null_basis
+from repsc.linalg import sym_eig
 from conftest import random_orthonormal, same_partition
 
 
@@ -272,3 +274,93 @@ def test_pipelines_deterministic(toy_instance):
         second = algorithm()
         assert np.array_equal(first.assignment.labels, second.assignment.labels)
         assert np.array_equal(first.embedding, second.embedding)
+
+
+# -- the one-entry memo of R's eigendecomposition in constraint_null_basis --
+
+
+@pytest.fixture
+def r_eigs(monkeypatch):
+    """Empty the memo; record the shape of every full eigendecomposition
+    that clustering computes (constraint_null_basis makes the only ones)."""
+    monkeypatch.setattr(clustering, "_last_spectrum", None)
+    shapes = []
+
+    def counting(m, b=None, count=None):
+        if b is None and count is None:
+            shapes.append(np.shape(m))
+        return sym_eig(m, b, count)
+
+    monkeypatch.setattr(clustering, "sym_eig", counting)
+    return shapes
+
+
+def test_null_basis_memo_reuses_an_equal_r(r_eigs):
+    rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
+    first = constraint_null_basis(rep)
+    assert r_eigs == [(24, 24)]
+    # Equal content in another array, and another rank: no new eigensolve.
+    assert np.array_equal(constraint_null_basis(rep.adjacency.copy()), first)
+    constraint_null_basis(rep, rank=4)
+    assert len(r_eigs) == 1
+
+
+def test_null_basis_memo_recomputes_a_changed_r(r_eigs):
+    rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
+    changed = rep.adjacency.copy()
+    changed[0, 1] = changed[1, 0] = 1.0 - changed[0, 1]
+    first = constraint_null_basis(rep)
+    constraint_null_basis(changed)
+    assert len(r_eigs) == 2
+    # One entry: going back to the first R decomposes it again.
+    assert np.array_equal(constraint_null_basis(rep), first)
+    assert len(r_eigs) == 3
+
+
+def test_null_basis_memo_caches_no_failure(r_eigs, monkeypatch):
+    other, _ = repsc.build_d_regular_rep_graph(24, 2, 4)
+    rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
+    constraint_null_basis(other)
+
+    def failing(m, b=None, count=None):
+        raise repsc.EigenConvergenceError("no convergence")
+
+    counting = clustering.sym_eig
+    monkeypatch.setattr(clustering, "sym_eig", failing)
+    with pytest.raises(repsc.EigenConvergenceError):
+        constraint_null_basis(rep)
+    # A miss drops the old entry before decomposing; the failure is not kept.
+    assert clustering._last_spectrum is None
+    monkeypatch.setattr(clustering, "sym_eig", counting)
+    constraint_null_basis(rep)
+    assert r_eigs == [(24, 24), (24, 24)]
+
+
+def test_null_basis_memo_is_read_only_and_returns_fresh_bases(r_eigs):
+    rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
+    basis = constraint_null_basis(rep)
+    expected = basis.copy()
+    for array in clustering._last_spectrum[1]:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    basis[:] = 0.0
+    assert np.array_equal(constraint_null_basis(rep), expected)
+    assert len(r_eigs) == 1
+
+
+def test_sweep_decomposes_each_r_once_per_grid_point(r_eigs, tmp_path):
+    # Setup (expected_spectrum) and 2 trials x (urepsc, nrepsc) at each of
+    # two grid points share one eigendecomposition of that point's R.
+    cfg = repsc.parse_config_text(
+        "mode = d_regular_sweep\n"
+        "algorithms = usc, urepsc, nrepsc\n"
+        "n_values = 24\n"
+        "k_values = 2\n"
+        "d_values = 4, 6\n"
+        "trials = 2\n"
+        f"out = {tmp_path}\n"
+    )
+    result = repsc.run_experiment(cfg)
+    assert result.error_count == 0 and len(result.rows) == 12
+    assert r_eigs == [(24, 24), (24, 24)]

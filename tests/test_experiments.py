@@ -274,6 +274,22 @@ def test_cli_rejects_bad_ranges_and_thread_counts(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_rejects_knn_below_one(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(MULTIPLEX_SAMPLE)
+    assert main([
+        "ingest", "--multiplex", str(edges), "--rep-layers", "1..1",
+        "--sim-layers", "2..2", "--knn", "0", "--out", str(tmp_path / "ingested"),
+    ]) == 2
+    assert "error: knn_k must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "ingested").exists()
+    config_path = tmp_path / "sweep.cfg"
+    config_path.write_text(sweep_config(tmp_path / "out", "knn_k = 0\n"))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert "error: knn_k must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_ingest_with_names(tmp_path):
     edges = tmp_path / "edges.txt"
     edges.write_text(MULTIPLEX_SAMPLE)

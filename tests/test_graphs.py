@@ -268,20 +268,28 @@ def test_assignment_round_trip(tmp_path):
     b = repsc.read_assignment(path)
     assert np.array_equal(a.labels, b.labels)
     assert b.k == 3
-    bad = tmp_path / "bad.txt"
-    bad.write_text("0\nx\n")
-    with pytest.raises(repsc.MalformedLineError):
-        repsc.read_assignment(bad)
+    # Empty top clusters survive; a file without the k line still parses.
+    repsc.write_assignment(repsc.ClusterAssignment(np.array([0, 0]), 3), path)
+    assert path.read_text() == "# k = 3\n0\n0\n"
+    assert repsc.read_assignment(path).k == 3
+    path.write_text("# old file\n0\n1\n")
+    assert repsc.read_assignment(path).k == 2
+    for text in ("0\nx\n", "# k = x\n0\n", "# k = 2\n0\n2\n"):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        with pytest.raises(repsc.MalformedLineError):
+            repsc.read_assignment(bad)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 9), st.booleans(), st.integers(0, 2**32 - 1))
-def test_graph_and_assignment_round_trip_property(n, self_loops, seed):
+@given(st.integers(1, 9), st.booleans(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_graph_and_assignment_round_trip_property(n, self_loops, empty_top, seed):
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < 0.4, k=0 if self_loops else 1)
     graph = repsc.Graph((upper | upper.T).astype(np.float64), allows_self_loops=self_loops)
     labels = rng.integers(0, 4, size=n)
-    assignment = repsc.ClusterAssignment(labels, int(labels.max()) + 1)
+    # k may exceed max label + 1: the highest clusters are then empty.
+    assignment = repsc.ClusterAssignment(labels, int(labels.max()) + 1 + empty_top)
     with tempfile.TemporaryDirectory() as tmp:
         repsc.write_graph(graph, Path(tmp) / "g.edges")
         back = repsc.read_graph(Path(tmp) / "g.edges")

@@ -1,12 +1,14 @@
 """Dense linear algebra primitives: conventions, errors, reconstruction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import repsc
 from repsc.clustering import constraint_null_basis
-from repsc.linalg import as_float_matrix, ensure_symmetric
+from repsc.linalg import _fix_signs, as_float_matrix, ensure_symmetric
 
 
 def test_sym_eig_known_diagonal():
@@ -112,6 +114,55 @@ def test_sym_eig_count_returns_the_bottom_pairs():
             assert np.allclose(part.eigenvectors, full.eigenvectors[:, :count], atol=1e-7)
         # A count past the dimension is the full spectrum.
         assert repsc.sym_eig(a, count=n + 3).eigenvalues.shape == (n,)
+
+
+def test_sym_eig_leaves_its_arguments_unchanged():
+    rng = np.random.default_rng(9)
+    n = 12
+    a, spd = random_symmetric(rng, n), random_spd(rng, n)
+    # Exactly symmetric inputs, C- and F-ordered, and one with rounding noise.
+    noisy = a + 1e-13 * rng.standard_normal((n, n))
+    for m in (a, np.asfortranarray(a), noisy):
+        for b in (None, spd, np.asfortranarray(spd)):
+            for count in (None, 1, 3):
+                m_before = m.copy()
+                b_before = None if b is None else b.copy()
+                repsc.sym_eig(m, b, count)
+                assert np.array_equal(m, m_before)
+                assert b is None or np.array_equal(b, b_before)
+
+
+@pytest.mark.parametrize("use_b, count, copies", [
+    (False, None, 3),  # symmetrized copy + divide-and-conquer workspace (2 N^2)
+    (True, None, 4),
+    (True, 6, 2),      # one copy of m and one of b
+    (False, 1, 1),
+])
+def test_sym_eig_peak_memory(use_b, count, copies):
+    # Allocations inside sym_eig, in units of one N x N float64 matrix: the
+    # argument copies LAPACK works on, and no second copy made by scipy.
+    n = 400
+    rng = np.random.default_rng(10)
+    a = random_symmetric(rng, n)
+    b = np.diag(rng.uniform(1.0, 2.0, n)) if use_b else None
+    repsc.sym_eig(a, b, count)
+    tracemalloc.start()
+    try:
+        repsc.sym_eig(a, b, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (copies + 0.25) * n * n * 8
+
+
+def test_fix_signs_flips_columns_in_place():
+    rng = np.random.default_rng(11)
+    for cols in range(1, 20):
+        vectors = rng.standard_normal((7, cols))
+        vectors[0, ::2] = -np.abs(vectors[0, ::2])
+        expected = vectors * np.where(vectors[0] < 0, -1.0, 1.0)
+        assert _fix_signs(vectors) is vectors
+        assert np.array_equal(vectors, expected)
 
 
 def test_sym_eig_generalized_rejects_bad_b():
