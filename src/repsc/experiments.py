@@ -17,14 +17,14 @@ import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import clustering
-from .clustering import KMeansConfig, ClusteringResult, usc, urepsc, nrepsc
+from .clustering import KMeansConfig, ClusteringResult, usc, urepsc
 from .errors import ConfigError, RepscError
 from .graphs import (
     Graph,
@@ -32,13 +32,14 @@ from .graphs import (
     as_adjacency,
     contiguous_assignment,
     build_d_regular_rep_graph,
+    check_probabilities,
     sample_planted_partition_rep_graph,
     sample_rpp,
     write_graph,
 )
 from .metrics import score_partition
 from .multiplex import build_working_graphs, load_node_names
-from .theory import expected_spectrum, misclustering_bound_shape
+from .theory import check_epsilon, expected_spectrum, misclustering_bound_shape
 from .graphs import expected_adjacency
 
 MODES = ("d_regular_sweep", "planted_partition_sweep", "real_network", "expected_case_check")
@@ -107,12 +108,19 @@ class ExperimentConfig:
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {name!r}; choose from {tuple(ALGORITHMS)}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be at least 1, got {self.trials}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be at least 1, got {self.threads}")
-        if self.knn_k < 1:
-            raise ConfigError(f"knn_k must be at least 1, got {self.knn_k}")
+        for name in ("trials", "threads", "knn_k", "rep_groups", "baseline_groups"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
+        if any(rank < 1 for rank in self.rank_values):
+            raise ConfigError(f"rank_values must be at least 1, got {self.rank_values}")
+        try:
+            check_probabilities(ordered=True, p=self.p, q=self.q, r=self.r, s=self.s)
+            check_probabilities(p_in=self.p_in, p_out=self.p_out)
+            check_epsilon(self.epsilon)
+            self.kmeans_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         if self.mode in ("d_regular_sweep", "expected_case_check"):
             if not (self.n_values and self.k_values and self.d_values):
                 raise ConfigError(f"mode {self.mode} needs n_values, k_values and d_values")
@@ -127,16 +135,10 @@ class ExperimentConfig:
             if not self.k_values:
                 raise ConfigError("real_network mode needs k_values")
 
-
-_LIST_KEYS = {"n_values", "k_values", "d_values", "rank_values"}
-_INT_KEYS = {
-    "rep_groups", "baseline_groups", "trials", "base_seed", "kmeans_restarts",
-    "kmeans_max_iters", "threads", "knn_k", "index_base",
-}
-_FLOAT_KEYS = {"p", "q", "r", "s", "p_in", "p_out", "epsilon", "kmeans_rel_tol"}
-_BOOL_KEYS = {"plots", "drop_isolated"}
-_RANGE_KEYS = {"rep_layers", "sim_layers"}
-_STR_KEYS = {"mode", "out", "multiplex_file"}
+    def kmeans_config(self, seed: int = 0) -> KMeansConfig:
+        """The k-means settings of this sweep, seeded for one run."""
+        return KMeansConfig(restarts=self.kmeans_restarts, max_iters=self.kmeans_max_iters,
+                            rel_tol=self.kmeans_rel_tol, seed=seed)
 
 
 def parse_layer_range(text: str) -> tuple[int, int]:
@@ -153,13 +155,37 @@ def parse_layer_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in _BOOLEANS:
+        raise ValueError(f"not a boolean: {text!r}")
+    return _BOOLEANS[text.lower()]
+
+
+def _split(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+# A config value is converted by the annotation of its ExperimentConfig field.
+_CONVERTERS: dict[str, Callable[[str], object]] = {
+    "str": str, "str | None": str, "int": int, "int | None": int, "float": float,
+    "bool": _parse_bool, "tuple[int, int] | None": parse_layer_range,
+    "tuple[str, ...]": lambda text: tuple(_split(text)),
+    "tuple[int, ...]": lambda text: tuple(int(item) for item in _split(text)),
+}
+_FIELD_CONVERTERS = {item.name: _CONVERTERS[item.type] for item in fields(ExperimentConfig)}
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse the flat key-value config grammar.
 
     One ``key = value`` pair per line; ``#`` starts a comment; blank lines
     are skipped; list values are comma-separated; layer ranges use the
     inclusive ``a..b`` form; booleans accept true/false/yes/no/1/0.
-    Unknown or duplicate keys are errors.
+    The keys are ``ExperimentConfig``'s fields, and each value is converted
+    by the annotation of its field. Unknown or duplicate keys are errors.
     """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -174,28 +200,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            if key == "algorithms":
-                values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-            elif key in _LIST_KEYS:
-                values[key] = tuple(int(v) for v in value.split(",") if v.strip())
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _BOOL_KEYS:
-                lowered = value.lower()
-                if lowered in ("true", "yes", "1"):
-                    values[key] = True
-                elif lowered in ("false", "no", "0"):
-                    values[key] = False
-                else:
-                    raise ValueError(f"not a boolean: {value!r}")
-            elif key in _RANGE_KEYS:
-                values[key] = parse_layer_range(value)
-            elif key in _STR_KEYS:
-                values[key] = value
-            else:
+            converter = _FIELD_CONVERTERS.get(key)
+            if converter is None:
                 raise ConfigError(f"unknown key {key!r}")
+            values[key] = converter(value)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}")
         except ValueError as exc:
@@ -212,27 +220,22 @@ def load_config(path) -> ExperimentConfig:
 
 
 def fair_sc_baseline(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig(),
-                     groups: int | None = None, normalized: bool = False) -> ClusteringResult:
+                     groups: int | None = None) -> ClusteringResult:
     """Group-fairness baseline on top of the constrained pipeline.
 
-    Clusters the representation graph itself into ``groups`` groups with
-    plain spectral clustering, replaces the representation structure by the
-    induced block constraint (everyone in a group represents exactly that
-    group), and runs the constrained algorithm. With one group the
-    constraint degenerates and the result coincides with unconstrained
-    clustering.
+    Clusters the representation graph itself into ``groups`` groups (default
+    a tenth of the node count, at least 1) with plain spectral clustering,
+    replaces the representation structure by the induced block constraint
+    (everyone in a group represents exactly that group), and runs urepsc
+    on it. With one group the constraint degenerates and the result
+    coincides with unconstrained clustering.
     """
     r = as_adjacency(rep_graph)
-    n = r.shape[0]
-    p_groups = groups if groups is not None else max(1, n // 10)
-    if p_groups < 1:
-        raise ValueError(f"groups must be at least 1, got {p_groups}")
-    discovered = usc(r, p_groups, cfg)
+    discovered = usc(r, groups if groups is not None else max(1, r.shape[0] // 10), cfg)
     labels = discovered.assignment.labels
     induced = (labels[:, None] == labels[None, :]).astype(np.float64)
     induced_graph = Graph(induced, allows_self_loops=True)
-    algorithm = nrepsc if normalized else urepsc
-    return algorithm(graph, induced_graph, k, cfg)
+    return urepsc(graph, induced_graph, k, cfg)
 
 
 class _Algorithm(NamedTuple):
@@ -268,7 +271,6 @@ ALGORITHMS = {
 
 @dataclass(frozen=True)
 class _Task:
-    grid_index: int
     n: int | None
     k: int
     d: int | None
@@ -285,7 +287,7 @@ def _build_tasks(cfg: ExperimentConfig) -> list[_Task]:
         grid = [(n, k, None) for n in cfg.n_values for k in cfg.k_values]
     else:
         grid = [(n, k, d) for n in cfg.n_values for k in cfg.k_values for d in cfg.d_values]
-    for grid_index, (n, k, d) in enumerate(grid):
+    for n, k, d in grid:
         for trial in range(cfg.trials):
             for algorithm in cfg.algorithms:
                 if ALGORITHMS[algorithm].ranked and cfg.rank_values:
@@ -293,7 +295,7 @@ def _build_tasks(cfg: ExperimentConfig) -> list[_Task]:
                 else:
                     ranks = (None,)
                 for rank in ranks:
-                    tasks.append(_Task(grid_index, n, k, d, trial, algorithm, rank))
+                    tasks.append(_Task(n, k, d, trial, algorithm, rank))
     return tasks
 
 
@@ -306,7 +308,7 @@ def _regular_setup(cfg: ExperimentConfig, n: int, k: int, d: int):
         spectrum = expected_spectrum(params)
         bounds = misclustering_bound_shape(params, cfg.epsilon, spectrum=spectrum)
         info = (spectrum.gamma, bounds.unnormalized, bounds.normalized)
-    except (RepscError, ValueError):
+    except RepscError:
         info = None
     expected = expected_adjacency(params) if cfg.mode == "expected_case_check" else None
     return rep, truth, params, expected, info
@@ -345,12 +347,7 @@ def _task_inputs(cfg: ExperimentConfig, task: _Task, seed: int):
 def _execute_task(args: tuple[ExperimentConfig, _Task]) -> dict:
     cfg, task = args
     seed = cfg.base_seed + task.trial
-    kcfg = KMeansConfig(
-        restarts=cfg.kmeans_restarts,
-        max_iters=cfg.kmeans_max_iters,
-        rel_tol=cfg.kmeans_rel_tol,
-        seed=seed,
-    )
+    kcfg = cfg.kmeans_config(seed)
     row: dict[str, object] = {column: None for column in CSV_COLUMNS}
     row.update(
         mode=cfg.mode, algorithm=task.algorithm, N=task.n, K=task.k, d=task.d,

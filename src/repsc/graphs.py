@@ -104,6 +104,20 @@ def contiguous_assignment(n: int, k: int) -> ClusterAssignment:
     return ClusterAssignment(np.repeat(np.arange(k), n // k), k)
 
 
+def check_probabilities(ordered: bool = False, **values: float) -> None:
+    """Raise ValueError unless every value lies in [0, 1] (NaN never does).
+
+    With ``ordered`` the values must also be non-increasing in the order
+    given, as in the planted-partition model's 1 >= p >= q >= r >= s >= 0.
+    """
+    probs = list(values.values())
+    pairs = zip(probs, probs[1:]) if ordered else ()
+    if not (all(1.0 >= prob >= 0.0 for prob in probs) and all(hi >= lo for hi, lo in pairs)):
+        rule = " >= ".join(["1", *values, "0"]) if ordered else f"{', '.join(values)} in [0, 1]"
+        got = " ".join(f"{name}={value}" for name, value in values.items())
+        raise ValueError(f"need {rule}, got {got}")
+
+
 @dataclass(frozen=True)
 class RppParams:
     """Parameters of the representation-aware planted-partition model.
@@ -128,13 +142,7 @@ class RppParams:
                 f"representation graph has {self.rep_graph.n} nodes, "
                 f"assignment has {self.assignment.n}"
             )
-        probs = (self.p, self.q, self.r, self.s)
-        if not all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite")
-        if not (1.0 >= self.p >= self.q >= self.r >= self.s >= 0.0):
-            raise ValueError(
-                f"need 1 >= p >= q >= r >= s >= 0, got p={self.p} q={self.q} r={self.r} s={self.s}"
-            )
+        check_probabilities(ordered=True, p=self.p, q=self.q, r=self.r, s=self.s)
 
     @property
     def n(self) -> int:
@@ -327,8 +335,7 @@ def sample_planted_partition_rep_graph(
     with p_out, and the diagonal is forced to 1 so every node represents
     itself. Returns the graph and the group assignment used.
     """
-    if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
-        raise ValueError(f"probabilities must lie in [0, 1], got p_in={p_in} p_out={p_out}")
+    check_probabilities(p_in=p_in, p_out=p_out)
     membership = contiguous_assignment(n, groups)
     same = membership.labels[:, None] == membership.labels[None, :]
     prob = np.where(same, p_in, p_out)

@@ -1,9 +1,11 @@
 """Partition quality and agreement metrics.
 
-Cut metrics are computed twice on purpose: once combinatorially from edge
-weights and once as a Laplacian trace through the scaled indicator matrices.
-The two routes must agree to near machine precision; a disagreement means a
-bug in one of them, so it raises instead of silently returning either value.
+Both cuts come from one pass over the adjacency (``_cuts``), and each keeps
+its own check: it is computed combinatorially from edge weights and again as
+a Laplacian trace through its scaled indicator matrix (H for the ratio cut,
+T for the normalized cut). The two routes must agree to near machine
+precision; a disagreement means a bug, so it raises instead of silently
+returning either value.
 """
 
 from __future__ import annotations
@@ -14,20 +16,10 @@ import numpy as np
 import scipy.optimize
 
 from .constraint import build_indicator_h, build_indicator_t, node_balance, representation_residual
-from .errors import EmptyClusterError, SizeMismatchError, ZeroVolumeClusterError
+from .errors import SizeMismatchError, ZeroVolumeClusterError
 from .graphs import ClusterAssignment, Graph, as_adjacency
 
 DUAL_FORM_TOL = 1e-9
-
-
-def _cut_weights(adjacency: np.ndarray, assignment: ClusterAssignment) -> np.ndarray:
-    """Weight leaving each cluster: sum of A_ij over i in C_k, j outside."""
-    onehot = assignment.onehot()
-    # Total degree of each cluster minus its internal weight (counted with
-    # both orientations).
-    per_cluster_degree = adjacency.sum(axis=1) @ onehot
-    internal = np.einsum("ik,ij,jk->k", onehot, adjacency, onehot)
-    return per_cluster_degree - internal
 
 
 def _check_dual(name: str, combinatorial: float, trace_form: float) -> float:
@@ -39,49 +31,54 @@ def _check_dual(name: str, combinatorial: float, trace_form: float) -> float:
     return combinatorial
 
 
-def ratio_cut(graph, assignment: ClusterAssignment) -> float:
-    """Sum over clusters of (weight leaving the cluster) / (cluster size).
+def _cuts(graph, assignment: ClusterAssignment) -> tuple[float, float | None]:
+    """Ratio cut and normalized cut (None when a cluster has zero volume).
 
-    Also evaluates trace(H^T L H) with the size-scaled indicator H and
-    asserts the two routes agree.
+    Each is checked against its own trace form, trace(H^T L H) and
+    trace(T^T L T).
     """
     a = as_adjacency(graph)
     if a.shape[0] != assignment.n:
-        raise SizeMismatchError(
-            f"graph has {a.shape[0]} nodes, assignment has {assignment.n}"
-        )
-    sizes = assignment.sizes
-    if np.any(sizes == 0):
-        raise EmptyClusterError(f"cluster sizes must be positive, got {sizes.tolist()}")
-    cuts = _cut_weights(a, assignment)
-    combinatorial = float(np.sum(cuts / sizes))
+        raise SizeMismatchError(f"graph has {a.shape[0]} nodes, assignment has {assignment.n}")
     h = build_indicator_h(assignment)
-    laplacian = np.diag(a.sum(axis=1)) - a
-    trace_form = float(np.trace(h.T @ laplacian @ h))
-    return _check_dual("ratio_cut", combinatorial, trace_form)
+    onehot = assignment.onehot()
+    degrees = a.sum(axis=1)
+    volumes = degrees @ onehot
+    # Weight leaving each cluster: its volume minus its internal weight.
+    leaving = volumes - np.einsum("ik,ik->k", onehot, a @ onehot)
+    laplacian = np.diag(degrees)
+    laplacian -= a
+    rcut = _check_dual("ratio_cut", float(np.sum(leaving / assignment.sizes)),
+                       float(np.trace(h.T @ laplacian @ h)))
+    if np.any(volumes <= 0.0):
+        return rcut, None
+    t = build_indicator_t(assignment, degrees)
+    ncut = _check_dual("normalized_cut", float(np.sum(leaving / volumes)),
+                       float(np.trace(t.T @ laplacian @ t)))
+    return rcut, ncut
+
+
+def ratio_cut(graph, assignment: ClusterAssignment) -> float:
+    """Sum over clusters of (weight leaving the cluster) / (cluster size).
+
+    Raises EmptyClusterError when a cluster has no node. The value is
+    checked against trace(H^T L H) with the size-scaled indicator H.
+    """
+    return _cuts(graph, assignment)[0]
 
 
 def normalized_cut(graph, assignment: ClusterAssignment) -> float:
     """Sum over clusters of (weight leaving the cluster) / (cluster volume).
 
-    Raises ZeroVolumeClusterError when a cluster has no edge weight at all.
-    Also evaluates trace(T^T L T) and asserts agreement.
+    Raises EmptyClusterError when a cluster has no node and
+    ZeroVolumeClusterError when a cluster has no edge weight at all. The
+    value is checked against trace(T^T L T) with the volume-scaled
+    indicator T.
     """
-    a = as_adjacency(graph)
-    if a.shape[0] != assignment.n:
-        raise SizeMismatchError(
-            f"graph has {a.shape[0]} nodes, assignment has {assignment.n}"
-        )
-    degrees = a.sum(axis=1)
-    volumes = degrees @ assignment.onehot()
-    if np.any(volumes <= 0.0):
-        raise ZeroVolumeClusterError(f"cluster volumes must be positive, got {volumes.tolist()}")
-    cuts = _cut_weights(a, assignment)
-    combinatorial = float(np.sum(cuts / volumes))
-    t = build_indicator_t(assignment, degrees)
-    laplacian = np.diag(degrees) - a
-    trace_form = float(np.trace(t.T @ laplacian @ t))
-    return _check_dual("normalized_cut", combinatorial, trace_form)
+    ncut = _cuts(graph, assignment)[1]
+    if ncut is None:
+        raise ZeroVolumeClusterError("a cluster has zero volume; the normalized cut is undefined")
+    return ncut
 
 
 def _matched_nodes(truth: ClusterAssignment, predicted: ClusterAssignment) -> int:
@@ -139,21 +136,11 @@ class PartitionScore:
 def score_partition(graph, rep_graph: Graph, predicted: ClusterAssignment,
                     truth: ClusterAssignment | None = None) -> PartitionScore:
     """Evaluate a partition against a similarity graph and representation graph."""
-    rcut = ratio_cut(graph, predicted)
-    try:
-        ncut = normalized_cut(graph, predicted)
-    except ZeroVolumeClusterError:
-        ncut = None
+    rcut, ncut = _cuts(graph, predicted)
     balance = node_balance(rep_graph, predicted)
-    residual = representation_residual(rep_graph, predicted)
-    max_residual = float(np.abs(residual).max())
-    if truth is not None:
-        mistakes = mistake_fraction(truth, predicted)
-        accuracy = accuracy_nodes(truth, predicted)
-    else:
-        mistakes = None
-        accuracy = None
-    balance_over_rcut = balance.average_balance / rcut if rcut > 0.0 else None
+    max_residual = float(np.abs(representation_residual(rep_graph, predicted)).max())
+    mistakes, accuracy = ((mistake_fraction(truth, predicted), accuracy_nodes(truth, predicted))
+                          if truth is not None else (None, None))
     return PartitionScore(
         rcut=rcut,
         ncut=ncut,
@@ -162,5 +149,5 @@ def score_partition(graph, rep_graph: Graph, predicted: ClusterAssignment,
         avg_balance=balance.average_balance,
         min_balance=balance.min_balance,
         max_representation_residual=max_residual,
-        balance_over_rcut=balance_over_rcut,
+        balance_over_rcut=balance.average_balance / rcut if rcut > 0.0 else None,
     )

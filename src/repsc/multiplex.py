@@ -13,6 +13,7 @@ the nearest-neighbor reduction works on it without a dense weight matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,7 +116,7 @@ def parse_multiplex_text(text: str, index_base: int = 0, names=None) -> Multiple
             weight = float(parts[3])
         except ValueError:
             raise MalformedLineError(lineno, f"non-numeric field in {raw!r}")
-        if not np.isfinite(weight):
+        if not math.isfinite(weight):
             raise MalformedLineError(lineno, f"non-finite weight in {raw!r}")
         src -= index_base
         dst -= index_base

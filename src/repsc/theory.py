@@ -163,6 +163,12 @@ class BoundShape:
     normalized: float
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless the bound's slack epsilon is non-negative."""
+    if not epsilon >= 0.0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+
+
 def misclustering_bound_shape(params: RppParams, epsilon: float = 0.0,
                         spectrum: ExpectedSpectrum | None = None) -> BoundShape:
     """Evaluate the misclustering bound shapes for a model configuration.
@@ -176,8 +182,7 @@ def misclustering_bound_shape(params: RppParams, epsilon: float = 0.0,
 
     Raises ZeroGapError when the relevant gap is not positive.
     """
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    check_epsilon(epsilon)
     spec = spectrum if spectrum is not None else expected_spectrum(params)
     n = params.n
     k = params.k

@@ -8,6 +8,7 @@ import pytest
 
 import repsc
 from repsc.cli import main
+from repsc.graphs import check_probabilities
 from repsc.experiments import CSV_COLUMNS, parse_layer_range, write_line_chart_svg
 from conftest import same_partition
 
@@ -288,6 +289,68 @@ def test_cli_rejects_knn_below_one(tmp_path, capsys):
     assert main(["run", "--config", str(config_path)]) == 2
     assert "error: knn_k must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("kmeans_restarts = 0\n", "restarts must be at least 1"),
+        ("kmeans_max_iters = 0\n", "max_iters must be at least 1"),
+        ("kmeans_rel_tol = 0\n", "rel_tol must be positive"),
+        ("epsilon = -1\n", "epsilon must be non-negative"),
+        ("q = 0.5\n", "need 1 >= p >= q >= r >= s >= 0"),
+        ("p = 1.5\n", "need 1 >= p >= q >= r >= s >= 0"),
+        ("s = -0.1\n", "need 1 >= p >= q >= r >= s >= 0"),
+        ("r = nan\n", "need 1 >= p >= q >= r >= s >= 0"),
+        ("p_in = 1.5\n", "need p_in, p_out in [0, 1]"),
+        ("p_out = -0.2\n", "need p_in, p_out in [0, 1]"),
+        ("rank_values = 2, 0\n", "rank_values must be at least 1"),
+        ("rep_groups = 0\n", "rep_groups must be at least 1"),
+        ("baseline_groups = 0\n", "baseline_groups must be at least 1"),
+    ],
+)
+def test_cli_rejects_values_that_every_run_rejects(tmp_path, capsys, extra, message):
+    config_path = tmp_path / "sweep.cfg"
+    config_path.write_text(sweep_config(tmp_path / "out", extra))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_probability_rule_for_model_sampler_and_config(toy_instance):
+    rep, truth, _ = toy_instance
+    check_probabilities(ordered=True, p=1.0, q=0.5, r=0.5, s=0.0)
+    check_probabilities(p_in=0.0, p_out=1.0)
+    for bad in (dict(p=0.3, q=0.4, r=0.2, s=0.1), dict(p=0.4, q=0.3, r=0.2, s=float("nan"))):
+        with pytest.raises(ValueError, match="need 1 >= p >= q >= r >= s >= 0"):
+            check_probabilities(ordered=True, **bad)
+        with pytest.raises(ValueError, match="need 1 >= p >= q >= r >= s >= 0"):
+            repsc.RppParams(assignment=truth, rep_graph=rep, **bad)
+        with pytest.raises(repsc.ConfigError, match="need 1 >= p >= q >= r >= s >= 0"):
+            repsc.ExperimentConfig(mode="planted_partition_sweep", algorithms=("usc",),
+                                   n_values=(8,), k_values=(2,), **bad)
+    for p_in, p_out in ((1.5, 0.2), (0.8, float("inf"))):
+        with pytest.raises(ValueError, match=r"need p_in, p_out in \[0, 1\]"):
+            repsc.sample_planted_partition_rep_graph(8, 2, p_in, p_out, 0)
+        with pytest.raises(repsc.ConfigError, match=r"need p_in, p_out in \[0, 1\]"):
+            repsc.ExperimentConfig(mode="planted_partition_sweep", algorithms=("usc",),
+                                   n_values=(8,), k_values=(2,), p_in=p_in, p_out=p_out)
+
+
+def test_value_error_in_grid_setup_lands_in_the_rows(tmp_path, monkeypatch):
+    # A ValueError in the setup is a bug, not a missing bound: every row of
+    # the grid point records it instead of leaving gamma silently empty.
+    def broken(*args, **kwargs):
+        raise ValueError("setup exploded")
+
+    monkeypatch.setattr(repsc.experiments, "expected_spectrum", broken)
+    repsc.experiments._regular_setup.cache_clear()
+    cfg = repsc.parse_config_text(sweep_config(tmp_path / "out"))
+    try:
+        result = repsc.run_experiment(cfg)
+    finally:
+        repsc.experiments._regular_setup.cache_clear()
+    assert [row["error"] for row in result.rows] == ["ValueError: setup exploded"] * 4
 
 
 def test_cli_ingest_with_names(tmp_path):

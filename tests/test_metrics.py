@@ -179,3 +179,64 @@ def test_score_partition_zero_volume_cluster_gives_no_ncut():
     score = repsc.score_partition(g, rep, predicted)
     assert score.ncut is None
     assert score.rcut == 0.0
+
+
+@pytest.mark.parametrize("builder", ["build_indicator_h", "build_indicator_t"])
+def test_dual_form_gate_fires_on_a_misscaled_indicator(monkeypatch, builder):
+    # Each cut keeps its own trace check: a wrongly scaled H breaks the
+    # ratio cut's, a wrongly scaled T the normalized cut's. Both cuts come
+    # from one pass, so either break stops every cut function.
+    rng = np.random.default_rng(64)
+    g = random_graph(rng, 12, density=0.6)
+    assignment = repsc.ClusterAssignment(np.arange(12) % 3, 3)
+    rep = repsc.Graph(np.eye(12), allows_self_loops=True)
+    repsc.score_partition(g, rep, assignment)
+    original = getattr(repsc.metrics, builder)
+    monkeypatch.setattr(repsc.metrics, builder, lambda *args: 1.5 * original(*args))
+    with pytest.raises(AssertionError, match="disagree; this is a bug"):
+        repsc.ratio_cut(g, assignment)
+    with pytest.raises(AssertionError, match="disagree; this is a bug"):
+        repsc.normalized_cut(g, assignment)
+    with pytest.raises(AssertionError, match="disagree; this is a bug"):
+        repsc.score_partition(g, rep, assignment)
+
+
+def test_score_partition_cuts_equal_the_cut_functions():
+    rng = np.random.default_rng(65)
+    seen_zero_volume = 0
+    for trial in range(30):
+        n = int(rng.integers(6, 20))
+        k = int(rng.integers(2, min(5, n)))
+        g = np.array(random_graph(rng, n, density=0.3).adjacency)
+        if trial % 3 == 0:
+            # Real-valued weights, as on expected-case matrices.
+            weights = np.triu(rng.random((n, n)), k=1)
+            g *= weights + weights.T
+        assignment = random_assignment(rng, n, k)
+        if trial % 5 == 0:
+            # Isolate the nodes of the last cluster: its volume is zero.
+            members = assignment.labels == k - 1
+            g[members, :] = 0.0
+            g[:, members] = 0.0
+        rep = repsc.Graph(np.eye(n), allows_self_loops=True)
+        score = repsc.score_partition(g, rep, assignment)
+        assert score.rcut == repsc.ratio_cut(g, assignment)
+        if score.ncut is None:
+            seen_zero_volume += 1
+            with pytest.raises(repsc.ZeroVolumeClusterError):
+                repsc.normalized_cut(g, assignment)
+        else:
+            assert score.ncut == repsc.normalized_cut(g, assignment)
+    assert seen_zero_volume >= 6
+
+
+def test_empty_cluster_is_an_empty_cluster_error_for_every_cut():
+    g = complete_graph(4)
+    rep = repsc.Graph(np.eye(4), allows_self_loops=True)
+    empty = repsc.ClusterAssignment(np.array([0, 0, 2, 2]), 3)
+    with pytest.raises(repsc.EmptyClusterError):
+        repsc.ratio_cut(g, empty)
+    with pytest.raises(repsc.EmptyClusterError):
+        repsc.normalized_cut(g, empty)
+    with pytest.raises(repsc.EmptyClusterError):
+        repsc.score_partition(g, rep, empty)
