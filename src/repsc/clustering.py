@@ -29,10 +29,10 @@ generalized eigenvectors and those of I - D^{-1/2} A D^{-1/2}, so it
 clusters the classic normalized embedding. ``constraint_null_basis`` builds
 every Y from one eigendecomposition of R; for the approximate variants the
 null space of the truncation is spanned by the eigenvectors the truncation
-discards, so no rank-r matrix is ever formed. That eigendecomposition depends
-on R alone, so the function keeps the most recent one in a one-entry memo:
-the experiment setup, urepsc/nrepsc and the ``_approx`` pairs that follow it
-on the same R share one decomposition.
+discards, so no rank-r matrix is ever formed. A ``Graph`` R keeps that
+eigendecomposition (``Graph.spectrum``), so every Y built from one R object,
+exact or rank-r, shares one decomposition; a raw matrix R is decomposed on
+every call.
 
 k-means is implemented here rather than borrowed so that seeding, restarts,
 tie-breaking and empty-cluster repair are fully deterministic functions of
@@ -41,7 +41,6 @@ the config seed.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -55,8 +54,8 @@ from .errors import (
     NullSpaceTooSmallError,
     RankTooLargeError,
 )
-from .graphs import ClusterAssignment, as_adjacency
-from .linalg import RANK_REL_TOL, EigenDecomposition, _fix_signs, sym_eig
+from .graphs import ClusterAssignment, Graph, as_adjacency
+from .linalg import RANK_REL_TOL, _fix_signs, sym_eig
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +70,8 @@ class KMeansConfig:
     """Settings for the k-means backend.
 
     ``k`` may be left None when the caller (a spectral algorithm) supplies
-    the cluster count itself.
+    the cluster count itself. Every error message starts with the name of
+    the field at fault.
     """
 
     k: int | None = None
@@ -209,33 +209,6 @@ def _cluster_rows(embedding: np.ndarray, spectrum: np.ndarray, warnings: tuple[s
     return ClusteringResult(assignment, embedding, inertia, spectrum, warnings)
 
 
-# (key, EigenDecomposition) of the last R that constraint_null_basis decomposed.
-_last_spectrum: tuple[tuple, EigenDecomposition] | None = None
-
-
-def _spectrum(r: np.ndarray) -> EigenDecomposition:
-    """``sym_eig(r)``, reused while consecutive calls see equal matrices.
-
-    The key is the shape, the dtype and a sha1 digest of the buffer (hashed
-    in place, without a copy). The cached arrays are read-only, and a
-    failed decomposition is not cached.
-    """
-    global _last_spectrum
-    r = np.ascontiguousarray(r)
-    key = (r.shape, r.dtype.str, hashlib.sha1(r.data).digest())
-    entry = _last_spectrum
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    # Drop the stale entry first, so that it does not add to the peak memory
-    # of the new decomposition.
-    _last_spectrum = entry = None
-    spectrum = sym_eig(r)
-    for array in spectrum:
-        array.flags.writeable = False
-    _last_spectrum = (key, spectrum)
-    return spectrum
-
-
 def constraint_null_basis(rep_graph_or_matrix, rank: int | None = None) -> np.ndarray:
     """Orthonormal basis Y of the null space of R (I - 11^T/N).
 
@@ -249,15 +222,17 @@ def constraint_null_basis(rep_graph_or_matrix, rank: int | None = None) -> np.nd
     spanned by the discarded eigenvectors and the kept null ones.
 
     Column 0 is the normalized all-ones vector; every column carries the
-    linalg sign convention. R's eigendecomposition comes from a one-entry
-    memo keyed by R's content, so consecutive calls on an equal R (with any
-    ``rank``) decompose it once; the returned basis is always a fresh array.
+    linalg sign convention. A ``Graph`` R is decomposed once for every
+    ``rank`` (``Graph.spectrum``), a raw matrix R on every call; the
+    returned basis is always a fresh array.
     """
-    r = as_adjacency(rep_graph_or_matrix)
-    n = r.shape[0]
+    if isinstance(rep_graph_or_matrix, Graph):
+        values, vectors = rep_graph_or_matrix.spectrum
+    else:
+        values, vectors = sym_eig(rep_graph_or_matrix)
+    n = values.shape[0]
     if rank is not None and not 0 <= rank <= n:
         raise ValueError(f"rank must lie in [0, {n}], got {rank}")
-    values, vectors = _spectrum(r)
     magnitude = np.abs(values)
     null = magnitude <= RANK_REL_TOL * (magnitude.max() if n else 0.0) * n
     if rank is not None:
@@ -295,9 +270,6 @@ def _embed(graph, k: int, rep_graph=None, rank: int | None = None,
         if normalized:
             weight = np.diag(degrees)
     else:
-        r = as_adjacency(rep_graph)
-        if r.shape[0] != n:
-            raise ValueError(f"graph has {n} nodes but representation matrix has {r.shape[0]}")
         if rank is not None:
             if rank < 1:
                 raise ValueError(f"rank must be at least 1, got {rank}")
@@ -306,7 +278,9 @@ def _embed(graph, k: int, rep_graph=None, rank: int | None = None,
                     f"rank {rank} exceeds n - k = {n - k}; the constraint null space "
                     "would be too small"
                 )
-        basis = constraint_null_basis(r, rank)
+        basis = constraint_null_basis(rep_graph, rank)
+        if basis.shape[0] != n:
+            raise ValueError(f"graph has {n} nodes but representation matrix has {basis.shape[0]}")
         if basis.shape[1] < k:
             raise NullSpaceTooSmallError(
                 f"constraint null space has {basis.shape[1]} dimensions, need at least k={k}"

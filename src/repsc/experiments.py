@@ -33,6 +33,7 @@ from .graphs import (
     contiguous_assignment,
     build_d_regular_rep_graph,
     check_probabilities,
+    expected_adjacency,
     sample_planted_partition_rep_graph,
     sample_rpp,
     write_graph,
@@ -40,7 +41,6 @@ from .graphs import (
 from .metrics import score_partition
 from .multiplex import build_working_graphs, load_node_names
 from .theory import check_epsilon, expected_spectrum, misclustering_bound_shape
-from .graphs import expected_adjacency
 
 MODES = ("d_regular_sweep", "planted_partition_sweep", "real_network", "expected_case_check")
 
@@ -118,9 +118,12 @@ class ExperimentConfig:
             check_probabilities(ordered=True, p=self.p, q=self.q, r=self.r, s=self.s)
             check_probabilities(p_in=self.p_in, p_out=self.p_out)
             check_epsilon(self.epsilon)
-            self.kmeans_config()
         except ValueError as exc:
             raise ConfigError(str(exc))
+        try:
+            self.kmeans_config()
+        except ValueError as exc:  # the message starts with the KMeansConfig field's name
+            raise ConfigError(f"kmeans_{exc}")
         if self.mode in ("d_regular_sweep", "expected_case_check"):
             if not (self.n_values and self.k_values and self.d_values):
                 raise ConfigError(f"mode {self.mode} needs n_values, k_values and d_values")
@@ -234,8 +237,7 @@ def fair_sc_baseline(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig(
     discovered = usc(r, groups if groups is not None else max(1, r.shape[0] // 10), cfg)
     labels = discovered.assignment.labels
     induced = (labels[:, None] == labels[None, :]).astype(np.float64)
-    induced_graph = Graph(induced, allows_self_loops=True)
-    return urepsc(graph, induced_graph, k, cfg)
+    return urepsc(graph, Graph(induced, allows_self_loops=True), k, cfg)
 
 
 class _Algorithm(NamedTuple):
@@ -299,7 +301,27 @@ def _build_tasks(cfg: ExperimentConfig) -> list[_Task]:
     return tasks
 
 
-@functools.lru_cache(maxsize=64)
+def _one_entry_cache(build):
+    """Keep ``build``'s result for its latest arguments only.
+
+    Tasks run in grid point, trial, algorithm order, so consecutive calls
+    share arguments. The held value is dropped before the next one is built,
+    so two never coexist, and a failed build leaves nothing behind.
+    """
+    entry: list = []  # [args, value], or empty
+
+    @functools.wraps(build)
+    def cached(*args):
+        if not entry or entry[0] != args:
+            entry.clear()
+            entry.extend((args, build(*args)))
+        return entry[1]
+
+    cached.cache_clear = entry.clear
+    return cached
+
+
+@_one_entry_cache
 def _regular_setup(cfg: ExperimentConfig, n: int, k: int, d: int):
     """Grid-point setup shared across trials: graph, truth, spectrum info."""
     rep, truth = build_d_regular_rep_graph(n, k, d)
@@ -314,7 +336,7 @@ def _regular_setup(cfg: ExperimentConfig, n: int, k: int, d: int):
     return rep, truth, params, expected, info
 
 
-@functools.lru_cache(maxsize=4)
+@_one_entry_cache
 def _real_setup(cfg: ExperimentConfig):
     return build_working_graphs(
         cfg.multiplex_file, cfg.rep_layers, cfg.sim_layers, cfg.knn_k,
@@ -322,26 +344,22 @@ def _real_setup(cfg: ExperimentConfig):
     )
 
 
-def _task_inputs(cfg: ExperimentConfig, task: _Task, seed: int):
-    """Return (graph_or_matrix, rep_graph, truth_or_None, spectrum_info)."""
-    if cfg.mode == "d_regular_sweep":
-        rep, truth, params, _, info = _regular_setup(cfg, task.n, task.k, task.d)
-        return sample_rpp(params, seed), rep, truth, info
-    if cfg.mode == "expected_case_check":
-        rep, truth, _, expected, info = _regular_setup(cfg, task.n, task.k, task.d)
-        return expected, rep, truth, info
+@_one_entry_cache
+def _trial_inputs(cfg: ExperimentConfig, n: int | None, k: int, d: int | None, seed: int):
+    """Return (graph_or_matrix, rep_graph, truth_or_None, spectrum_info), shared by
+    every row of a trial: one sampled graph, and one R decomposed once."""
+    if cfg.mode in ("d_regular_sweep", "expected_case_check"):
+        rep, truth, params, expected, info = _regular_setup(cfg, n, k, d)
+        graph = sample_rpp(params, seed) if cfg.mode == "d_regular_sweep" else expected
+        return graph, rep, truth, info
     if cfg.mode == "planted_partition_sweep":
-        groups = cfg.rep_groups if cfg.rep_groups is not None else max(1, task.n // 10)
-        rep, _ = sample_planted_partition_rep_graph(
-            task.n, groups, cfg.p_in, cfg.p_out, [seed, 0]
-        )
-        truth = contiguous_assignment(task.n, task.k)
+        groups = cfg.rep_groups if cfg.rep_groups is not None else max(1, n // 10)
+        rep, _ = sample_planted_partition_rep_graph(n, groups, cfg.p_in, cfg.p_out, [seed, 0])
+        truth = contiguous_assignment(n, k)
         params = RppParams(assignment=truth, rep_graph=rep, p=cfg.p, q=cfg.q, r=cfg.r, s=cfg.s)
         return sample_rpp(params, [seed, 1]), rep, truth, None
-    if cfg.mode == "real_network":
-        sim, rep, _ = _real_setup(cfg)
-        return sim, rep, None, None
-    raise ConfigError(f"unknown mode {cfg.mode!r}")
+    sim, rep, _ = _real_setup(cfg)  # real_network, the one mode left
+    return sim, rep, None, None
 
 
 def _execute_task(args: tuple[ExperimentConfig, _Task]) -> dict:
@@ -356,7 +374,7 @@ def _execute_task(args: tuple[ExperimentConfig, _Task]) -> dict:
     if cfg.mode != "real_network":
         row.update(p=cfg.p, q=cfg.q, r=cfg.r, s=cfg.s)
     try:
-        graph, rep, truth, info = _task_inputs(cfg, task, seed)
+        graph, rep, truth, info = _trial_inputs(cfg, task.n, task.k, task.d, seed)
         n = rep.n
         row["N"] = n
         if info is not None:
@@ -393,10 +411,7 @@ def _format_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        number = float(value)
-        if math.isinf(number):
-            return "inf" if number > 0 else "-inf"
-        return repr(number)
+        return repr(float(value))  # inf and -inf included
     return str(value)
 
 
@@ -424,17 +439,12 @@ def _aggregate_rows(rows: list[dict]) -> tuple[list[str], list[list[str]]]:
     header = list(KEY_COLUMNS) + ["n_runs"]
     for metric in METRIC_COLUMNS:
         header.extend([f"{metric}_mean", f"{metric}_std"])
-    groups: dict[tuple, list[dict]] = {}
-    order: list[tuple] = []
+    groups: dict[tuple, list[dict]] = {}  # in order of first appearance
     for row in rows:
-        key = tuple(row[column] for column in KEY_COLUMNS)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault(tuple(row[column] for column in KEY_COLUMNS), []).append(row)
     table: list[list[str]] = []
-    for key in order:
-        good = [row for row in groups[key] if not row.get("error")]
+    for key, members in groups.items():
+        good = [row for row in members if not row.get("error")]
         cells = [_format_cell(value) for value in key] + [str(len(good))]
         for metric in METRIC_COLUMNS:
             values = [float(row[metric]) for row in good
@@ -605,9 +615,7 @@ def check_expected(cfg: ExperimentConfig) -> tuple[list[str], bool]:
     exactly (zero mistake fraction). Returns human-readable per-check lines
     and an overall flag.
     """
-    if cfg.mode != "expected_case_check":
-        cfg = replace(cfg, mode="expected_case_check")
-    result = run_experiment(cfg)
+    result = run_experiment(replace(cfg, mode="expected_case_check"))
     lines = []
     all_ok = True
     for row in result.rows:

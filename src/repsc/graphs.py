@@ -12,6 +12,7 @@ represented", and the two non-represented cases).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     MalformedLineError,
     SizeMismatchError,
 )
-from .linalg import as_float_matrix, ensure_symmetric
+from .linalg import EigenDecomposition, as_float_matrix, ensure_symmetric, sym_eig
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,9 @@ class Graph:
 
     ``allows_self_loops`` distinguishes representation graphs (where the
     diagonal is meaningful and usually all ones) from similarity graphs
-    (diagonal forced to zero).
+    (diagonal forced to zero). ``Graph(a)`` keeps a float64 ``a`` itself,
+    without a copy, and makes it read-only: pass ``a.copy()`` to keep a
+    writable array. A Graph never changes, so ``spectrum`` is computed once.
     """
 
     adjacency: np.ndarray
@@ -48,6 +51,7 @@ class Graph:
             raise ValueError("adjacency entries must be 0 or 1")
         if not self.allows_self_loops and np.any(np.diag(a) != 0.0):
             raise ValueError("self-loops present but allows_self_loops is False")
+        a.flags.writeable = False
         object.__setattr__(self, "adjacency", a)
 
     @property
@@ -58,6 +62,15 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Row sums; a self-loop counts once."""
         return self.adjacency.sum(axis=1)
+
+    @cached_property
+    def spectrum(self) -> EigenDecomposition:
+        """``sym_eig(adjacency)`` in read-only arrays, kept from the first
+        successful call on."""
+        spectrum = sym_eig(self.adjacency)
+        for array in spectrum:
+            array.flags.writeable = False
+        return spectrum
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ the nearest-neighbor reduction works on it without a dense weight matrix.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -193,27 +194,31 @@ def knn_layer_graph(net: MultiplexNetwork, layer: int, k: int) -> Graph:
     return Graph(adjacency, allows_self_loops=False)
 
 
-def aggregate_layers(graphs: list[Graph] | tuple[Graph, ...], force_diagonal: bool = False) -> Graph:
-    """Entrywise OR of the adjacency matrices.
+def aggregate_layers(graphs: Iterable[Graph], force_diagonal: bool = False) -> Graph:
+    """Entrywise OR of the adjacency matrices, taken one graph at a time.
 
-    With ``force_diagonal`` the diagonal is set to all ones, which is how a
-    representation graph is finished (every node represents itself). The OR
-    makes the operation commutative and associative, so the layer order
-    never matters.
+    ``graphs`` may be any iterable, a generator included, so a caller that
+    builds the layers lazily never holds them all. With ``force_diagonal``
+    the diagonal is set to all ones, which is how a representation graph is
+    finished (every node represents itself). The OR makes the operation
+    commutative and associative, so the layer order never matters.
     """
-    if not graphs:
-        raise NoLayersError("no layer graphs to aggregate")
-    n = graphs[0].n
-    combined = np.zeros((n, n), dtype=bool)
+    combined = None
+    self_loops = force_diagonal
     for g in graphs:
-        if g.n != n:
-            raise SizeMismatchError(f"layer graphs over {n} and {g.n} nodes cannot be combined")
-        combined |= g.adjacency.astype(bool)
+        if combined is None:
+            combined = g.adjacency != 0.0
+        elif g.n != combined.shape[0]:
+            raise SizeMismatchError(
+                f"layer graphs over {combined.shape[0]} and {g.n} nodes cannot be combined")
+        else:
+            np.logical_or(combined, g.adjacency, out=combined)
+        self_loops = self_loops or g.allows_self_loops
+    if combined is None:
+        raise NoLayersError("no layer graphs to aggregate")
     adjacency = combined.astype(np.float64)
-    self_loops = any(g.allows_self_loops for g in graphs)
     if force_diagonal:
         np.fill_diagonal(adjacency, 1.0)
-        self_loops = True
     return Graph(adjacency, allows_self_loops=self_loops)
 
 
@@ -262,8 +267,8 @@ def build_working_graphs(path, rep_layers: tuple[int, int], sim_layers: tuple[in
 
     def aggregate(layer_ids: tuple[int, int], force_diagonal: bool) -> Graph:
         positions = layer_positions_for_id_range(net, *layer_ids)
-        parts = [knn_layer_graph(net, t, knn_k) for t in positions]
-        return aggregate_layers(parts, force_diagonal=force_diagonal)
+        layers = (knn_layer_graph(net, t, knn_k) for t in positions)
+        return aggregate_layers(layers, force_diagonal=force_diagonal)
 
     rep = aggregate(rep_layers, True)
     sim = aggregate(sim_layers, False)

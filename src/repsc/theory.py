@@ -117,7 +117,7 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
             "regularity assumption"
         )
     laplacian = np.diag(degrees) - centered
-    basis = constraint_null_basis(params.rep_graph.adjacency)
+    basis = constraint_null_basis(params.rep_graph)
     if basis.shape[1] < k:
         raise AssumptionViolatedError(
             f"constraint null space has {basis.shape[1]} < k={k} dimensions"

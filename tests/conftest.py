@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repsc
+from repsc import experiments
 
 # Regular-representation instances used across the suite: (n, k, d) with
 # d/k representatives per cluster, chosen so the ring construction is
@@ -82,3 +83,12 @@ def toy_instance():
     rep, truth = repsc.build_d_regular_rep_graph(24, 2, 6)
     params = repsc.RppParams(assignment=truth, rep_graph=rep, **SWEEP_PROBS)
     return rep, truth, params
+
+
+@pytest.fixture(autouse=True)
+def empty_harness_caches():
+    """Leave no grid point, trial or multiplex file in the harness caches."""
+    yield
+    for cache in (experiments._regular_setup, experiments._real_setup,
+                  experiments._trial_inputs):
+        cache.cache_clear()

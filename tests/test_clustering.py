@@ -276,14 +276,13 @@ def test_pipelines_deterministic(toy_instance):
         assert np.array_equal(first.embedding, second.embedding)
 
 
-# -- the one-entry memo of R's eigendecomposition in constraint_null_basis --
+# -- one eigendecomposition per representation Graph (Graph.spectrum) --
 
 
 @pytest.fixture
 def r_eigs(monkeypatch):
-    """Empty the memo; record the shape of every full eigendecomposition
-    that clustering computes (constraint_null_basis makes the only ones)."""
-    monkeypatch.setattr(clustering, "_last_spectrum", None)
+    """Record the shape of every full eigendecomposition of an R: those of
+    Graph.spectrum and those constraint_null_basis makes of a raw matrix."""
     shapes = []
 
     def counting(m, b=None, count=None):
@@ -291,61 +290,67 @@ def r_eigs(monkeypatch):
             shapes.append(np.shape(m))
         return sym_eig(m, b, count)
 
+    monkeypatch.setattr(repsc.graphs, "sym_eig", counting)
     monkeypatch.setattr(clustering, "sym_eig", counting)
     return shapes
 
 
-def test_null_basis_memo_reuses_an_equal_r(r_eigs):
+def test_graph_r_is_decomposed_once_for_any_rank(r_eigs, toy_instance):
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
     first = constraint_null_basis(rep)
-    assert r_eigs == [(24, 24)]
-    # Equal content in another array, and another rank: no new eigensolve.
-    assert np.array_equal(constraint_null_basis(rep.adjacency.copy()), first)
     constraint_null_basis(rep, rank=4)
-    assert len(r_eigs) == 1
+    _, _, params = toy_instance
+    g = repsc.sample_rpp(params, 3)
+    repsc.urepsc(g, rep, 2)
+    repsc.nrepsc_approx(g, rep, 2, rank=6)
+    assert np.array_equal(constraint_null_basis(rep), first)
+    assert r_eigs == [(24, 24)]
 
 
 def test_null_basis_memo_recomputes_a_changed_r(r_eigs):
+    # A raw matrix R, changed or not, is decomposed on every call.
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
-    changed = rep.adjacency.copy()
+    raw = rep.adjacency.copy()
+    first = constraint_null_basis(raw)
+    assert np.array_equal(constraint_null_basis(raw, rank=4), constraint_null_basis(rep, rank=4))
+    assert np.array_equal(constraint_null_basis(raw), first)
+    changed = raw.copy()
     changed[0, 1] = changed[1, 0] = 1.0 - changed[0, 1]
-    first = constraint_null_basis(rep)
-    constraint_null_basis(changed)
-    assert len(r_eigs) == 2
-    # One entry: going back to the first R decomposes it again.
-    assert np.array_equal(constraint_null_basis(rep), first)
-    assert len(r_eigs) == 3
+    assert not np.array_equal(constraint_null_basis(changed), first)
+    assert r_eigs == [(24, 24)] * 5
 
 
 def test_null_basis_memo_caches_no_failure(r_eigs, monkeypatch):
-    other, _ = repsc.build_d_regular_rep_graph(24, 2, 4)
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
-    constraint_null_basis(other)
 
     def failing(m, b=None, count=None):
         raise repsc.EigenConvergenceError("no convergence")
 
-    counting = clustering.sym_eig
-    monkeypatch.setattr(clustering, "sym_eig", failing)
+    counting = repsc.graphs.sym_eig
+    monkeypatch.setattr(repsc.graphs, "sym_eig", failing)
     with pytest.raises(repsc.EigenConvergenceError):
         constraint_null_basis(rep)
-    # A miss drops the old entry before decomposing; the failure is not kept.
-    assert clustering._last_spectrum is None
-    monkeypatch.setattr(clustering, "sym_eig", counting)
+    assert "spectrum" not in vars(rep)
+    monkeypatch.setattr(repsc.graphs, "sym_eig", counting)
     constraint_null_basis(rep)
-    assert r_eigs == [(24, 24), (24, 24)]
+    constraint_null_basis(rep)
+    assert r_eigs == [(24, 24)]
 
 
 def test_null_basis_memo_is_read_only_and_returns_fresh_bases(r_eigs):
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
-    basis = constraint_null_basis(rep)
-    expected = basis.copy()
-    for array in clustering._last_spectrum[1]:
+    handed = rep.adjacency.copy()
+    graph = repsc.Graph(handed, allows_self_loops=True)
+    # Kept without a copy, and the caller's array became read-only with it.
+    assert graph.adjacency is handed
+    for array in (handed, *graph.spectrum):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
+    basis = constraint_null_basis(graph)
+    expected = basis.copy()
     basis[:] = 0.0
-    assert np.array_equal(constraint_null_basis(rep), expected)
+    assert np.array_equal(constraint_null_basis(graph), expected)
     assert len(r_eigs) == 1
 
 

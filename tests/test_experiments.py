@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import repsc
 from repsc.cli import main
 from repsc.graphs import check_probabilities
 from repsc.experiments import CSV_COLUMNS, parse_layer_range, write_line_chart_svg
+from repsc.linalg import sym_eig
 from conftest import same_partition
 
 
@@ -294,9 +296,9 @@ def test_cli_rejects_knn_below_one(tmp_path, capsys):
 @pytest.mark.parametrize(
     "extra, message",
     [
-        ("kmeans_restarts = 0\n", "restarts must be at least 1"),
-        ("kmeans_max_iters = 0\n", "max_iters must be at least 1"),
-        ("kmeans_rel_tol = 0\n", "rel_tol must be positive"),
+        ("kmeans_restarts = 0\n", "kmeans_restarts must be at least 1"),
+        ("kmeans_max_iters = 0\n", "kmeans_max_iters must be at least 1"),
+        ("kmeans_rel_tol = 0\n", "kmeans_rel_tol must be positive"),
         ("epsilon = -1\n", "epsilon must be non-negative"),
         ("q = 0.5\n", "need 1 >= p >= q >= r >= s >= 0"),
         ("p = 1.5\n", "need 1 >= p >= q >= r >= s >= 0"),
@@ -344,12 +346,7 @@ def test_value_error_in_grid_setup_lands_in_the_rows(tmp_path, monkeypatch):
         raise ValueError("setup exploded")
 
     monkeypatch.setattr(repsc.experiments, "expected_spectrum", broken)
-    repsc.experiments._regular_setup.cache_clear()
-    cfg = repsc.parse_config_text(sweep_config(tmp_path / "out"))
-    try:
-        result = repsc.run_experiment(cfg)
-    finally:
-        repsc.experiments._regular_setup.cache_clear()
+    result = repsc.run_experiment(repsc.parse_config_text(sweep_config(tmp_path / "out")))
     assert [row["error"] for row in result.rows] == ["ValueError: setup exploded"] * 4
 
 
@@ -453,3 +450,102 @@ def test_real_network_sweep_clusters_the_ingested_graphs(tmp_path):
     assert np.array_equal(repsc.read_graph(paths["representation"]).adjacency, rep.adjacency)
     written = (tmp_path / "ingested" / "kept_nodes.txt").read_text().split()
     assert written == [str(i) for i in kept]
+
+
+# -- what the rows of a sweep share --
+
+
+@pytest.fixture
+def decomposed(monkeypatch):
+    """Every matrix that Graph.spectrum decomposes, in call order."""
+    matrices = []
+
+    def counting(m, b=None, count=None):
+        if b is None and count is None:
+            matrices.append(m)
+        return sym_eig(m, b, count)
+
+    monkeypatch.setattr(repsc.graphs, "sym_eig", counting)
+    return matrices
+
+
+def test_each_trial_samples_its_graph_once(tmp_path, monkeypatch):
+    seeds = []
+
+    def counting(params, seed):
+        seeds.append(seed)
+        return repsc.sample_rpp(params, seed)
+
+    monkeypatch.setattr(repsc.experiments, "sample_rpp", counting)
+    result = repsc.run_experiment(repsc.parse_config_text(sweep_config(tmp_path)))
+    assert result.error_count == 0 and len(result.rows) == 4
+    assert seeds == [0, 1]
+
+
+def test_real_network_sweep_decomposes_the_shared_r_once(tmp_path, decomposed):
+    edges = tmp_path / "multiplex.edges"
+    edges.write_text(synthetic_multiplex(5))
+    cfg = repsc.parse_config_text(
+        "mode = real_network\n"
+        "algorithms = urepsc_approx, fair_sc_baseline\n"
+        f"multiplex_file = {edges}\n"
+        "rep_layers = 1..3\n"
+        "sim_layers = 4..6\n"
+        "knn_k = 3\n"
+        "k_values = 2\n"
+        "trials = 2\n"
+        "baseline_groups = 2\n"
+        f"out = {tmp_path / 'sweep'}\n"
+    )
+    result = repsc.run_experiment(cfg)
+    assert result.error_count == 0 and len(result.rows) == 4
+    _, rep, _ = repsc.experiments._real_setup(cfg)
+    # The shared R once; each fair_sc_baseline row's block constraint once.
+    assert sum(m is rep.adjacency for m in decomposed) == 1
+    assert len(decomposed) == 3
+
+
+def test_planted_sweep_decomposes_each_trials_r_once(tmp_path, decomposed):
+    cfg = repsc.parse_config_text(
+        "mode = planted_partition_sweep\n"
+        "algorithms = urepsc_approx, nrepsc_approx\n"
+        "n_values = 40\n"
+        "k_values = 2\n"
+        "trials = 2\n"
+        f"out = {tmp_path}\n"
+    )
+    result = repsc.run_experiment(cfg)
+    assert result.error_count == 0 and len(result.rows) == 4
+    assert [m.shape for m in decomposed] == [(40, 40), (40, 40)]
+
+
+def test_one_entry_cache_holds_nothing_while_it_builds():
+    class Value:
+        pass
+
+    built = []  # weak references to every value built
+    alive_at_build = []
+
+    def build(key):
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        if key == "bad":
+            raise ValueError("bad key")
+        value = Value()
+        built.append(weakref.ref(value))
+        return value
+
+    cached = repsc.experiments._one_entry_cache(build)
+    first = cached("a")
+    assert cached("a") is first and len(built) == 1
+    del first
+    cached("b")
+    with pytest.raises(ValueError):
+        cached("bad")
+    # "a" was freed before "b" was built, and "b" before the failed build;
+    # the failure left nothing in the cache.
+    assert alive_at_build == [0, 0, 0]
+    assert all(ref() is None for ref in built)
+    cached("b")
+    assert len(built) == 3
+    cached.cache_clear()
+    assert built[-1]() is None

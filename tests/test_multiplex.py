@@ -192,6 +192,23 @@ def test_aggregate_or_and_diagonal():
         repsc.aggregate_layers([a, repsc.Graph(np.zeros((3, 3)))])
 
 
+def test_aggregate_takes_layers_from_a_generator():
+    rng = np.random.default_rng(3)
+    layers = []
+    for _ in range(4):
+        upper = np.triu(rng.random((6, 6)) < 0.3, k=1)
+        layers.append(repsc.Graph((upper | upper.T).astype(np.float64)))
+    for force_diagonal in (False, True):
+        from_list = repsc.aggregate_layers(layers, force_diagonal=force_diagonal)
+        from_generator = repsc.aggregate_layers((g for g in layers), force_diagonal=force_diagonal)
+        assert np.array_equal(from_generator.adjacency, from_list.adjacency)
+        assert from_generator.allows_self_loops == from_list.allows_self_loops == force_diagonal
+    with pytest.raises(repsc.NoLayersError):
+        repsc.aggregate_layers(g for g in [])
+    with pytest.raises(repsc.SizeMismatchError):
+        repsc.aggregate_layers(g for g in [layers[0], repsc.Graph(np.zeros((3, 3)))])
+
+
 def test_drop_isolated_requires_company_in_both_graphs():
     sim = np.zeros((4, 4))
     sim[0, 1] = sim[1, 0] = 1.0
