@@ -1,7 +1,7 @@
 """Spectral clustering, plain and representation-constrained.
 
-All six spectral algorithms solve one problem and then run k-means on the
-rows of its solution:
+The six spectral algorithms and the group-fairness baseline solve one
+problem and then run k-means on the rows of its solution:
 
     minimize tr(H^T L H)  subject to  H^T B H = I,  H in span(Y),
 
@@ -13,26 +13,28 @@ indicator vectors to respect proportional representation. Writing H = Y Z,
 the solution is the bottom-k generalized eigenvectors of
 (Y^T L Y, Y^T B Y), re-expanded by Y.
 
-============== ===== ==================================== ===================
-algorithm      B     Y                                    rows fed to k-means
-============== ===== ==================================== ===================
-usc            I     I                                    as they are
-nsc            D     I                                    scaled to unit length
-urepsc         I     null basis of R                      as they are
-nrepsc         D     null basis of R                      as they are
-urepsc_approx  I     null basis of R's rank-r truncation  as they are
-nrepsc_approx  D     null basis of R's rank-r truncation  as they are
-============== ===== ==================================== ===================
+================ = =================================== =====================
+algorithm        B Y                                   rows fed to k-means
+================ = =================================== =====================
+usc              I I                                   as they are
+nsc              D I                                   scaled to unit length
+urepsc           I null basis of R                     as they are
+nrepsc           D null basis of R                     as they are
+urepsc_approx    I null basis of R's rank-r truncation as they are
+nrepsc_approx    D null basis of R's rank-r truncation as they are
+fair_sc_baseline I span(1) + zero sum on every group   as they are
+================ = =================================== =====================
 
 nsc's unit-length scaling cancels the D^{-1/2} factor between the
 generalized eigenvectors and those of I - D^{-1/2} A D^{-1/2}, so it
 clusters the classic normalized embedding. ``constraint_null_basis`` builds
-every Y from one eigendecomposition of R; for the approximate variants the
-null space of the truncation is spanned by the eigenvectors the truncation
-discards, so no rank-r matrix is ever formed. A ``Graph`` R keeps that
-eigendecomposition (``Graph.spectrum``), so every Y built from one R object,
-exact or rank-r, shares one decomposition; a raw matrix R is decomposed on
-every call.
+every Y that comes from an R, from one eigendecomposition of R; for the
+approximate variants the null space of the truncation is spanned by the
+eigenvectors the truncation discards, so no rank-r matrix is ever formed. A
+``Graph`` R keeps that eigendecomposition (``Graph.spectrum``), so every Y
+built from one R object, exact or rank-r, shares one decomposition; a raw
+matrix R is decomposed on every call. ``experiments.fair_sc_baseline``
+writes its group Y down from the labels and hands it to ``_embed`` too.
 
 k-means is implemented here rather than borrowed so that seeding, restarts,
 tie-breaking and empty-cluster repair are fully deterministic functions of
@@ -202,13 +204,6 @@ def _gap_warnings(eigenvalues: np.ndarray, k: int) -> tuple[str, ...]:
     return ()
 
 
-def _cluster_rows(embedding: np.ndarray, spectrum: np.ndarray, warnings: tuple[str, ...],
-                  k: int, cfg: KMeansConfig) -> ClusteringResult:
-    labels, _, inertia = kmeans(embedding, replace(cfg, k=k))
-    assignment = ClusterAssignment(labels, k)
-    return ClusteringResult(assignment, embedding, inertia, spectrum, warnings)
-
-
 def constraint_null_basis(rep_graph_or_matrix, rank: int | None = None) -> np.ndarray:
     """Orthonormal basis Y of the null space of R (I - 11^T/N).
 
@@ -245,12 +240,23 @@ def constraint_null_basis(rep_graph_or_matrix, rank: int | None = None) -> np.nd
     return np.column_stack([ones, rest])
 
 
-def _embed(graph, k: int, rep_graph=None, rank: int | None = None,
+def _restrict(basis: np.ndarray | None, m: np.ndarray) -> np.ndarray:
+    """Y^T M Y, averaged with its transpose to remove rounding asymmetry.
+
+    A 1-d ``m`` is the diagonal of M; a None ``basis`` is the identity Y.
+    """
+    if basis is None:
+        return np.diag(m) if m.ndim == 1 else m
+    reduced = basis.T @ (m[:, None] * basis) if m.ndim == 1 else basis.T @ m @ basis
+    return (reduced + reduced.T) / 2.0
+
+
+def _embed(graph, k: int, basis: np.ndarray | None = None,
            normalized: bool = False) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Solve the module's restricted problem; return (Y Z, spectrum, warnings).
 
-    B is D when ``normalized`` and I otherwise; Y is the identity without a
-    ``rep_graph`` and ``constraint_null_basis(rep_graph, rank)`` with one.
+    B is D when ``normalized`` and I otherwise; Y is ``basis``, an N-row
+    matrix with orthonormal columns, or the identity when it is None.
     """
     a = as_adjacency(graph)
     n = a.shape[0]
@@ -260,40 +266,52 @@ def _embed(graph, k: int, rep_graph=None, rank: int | None = None,
     if normalized and np.any(degrees <= 0.0):
         bad = np.flatnonzero(degrees <= 0.0)
         raise IsolatedNodeError(f"nodes with non-positive degree: {bad.tolist()}")
+    if basis is None and k > n:
+        raise KTooLargeError(f"k={k} exceeds node count {n}")
+    if basis is not None and basis.shape[0] != n:
+        raise ValueError(f"graph has {n} nodes but representation matrix has {basis.shape[0]}")
+    if basis is not None and basis.shape[1] < k:
+        raise NullSpaceTooSmallError(
+            f"constraint null space has {basis.shape[1]} dimensions, need at least k={k}"
+        )
     laplacian = np.diag(degrees)
     laplacian -= a
-    weight = None
-    if rep_graph is None:
-        if k > n:
-            raise KTooLargeError(f"k={k} exceeds node count {n}")
-        basis = None
-        if normalized:
-            weight = np.diag(degrees)
-    else:
-        if rank is not None:
-            if rank < 1:
-                raise ValueError(f"rank must be at least 1, got {rank}")
-            if rank > n - k:
-                raise RankTooLargeError(
-                    f"rank {rank} exceeds n - k = {n - k}; the constraint null space "
-                    "would be too small"
-                )
-        basis = constraint_null_basis(rep_graph, rank)
-        if basis.shape[0] != n:
-            raise ValueError(f"graph has {n} nodes but representation matrix has {basis.shape[0]}")
-        if basis.shape[1] < k:
-            raise NullSpaceTooSmallError(
-                f"constraint null space has {basis.shape[1]} dimensions, need at least k={k}"
-            )
-        # Rounding leaves the products slightly asymmetric; average it away.
-        reduced = basis.T @ laplacian @ basis
-        laplacian = (reduced + reduced.T) / 2.0
-        if normalized:
-            reduced = basis.T @ (degrees[:, None] * basis)
-            weight = (reduced + reduced.T) / 2.0
-    values, vectors = sym_eig(laplacian, weight, count=k + 1)
+    weight = _restrict(basis, degrees) if normalized else None
+    values, vectors = sym_eig(_restrict(basis, laplacian), weight, count=k + 1)
     embedding = vectors[:, :k] if basis is None else basis @ vectors[:, :k]
     return embedding, values[:k], _gap_warnings(values, k)
+
+
+def _solve(graph, k: int, cfg: KMeansConfig, basis: np.ndarray | None = None,
+           normalized: bool = False, unit_rows: bool = False) -> ClusteringResult:
+    """k-means on the rows of ``_embed``'s solution, scaled to unit length
+    with ``unit_rows`` and fed as they are otherwise."""
+    embedding, spectrum, warnings = _embed(graph, k, basis, normalized)
+    if unit_rows:
+        norms = np.linalg.norm(embedding, axis=1)
+        zero_rows = norms <= 1e-12
+        if np.any(zero_rows):
+            logger.warning(
+                "nsc: %d embedding rows have zero norm and stay at the origin",
+                int(zero_rows.sum()),
+            )
+        embedding /= np.where(zero_rows, 1.0, norms)[:, None]
+    labels, _, inertia = kmeans(embedding, replace(cfg, k=k))
+    return ClusteringResult(ClusterAssignment(labels, k), embedding, inertia, spectrum, warnings)
+
+
+def _truncated_basis(graph, rep_graph, k: int, rank: int) -> np.ndarray:
+    """``constraint_null_basis(rep_graph, rank)`` for a ``rank`` that leaves
+    room for k dimensions, checked before R is decomposed."""
+    n = graph.n if isinstance(graph, Graph) else np.shape(graph)[0]
+    if rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank}")
+    if rank > n - k:
+        raise RankTooLargeError(
+            f"rank {rank} exceeds n - k = {n - k}; the constraint null space "
+            "would be too small"
+        )
+    return constraint_null_basis(rep_graph, rank)
 
 
 def usc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
@@ -302,7 +320,7 @@ def usc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     Accepts a Graph or any symmetric real matrix (so expected-case inputs
     can be clustered directly).
     """
-    return _cluster_rows(*_embed(graph, k), k, cfg)
+    return _solve(graph, k, cfg)
 
 
 def nsc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
@@ -311,16 +329,7 @@ def nsc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     Raises IsolatedNodeError when some degree is not positive, since the
     normalized Laplacian is undefined there.
     """
-    embedding, spectrum, warnings = _embed(graph, k, normalized=True)
-    norms = np.linalg.norm(embedding, axis=1)
-    zero_rows = norms <= 1e-12
-    if np.any(zero_rows):
-        logger.warning(
-            "nsc: %d embedding rows have zero norm and stay at the origin",
-            int(zero_rows.sum()),
-        )
-    embedding /= np.where(zero_rows, 1.0, norms)[:, None]
-    return _cluster_rows(embedding, spectrum, warnings, k, cfg)
+    return _solve(graph, k, cfg, normalized=True, unit_rows=True)
 
 
 def urepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
@@ -330,7 +339,7 @@ def urepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> Clus
     space of the centered representation matrix, then clusters the rows of
     the re-expanded embedding Y Z.
     """
-    return _cluster_rows(*_embed(graph, k, rep_graph), k, cfg)
+    return _solve(graph, k, cfg, constraint_null_basis(rep_graph))
 
 
 def nrepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
@@ -341,7 +350,7 @@ def nrepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> Clus
     D-orthonormal. The embedding rows are fed to k-means as they are; no
     unit-length scaling is applied.
     """
-    return _cluster_rows(*_embed(graph, k, rep_graph, normalized=True), k, cfg)
+    return _solve(graph, k, cfg, constraint_null_basis(rep_graph), normalized=True)
 
 
 def urepsc_approx(graph, rep_graph, k: int, rank: int,
@@ -352,10 +361,10 @@ def urepsc_approx(graph, rep_graph, k: int, rank: int,
     at least k null dimensions, at the price of only approximately
     satisfying the original constraint.
     """
-    return _cluster_rows(*_embed(graph, k, rep_graph, rank), k, cfg)
+    return _solve(graph, k, cfg, _truncated_basis(graph, rep_graph, k, rank))
 
 
 def nrepsc_approx(graph, rep_graph, k: int, rank: int,
                   cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     """nrepsc on the best low-rank approximation of the representation matrix."""
-    return _cluster_rows(*_embed(graph, k, rep_graph, rank, normalized=True), k, cfg)
+    return _solve(graph, k, cfg, _truncated_basis(graph, rep_graph, k, rank), normalized=True)

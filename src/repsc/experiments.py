@@ -22,12 +22,13 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from . import clustering
-from .clustering import KMeansConfig, ClusteringResult, usc, urepsc
+from .clustering import KMeansConfig, ClusteringResult, usc
 from .errors import ConfigError, RepscError
 from .graphs import (
-    Graph,
+    ClusterAssignment,
     RppParams,
     as_adjacency,
     contiguous_assignment,
@@ -38,6 +39,7 @@ from .graphs import (
     sample_rpp,
     write_graph,
 )
+from .linalg import _fix_signs
 from .metrics import score_partition
 from .multiplex import build_working_graphs, load_node_names
 from .theory import check_epsilon, expected_spectrum, misclustering_bound_shape
@@ -87,9 +89,9 @@ class ExperimentConfig:
     trials: int = 1
     base_seed: int = 0
     epsilon: float = 0.0
-    kmeans_restarts: int = 10
-    kmeans_max_iters: int = 100
-    kmeans_rel_tol: float = 1e-9
+    kmeans_restarts: int = KMeansConfig.restarts
+    kmeans_max_iters: int = KMeansConfig.max_iters
+    kmeans_rel_tol: float = KMeansConfig.rel_tol
     threads: int = 1
     out: str = "results"
     plots: bool = False
@@ -112,8 +114,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
-        if any(rank < 1 for rank in self.rank_values):
-            raise ConfigError(f"rank_values must be at least 1, got {self.rank_values}")
+        for name in ("n_values", "k_values", "d_values", "rank_values"):
+            if any(value < 1 for value in getattr(self, name)):
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be non-negative, got {self.base_seed}")
         try:
             check_probabilities(ordered=True, p=self.p, q=self.q, r=self.r, s=self.s)
             check_probabilities(p_in=self.p_in, p_out=self.p_out)
@@ -222,22 +227,27 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_text(Path(path).read_text())
 
 
+def _group_basis(groups: ClusterAssignment) -> np.ndarray:
+    """Orthonormal basis of span(1) plus the vectors that sum to zero on every
+    group, with the linalg sign convention: the null space of the centered
+    block matrix in which everyone in a group represents exactly that group."""
+    zero_sum = _fix_signs(scipy.linalg.null_space(groups.onehot().T))
+    return np.column_stack([np.full(groups.n, 1.0 / np.sqrt(groups.n)), zero_sum])
+
+
 def fair_sc_baseline(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig(),
                      groups: int | None = None) -> ClusteringResult:
-    """Group-fairness baseline on top of the constrained pipeline.
+    """Group-fairness baseline: urepsc's problem under a group constraint.
 
     Clusters the representation graph itself into ``groups`` groups (default
     a tenth of the node count, at least 1) with plain spectral clustering,
-    replaces the representation structure by the induced block constraint
-    (everyone in a group represents exactly that group), and runs urepsc
-    on it. With one group the constraint degenerates and the result
-    coincides with unconstrained clustering.
+    then solves urepsc's problem with Y = ``_group_basis`` of those groups
+    (Kleindessner et al.'s constraint F^T H = 0). With one group the
+    constraint is empty and the result coincides with unconstrained clustering.
     """
     r = as_adjacency(rep_graph)
     discovered = usc(r, groups if groups is not None else max(1, r.shape[0] // 10), cfg)
-    labels = discovered.assignment.labels
-    induced = (labels[:, None] == labels[None, :]).astype(np.float64)
-    return urepsc(graph, Graph(induced, allows_self_loops=True), k, cfg)
+    return clustering._solve(graph, k, cfg, _group_basis(discovered.assignment))
 
 
 class _Algorithm(NamedTuple):
@@ -406,13 +416,9 @@ def _execute_task(args: tuple[ExperimentConfig, _Task]) -> dict:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))  # inf and -inf included
-    return str(value)
+    return str(value)  # str, int and numpy integers
 
 
 @dataclass
@@ -448,8 +454,7 @@ def _aggregate_rows(rows: list[dict]) -> tuple[list[str], list[list[str]]]:
         cells = [_format_cell(value) for value in key] + [str(len(good))]
         for metric in METRIC_COLUMNS:
             values = [float(row[metric]) for row in good
-                      if row[metric] is not None and not (
-                          isinstance(row[metric], float) and math.isinf(row[metric]))]
+                      if row[metric] is not None and not math.isinf(row[metric])]
             if values:
                 cells.append(_format_cell(float(np.mean(values))))
                 cells.append(_format_cell(float(np.std(values))))
@@ -617,26 +622,19 @@ def check_expected(cfg: ExperimentConfig) -> tuple[list[str], bool]:
     """
     result = run_experiment(replace(cfg, mode="expected_case_check"))
     lines = []
-    all_ok = True
     for row in result.rows:
         label = (f"{row['algorithm']} N={row['N']} K={row['K']} d={row['d']} "
                  f"trial={row['trial']}")
+        checked = row["algorithm"] in CHECKED_ALGORITHMS
         if row.get("error"):
-            if row["algorithm"] in CHECKED_ALGORITHMS:
-                all_ok = False
-                lines.append(f"FAIL {label}: {row['error']}")
-            else:
-                lines.append(f"SKIP {label}: {row['error']}")
-            continue
-        if row["algorithm"] not in CHECKED_ALGORITHMS:
+            lines.append(f"{'FAIL' if checked else 'SKIP'} {label}: {row['error']}")
+        elif not checked:
             lines.append(f"INFO {label}: mistake_fraction={row['mistake_fraction']!r}")
-            continue
-        if row["mistake_fraction"] == 0.0:
+        elif row["mistake_fraction"] == 0.0:
             lines.append(f"PASS {label}: exact recovery")
         else:
-            all_ok = False
             lines.append(f"FAIL {label}: mistake_fraction={row['mistake_fraction']!r}")
-    return lines, all_ok
+    return lines, not any(line.startswith("FAIL") for line in lines)
 
 
 def ingest_to_dir(multiplex_file, rep_layers: tuple[int, int], sim_layers: tuple[int, int],

@@ -55,20 +55,15 @@ def as_float_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def ensure_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = as_float_matrix(m, name)
-    if a.shape[0] != a.shape[1]:
-        raise NonSquareError(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
 def ensure_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Check symmetry up to SYMMETRY_ATOL and return the symmetrized copy.
 
     Asymmetry below the tolerance is treated as numerical noise and averaged
     away; anything larger is an error in the caller's data.
     """
-    a = ensure_square(m, name)
+    a = as_float_matrix(m, name)
+    if a.shape[0] != a.shape[1]:
+        raise NonSquareError(f"{name} must be square, got shape {a.shape}")
     sym = np.subtract(a, a.T)
     np.abs(sym, out=sym)
     gap = sym.max() if a.size else 0.0

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import DEGENERATE_GAP_TOL, constraint_null_basis
+from .clustering import DEGENERATE_GAP_TOL, _restrict, constraint_null_basis
 from .errors import AssumptionViolatedError, DivisibilityError, ZeroGapError
-from .graphs import RppParams, expected_adjacency, validate_regular_representation
+from .graphs import (RppParams, build_d_regular_rep_graph, expected_adjacency,
+                     validate_regular_representation)
 from .linalg import sym_eig
 
 SPECTRUM_REL_TOL = 1e-7
@@ -122,8 +123,7 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
         raise AssumptionViolatedError(
             f"constraint null space has {basis.shape[1]} < k={k} dimensions"
         )
-    reduced = basis.T @ laplacian @ basis
-    mu = sym_eig((reduced + reduced.T) / 2.0).eigenvalues
+    mu = sym_eig(_restrict(basis, laplacian)).eigenvalues
     expected_bottom = np.concatenate(([0.0], np.full(k - 1, lambda1 - lambda_rest)))
     if np.max(np.abs(mu[:k] - expected_bottom)) > tol:
         raise AssumptionViolatedError(
@@ -207,8 +207,6 @@ def expected_case_inputs(n: int, k: int, d: int, p: float, q: float, r: float, s
     adjacency with zero diagonal, ready to be fed to any clustering
     algorithm in place of a sampled graph.
     """
-    from .graphs import build_d_regular_rep_graph
-
     rep, truth = build_d_regular_rep_graph(n, k, d)
     params = RppParams(assignment=truth, rep_graph=rep, p=p, q=q, r=r, s=s)
     return params, expected_adjacency(params)

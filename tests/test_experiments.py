@@ -1,8 +1,10 @@
 """Config parsing, sweep execution, output files, and the CLI."""
 
+import os
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +197,27 @@ def test_fair_sc_baseline_recovers_block_constraint(toy_instance):
     assert same_partition(baseline.assignment, constrained.assignment)
 
 
+def block_constraint_baseline(graph, rep, k, groups):
+    """Reference formula for fair_sc_baseline: urepsc on the N x N block
+    matrix in which everyone in a discovered group represents exactly that group."""
+    labels = repsc.usc(rep, groups).assignment.labels
+    block = (labels[:, None] == labels[None, :]).astype(np.float64)
+    return repsc.urepsc(graph, repsc.Graph(block, allows_self_loops=True), k)
+
+
+def test_fair_sc_baseline_equals_urepsc_on_the_block_matrix():
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n, k, groups = 60, int(rng.integers(2, 5)), int(rng.integers(1, 7))
+        rep, _ = repsc.sample_planted_partition_rep_graph(n, groups, 0.8, 0.2, [seed, 0])
+        truth = repsc.contiguous_assignment(n, k)
+        params = repsc.RppParams(assignment=truth, rep_graph=rep, p=0.6, q=0.5, r=0.3, s=0.2)
+        g = repsc.sample_rpp(params, [seed, 1])
+        baseline = repsc.fair_sc_baseline(g, rep, k, groups=groups)
+        assert same_partition(baseline.assignment,
+                              block_constraint_baseline(g, rep, k, groups).assignment)
+
+
 def test_plots_written_and_deterministic(tmp_path):
     def run(out_dir):
         cfg = repsc.parse_config_text(
@@ -309,14 +332,37 @@ def test_cli_rejects_knn_below_one(tmp_path, capsys):
         ("rank_values = 2, 0\n", "rank_values must be at least 1"),
         ("rep_groups = 0\n", "rep_groups must be at least 1"),
         ("baseline_groups = 0\n", "baseline_groups must be at least 1"),
+        ("base_seed = -1\n", "base_seed must be non-negative"),
+        ("n_values = 24, 0\n", "n_values must be at least 1"),
+        ("k_values = 0\n", "k_values must be at least 1"),
+        ("d_values = 0\n", "d_values must be at least 1"),
     ],
 )
 def test_cli_rejects_values_that_every_run_rejects(tmp_path, capsys, extra, message):
+    # A key of ``extra`` that sweep_config already sets replaces its line.
+    key = extra.partition("=")[0]
+    base = "".join(line for line in sweep_config(tmp_path / "out").splitlines(keepends=True)
+                   if not line.startswith(key))
     config_path = tmp_path / "sweep.cfg"
-    config_path.write_text(sweep_config(tmp_path / "out", extra))
+    config_path.write_text(base + extra)
     assert main(["run", "--config", str(config_path)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_a_negative_seed_override(tmp_path, capsys):
+    config_path = tmp_path / "sweep.cfg"
+    config_path.write_text(sweep_config(tmp_path / "out"))
+    assert main(["run", "--config", str(config_path), "--seed", "-1"]) == 2
+    assert "error: base_seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_kmeans_defaults_come_from_kmeans_config():
+    cfg = repsc.ExperimentConfig(mode="d_regular_sweep", algorithms=("usc",), n_values=(24,),
+                                 k_values=(2,), d_values=(6,))
+    for seed in (0, 7):
+        assert cfg.kmeans_config(seed) == repsc.KMeansConfig(seed=seed)
 
 
 def test_one_probability_rule_for_model_sampler_and_config(toy_instance):
@@ -373,9 +419,12 @@ def test_cli_ingest_with_names(tmp_path):
 def test_cli_module_entry_point(tmp_path):
     config_path = tmp_path / "sweep.cfg"
     config_path.write_text(sweep_config(tmp_path / "module_out"))
+    # The child imports the repsc this test imported, installed or not.
+    path = [str(Path(repsc.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "repsc.cli", "run", "--config", str(config_path)],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0, proc.stderr
     assert "results.csv" in proc.stdout
@@ -457,7 +506,8 @@ def test_real_network_sweep_clusters_the_ingested_graphs(tmp_path):
 
 @pytest.fixture
 def decomposed(monkeypatch):
-    """Every matrix that Graph.spectrum decomposes, in call order."""
+    """Every matrix decomposed in full, in call order: by Graph.spectrum, or
+    by clustering (where constraint_null_basis decomposes a raw matrix)."""
     matrices = []
 
     def counting(m, b=None, count=None):
@@ -466,6 +516,7 @@ def decomposed(monkeypatch):
         return sym_eig(m, b, count)
 
     monkeypatch.setattr(repsc.graphs, "sym_eig", counting)
+    monkeypatch.setattr(repsc.clustering, "sym_eig", counting)
     return matrices
 
 
@@ -500,9 +551,9 @@ def test_real_network_sweep_decomposes_the_shared_r_once(tmp_path, decomposed):
     result = repsc.run_experiment(cfg)
     assert result.error_count == 0 and len(result.rows) == 4
     _, rep, _ = repsc.experiments._real_setup(cfg)
-    # The shared R once; each fair_sc_baseline row's block constraint once.
+    # The shared R once; the fair_sc_baseline rows decompose nothing.
     assert sum(m is rep.adjacency for m in decomposed) == 1
-    assert len(decomposed) == 3
+    assert len(decomposed) == 1
 
 
 def test_planted_sweep_decomposes_each_trials_r_once(tmp_path, decomposed):

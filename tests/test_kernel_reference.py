@@ -13,6 +13,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import repsc
+from repsc import experiments
 from repsc.clustering import constraint_null_basis
 from repsc.linalg import RANK_REL_TOL
 
@@ -148,6 +149,27 @@ def test_null_basis_deterministic_and_sign_fixed():
         assert np.array_equal(first, constraint_null_basis(r.copy()))
         for j in range(first.shape[1]):
             lead = first[np.abs(first[:, j]) > 1e-12, j]
+            assert lead.size == 0 or lead[0] > 0
+
+
+# -- the group constraint in closed form ---------------------------------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(labels=st.lists(st.integers(0, 6), min_size=1, max_size=30))
+def test_group_basis_spans_the_block_constraint(labels):
+    # The baseline's Y, written down from the labels, spans the null space of
+    # the centered N x N block matrix of the same groups.
+    for grouping in (labels, list(range(len(labels))), [0] * len(labels)):
+        _, dense = np.unique(grouping, return_inverse=True)  # no empty group
+        groups = repsc.ClusterAssignment(dense, int(dense.max()) + 1)
+        block = (dense[:, None] == dense[None, :]).astype(float)
+        basis = experiments._group_basis(groups)
+        assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-10)
+        assert_same_projector(basis, constraint_null_basis(repsc.Graph(block, True)))
+        assert basis.shape[1] == 1 + groups.n - groups.k
+        for j in range(basis.shape[1]):
+            lead = basis[np.abs(basis[:, j]) > 1e-12, j]
             assert lead.size == 0 or lead[0] > 0
 
 
