@@ -27,14 +27,14 @@ fair_sc_baseline I span(1) + zero sum on every group   as they are
 
 nsc's unit-length scaling cancels the D^{-1/2} factor between the
 generalized eigenvectors and those of I - D^{-1/2} A D^{-1/2}, so it
-clusters the classic normalized embedding. ``constraint_null_basis`` builds
-every Y that comes from an R, from one eigendecomposition of R; for the
-approximate variants the null space of the truncation is spanned by the
-eigenvectors the truncation discards, so no rank-r matrix is ever formed. A
-``Graph`` R keeps that eigendecomposition (``Graph.spectrum``), so every Y
-built from one R object, exact or rank-r, shares one decomposition; a raw
-matrix R is decomposed on every call. ``experiments.fair_sc_baseline``
-writes its group Y down from the labels and hands it to ``_embed`` too.
+clusters the classic normalized embedding. This module owns every Y, and no
+Y takes an SVD. ``constraint_null_basis`` builds every Y that comes from an
+R, from one eigendecomposition of R; for the approximate variants the null
+space of the truncation is spanned by the eigenvectors the truncation
+discards, so no rank-r matrix is ever formed. A ``Graph`` R keeps that
+eigendecomposition (``Graph.spectrum``), so every Y built from one R object,
+exact or rank-r, shares one decomposition; a raw matrix R is decomposed on
+every call. ``_group_basis`` writes the baseline's Y down from the groups.
 
 k-means is implemented here rather than borrowed so that seeding, restarts,
 tie-breaking and empty-cluster repair are fully deterministic functions of
@@ -47,7 +47,6 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 from scipy.spatial.distance import cdist
 
 from .errors import (
@@ -56,7 +55,7 @@ from .errors import (
     NullSpaceTooSmallError,
     RankTooLargeError,
 )
-from .graphs import ClusterAssignment, Graph, as_adjacency
+from .graphs import ClusterAssignment, Graph, _laplacian, as_adjacency
 from .linalg import RANK_REL_TOL, _fix_signs, sym_eig
 
 logger = logging.getLogger(__name__)
@@ -72,8 +71,8 @@ class KMeansConfig:
     """Settings for the k-means backend.
 
     ``k`` may be left None when the caller (a spectral algorithm) supplies
-    the cluster count itself. Every error message starts with the name of
-    the field at fault.
+    the cluster count itself, and a spectral algorithm rejects any other k.
+    Every error message starts with the name of the field at fault.
     """
 
     k: int | None = None
@@ -236,8 +235,37 @@ def constraint_null_basis(rep_graph_or_matrix, rank: int | None = None) -> np.nd
     rest = vectors[:, null]
     overlap = rest.T @ ones
     if np.linalg.norm(overlap) > ONES_IN_NULL_ATOL:
-        rest = _fix_signs(rest @ scipy.linalg.null_space(overlap[None, :]))
+        # Columns 1.. of the Householder reflector taking overlap to e_0 span its complement.
+        v = overlap / np.linalg.norm(overlap)
+        v[0] += np.copysign(1.0, v[0])
+        v /= np.linalg.norm(v)
+        rest = _fix_signs(rest[:, 1:] - 2.0 * np.outer(rest @ v, v[1:]))
     return np.column_stack([ones, rest])
+
+
+def _contrasts(count: int, weight: int = 1) -> np.ndarray:
+    """Helmert contrasts of ``count`` items of ``weight`` nodes each, one per
+    column: column j is 0 before item j, positive on it and equal and negative
+    after it, and has unit length over the nodes."""
+    remaining = np.arange(count - 1, 0, -1)
+    scale = 1.0 / np.sqrt(weight * remaining * (remaining + 1))
+    out = np.tril(np.broadcast_to(-scale, (count, count - 1)), -1)
+    np.fill_diagonal(out, remaining * scale)
+    return out
+
+
+def _group_basis(groups: ClusterAssignment) -> np.ndarray:
+    """[1/sqrt(N), each non-empty group's ``_contrasts`` over its members in
+    node order]: the null basis of the centered block matrix of the groups,
+    with the linalg sign convention by construction."""
+    sizes = groups.sizes[groups.sizes > 0]
+    basis = np.zeros((groups.n, 1 + groups.n - sizes.size))
+    basis[:, 0] = 1.0 / np.sqrt(groups.n)
+    column = 1
+    for members in np.split(np.argsort(groups.labels, kind="stable"), np.cumsum(sizes)[:-1]):
+        basis[members, column:column + members.size - 1] = _contrasts(members.size)
+        column += members.size - 1
+    return basis
 
 
 def _restrict(basis: np.ndarray | None, m: np.ndarray) -> np.ndarray:
@@ -262,7 +290,7 @@ def _embed(graph, k: int, basis: np.ndarray | None = None,
     n = a.shape[0]
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    degrees = a.sum(axis=1)
+    degrees, laplacian = _laplacian(a)
     if normalized and np.any(degrees <= 0.0):
         bad = np.flatnonzero(degrees <= 0.0)
         raise IsolatedNodeError(f"nodes with non-positive degree: {bad.tolist()}")
@@ -274,8 +302,6 @@ def _embed(graph, k: int, basis: np.ndarray | None = None,
         raise NullSpaceTooSmallError(
             f"constraint null space has {basis.shape[1]} dimensions, need at least k={k}"
         )
-    laplacian = np.diag(degrees)
-    laplacian -= a
     weight = _restrict(basis, degrees) if normalized else None
     values, vectors = sym_eig(_restrict(basis, laplacian), weight, count=k + 1)
     embedding = vectors[:, :k] if basis is None else basis @ vectors[:, :k]
@@ -286,6 +312,8 @@ def _solve(graph, k: int, cfg: KMeansConfig, basis: np.ndarray | None = None,
            normalized: bool = False, unit_rows: bool = False) -> ClusteringResult:
     """k-means on the rows of ``_embed``'s solution, scaled to unit length
     with ``unit_rows`` and fed as they are otherwise."""
+    if cfg.k is not None and cfg.k != k:
+        raise ValueError(f"cfg.k={cfg.k} contradicts k={k}")
     embedding, spectrum, warnings = _embed(graph, k, basis, normalized)
     if unit_rows:
         norms = np.linalg.norm(embedding, axis=1)

@@ -22,13 +22,11 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import clustering
 from .clustering import KMeansConfig, ClusteringResult, usc
 from .errors import ConfigError, RepscError
 from .graphs import (
-    ClusterAssignment,
     RppParams,
     as_adjacency,
     contiguous_assignment,
@@ -39,7 +37,6 @@ from .graphs import (
     sample_rpp,
     write_graph,
 )
-from .linalg import _fix_signs
 from .metrics import score_partition
 from .multiplex import build_working_graphs, load_node_names
 from .theory import check_epsilon, expected_spectrum, misclustering_bound_shape
@@ -227,27 +224,20 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_text(Path(path).read_text())
 
 
-def _group_basis(groups: ClusterAssignment) -> np.ndarray:
-    """Orthonormal basis of span(1) plus the vectors that sum to zero on every
-    group, with the linalg sign convention: the null space of the centered
-    block matrix in which everyone in a group represents exactly that group."""
-    zero_sum = _fix_signs(scipy.linalg.null_space(groups.onehot().T))
-    return np.column_stack([np.full(groups.n, 1.0 / np.sqrt(groups.n)), zero_sum])
-
-
 def fair_sc_baseline(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig(),
                      groups: int | None = None) -> ClusteringResult:
     """Group-fairness baseline: urepsc's problem under a group constraint.
 
     Clusters the representation graph itself into ``groups`` groups (default
     a tenth of the node count, at least 1) with plain spectral clustering,
-    then solves urepsc's problem with Y = ``_group_basis`` of those groups
-    (Kleindessner et al.'s constraint F^T H = 0). With one group the
-    constraint is empty and the result coincides with unconstrained clustering.
+    then solves urepsc's problem with Y = 1 plus each group's zero-sum contrasts
+    (``clustering._group_basis``, Kleindessner et al.'s F^T H = 0). With one
+    group the constraint is empty and the result is unconstrained clustering.
     """
     r = as_adjacency(rep_graph)
-    discovered = usc(r, groups if groups is not None else max(1, r.shape[0] // 10), cfg)
-    return clustering._solve(graph, k, cfg, _group_basis(discovered.assignment))
+    discovered = usc(r, groups if groups is not None else max(1, r.shape[0] // 10),
+                     replace(cfg, k=None))
+    return clustering._solve(graph, k, cfg, clustering._group_basis(discovered.assignment))
 
 
 class _Algorithm(NamedTuple):
@@ -433,12 +423,11 @@ class ExperimentResult:
         return sum(1 for row in self.rows if row.get("error"))
 
 
-def _write_results_csv(rows: list[dict], path: Path) -> None:
+def _write_csv(path: Path, header, table) -> None:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_format_cell(row[column]) for column in CSV_COLUMNS])
+        writer.writerow(header)
+        writer.writerows(table)
 
 
 def _aggregate_rows(rows: list[dict]) -> tuple[list[str], list[list[str]]]:
@@ -462,14 +451,6 @@ def _aggregate_rows(rows: list[dict]) -> tuple[list[str], list[list[str]]]:
                 cells.extend(["", ""])
         table.append(cells)
     return header, table
-
-
-def _write_aggregate_csv(rows: list[dict], path: Path) -> None:
-    header, table = _aggregate_rows(rows)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(table)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
@@ -603,8 +584,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
     aggregate_path = out_dir / "aggregate.csv"
-    _write_results_csv(rows, results_path)
-    _write_aggregate_csv(rows, aggregate_path)
+    _write_csv(results_path, CSV_COLUMNS,
+               ([_format_cell(row[column]) for column in CSV_COLUMNS] for row in rows))
+    _write_csv(aggregate_path, *_aggregate_rows(rows))
     plot_paths = _write_plots(cfg, rows, out_dir) if cfg.plots else []
     return ExperimentResult(rows, results_path, aggregate_path, plot_paths)
 

@@ -322,6 +322,14 @@ def _case_probabilities(params: RppParams) -> np.ndarray:
     )
 
 
+def _symmetric_draw(prob: np.ndarray, seed) -> np.ndarray:
+    """Symmetric 0/1 float64 matrix with a zero diagonal: pair i < j is an
+    edge when u[i, j] < prob[i, j], for one seeded n x n uniform matrix u."""
+    n = prob.shape[0]
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < prob, k=1)
+    return (upper | upper.T).astype(np.float64)
+
+
 def sample_rpp(params: RppParams, seed) -> Graph:
     """Draw a similarity graph from the representation-aware planted partition.
 
@@ -330,13 +338,7 @@ def sample_rpp(params: RppParams, seed) -> Graph:
     matrix is generated in one seeded pass and only the upper triangle is
     consumed, so the sample is a bit-reproducible function of (params, seed).
     """
-    n = params.n
-    prob = _case_probabilities(params)
-    rng = np.random.default_rng(seed)
-    u = rng.random((n, n))
-    upper = np.triu(u < prob, k=1)
-    adjacency = (upper | upper.T).astype(np.float64)
-    return Graph(adjacency, allows_self_loops=False)
+    return Graph(_symmetric_draw(_case_probabilities(params), seed), allows_self_loops=False)
 
 
 def sample_planted_partition_rep_graph(
@@ -351,11 +353,7 @@ def sample_planted_partition_rep_graph(
     check_probabilities(p_in=p_in, p_out=p_out)
     membership = contiguous_assignment(n, groups)
     same = membership.labels[:, None] == membership.labels[None, :]
-    prob = np.where(same, p_in, p_out)
-    rng = np.random.default_rng(seed)
-    u = rng.random((n, n))
-    upper = np.triu(u < prob, k=1)
-    adjacency = (upper | upper.T).astype(np.float64)
+    adjacency = _symmetric_draw(np.where(same, p_in, p_out), seed)
     np.fill_diagonal(adjacency, 1.0)
     return Graph(adjacency, allows_self_loops=True), membership
 
@@ -372,6 +370,14 @@ def expected_adjacency(params: RppParams) -> np.ndarray:
     atilde = _case_probabilities(params)
     np.fill_diagonal(atilde, params.p)
     return atilde - params.p * np.eye(params.n)
+
+
+def _laplacian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(degrees, L = diag(degrees) - A) of a dense adjacency A."""
+    degrees = a.sum(axis=1)
+    laplacian = np.diag(degrees)
+    laplacian -= a
+    return degrees, laplacian
 
 
 def as_adjacency(graph_or_matrix) -> np.ndarray:
@@ -404,7 +410,7 @@ def read_graph(path) -> Graph:
     try:
         n = int(header[0].removeprefix("n="))
         diag = int(header[1].removeprefix("diag="))
-        if diag not in (0, 1):
+        if diag not in (0, 1) or n < 0:
             raise ValueError
     except (IndexError, ValueError):
         raise MalformedLineError(1, f"expected header 'n=<N> diag=<0|1>', got {lines[0]!r}")
@@ -422,6 +428,8 @@ def read_graph(path) -> Graph:
             raise MalformedLineError(lineno, f"non-integer endpoint in {line!r}")
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRangeError(f"line {lineno}: endpoint out of [0, {n})")
+        if i == j and not diag:
+            raise MalformedLineError(lineno, f"self-loop {line!r} under diag=0")
         adjacency[i, j] = adjacency[j, i] = 1.0
     return Graph(adjacency, allows_self_loops=bool(diag))
 

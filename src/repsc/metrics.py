@@ -17,7 +17,7 @@ import scipy.optimize
 
 from .constraint import build_indicator_h, build_indicator_t, node_balance, representation_residual
 from .errors import SizeMismatchError, ZeroVolumeClusterError
-from .graphs import ClusterAssignment, Graph, as_adjacency
+from .graphs import ClusterAssignment, Graph, _laplacian, as_adjacency
 
 DUAL_FORM_TOL = 1e-9
 
@@ -42,12 +42,10 @@ def _cuts(graph, assignment: ClusterAssignment) -> tuple[float, float | None]:
         raise SizeMismatchError(f"graph has {a.shape[0]} nodes, assignment has {assignment.n}")
     h = build_indicator_h(assignment)
     onehot = assignment.onehot()
-    degrees = a.sum(axis=1)
+    degrees, laplacian = _laplacian(a)
     volumes = degrees @ onehot
     # Weight leaving each cluster: its volume minus its internal weight.
     leaving = volumes - np.einsum("ik,ik->k", onehot, a @ onehot)
-    laplacian = np.diag(degrees)
-    laplacian -= a
     rcut = _check_dual("ratio_cut", float(np.sum(leaving / assignment.sizes)),
                        float(np.trace(h.T @ laplacian @ h)))
     if np.any(volumes <= 0.0):

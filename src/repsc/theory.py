@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import DEGENERATE_GAP_TOL, _restrict, constraint_null_basis
+from .clustering import DEGENERATE_GAP_TOL, _contrasts, _restrict, constraint_null_basis
 from .errors import AssumptionViolatedError, DivisibilityError, ZeroGapError
-from .graphs import (RppParams, build_d_regular_rep_graph, expected_adjacency,
+from .graphs import (RppParams, _laplacian, build_d_regular_rep_graph, expected_adjacency,
                      validate_regular_representation)
 from .linalg import sym_eig
 
@@ -58,7 +58,8 @@ def canonical_y_vectors(n: int, k: int) -> np.ndarray:
 
     Column 0 is the normalized all-ones vector. Column j (j >= 1) is zero on
     clusters before j-1, takes one positive value on cluster j-1 and one
-    negative value on all later clusters, scaled to unit length. Together
+    negative value on all later clusters, scaled to unit length: the
+    clusters' ``clustering._contrasts``, the group basis's formula. Together
     the columns span exactly the functions that are constant on each
     cluster, and each column beyond the first is orthogonal to all-ones.
     """
@@ -67,11 +68,7 @@ def canonical_y_vectors(n: int, k: int) -> np.ndarray:
     m = n // k
     basis = np.zeros((n, k))
     basis[:, 0] = 1.0 / math.sqrt(n)
-    for j in range(1, k):
-        remaining = k - j
-        scale = 1.0 / math.sqrt(m * remaining * (remaining + 1))
-        basis[(j - 1) * m:j * m, j] = remaining * scale
-        basis[j * m:, j] = -scale
+    basis[:, 1:] = np.repeat(_contrasts(k, m), m, axis=0)
     return basis
 
 
@@ -107,9 +104,8 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
     """
     lambda1, lambda_rest = closed_form_eigenvalues(params)
     centered = expected_adjacency(params)
-    n = params.n
     k = params.k
-    degrees = centered.sum(axis=1)
+    degrees, laplacian = _laplacian(centered)
     expected_degree = lambda1 - params.p
     tol = SPECTRUM_REL_TOL * (1.0 + abs(lambda1))
     if np.max(np.abs(degrees - expected_degree)) > tol:
@@ -117,7 +113,6 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
             "expected degrees are not constant; inputs do not satisfy the "
             "regularity assumption"
         )
-    laplacian = np.diag(degrees) - centered
     basis = constraint_null_basis(params.rep_graph)
     if basis.shape[1] < k:
         raise AssumptionViolatedError(

@@ -28,6 +28,17 @@ def test_kmeans_config_validation():
         repsc.KMeansConfig(rel_tol=0.0)
 
 
+def test_spectral_algorithms_reject_a_different_cfg_k():
+    graph = two_cliques(4)
+    with pytest.raises(ValueError, match="cfg.k=3 contradicts k=2"):
+        repsc.usc(graph, 2, repsc.KMeansConfig(k=3))
+    for k in (None, 2):
+        assert repsc.usc(graph, 2, repsc.KMeansConfig(k=k)).assignment.k == 2
+        # The baseline's group discovery clusters into its own group count.
+        baseline = repsc.fair_sc_baseline(graph, graph, 2, repsc.KMeansConfig(k=k), groups=3)
+        assert baseline.assignment.k == 2
+
+
 def test_kmeans_recovers_separated_clouds():
     rng = np.random.default_rng(17)
     centers = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import repsc
 from repsc.cli import main
@@ -568,6 +569,28 @@ def test_planted_sweep_decomposes_each_trials_r_once(tmp_path, decomposed):
     result = repsc.run_experiment(cfg)
     assert result.error_count == 0 and len(result.rows) == 4
     assert [m.shape for m in decomposed] == [(40, 40), (40, 40)]
+
+
+def test_planted_sweep_takes_no_svd(tmp_path, monkeypatch):
+    # Every constraint basis is eigenvectors of R or written down: no row may
+    # reach an SVD, a null_space or a QR.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep called a second factorization")
+
+    for module, name in ((scipy.linalg, "null_space"), (scipy.linalg, "svd"),
+                         (scipy.linalg, "qr"), (np.linalg, "svd"), (np.linalg, "qr")):
+        monkeypatch.setattr(module, name, refuse)
+    cfg = repsc.parse_config_text(
+        "mode = planted_partition_sweep\n"
+        "algorithms = urepsc_approx, nrepsc_approx, fair_sc_baseline\n"
+        "n_values = 40\n"
+        "k_values = 2\n"
+        "trials = 2\n"
+        f"out = {tmp_path}\n"
+    )
+    result = repsc.run_experiment(cfg)
+    assert len(result.rows) == 6
+    assert [row["error"] for row in result.rows if row["error"]] == []
 
 
 def test_one_entry_cache_holds_nothing_while_it_builds():

@@ -259,6 +259,12 @@ def test_graph_read_errors(tmp_path):
     out_of_range.write_text("n=4 diag=0\n0 7\n")
     with pytest.raises(repsc.IndexOutOfRangeError):
         repsc.read_graph(out_of_range)
+    for text, line_number in (("n=-1 diag=0\n", 1), ("n=4 diag=0\n0 1\n\n1 1\n", 4)):
+        bad = tmp_path / "bad.edges"
+        bad.write_text(text)
+        with pytest.raises(repsc.MalformedLineError) as exc:
+            repsc.read_graph(bad)
+        assert exc.value.line_number == line_number
 
 
 def test_assignment_round_trip(tmp_path):

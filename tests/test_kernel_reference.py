@@ -10,11 +10,11 @@ whitening with Q = (Y^T D Y)^{1/2} for nrepsc).
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repsc
-from repsc import experiments
-from repsc.clustering import constraint_null_basis
+from repsc import clustering
+from repsc.clustering import ONES_IN_NULL_ATOL, constraint_null_basis
 from repsc.linalg import RANK_REL_TOL
 
 PROJECTOR_ATOL = 1e-8
@@ -57,15 +57,16 @@ def centered(r):
     return r - np.outer(r.sum(axis=1), np.full(n, 1.0 / n))
 
 
-def reference_null_basis(r):
-    """Null space of R (I - 11^T/N) by SVD.
+def reference_null_basis(r, center=True):
+    """Null space of R (I - 11^T/N), or of R itself without ``center``, by SVD.
 
     Singular values up to RANK_REL_TOL * N * ||R||_2 count as zero: scaled
     by R rather than by the centered product, so that a product that is zero
     up to rounding (R = c 11^T, say) keeps its whole null space.
     """
     n = r.shape[0]
-    _, sigma, vh = scipy.linalg.svd(centered((r + r.T) / 2.0))
+    sym = (r + r.T) / 2.0
+    _, sigma, vh = scipy.linalg.svd(centered(sym) if center else sym)
     return vh[sigma <= RANK_REL_TOL * n * np.linalg.norm(r, 2)].T
 
 
@@ -96,11 +97,18 @@ def assert_valid_basis(basis, r):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(kind=st.sampled_from(sorted(REP_KINDS)), seed=st.integers(0, 2**32 - 1))
+@example(kind="spiked", seed=0)
 def test_null_basis_matches_svd_reference(kind, seed):
     r = REP_KINDS[kind](np.random.default_rng(seed))
     basis = constraint_null_basis(r)
     assert_valid_basis(basis, r)
     assert_same_projector(basis, reference_null_basis(r))
+    # Where 1 leans into null(R), the Householder branch drops one null
+    # direction: the basis is 1 plus dim null(R) - 1 columns, not 1 plus all.
+    null_r = reference_null_basis(r, center=False)
+    leans = np.linalg.norm(null_r.T @ np.full(r.shape[0], r.shape[0] ** -0.5)) > ONES_IN_NULL_ATOL
+    assert basis.shape[1] == null_r.shape[1] + (0 if leans else 1)
+    assert leans or kind != "spiked"
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -164,13 +172,21 @@ def test_group_basis_spans_the_block_constraint(labels):
         _, dense = np.unique(grouping, return_inverse=True)  # no empty group
         groups = repsc.ClusterAssignment(dense, int(dense.max()) + 1)
         block = (dense[:, None] == dense[None, :]).astype(float)
-        basis = experiments._group_basis(groups)
+        basis = clustering._group_basis(groups)
         assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-10)
         assert_same_projector(basis, constraint_null_basis(repsc.Graph(block, True)))
         assert basis.shape[1] == 1 + groups.n - groups.k
         for j in range(basis.shape[1]):
             lead = basis[np.abs(basis[:, j]) > 1e-12, j]
             assert lead.size == 0 or lead[0] > 0
+
+
+def test_group_basis_skips_empty_groups():
+    # Labels 1 and 3 name no node: the basis is that of the two used groups.
+    sparse = clustering._group_basis(repsc.ClusterAssignment(np.array([2, 0, 2, 2, 0]), 4))
+    dense = clustering._group_basis(repsc.ClusterAssignment(np.array([1, 0, 1, 1, 0]), 2))
+    assert sparse.shape == (5, 4)
+    assert np.array_equal(sparse, dense)
 
 
 # -- variant embeddings against the formulas they replaced -------------------

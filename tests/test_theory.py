@@ -10,7 +10,7 @@ import repsc
 from repsc.clustering import constraint_null_basis
 from repsc.theory import ExpectedSpectrum
 
-from conftest import SWEEP_PROBS
+from conftest import REGULAR_INSTANCES, SWEEP_PROBS
 
 
 def make_params(n, k, d, p, q, r, s):
@@ -64,6 +64,25 @@ def test_canonical_y_vectors_small_case():
     basis = repsc.canonical_y_vectors(4, 2)
     assert np.allclose(basis[:, 0], 0.5)
     assert np.allclose(basis[:, 1], [0.5, 0.5, -0.5, -0.5])
+
+
+def explicit_canonical_y_vectors(n, k):
+    """The loop canonical_y_vectors ran before it shared the contrast formula."""
+    m = n // k
+    basis = np.zeros((n, k))
+    basis[:, 0] = 1.0 / math.sqrt(n)
+    for j in range(1, k):
+        remaining = k - j
+        scale = 1.0 / math.sqrt(m * remaining * (remaining + 1))
+        basis[(j - 1) * m:j * m, j] = remaining * scale
+        basis[j * m:, j] = -scale
+    return basis
+
+
+@pytest.mark.parametrize("n,k", sorted({(n, k) for n, k, _ in REGULAR_INSTANCES}))
+def test_canonical_y_vectors_equal_the_explicit_loop_bit_for_bit(n, k):
+    basis = repsc.canonical_y_vectors(n, k)
+    assert basis.tobytes() == explicit_canonical_y_vectors(n, k).tobytes()
 
 
 def test_canonical_y_vectors_orthonormal_and_cluster_constant():
