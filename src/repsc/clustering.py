@@ -56,7 +56,7 @@ from .errors import (
     RankTooLargeError,
 )
 from .graphs import ClusterAssignment, Graph, _laplacian, as_adjacency
-from .linalg import RANK_REL_TOL, _fix_signs, sym_eig
+from .linalg import RANK_REL_TOL, _fix_signs, matmul, sym_eig
 
 logger = logging.getLogger(__name__)
 
@@ -233,13 +233,13 @@ def constraint_null_basis(rep_graph_or_matrix, rank: int | None = None) -> np.nd
         null[np.argsort(-magnitude, kind="stable")[rank:]] = True
     ones = np.full(n, 1.0 / np.sqrt(n))
     rest = vectors[:, null]
-    overlap = rest.T @ ones
+    overlap = matmul(rest.T, ones)
     if np.linalg.norm(overlap) > ONES_IN_NULL_ATOL:
         # Columns 1.. of the Householder reflector taking overlap to e_0 span its complement.
         v = overlap / np.linalg.norm(overlap)
         v[0] += np.copysign(1.0, v[0])
         v /= np.linalg.norm(v)
-        rest = _fix_signs(rest[:, 1:] - 2.0 * np.outer(rest @ v, v[1:]))
+        rest = _fix_signs(rest[:, 1:] - 2.0 * np.outer(matmul(rest, v), v[1:]))
     return np.column_stack([ones, rest])
 
 
@@ -275,7 +275,10 @@ def _restrict(basis: np.ndarray | None, m: np.ndarray) -> np.ndarray:
     """
     if basis is None:
         return np.diag(m) if m.ndim == 1 else m
-    reduced = basis.T @ (m[:, None] * basis) if m.ndim == 1 else basis.T @ m @ basis
+    if m.ndim == 1:
+        reduced = matmul(basis.T, m[:, None] * basis)
+    else:
+        reduced = matmul(matmul(basis.T, m), basis)
     return (reduced + reduced.T) / 2.0
 
 
@@ -304,16 +307,23 @@ def _embed(graph, k: int, basis: np.ndarray | None = None,
         )
     weight = _restrict(basis, degrees) if normalized else None
     values, vectors = sym_eig(_restrict(basis, laplacian), weight, count=k + 1)
-    embedding = vectors[:, :k] if basis is None else basis @ vectors[:, :k]
+    embedding = vectors[:, :k] if basis is None else matmul(basis, vectors[:, :k])
     return embedding, values[:k], _gap_warnings(values, k)
+
+
+def _with_k(cfg: KMeansConfig, k: int) -> KMeansConfig:
+    """``cfg`` for k clusters; every algorithm calls this before any other
+    work, so a contradicting ``cfg.k`` is rejected before R is decomposed."""
+    if cfg.k is not None and cfg.k != k:
+        raise ValueError(f"cfg.k={cfg.k} contradicts k={k}")
+    return replace(cfg, k=k)
 
 
 def _solve(graph, k: int, cfg: KMeansConfig, basis: np.ndarray | None = None,
            normalized: bool = False, unit_rows: bool = False) -> ClusteringResult:
-    """k-means on the rows of ``_embed``'s solution, scaled to unit length
-    with ``unit_rows`` and fed as they are otherwise."""
-    if cfg.k is not None and cfg.k != k:
-        raise ValueError(f"cfg.k={cfg.k} contradicts k={k}")
+    """k-means, configured by ``cfg`` (from ``_with_k``), on the rows of
+    ``_embed``'s solution, scaled to unit length with ``unit_rows`` and fed
+    as they are otherwise."""
     embedding, spectrum, warnings = _embed(graph, k, basis, normalized)
     if unit_rows:
         norms = np.linalg.norm(embedding, axis=1)
@@ -324,7 +334,7 @@ def _solve(graph, k: int, cfg: KMeansConfig, basis: np.ndarray | None = None,
                 int(zero_rows.sum()),
             )
         embedding /= np.where(zero_rows, 1.0, norms)[:, None]
-    labels, _, inertia = kmeans(embedding, replace(cfg, k=k))
+    labels, _, inertia = kmeans(embedding, cfg)
     return ClusteringResult(ClusterAssignment(labels, k), embedding, inertia, spectrum, warnings)
 
 
@@ -348,7 +358,7 @@ def usc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     Accepts a Graph or any symmetric real matrix (so expected-case inputs
     can be clustered directly).
     """
-    return _solve(graph, k, cfg)
+    return _solve(graph, k, _with_k(cfg, k))
 
 
 def nsc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
@@ -357,7 +367,7 @@ def nsc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     Raises IsolatedNodeError when some degree is not positive, since the
     normalized Laplacian is undefined there.
     """
-    return _solve(graph, k, cfg, normalized=True, unit_rows=True)
+    return _solve(graph, k, _with_k(cfg, k), normalized=True, unit_rows=True)
 
 
 def urepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
@@ -367,6 +377,7 @@ def urepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> Clus
     space of the centered representation matrix, then clusters the rows of
     the re-expanded embedding Y Z.
     """
+    cfg = _with_k(cfg, k)
     return _solve(graph, k, cfg, constraint_null_basis(rep_graph))
 
 
@@ -378,6 +389,7 @@ def nrepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> Clus
     D-orthonormal. The embedding rows are fed to k-means as they are; no
     unit-length scaling is applied.
     """
+    cfg = _with_k(cfg, k)
     return _solve(graph, k, cfg, constraint_null_basis(rep_graph), normalized=True)
 
 
@@ -389,10 +401,12 @@ def urepsc_approx(graph, rep_graph, k: int, rank: int,
     at least k null dimensions, at the price of only approximately
     satisfying the original constraint.
     """
+    cfg = _with_k(cfg, k)
     return _solve(graph, k, cfg, _truncated_basis(graph, rep_graph, k, rank))
 
 
 def nrepsc_approx(graph, rep_graph, k: int, rank: int,
                   cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     """nrepsc on the best low-rank approximation of the representation matrix."""
+    cfg = _with_k(cfg, k)
     return _solve(graph, k, cfg, _truncated_basis(graph, rep_graph, k, rank), normalized=True)

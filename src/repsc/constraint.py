@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyClusterError, SizeMismatchError, ZeroVolumeClusterError
 from .graphs import ClusterAssignment, Graph, as_adjacency
-from .linalg import as_float_matrix
+from .linalg import as_float_matrix, matmul
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def _representative_counts(rep_graph: Graph, assignment: ClusterAssignment) -> n
         raise SizeMismatchError(
             f"representation graph has {rep_graph.n} nodes, assignment has {assignment.n}"
         )
-    return rep_graph.adjacency @ assignment.onehot()
+    return matmul(rep_graph.adjacency, assignment.onehot())
 
 
 def node_balance(rep_graph: Graph, assignment: ClusterAssignment) -> BalanceReport:
@@ -89,7 +89,7 @@ def linear_constraint_norm(embedding, rep_graph_or_matrix) -> float:
             f"embedding has {h.shape[0]} rows, representation matrix has {r.shape[0]}"
         )
     centered = h - h.mean(axis=0, keepdims=True)
-    return float(np.linalg.norm(r @ centered))
+    return float(np.linalg.norm(matmul(r, centered)))
 
 
 def build_indicator_h(assignment: ClusterAssignment) -> np.ndarray:
@@ -115,7 +115,7 @@ def build_indicator_t(assignment: ClusterAssignment, degrees) -> np.ndarray:
             f"degrees must be a vector of length {assignment.n}, got shape {deg.shape}"
         )
     onehot = assignment.onehot()
-    volumes = deg @ onehot
+    volumes = matmul(deg, onehot)
     if np.any(volumes <= 0.0):
         raise ZeroVolumeClusterError(
             f"cluster volumes must be positive, got {volumes.tolist()}"

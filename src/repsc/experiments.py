@@ -234,10 +234,11 @@ def fair_sc_baseline(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig(
     (``clustering._group_basis``, Kleindessner et al.'s F^T H = 0). With one
     group the constraint is empty and the result is unconstrained clustering.
     """
+    solve_cfg = clustering._with_k(cfg, k)
     r = as_adjacency(rep_graph)
     discovered = usc(r, groups if groups is not None else max(1, r.shape[0] // 10),
                      replace(cfg, k=None))
-    return clustering._solve(graph, k, cfg, clustering._group_basis(discovered.assignment))
+    return clustering._solve(graph, k, solve_cfg, clustering._group_basis(discovered.assignment))
 
 
 class _Algorithm(NamedTuple):

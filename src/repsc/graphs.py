@@ -24,7 +24,7 @@ from .errors import (
     MalformedLineError,
     SizeMismatchError,
 )
-from .linalg import EigenDecomposition, as_float_matrix, ensure_symmetric, sym_eig
+from .linalg import EigenDecomposition, as_float_matrix, ensure_symmetric, matmul, sym_eig
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,7 @@ def validate_regular_representation(rep_graph: Graph, assignment: ClusterAssignm
         per_cluster_ok = False
     else:
         neighbors_per_cluster = degree // k
-        counts_nk = a @ assignment.onehot()
+        counts_nk = matmul(a, assignment.onehot())
         bad_pairs = np.argwhere(counts_nk != neighbors_per_cluster)
         for i, cluster in bad_pairs:
             violations.append(

@@ -1,9 +1,14 @@
-"""Dense symmetric linear algebra with deterministic output conventions.
+"""Dense linear algebra with deterministic output conventions.
 
 All routines work on plain float64 numpy arrays and are meant for the
 desk-scale problems this package targets (a few thousand nodes), so
-everything is dense and exact up to LAPACK precision. Two conventions are
-applied everywhere so that repeated runs and different call sites agree
+everything is dense and exact up to LAPACK precision. This module owns every
+dense matrix product in the package (``matmul``) as well as the
+eigensolver (``sym_eig``), and both run on scipy's BLAS. numpy links a
+second OpenBLAS with its own thread pool, and a pool whose threads still
+spin after a numpy product slows the next scipy eigensolve down; with one
+library for both, there is one pool. Two conventions are applied to every
+eigendecomposition so that repeated runs and different call sites agree
 bit for bit:
 
 * eigenvalues are reported in ascending order;
@@ -21,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm
 
 from .errors import (
     EigenConvergenceError,
@@ -74,6 +80,40 @@ def ensure_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     np.add(a, a.T, out=sym)
     sym /= 2.0
     return sym
+
+
+def _blas_operand(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x, trans) with x Fortran-contiguous and op(x) = m^T, where op
+    transposes when ``trans`` is 1; only an operand that is neither C- nor
+    Fortran-contiguous is copied."""
+    if m.flags.c_contiguous:
+        return m.T, 0
+    if m.flags.f_contiguous:
+        return m, 1
+    return np.ascontiguousarray(m).T, 0
+
+
+def matmul(a, b) -> np.ndarray:
+    """``a @ b`` through scipy's BLAS ``dgemm``, the library ``sym_eig`` uses.
+
+    A 1-d ``a`` is a row and a 1-d ``b`` a column, and each such dimension
+    is dropped from the result, as with ``@``. BLAS computes the transpose
+    b^T a^T in Fortran order, so the product comes back C-ordered, the
+    layout ``@`` returns; the operands are neither modified nor copied
+    unless one is neither C- nor Fortran-contiguous.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
+        raise ValueError(f"operands must be 1- or 2-d, got shapes {a.shape} and {b.shape}")
+    left = a if a.ndim == 2 else a[None, :]
+    right = b if b.ndim == 2 else b[:, None]
+    if left.shape[1] != right.shape[0]:
+        raise SizeMismatchError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    first, trans_a = _blas_operand(right)
+    second, trans_b = _blas_operand(left)
+    product = dgemm(1.0, first, second, trans_a=trans_a, trans_b=trans_b).T
+    return product.reshape(a.shape[:-1] + b.shape[1:])[()]
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

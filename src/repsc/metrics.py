@@ -18,6 +18,7 @@ import scipy.optimize
 from .constraint import build_indicator_h, build_indicator_t, node_balance, representation_residual
 from .errors import SizeMismatchError, ZeroVolumeClusterError
 from .graphs import ClusterAssignment, Graph, _laplacian, as_adjacency
+from .linalg import matmul
 
 DUAL_FORM_TOL = 1e-9
 
@@ -43,16 +44,16 @@ def _cuts(graph, assignment: ClusterAssignment) -> tuple[float, float | None]:
     h = build_indicator_h(assignment)
     onehot = assignment.onehot()
     degrees, laplacian = _laplacian(a)
-    volumes = degrees @ onehot
+    volumes = matmul(degrees, onehot)
     # Weight leaving each cluster: its volume minus its internal weight.
-    leaving = volumes - np.einsum("ik,ik->k", onehot, a @ onehot)
+    leaving = volumes - np.einsum("ik,ik->k", onehot, matmul(a, onehot))
     rcut = _check_dual("ratio_cut", float(np.sum(leaving / assignment.sizes)),
-                       float(np.trace(h.T @ laplacian @ h)))
+                       float(np.trace(matmul(matmul(h.T, laplacian), h))))
     if np.any(volumes <= 0.0):
         return rcut, None
     t = build_indicator_t(assignment, degrees)
     ncut = _check_dual("normalized_cut", float(np.sum(leaving / volumes)),
-                       float(np.trace(t.T @ laplacian @ t)))
+                       float(np.trace(matmul(matmul(t.T, laplacian), t))))
     return rcut, ncut
 
 

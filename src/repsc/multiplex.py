@@ -82,6 +82,20 @@ def parse_multiplex(path, index_base: int = 0, names=None) -> MultiplexNetwork:
     return parse_multiplex_text(Path(path).read_text(), index_base=index_base, names=names)
 
 
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` for an (n, 3) int64
+    array: the distinct rows sorted by (column 0, 1, 2), and each row's index
+    among them. One stable lexsort; a row starts a run when it differs from
+    the row before it in sorted order."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
+
+
 def parse_multiplex_text(text: str, index_base: int = 0, names=None) -> MultiplexNetwork:
     """Parse ``layer_id src dst weight`` lines into a MultiplexNetwork.
 
@@ -139,9 +153,9 @@ def parse_multiplex_text(text: str, index_base: int = 0, names=None) -> Multiple
         rows = np.array(keys, dtype=np.int64)
     except OverflowError:
         raise IndexOutOfRangeError("a layer id or node index does not fit in 64 bits")
-    # Rows sorted by (layer, src, dst); bincount adds each row's duplicates
-    # in file order, exactly as a running sum over the lines would.
-    edges, inverse = np.unique(rows, axis=0, return_inverse=True)
+    edges, inverse = _unique_rows(rows)
+    # bincount adds each row's duplicates in file order, exactly as a running
+    # sum over the lines would.
     summed = np.bincount(inverse, weights=weights, minlength=len(edges))
     layer_of, src, dst = edges.T
     ids, starts = np.unique(layer_of, return_index=True)

@@ -39,6 +39,33 @@ def test_spectral_algorithms_reject_a_different_cfg_k():
         assert baseline.assignment.k == 2
 
 
+def test_a_contradicting_cfg_k_is_rejected_before_any_eigensolve(monkeypatch):
+    calls = []
+
+    def counting(m, b=None, count=None):
+        calls.append(np.shape(m))
+        return sym_eig(m, b, count)
+
+    monkeypatch.setattr(repsc.graphs, "sym_eig", counting)
+    monkeypatch.setattr(clustering, "sym_eig", counting)
+    graph = two_cliques(6)
+    rep, _ = repsc.build_d_regular_rep_graph(12, 2, 4)
+    cfg = repsc.KMeansConfig(k=3)
+    runs = [
+        lambda r: repsc.urepsc(graph, r, 2, cfg),
+        lambda r: repsc.nrepsc(graph, r, 2, cfg),
+        lambda r: repsc.urepsc_approx(graph, r, 2, 4, cfg),
+        lambda r: repsc.nrepsc_approx(graph, r, 2, 4, cfg),
+        lambda r: repsc.fair_sc_baseline(graph, r, 2, cfg),
+    ]
+    for run in runs:
+        # A Graph R (decomposed through Graph.spectrum) and a raw matrix R.
+        for r in (rep, rep.adjacency.copy()):
+            with pytest.raises(ValueError, match="cfg.k=3 contradicts k=2"):
+                run(r)
+    assert calls == []
+
+
 def test_kmeans_recovers_separated_clouds():
     rng = np.random.default_rng(17)
     centers = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])

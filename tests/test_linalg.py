@@ -1,6 +1,8 @@
 """Dense linear algebra primitives: conventions, errors, reconstruction."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import scipy.linalg
 
 import repsc
 from repsc.clustering import constraint_null_basis
-from repsc.linalg import _fix_signs, as_float_matrix, ensure_symmetric
+from repsc.linalg import _fix_signs, as_float_matrix, ensure_symmetric, matmul
 
 
 def test_sym_eig_known_diagonal():
@@ -173,6 +175,80 @@ def test_sym_eig_generalized_rejects_bad_b():
         repsc.sym_eig(a, np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         repsc.sym_eig(a, count=0)
+
+
+# -- matmul: every dense product on the BLAS of the eigensolver --------------
+
+
+def layouts(rng, rows, cols):
+    """One random matrix C-ordered, Fortran-ordered and as a strided view."""
+    m = rng.standard_normal((rows, cols))
+    strided = np.zeros((2 * rows, 3 * cols))[::2, ::3]
+    strided[...] = m
+    return [m, np.asfortranarray(m), strided]
+
+
+def test_matmul_equals_the_operator_in_every_layout():
+    rng = np.random.default_rng(12)
+    for m, k, n in [(7, 5, 3), (1, 4, 6), (30, 1, 2), (40, 60, 20)]:
+        for a in layouts(rng, m, k):
+            for b in layouts(rng, k, n):
+                # 1-d operands: a row on the left, a column on the right.
+                for x, y in [(a, b), (a[0], b), (a, b[:, 0]), (a[0], b[:, 0])]:
+                    x_before, y_before = x.copy(), y.copy()
+                    got, want = matmul(x, y), x @ y
+                    assert np.shape(got) == np.shape(want)
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+                    assert np.ndim(got) == 0 or got.flags.c_contiguous
+                    assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
+
+
+def test_matmul_edge_shapes():
+    assert np.array_equal(matmul(np.ones((3, 0)), np.ones((0, 4))), np.zeros((3, 4)))
+    assert matmul(np.ones((0, 2)), np.ones((2, 5))).shape == (0, 5)
+    read_only = np.arange(6.0).reshape(2, 3)
+    read_only.flags.writeable = False
+    assert np.array_equal(matmul(read_only, np.eye(3)), read_only)
+    with pytest.raises(repsc.SizeMismatchError):
+        matmul(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        matmul(np.ones((2, 2, 2)), np.ones((2, 2)))
+
+
+def test_matmul_copies_no_contiguous_operand():
+    a = np.random.default_rng(13).standard_normal((600, 400))
+    for x, y in [(a.T, a), (a, a.T), (np.asfortranarray(a), a.T)]:
+        out = matmul(x, y)
+        tracemalloc.start()
+        try:
+            matmul(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The product itself, and no copy of a 1.9 MB operand.
+        assert peak <= out.nbytes + a.nbytes / 4
+
+
+PRODUCT_CALLS = {"dot", "matmul", "tensordot"}
+
+
+def test_only_linalg_multiplies_matrices():
+    # One BLAS library, and so one thread pool, serves the package only while
+    # every product goes through linalg.matmul.
+    found = []
+    for path in sorted(Path(repsc.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif (isinstance(node, ast.Attribute) and node.attr in PRODUCT_CALLS
+                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.append(f"{path.name}:{node.lineno}: np.{node.attr}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                  and any(alias.name in PRODUCT_CALLS for alias in node.names)):
+                found.append(f"{path.name}:{node.lineno}: from numpy import")
+    assert found == []
 
 
 # -- what the removed helpers did, through the code that replaced them -------

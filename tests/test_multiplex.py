@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repsc
+from repsc.multiplex import _unique_rows
 
 SAMPLE = """\
 # genetic interaction layers, 1-based node ids
@@ -54,6 +55,26 @@ def test_parse_sum_is_not_reordered():
     # Summed in file order, 1e16 absorbs the 1.0 before -1e16 cancels it.
     net = repsc.parse_multiplex_text("1 0 1 1e16\n1 0 1 1.0\n1 0 1 -1e16\n")
     assert net.layer_matrix(0)[0, 1] == 0.0
+
+
+def unique_rows_reference(rows):
+    edges, inverse = np.unique(rows, axis=0, return_inverse=True)
+    return edges, inverse.reshape(-1)
+
+
+# Small ranges make duplicate rows likely; the extremes check signed order.
+key_part = st.one_of(st.integers(-3, 3), st.integers(-2**63, 2**63 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(key_part, st.integers(0, 4), st.integers(0, 4)), min_size=1,
+                max_size=40))
+def test_unique_rows_matches_np_unique(keys):
+    rows = np.array(keys, dtype=np.int64)
+    edges, inverse = _unique_rows(rows)
+    ref_edges, ref_inverse = unique_rows_reference(rows)
+    assert edges.dtype == ref_edges.dtype and np.array_equal(edges, ref_edges)
+    assert inverse.dtype == ref_inverse.dtype and np.array_equal(inverse, ref_inverse)
 
 
 def test_parse_skips_comments_and_blanks():
