@@ -119,13 +119,18 @@ def matmul(a, b) -> np.ndarray:
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip column signs in place so the first entry above the threshold is
     positive; return ``vectors``."""
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        idx = np.flatnonzero(np.abs(col) > SIGN_THRESHOLD)
-        if idx.size and col[idx[0]] < 0:
-            # Not np.negative(col, out=col): numpy 2.4.6 writes wrong values
-            # through a column view whose rows are 8 doubles apart.
-            vectors[:, j] = -col
+    if vectors.shape[0] == 0:
+        return vectors
+    columns = np.arange(vectors.shape[1])
+    first = (np.abs(vectors) > SIGN_THRESHOLD).argmax(axis=0)
+    # A column with no entry above the threshold has first == 0 and an entry
+    # of magnitude at most the threshold there, so it keeps its sign.
+    signs = np.where(vectors[first, columns] < -SIGN_THRESHOLD, -1.0, 1.0)
+    # Times -1.0 negates a finite entry exactly, and in place it is far
+    # cheaper than a fancy-index copy of the flipped columns. Not
+    # np.negative(col, out=col) per column: numpy 2.4.6 writes wrong values
+    # through a column view whose rows are 8 doubles apart.
+    vectors *= signs
     return vectors
 
 

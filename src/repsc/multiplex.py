@@ -1,22 +1,30 @@
 """Multiplex edge-list ingestion and reduction to two working graphs.
 
 A multiplex network file describes one weighted directed graph per layer
-with lines ``layer_id src dst weight``. The reduction protocol used for
-real data builds, per layer, an undirected nearest-neighbor graph (each
-node keeps its strongest neighbors, then edges are symmetrized by union),
-aggregates a range of layers by entrywise OR, and finally drops nodes that
-end up isolated. Each of those steps is its own function here so the
-protocol stays inspectable and re-composable. Each parsed layer is one
-edge table (``src``, ``dst``, ``weight`` arrays sorted by (src, dst)), and
-the nearest-neighbor reduction works on it without a dense weight matrix.
+with lines ``layer_id src dst weight``: three ASCII decimal integers and a
+finite float, with ``#`` comment lines and blank lines skipped. The parser
+reads every edge line into one table with numpy's C tokenizer and checks
+it column by column; only when a check fails does it walk the lines, to
+name the first bad one. The reduction protocol used for real data builds,
+per layer, an undirected nearest-neighbor graph (each node keeps its
+strongest neighbors, then edges are symmetrized by union), aggregates a
+range of layers by entrywise OR, and finally drops nodes that end up
+isolated. Each of those steps is its own function here so the protocol
+stays inspectable and re-composable. Each parsed layer is one edge table
+(``src``, ``dst``, ``weight`` arrays sorted by (src, dst)), and the
+nearest-neighbor reduction works on it without a dense weight matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -29,6 +37,19 @@ from .errors import (
     SizeMismatchError,
 )
 from .graphs import Graph
+
+_ROW = np.dtype([("layer", np.int64), ("src", np.int64), ("dst", np.int64),
+                 ("weight", np.float64)])
+_INT64 = np.iinfo(np.int64)
+# The tokens numpy's reader converts: ASCII decimal integers, and the
+# decimal, inf and nan spellings of Python's float() without underscores.
+_INT_FIELD = re.compile(r"[+-]?[0-9]+")
+_FLOAT_FIELD = re.compile(
+    r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))"
+)
+# A line is skipped when its first non-blank character is missing or '#'.
+_HEAD = operator.itemgetter(slice(1))
+_SKIPPED_HEADS = frozenset(("", "#"))
 
 
 @dataclass(frozen=True)
@@ -99,64 +120,53 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def parse_multiplex_text(text: str, index_base: int = 0, names=None) -> MultiplexNetwork:
     """Parse ``layer_id src dst weight`` lines into a MultiplexNetwork.
 
-    Lines that are blank or start with ``#`` are skipped. ``index_base`` is
-    subtracted from node indices, so files counting nodes from 1 parse with
+    Lines that are blank or whose first non-blank character is ``#`` are
+    skipped; every other line holds exactly four whitespace-separated
+    fields: three ASCII decimal integers with an optional sign and a float
+    weight (``inf`` and ``nan`` are read, then rejected as non-finite). A
+    ``#`` after the fields is not a comment. ``index_base`` is subtracted
+    from node indices, so files counting nodes from 1 parse with
     index_base=1. Node count is inferred as the largest adjusted index plus
     one, unless ``names`` (a sequence of node names) is given, in which case
     the count is len(names) and every edge index must fall below it.
-    Duplicate (layer, src, dst) triples have their weights summed.
+    Duplicate (layer, src, dst) triples have their weights summed in file
+    order.
+
+    The kept lines are read as one table by numpy's C tokenizer and checked
+    column by column, so no Python code runs per line on a valid file. When
+    the read or a check fails, the lines are walked in file order and the
+    first bad one raises.
 
     Raises:
-        MalformedLineError: wrong token count or non-numeric fields, with
-            the 1-based line number.
-        IndexOutOfRangeError: node index negative after base adjustment, or
-            at least len(names) when names are given.
+        MalformedLineError: wrong token count, a non-numeric field or a
+            non-finite weight, with the 1-based line number.
+        IndexOutOfRangeError: node index negative after base adjustment, at
+            least len(names) when names are given, or a layer id or node
+            index outside 64 bits; the message names the line.
         NoLayersError: no edges at all.
     """
-    keys: list[tuple[int, int, int]] = []
-    weights: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise MalformedLineError(
-                lineno, f"expected 'layer_id src dst weight', got {raw!r}"
-            )
-        try:
-            layer_id = int(parts[0])
-            src = int(parts[1])
-            dst = int(parts[2])
-            weight = float(parts[3])
-        except ValueError:
-            raise MalformedLineError(lineno, f"non-numeric field in {raw!r}")
-        if not math.isfinite(weight):
-            raise MalformedLineError(lineno, f"non-finite weight in {raw!r}")
-        src -= index_base
-        dst -= index_base
-        if src < 0 or dst < 0:
-            raise IndexOutOfRangeError(
-                f"line {lineno}: node index below 0 after subtracting "
-                f"index_base={index_base}"
-            )
-        if names is not None and max(src, dst) >= len(names):
-            raise IndexOutOfRangeError(
-                f"line {lineno}: node index {max(src, dst)} but only "
-                f"{len(names)} names were given"
-            )
-        keys.append((layer_id, src, dst))
-        weights.append(weight)
-    if not keys:
+    lines = text.splitlines()
+    # Built-in maps, so no Python code runs per line.
+    heads = map(_HEAD, map(str.lstrip, lines))
+    is_body = list(map(operator.not_, map(_SKIPPED_HEADS.__contains__, heads)))
+    body = list(itertools.compress(lines, is_body))
+    if not body:
         raise NoLayersError("multiplex input contains no edges")
     try:
-        rows = np.array(keys, dtype=np.int64)
-    except OverflowError:
-        raise IndexOutOfRangeError("a layer id or node index does not fit in 64 bits")
+        table = np.loadtxt(body, dtype=_ROW, comments=None, ndmin=1)
+    except ValueError:
+        table = None
+    if table is None or not _columns_pass(table, index_base, names):
+        numbers = itertools.compress(itertools.count(1), is_body)
+        _raise_first_bad_line(zip(numbers, body), index_base, names)
+    # int64 arithmetic wraps, so subtracting index_base modulo 2**64 gives
+    # the exact adjusted index (in range, by the checks) for any index_base.
+    base = (int(index_base) - _INT64.min) % 2**64 + _INT64.min
+    rows = np.column_stack((table["layer"], table["src"] - base, table["dst"] - base))
     edges, inverse = _unique_rows(rows)
     # bincount adds each row's duplicates in file order, exactly as a running
     # sum over the lines would.
-    summed = np.bincount(inverse, weights=weights, minlength=len(edges))
+    summed = np.bincount(inverse, weights=table["weight"], minlength=len(edges))
     layer_of, src, dst = edges.T
     ids, starts = np.unique(layer_of, return_index=True)
     bounds = zip(starts, [*starts[1:], len(edges)])
@@ -165,6 +175,55 @@ def parse_multiplex_text(text: str, index_base: int = 0, names=None) -> Multiple
     n = len(node_names) if node_names is not None else int(edges[:, 1:].max()) + 1
     return MultiplexNetwork(n=n, layers=layers, layer_ids=tuple(ids.tolist()),
                             node_names=node_names)
+
+
+def _columns_pass(table: np.ndarray, index_base: int, names) -> bool:
+    """Whether every weight is finite and every adjusted node index lies in
+    [0, len(names)), or in int64 when no names are given."""
+    nodes = (table["src"], table["dst"])
+    lo = int(min(column.min() for column in nodes))
+    hi = int(max(column.max() for column in nodes))
+    bound = len(names) if names is not None else _INT64.max + 1
+    finite = bool(np.isfinite(table["weight"]).all())
+    return finite and index_base <= lo and hi - index_base < bound
+
+
+def _raise_first_bad_line(numbered_lines, index_base: int, names) -> NoReturn:
+    """Raise the error of the first line, in file order, that breaks the
+    grammar or a range check of ``parse_multiplex_text``.
+
+    Runs only after the table read or a column check has failed, so some
+    line does: the field patterns accept exactly the tokens numpy's reader
+    converts.
+    """
+    for lineno, raw in numbered_lines:
+        parts = raw.split()
+        if len(parts) != 4:
+            raise MalformedLineError(
+                lineno, f"expected 'layer_id src dst weight', got {raw!r}"
+            )
+        *keys, weight = parts
+        if not (all(map(_INT_FIELD.fullmatch, keys)) and _FLOAT_FIELD.fullmatch(weight)):
+            raise MalformedLineError(lineno, f"non-numeric field in {raw!r}")
+        if not math.isfinite(float(weight)):
+            raise MalformedLineError(lineno, f"non-finite weight in {raw!r}")
+        layer_id, src, dst = map(int, keys)
+        if min(src, dst) < index_base:
+            raise IndexOutOfRangeError(
+                f"line {lineno}: node index below 0 after subtracting "
+                f"index_base={index_base}"
+            )
+        adjusted = max(src, dst) - index_base
+        if names is not None and adjusted >= len(names):
+            raise IndexOutOfRangeError(
+                f"line {lineno}: node index {adjusted} but only "
+                f"{len(names)} names were given"
+            )
+        if not all(_INT64.min <= v <= _INT64.max for v in (layer_id, src, dst, adjusted)):
+            raise IndexOutOfRangeError(
+                f"line {lineno}: a layer id or node index does not fit in 64 bits"
+            )
+    raise AssertionError("unreachable: the table reader rejected a valid line")
 
 
 def layer_positions_for_id_range(net: MultiplexNetwork, lo: int, hi: int) -> list[int]:

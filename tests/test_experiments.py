@@ -317,6 +317,17 @@ def test_cli_rejects_knn_below_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_ingest_names_the_malformed_line(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("# layer_id src dst weight\n\n1 1 2 0.5\n2 1 3 x\n2 3 4 1.0\n")
+    assert main([
+        "ingest", "--multiplex", str(edges), "--rep-layers", "1..1",
+        "--sim-layers", "2..2", "--out", str(tmp_path / "ingested"),
+    ]) == 2
+    assert "error: line 4: non-numeric field in '2 1 3 x'" in capsys.readouterr().err
+    assert not (tmp_path / "ingested").exists()
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [

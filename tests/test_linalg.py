@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import repsc
 from repsc.clustering import constraint_null_basis
-from repsc.linalg import _fix_signs, as_float_matrix, ensure_symmetric, matmul
+from repsc.linalg import SIGN_THRESHOLD, _fix_signs, as_float_matrix, ensure_symmetric, matmul
 
 
 def test_sym_eig_known_diagonal():
@@ -165,6 +167,46 @@ def test_fix_signs_flips_columns_in_place():
         expected = vectors * np.where(vectors[0] < 0, -1.0, 1.0)
         assert _fix_signs(vectors) is vectors
         assert np.array_equal(vectors, expected)
+
+
+def fix_signs_reference(vectors):
+    """The per-column loop: one flatnonzero per column."""
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        idx = np.flatnonzero(np.abs(col) > SIGN_THRESHOLD)
+        if idx.size and col[idx[0]] < 0:
+            vectors[:, j] = -col
+    return vectors
+
+
+# Mostly tiny entries, so columns whose every entry is at or below the
+# threshold and columns whose first large entry comes late are common.
+sign_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-13, -1e-13, SIGN_THRESHOLD, -SIGN_THRESHOLD, 2e-12, -2e-12]),
+    st.floats(-3.0, 3.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+                  elements=sign_entries),
+       st.sampled_from(["C", "F", "strided"]))
+# A first large entry that is negative and late; columns wholly at or below it.
+@example(np.array([[1e-13, 0.0], [-1e-13, 2e-12], [-5.0, -1.0]]), "strided")
+@example(np.array([[-SIGN_THRESHOLD, 1e-13], [-1e-13, -SIGN_THRESHOLD]]), "F")
+def test_fix_signs_equals_the_per_column_loop(m, layout):
+    if layout == "F":
+        m = np.asfortranarray(m)
+    elif layout == "strided":
+        # Every other column of a wider array; with 4 columns its rows are 8
+        # doubles apart, the layout of the numpy 2.4.6 negative(out=) bug.
+        wide = np.zeros((m.shape[0], 2 * m.shape[1]))
+        wide[:, ::2] = m
+        m = wide[:, ::2]
+    want = fix_signs_reference(m.copy())
+    got = _fix_signs(m)
+    assert got is m
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sym_eig_generalized_rejects_bad_b():

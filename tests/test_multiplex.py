@@ -1,13 +1,15 @@
 """Multiplex edge-list parsing and the layer-reduction protocol."""
 
 import functools
+import math
 import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repsc
+from repsc.errors import IndexOutOfRangeError, MalformedLineError, NoLayersError
 from repsc.multiplex import _unique_rows
 
 SAMPLE = """\
@@ -105,6 +107,243 @@ def test_parse_index_handling():
         repsc.parse_multiplex_text("1 0 3 1.0\n", names=names)
     with pytest.raises(repsc.IndexOutOfRangeError):
         repsc.parse_multiplex_text(f"{2**63} 0 1 1.0\n")
+
+
+# -- the table reader against the per-line loop it replaced ------------------
+
+
+def parse_reference(text, index_base=0, names=None):
+    """The per-line parser: split, int() and float() on every line."""
+    keys, weights = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise MalformedLineError(lineno, f"expected 'layer_id src dst weight', got {raw!r}")
+        try:
+            layer_id, src, dst = int(parts[0]), int(parts[1]), int(parts[2])
+            weight = float(parts[3])
+        except ValueError:
+            raise MalformedLineError(lineno, f"non-numeric field in {raw!r}")
+        if not math.isfinite(weight):
+            raise MalformedLineError(lineno, f"non-finite weight in {raw!r}")
+        src -= index_base
+        dst -= index_base
+        if src < 0 or dst < 0:
+            raise IndexOutOfRangeError(
+                f"line {lineno}: node index below 0 after subtracting index_base={index_base}")
+        if names is not None and max(src, dst) >= len(names):
+            raise IndexOutOfRangeError(
+                f"line {lineno}: node index {max(src, dst)} but only {len(names)} names were given")
+        keys.append((layer_id, src, dst))
+        weights.append(weight)
+    if not keys:
+        raise NoLayersError("multiplex input contains no edges")
+    try:
+        rows = np.array(keys, dtype=np.int64)
+    except OverflowError:
+        raise IndexOutOfRangeError("a layer id or node index does not fit in 64 bits")
+    edges, inverse = _unique_rows(rows)
+    summed = np.bincount(inverse, weights=weights, minlength=len(edges))
+    layer_of, src, dst = edges.T
+    ids, starts = np.unique(layer_of, return_index=True)
+    bounds = zip(starts, [*starts[1:], len(edges)])
+    layers = tuple((src[a:b], dst[a:b], summed[a:b]) for a, b in bounds)
+    node_names = tuple(names) if names is not None else None
+    n = len(node_names) if node_names is not None else int(edges[:, 1:].max()) + 1
+    return repsc.MultiplexNetwork(n=n, layers=layers, layer_ids=tuple(ids.tolist()),
+                                  node_names=node_names)
+
+
+def assert_same_network(got, want):
+    assert got.n == want.n
+    assert got.layer_ids == want.layer_ids
+    assert got.node_names == want.node_names
+    assert len(got.layers) == len(want.layers)
+    for got_layer, want_layer in zip(got.layers, want.layers):
+        for g, w in zip(got_layer, want_layer):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+
+def parse_outcome(parse, text, **kwargs):
+    """The network, or the error's class and line number."""
+    try:
+        return parse(text, **kwargs)
+    except repsc.RepscError as exc:
+        return type(exc), getattr(exc, "line_number", None)
+
+
+blank = st.sampled_from(["", " ", "\t", "  \t "])
+gap = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@st.composite
+def valid_files(draw):
+    """Edge lines with comments and blanks interleaved, random whitespace,
+    '+' signs, duplicate (layer, src, dst) lines, an index base and names."""
+    index_base = draw(st.sampled_from([0, 1]))
+    n = draw(st.integers(1, 6))
+    node = st.integers(index_base, index_base + n - 1)
+    layer = st.sampled_from([-3, 0, 2, 7, 2**40])
+    weight = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300]))
+    edges = draw(st.lists(st.tuples(layer, node, node, weight), min_size=1, max_size=25))
+    lines = []
+    for layer_id, src, dst, w in edges:
+        while draw(st.booleans()):
+            lines.append(draw(st.one_of(blank, st.builds("{}# {}".format, blank,
+                                                         st.text("ab #1", max_size=8)))))
+        sign = st.sampled_from(["", "+"])
+        ints = [draw(sign if v >= 0 else st.just("")) + str(v) for v in (layer_id, src, dst)]
+        number = draw(st.sampled_from([repr(w), f"{w:.4f}", f"{w:e}"]))
+        if not number.startswith("-"):
+            number = draw(sign) + number
+        fields = [*ints, number]
+        lines.append(draw(blank) + "".join(f + draw(gap) for f in fields[:-1]) + fields[-1]
+                     + draw(blank))
+    names = tuple(f"n{i}" for i in range(n + draw(st.integers(0, 2)))) \
+        if draw(st.booleans()) else None
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), index_base, names
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_files())
+@example(("1 0 1 1.0", 0, None))
+@example(("# header\n\n  3\t1 2 -0.5  \n", 1, ("a", "b")))
+def test_parse_equals_the_per_line_reference(case):
+    text, index_base, names = case
+    got = repsc.parse_multiplex_text(text, index_base=index_base, names=names)
+    assert_same_network(got, parse_reference(text, index_base=index_base, names=names))
+
+
+def test_parse_equals_the_reference_on_a_large_file():
+    rng = np.random.default_rng(20)
+    size = 25_000
+    layer = rng.integers(1, 40, size)
+    src, dst = rng.integers(1, 300, size), rng.integers(1, 300, size)
+    weight = rng.exponential(1.0, size)
+    lines = [f"{a} {b} {c} {w!r}" for a, b, c, w in
+             zip(layer.tolist(), src.tolist(), dst.tolist(), weight.tolist())]
+    # Repeat a tenth of the lines so duplicates are summed, and interleave comments.
+    lines += lines[: size // 10]
+    for at in range(0, len(lines), 997):
+        lines.insert(at, "# block" if at % 2 else "")
+    text = "\n".join(lines) + "\n"
+    for index_base in (0, 1):
+        assert_same_network(repsc.parse_multiplex_text(text, index_base=index_base),
+                            parse_reference(text, index_base=index_base))
+
+
+def test_parse_a_one_line_file():
+    net = repsc.parse_multiplex_text("4 2 0 1.5")
+    assert_same_network(net, parse_reference("4 2 0 1.5"))
+    assert net.n == 3 and net.layer_ids == (4,)
+    assert [a.tolist() for a in net.layers[0]] == [[2], [0], [1.5]]
+
+
+PREAMBLE = "# header\n\n   \n1 1 2 1.0\n\t# indented comment\n"  # a bad line lands on 6
+
+
+@pytest.mark.parametrize("bad, kwargs, error", [
+    ("1 0 1", {}, MalformedLineError),
+    ("1 0 1 1.0 9", {}, MalformedLineError),
+    ("1 0 1 1.0 # inline", {}, MalformedLineError),
+    ("1 0 x 1.0", {}, MalformedLineError),
+    ("1.0 0 1 1.0", {}, MalformedLineError),
+    ("1 0 1 one", {}, MalformedLineError),
+    ("1 0 1 nan", {}, MalformedLineError),
+    ("1 0 1 -inf", {}, MalformedLineError),
+    ("1 0 1 1e999", {}, MalformedLineError),
+    ("1 -1 1 1.0", {}, IndexOutOfRangeError),
+    ("1 1 0 1.0", {"index_base": 1}, IndexOutOfRangeError),
+    ("1 0 5 1.0", {"names": ("a", "b", "c")}, IndexOutOfRangeError),
+    (f"1 0 {2**70} 1.0", {"names": ("a", "b", "c")}, IndexOutOfRangeError),
+])
+def test_each_error_names_its_line_as_the_reference_does(bad, kwargs, error):
+    text = PREAMBLE + bad + "\n1 2 1 2.0\n"
+    want = parse_outcome(parse_reference, text, **kwargs)
+    assert want == (error, 6 if error is MalformedLineError else None)
+    with pytest.raises(error) as info:
+        repsc.parse_multiplex_text(text, **kwargs)
+    assert str(info.value) == str(pytest.raises(error, parse_reference, text, **kwargs).value)
+    assert "line 6" in str(info.value)
+
+
+@pytest.mark.parametrize("fields", [
+    [f"{2**63}", "0", "1"], [f"{-2**63 - 1}", "0", "1"], ["1", f"{2**63}", "1"],
+    ["1", "0", f"{2**64}"],
+])
+def test_a_value_outside_64_bits_names_its_line(fields):
+    text = PREAMBLE + " ".join(fields) + " 1.0\n"
+    with pytest.raises(IndexOutOfRangeError, match="line 6: a layer id or node index "
+                                                   "does not fit in 64 bits"):
+        repsc.parse_multiplex_text(text)
+    with pytest.raises(IndexOutOfRangeError, match="does not fit in 64 bits"):
+        parse_reference(text)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("1 -1 0 1.0", "1 0 x 1.0"),    # a range error before a reader error
+    ("1 0 x 1.0", "1 -1 0 1.0"),    # a reader error before a range error
+    ("1 0 1 inf", "1 0 1"),         # a column check before a token count
+    ("1 0 1", "1 0 1 inf"),
+    ("1 0 9 1.0", "1 0 1 1.0 2"),   # the names bound before a token count
+    (f"1 0 {2**63} 1.0", "1 -1 0 1.0"),
+])
+def test_the_first_bad_line_in_file_order_wins(first, second):
+    text = f"1 0 1 1.0\n# c\n{first}\n\n{second}\n"
+    names = tuple("abc")
+    with pytest.raises(repsc.RepscError) as info:
+        repsc.parse_multiplex_text(text, names=names)
+    assert "line 3" in str(info.value)
+    if f"{2**63}" not in first:
+        want = parse_outcome(parse_reference, text, names=names)
+        assert (type(info.value), getattr(info.value, "line_number", None)) == want
+
+
+@pytest.mark.parametrize("bad", [
+    "1_000 0 1 1.0", "1 0 1_0 1.0", "1 0 1 1_0.5",
+    "١ 0 1 1.0", "1 ٢ 1 1.0", "1 0 1 ١.٥", "1 0 1 １",
+])
+def test_underscores_and_non_ascii_digits_are_malformed(bad):
+    # Python's int() and float() read these; the documented grammar does not.
+    text = "# c\n1 0 1 1.0\n" + bad + "\n"
+    parse_reference(text)
+    with pytest.raises(MalformedLineError) as info:
+        repsc.parse_multiplex_text(text)
+    assert info.value.line_number == 3
+
+
+TOKENS = ["0", "1", "+2", "-3", "007", "-0", "1.5", ".5", "5.", "-1e5", "1E+2", "1e", "e1",
+          ".", "+", "-", "++1", "inf", "-Infinity", "NaN", "nan(1)", "infinit", "0x10", "1,5",
+          "4j", "1.5d3", "#", "a", "\x00", "1\x00", f"{2**63 - 1}", f"{2**63}", f"{-2**63}",
+          f"{-2**63 - 1}"]
+SEPARATORS = [" ", "\t", "\xa0", "　", "\x1f", "\x0b", "\x85", " "]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), min_size=0, max_size=5),
+       st.lists(st.sampled_from(SEPARATORS), min_size=6, max_size=6),
+       st.sampled_from([0, 1]))
+def test_the_reader_and_the_reporter_agree_with_the_reference(tokens, seps, index_base):
+    # Every line the per-line reference reads parses to the same network;
+    # every line it rejects raises the same class at the same line. The
+    # exceptions are values outside 64 bits, which are now rejected before
+    # index_base is subtracted and name their line.
+    line = seps[0] + "".join(t + s for t, s in zip(tokens, seps[1:]))
+    text = "1 0 1 1.0\n" + line + "\n"
+    want = parse_outcome(parse_reference, text, index_base=index_base)
+    got = parse_outcome(repsc.parse_multiplex_text, text, index_base=index_base)
+    if any(t in (f"{2**63}", f"{-2**63 - 1}") for t in tokens) and \
+            got == (IndexOutOfRangeError, None):
+        return
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_network(got, want)
 
 
 def test_parse_from_file(tmp_path):
