@@ -38,7 +38,8 @@ every call. ``_group_basis`` writes the baseline's Y down from the groups.
 
 k-means is implemented here rather than borrowed so that seeding, restarts,
 tie-breaking and empty-cluster repair are fully deterministic functions of
-the config seed.
+the config seed. Its restarts run in lockstep, so each seeding or Lloyd
+step is one ``matmul`` for all of them.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     IsolatedNodeError,
@@ -97,80 +97,185 @@ class ClusteringResult:
     """Output of a spectral clustering run.
 
     ``embedding`` holds the points actually fed to k-means (one row per
-    node), ``spectrum_used`` the eigenvalues whose eigenvectors built that
-    embedding, and ``warnings`` any numerical caveats such as a degenerate
-    eigengap at the cut-off index.
+    node), ``kmeans_iters`` the number of Lloyd updates of the winning
+    k-means restart, ``spectrum_used`` the eigenvalues whose eigenvectors
+    built that embedding, and ``warnings`` any numerical caveats such as a
+    degenerate eigengap at the cut-off index.
     """
 
     assignment: ClusterAssignment
     embedding: np.ndarray
     kmeans_inertia: float
+    kmeans_iters: int
     spectrum_used: np.ndarray
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: spread initial centroids by squared distance."""
-    n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    closest = cdist(points, centroids[:1], "sqeuclidean")[:, 0]
-    for j in range(1, k):
-        total = closest.sum()
-        if total <= 0.0:
-            # All remaining points coincide with a centroid; any choice ties.
-            pick = int(rng.integers(n))
-        else:
-            pick = int(rng.choice(n, p=closest / total))
-        centroids[j] = points[pick]
-        closest = np.minimum(closest, cdist(points, centroids[j:j + 1], "sqeuclidean")[:, 0])
-    return centroids
+def _sq_norms(m: np.ndarray) -> np.ndarray:
+    """Squared length of every row of ``m``."""
+    return np.square(m).sum(axis=1)
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest-centroid labels and inertia, no cluster left empty (needs n >= k).
+def _lifted_points(points: np.ndarray) -> np.ndarray:
+    """Rows [x, 1, |x|^2]: the product of one with a ``_lifted_centroids``
+    row [-2c, |c|^2, 1] is the squared distance |x|^2 - 2 x.c + |c|^2."""
+    return np.column_stack([points, np.ones(points.shape[0]), _sq_norms(points)])
 
-    Each empty cluster takes the point farthest from its centroid among
-    clusters with two or more members; that point then adds 0 to the inertia.
+
+def _lifted_centroids(centroids: np.ndarray) -> np.ndarray:
+    """Rows [-2c, |c|^2, 1]; see ``_lifted_points``."""
+    return np.column_stack([-2.0 * centroids, _sq_norms(centroids), np.ones(centroids.shape[0])])
+
+
+def _kmeanspp_draws(closest: np.ndarray, rngs) -> np.ndarray:
+    """One k-means++ pick per row of ``closest`` (one restart's squared
+    distances to its nearest centroid so far), each from that restart's
+    generator.
+
+    A row with a positive total draws exactly what
+    ``rng.choice(n, p=row / total)`` draws, from the same one uniform
+    variate; a row without one (every point sits on a centroid, so any
+    choice ties) draws ``rng.integers(n)``.
     """
-    d2 = cdist(points, centroids, "sqeuclidean")
-    labels = d2.argmin(axis=1)
-    assigned = d2[np.arange(points.shape[0]), labels]
-    counts = np.bincount(labels, minlength=centroids.shape[0])
-    for empty in np.flatnonzero(counts == 0):
-        far = int(np.where(counts[labels] > 1, assigned, -1.0).argmax())
-        counts[labels[far]] -= 1
-        counts[empty] = 1
-        labels[far] = empty
-        assigned[far] = 0.0
-    return labels, float(assigned.sum())
+    n = closest.shape[1]
+    totals = closest.sum(axis=1)
+    live = totals > 0.0
+    cdf = np.cumsum(closest[live] / totals[live, None], axis=1)
+    cdf /= cdf[:, -1:]
+    rows = iter(cdf)
+    return np.array([next(rows).searchsorted(rng.random(), side="right") if positive
+                     else rng.integers(n) for rng, positive in zip(rngs, live)], dtype=np.intp)
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
-           max_iters: int, rel_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    centroids = _seed_centroids(points, k, rng)
-    prev_inertia = np.inf
-    for _ in range(max_iters):
-        labels, inertia = _assign(points, centroids)
-        for j in range(k):
-            centroids[j] = points[labels == j].mean(axis=0)
-        if prev_inertia - inertia <= rel_tol * max(abs(prev_inertia), 1e-300):
-            break
-        prev_inertia = inertia
-    labels, inertia = _assign(points, centroids)
-    return labels, centroids, inertia
+def _seed_centroids(points: np.ndarray, lifted: np.ndarray, k: int, rngs) -> np.ndarray:
+    """k-means++ seeding of one restart per generator, in lockstep: the row
+    indices (R, k) of each restart's initial centroids, spread by squared
+    distance. ``lifted`` is ``_lifted_points(points)``; one product per step
+    measures every restart's newest centroid against all points."""
+    n = points.shape[0]
+    restarts = np.arange(len(rngs))
+    lifted_rows = _lifted_centroids(points)
+    chosen = np.empty((len(rngs), k), dtype=np.intp)
+    chosen[:, 0] = [rng.integers(n) for rng in rngs]
+    closest = np.full((len(rngs), n), np.inf)
+    for j in range(1, k):
+        newest = chosen[:, j - 1]
+        dist = matmul(lifted_rows[newest], lifted.T)
+        np.maximum(dist, 0.0, out=dist)
+        dist[restarts, newest] = 0.0
+        np.minimum(closest, dist, out=closest)
+        chosen[:, j] = _kmeanspp_draws(closest, rngs)
+    return chosen
+
+
+def _assign(lifted: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-centroid labels (R, n) and inertias (R,) of each restart's
+    (k, d) centroids in ``centroids`` (R, k, d), no cluster left empty
+    (needs n >= k); ``lifted`` is ``_lifted_points`` of the points.
+
+    One product gives the squared distances of every restart, and each
+    assigned distance is clamped at 0. In each restart, each empty cluster
+    takes the point farthest from its centroid among clusters with two or
+    more members; that point then adds 0 to the inertia.
+    """
+    restarts, k, _ = centroids.shape
+    dist = matmul(lifted, _lifted_centroids(centroids.reshape(restarts * k, -1)).T)
+    dist = dist.reshape(-1, restarts, k)
+    nearest = dist.argmin(axis=2)
+    assigned = np.take_along_axis(dist, nearest[:, :, None], axis=2)[:, :, 0]
+    assigned = np.maximum(assigned.T, 0.0, order="C")
+    labels = np.ascontiguousarray(nearest.T)
+    counts = np.bincount((labels + k * np.arange(restarts)[:, None]).ravel(),
+                         minlength=restarts * k).reshape(restarts, k)
+    for restart in np.flatnonzero((counts == 0).any(axis=1)):
+        own, dist_own, sizes = labels[restart], assigned[restart], counts[restart]
+        for empty in np.flatnonzero(sizes == 0):
+            far = int(np.where(sizes[own] > 1, dist_own, -1.0).argmax())
+            sizes[own[far]] -= 1
+            sizes[empty] = 1
+            own[far] = empty
+            dist_own[far] = 0.0
+    return labels, assigned.sum(axis=1)
+
+
+def _update(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Each restart's centroids (R, k, d): the mean of every cluster of its
+    labels (R, n), none of them empty, summed in point order."""
+    restarts, n = labels.shape
+    keys = (labels + k * np.arange(restarts)[:, None]).ravel()
+    # Keys of 16 bits or fewer sort by radix.
+    order = np.argsort(keys.astype(np.min_scalar_type(restarts * k)), kind="stable")
+    counts = np.bincount(keys, minlength=restarts * k)
+    sums = np.add.reduceat(points.take(order % n, axis=0), np.cumsum(counts) - counts, axis=0)
+    return (sums / counts[:, None]).reshape(restarts, k, points.shape[1])
+
+
+def _lloyd(points: np.ndarray, k: int, seed: int, restarts, max_iters: int,
+           rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded Lloyd runs of the restart indices ``restarts``, in lockstep.
+
+    Restart r draws from ``default_rng([seed, r])`` alone. It stops at a
+    fixed point (an assignment that moves no label), once an update lowers
+    its inertia by at most ``rel_tol`` of the previous inertia, or after
+    ``max_iters`` updates; the others go on. Returns every restart's labels
+    (R, n), centroids (R, k, d), inertia (R,) and number of updates (R,),
+    the labels and inertia those of the final centroids.
+    """
+    lifted = _lifted_points(points)
+    rngs = [np.random.default_rng([seed, restart]) for restart in restarts]
+    centroids = points[_seed_centroids(points, lifted, k, rngs)]
+    labels = np.full((len(rngs), points.shape[0]), -1, dtype=np.intp)
+    inertia = np.full(len(rngs), np.inf)
+    iters = np.zeros(len(rngs), dtype=np.int64)
+    stale = np.zeros(len(rngs), dtype=bool)  # updated since their last assignment
+    active = np.arange(len(rngs))
+    while active.size:
+        new, cost = _assign(lifted, centroids[active])
+        moved = (new != labels[active]).any(axis=1)
+        last = inertia[active]
+        labels[active], inertia[active], stale[active] = new, cost, False
+        active, last, cost = active[moved], last[moved], cost[moved]
+        centroids[active] = _update(points, new[moved], k)
+        iters[active] += 1
+        stale[active] = True
+        done = np.isfinite(last) & (last - cost <= rel_tol * np.maximum(np.abs(last), 1e-300))
+        active = active[~done & (iters[active] < max_iters)]
+    if stale.any():
+        labels[stale], inertia[stale] = _assign(lifted, centroids[stale])
+    return labels, centroids, inertia, iters
+
+
+class _KMeansOutput(tuple):
+    """``kmeans``'s (labels, centroids, inertia), which also carries the
+    winning restart's number of Lloyd updates as ``iters``."""
+
+    def __new__(cls, labels, centroids, inertia, iters):
+        out = super().__new__(cls, (labels, centroids, inertia))
+        out.iters = iters
+        return out
+
+    def __getnewargs__(self):
+        return (*self, self.iters)
 
 
 def kmeans(points, cfg: KMeansConfig) -> tuple[np.ndarray, np.ndarray, float]:
     """Restarted Lloyd iterations with k-means++ seeding.
 
-    Runs ``cfg.restarts`` independent seeded attempts and keeps the one with
-    the lowest inertia (first winner on ties). Each restart draws its
-    randomness from a generator keyed by (seed, restart index), so results
-    do not depend on scheduling or on how many restarts run.
+    Runs ``cfg.restarts`` seeded attempts and keeps the one with the lowest
+    inertia (first winner on ties). Every restart iterates until an
+    assignment moves no label, an update lowers its inertia by at most
+    ``cfg.rel_tol`` of the previous inertia, or for ``cfg.max_iters``
+    updates. The restarts run in lockstep: one matrix product per step gives
+    every active restart's squared distances (|x|^2 - 2 x.c + |c|^2,
+    clamped at 0), and one sorted reduction its new centroids. Each restart
+    draws its randomness from a generator keyed by (seed, restart index),
+    and the other restarts change its arithmetic at most by BLAS rounding
+    the product of another width differently in the last bit, so its
+    result is a function of (seed, restart) except at exact near-ties.
 
     Returns:
-        (labels, centroids, inertia).
+        (labels, centroids, inertia); the tuple also carries the winning
+        restart's number of Lloyd updates as ``.iters``.
 
     Raises:
         KTooLargeError if cfg.k exceeds the number of points.
@@ -183,13 +288,10 @@ def kmeans(points, cfg: KMeansConfig) -> tuple[np.ndarray, np.ndarray, float]:
     k = cfg.k
     if k > pts.shape[0]:
         raise KTooLargeError(f"k={k} exceeds number of points {pts.shape[0]}")
-    best: tuple[np.ndarray, np.ndarray, float] | None = None
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, restart])
-        labels, centroids, inertia = _lloyd(pts, k, rng, cfg.max_iters, cfg.rel_tol)
-        if best is None or inertia < best[2]:
-            best = (labels, centroids, inertia)
-    return best
+    labels, centroids, inertia, iters = _lloyd(pts, k, cfg.seed, range(cfg.restarts),
+                                               cfg.max_iters, cfg.rel_tol)
+    best = int(inertia.argmin())
+    return _KMeansOutput(labels[best], centroids[best], float(inertia[best]), int(iters[best]))
 
 
 def _gap_warnings(eigenvalues: np.ndarray, k: int) -> tuple[str, ...]:
@@ -334,8 +436,9 @@ def _solve(graph, k: int, cfg: KMeansConfig, basis: np.ndarray | None = None,
                 int(zero_rows.sum()),
             )
         embedding /= np.where(zero_rows, 1.0, norms)[:, None]
-    labels, _, inertia = kmeans(embedding, cfg)
-    return ClusteringResult(ClusterAssignment(labels, k), embedding, inertia, spectrum, warnings)
+    labels, _, inertia = fit = kmeans(embedding, cfg)
+    return ClusteringResult(ClusterAssignment(labels, k), embedding, inertia, fit.iters,
+                            spectrum, warnings)
 
 
 def _truncated_basis(graph, rep_graph, k: int, rank: int) -> np.ndarray:

@@ -48,7 +48,7 @@ CSV_COLUMNS = (
     "trial", "seed", "accuracy_nodes", "mistake_fraction", "rcut", "ncut",
     "avg_balance", "min_balance", "max_representation_residual",
     "balance_over_rcut", "gamma", "bound_shape_unnormalized",
-    "bound_shape_normalized", "runtime_ms", "error",
+    "bound_shape_normalized", "kmeans_iters", "runtime_ms", "error",
 )
 METRIC_COLUMNS = (
     "accuracy_nodes", "mistake_fraction", "rcut", "ncut", "avg_balance",
@@ -398,6 +398,7 @@ def _execute_task(args: tuple[ExperimentConfig, _Task]) -> dict:
             min_balance=score.min_balance,
             max_representation_residual=score.max_representation_residual,
             balance_over_rcut=score.balance_over_rcut,
+            kmeans_iters=result.kmeans_iters,
         )
     except Exception as exc:  # any failure stays in its own row; the sweep goes on
         row["error"] = f"{type(exc).__name__}: {exc}"

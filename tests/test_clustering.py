@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import repsc
 from repsc import clustering
-from repsc.clustering import _assign, constraint_null_basis
+from repsc.clustering import _assign, _lifted_points, constraint_null_basis
 from repsc.linalg import sym_eig
 from conftest import random_orthonormal, same_partition
 
@@ -109,7 +109,7 @@ def test_assignment_repair_never_empties_a_cluster():
     points = np.array([[0.179], [-0.937], [-0.252], [1.174], [-0.147], [1.553], [0.224]])
     previous = np.array([2, 0, 2, 1, 0, 3, 1])
     centroids = np.array([points[previous == j].mean(axis=0) for j in range(4)])
-    labels, inertia = _assign(points, centroids)
+    (labels,), (inertia,) = _assign(_lifted_points(points), centroids[None])
     assert labels.tolist() == [2, 0, 2, 1, 2, 3, 2]
     assert inertia == pytest.approx(0.328976)
 

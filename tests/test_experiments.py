@@ -124,6 +124,32 @@ def test_sweep_deterministic_except_runtime(tmp_path):
     assert normalized_lines(tmp_path / "a") == normalized_lines(tmp_path / "b")
 
 
+def test_kmeans_max_iters_changes_the_sweep_output(tmp_path):
+    # Clustering columns, not only kmeans_iters, differ between 1 and 100 updates.
+    def clustering_cells(max_iters):
+        out_dir = tmp_path / f"iters{max_iters}"
+        repsc.run_experiment(repsc.parse_config_text(
+            "mode = planted_partition_sweep\n"
+            "algorithms = usc, fair_sc_baseline\n"
+            "n_values = 40\n"
+            "k_values = 4\n"
+            "trials = 2\n"
+            f"kmeans_max_iters = {max_iters}\n"
+            f"out = {out_dir}\n"
+        ))
+        header, *lines = (out_dir / "results.csv").read_text().splitlines()
+        columns = header.split(",")
+        keep = [i for i, name in enumerate(columns) if name not in ("runtime_ms", "kmeans_iters")]
+        iters = [int(line.split(",")[columns.index("kmeans_iters")]) for line in lines]
+        return [[line.split(",")[i] for i in keep] for line in lines], iters
+
+    one, one_iters = clustering_cells(1)
+    full, full_iters = clustering_cells(100)
+    assert one_iters == [1] * 4
+    assert all(n >= 1 for n in full_iters) and max(full_iters) > 1
+    assert one != full
+
+
 def test_aggregate_means_match_rows(tmp_path):
     cfg = repsc.parse_config_text(sweep_config(tmp_path / "agg"))
     result = repsc.run_experiment(cfg)

@@ -274,15 +274,29 @@ def test_matmul_copies_no_contiguous_operand():
 PRODUCT_CALLS = {"dot", "matmul", "tensordot"}
 
 
+def _names_scipy_spatial(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("scipy.spatial") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("scipy.spatial") or (
+            module == "scipy" and any(alias.name == "spatial" for alias in node.names))
+    return (isinstance(node, ast.Attribute) and node.attr in ("spatial", "cdist")) or (
+        isinstance(node, ast.Name) and node.id == "cdist")
+
+
 def test_only_linalg_multiplies_matrices():
     # One BLAS library, and so one thread pool, serves the package only while
-    # every product goes through linalg.matmul.
+    # every product goes through linalg.matmul; distances are products too,
+    # so no module may reach for scipy.spatial's cdist instead.
     found = []
     for path in sorted(Path(repsc.__file__).parent.glob("*.py")):
-        if path.name == "linalg.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            if _names_scipy_spatial(node):
+                found.append(f"{path.name}:{node.lineno}: scipy.spatial")
+            elif path.name == "linalg.py":
+                continue
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
                 found.append(f"{path.name}:{node.lineno}: @")
             elif (isinstance(node, ast.Attribute) and node.attr in PRODUCT_CALLS
                   and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
