@@ -11,6 +11,7 @@ represented", and the two non-represented cases).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -25,6 +26,10 @@ from .errors import (
     SizeMismatchError,
 )
 from .linalg import EigenDecomposition, as_float_matrix, ensure_symmetric, matmul, sym_eig
+
+# An integer field of the text formats: ASCII decimal digits with an optional
+# sign. int() alone would also take '1_0', padding and other scripts' digits.
+_INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -86,14 +91,18 @@ class ClusterAssignment:
     k: int
 
     def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.int64)
-        if lab.ndim != 1 or lab.size == 0:
+        raw = np.asarray(self.labels)
+        if raw.ndim != 1 or raw.size == 0 or raw.dtype.kind not in "biuf":
             raise ValueError("labels must be a non-empty 1-d integer array")
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
-        if lab.min() < 0 or lab.max() >= self.k:
+        if raw.dtype.kind == "f":
+            fractional = raw[raw != np.trunc(raw)]
+            if fractional.size:
+                raise ValueError(f"labels must be exact integers, got {fractional[0]!r}")
+        if raw.min() < 0 or raw.max() >= self.k:
             raise ValueError(f"labels must lie in [0, {self.k})")
-        object.__setattr__(self, "labels", lab)
+        object.__setattr__(self, "labels", raw.astype(np.int64))
 
     @property
     def n(self) -> int:
@@ -444,31 +453,34 @@ def read_assignment(path) -> ClusterAssignment:
     """Parse the assignment format; k comes from a ``# k = K`` line if any.
 
     Without such a line (files written before it existed) k is the largest
-    label plus one. Other ``#`` lines and blank lines are skipped.
+    label plus one. Other ``#`` lines and blank lines are skipped. Labels and
+    k are ASCII decimal integers with an optional sign, as in the multiplex
+    grammar. A label that is not one, is negative, or is not below k raises
+    MalformedLineError naming its line.
     """
-    labels = []
+    labels, label_lines = [], []
     k = None
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("#"):
             key, sep, value = stripped[1:].partition("=")
             if sep and key.strip() == "k":
-                try:
-                    k, k_line = int(value), lineno
-                except ValueError:
+                if not _INT_FIELD.fullmatch(value.strip()):
                     raise MalformedLineError(lineno, f"expected an integer k, got {line!r}")
+                k = int(value)
             continue
         if not stripped:
             continue
-        try:
-            labels.append(int(stripped))
-        except ValueError:
+        if not _INT_FIELD.fullmatch(stripped):
             raise MalformedLineError(lineno, f"expected an integer label, got {line!r}")
+        labels.append(int(stripped))
+        label_lines.append(lineno)
     if not labels:
         raise MalformedLineError(1, "assignment file contains no labels")
+    # Without a k line, a label need only fit the int64 label array.
+    bound = k if k is not None else 2**63 - 1
+    for lineno, label in zip(label_lines, labels):
+        if not 0 <= label < bound:
+            raise MalformedLineError(lineno, f"label {label} is outside [0, {bound})")
     arr = np.asarray(labels, dtype=np.int64)
-    if k is None:
-        k = int(arr.max()) + 1
-    elif k <= arr.max():
-        raise MalformedLineError(k_line, f"k = {k} but a label is {int(arr.max())}")
-    return ClusterAssignment(arr, k)
+    return ClusterAssignment(arr, int(arr.max()) + 1 if k is None else k)

@@ -11,8 +11,12 @@ strongest neighbors, then edges are symmetrized by union), aggregates a
 range of layers by entrywise OR, and finally drops nodes that end up
 isolated. Each of those steps is its own function here so the protocol
 stays inspectable and re-composable. Each parsed layer is one edge table
-(``src``, ``dst``, ``weight`` arrays sorted by (src, dst)), and the
+(``src``, ``dst``, ``weight`` arrays sorted by (src, dst)), grouped from the
+file's lines by one sort of a packed (layer, src, dst) key, and the
 nearest-neighbor reduction works on it without a dense weight matrix.
+``build_working_graphs`` runs the whole protocol without a graph per layer:
+every layer's selected pairs are stored straight into one adjacency per
+layer range, which is the OR that ``aggregate_layers`` would take.
 """
 
 from __future__ import annotations
@@ -36,14 +40,14 @@ from .errors import (
     NoLayersError,
     SizeMismatchError,
 )
-from .graphs import Graph
+from .graphs import _INT_FIELD, Graph
 
 _ROW = np.dtype([("layer", np.int64), ("src", np.int64), ("dst", np.int64),
                  ("weight", np.float64)])
 _INT64 = np.iinfo(np.int64)
-# The tokens numpy's reader converts: ASCII decimal integers, and the
-# decimal, inf and nan spellings of Python's float() without underscores.
-_INT_FIELD = re.compile(r"[+-]?[0-9]+")
+# The tokens numpy's reader converts: ASCII decimal integers (_INT_FIELD),
+# and the decimal, inf and nan spellings of Python's float() without
+# underscores.
 _FLOAT_FIELD = re.compile(
     r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))"
 )
@@ -106,15 +110,32 @@ def parse_multiplex(path, index_base: int = 0, names=None) -> MultiplexNetwork:
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(rows, axis=0, return_inverse=True)`` for an (n, 3) int64
     array: the distinct rows sorted by (column 0, 1, 2), and each row's index
-    among them. One stable lexsort; a row starts a run when it differs from
-    the row before it in sorted order."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
+    among them.
+
+    Each column, shifted to start at 0, is one digit of a mixed-radix int64
+    key with column 0 the most significant, so one stable argsort of the key
+    orders the rows. Only when the key's range would not fit in int64 does a
+    stable lexsort over the three columns order them instead. A row starts a
+    run when its key (or row) differs from the one before it in sorted order.
+    """
+    lo, hi = rows.min(axis=0), rows.max(axis=0)
+    spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
     starts = np.ones(len(rows), dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    if math.prod(spans) <= _INT64.max:
+        key = (rows[:, 0] - lo[0]) * spans[1]
+        key += rows[:, 1] - lo[1]
+        key *= spans[2]
+        key += rows[:, 2] - lo[2]
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    else:
+        order = np.lexsort(rows.T[::-1])
+        ordered = rows[order]
+        np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
-    return ordered[starts], inverse
+    return rows[order[starts]], inverse
 
 
 def parse_multiplex_text(text: str, index_base: int = 0, names=None) -> MultiplexNetwork:
@@ -243,6 +264,21 @@ def layer_positions_for_id_range(net: MultiplexNetwork, lo: int, hi: int) -> lis
     return positions
 
 
+def _knn_selection(net: MultiplexNetwork, layer: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The directed (src, dst) pairs of one layer's nearest-neighbor step:
+    each node's k neighbors of largest weight, ties toward the lower index,
+    self-weights and zero weights ignored."""
+    src, dst, weight = _layer_edges(net, layer)
+    keep = (src != dst) & (weight != 0.0)
+    src, dst, weight = src[keep], dst[keep], weight[keep]
+    # Group by source; within a source, descending weight, then ascending
+    # neighbor index. Each source keeps the first k entries of its group.
+    order = np.lexsort((dst, -weight, src))
+    src, dst = src[order], dst[order]
+    top = np.arange(src.size) - np.searchsorted(src, src) < k
+    return src[top], dst[top]
+
+
 def knn_layer_graph(net: MultiplexNetwork, layer: int, k: int) -> Graph:
     """Undirected nearest-neighbor graph of one layer.
 
@@ -253,15 +289,7 @@ def knn_layer_graph(net: MultiplexNetwork, layer: int, k: int) -> Graph:
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    src, dst, weight = _layer_edges(net, layer)
-    keep = (src != dst) & (weight != 0.0)
-    src, dst, weight = src[keep], dst[keep], weight[keep]
-    # Group by source; within a source, descending weight, then ascending
-    # neighbor index. Each source keeps the first k entries of its group.
-    order = np.lexsort((dst, -weight, src))
-    src, dst = src[order], dst[order]
-    top = np.arange(src.size) - np.searchsorted(src, src) < k
-    src, dst = src[top], dst[top]
+    src, dst = _knn_selection(net, layer, k)
     adjacency = np.zeros((net.n, net.n))
     adjacency[src, dst] = adjacency[dst, src] = 1.0
     return Graph(adjacency, allows_self_loops=False)
@@ -339,9 +367,15 @@ def build_working_graphs(path, rep_layers: tuple[int, int], sim_layers: tuple[in
     net = parse_multiplex(path, index_base=index_base, names=names)
 
     def aggregate(layer_ids: tuple[int, int], force_diagonal: bool) -> Graph:
-        positions = layer_positions_for_id_range(net, *layer_ids)
-        layers = (knn_layer_graph(net, t, knn_k) for t in positions)
-        return aggregate_layers(layers, force_diagonal=force_diagonal)
+        # knn_layer_graph then aggregate_layers, written as one adjacency
+        # that every layer's selection is stored into: the OR of the layers.
+        adjacency = np.zeros((net.n, net.n))
+        for t in layer_positions_for_id_range(net, *layer_ids):
+            src, dst = _knn_selection(net, t, knn_k)
+            adjacency[src, dst] = adjacency[dst, src] = 1.0
+        if force_diagonal:
+            np.fill_diagonal(adjacency, 1.0)
+        return Graph(adjacency, allows_self_loops=force_diagonal)
 
     rep = aggregate(rep_layers, True)
     sim = aggregate(sim_layers, False)

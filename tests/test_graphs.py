@@ -33,6 +33,24 @@ def test_cluster_assignment_validation():
     assert np.array_equal(a.onehot().sum(axis=1), np.ones(3))
 
 
+@pytest.mark.parametrize("labels", [
+    [0.0, 1.7, 1.2], [0.0, 0.5], [0.0, np.nan], [0.0, -0.25], [1e-12, 0.0]])
+def test_cluster_assignment_rejects_non_integral_labels(labels):
+    # Casting would truncate 1.7 to 1; a label must be an exact integer.
+    with pytest.raises(ValueError, match="exact integers"):
+        repsc.ClusterAssignment(np.array(labels), 2)
+
+
+def test_cluster_assignment_takes_integral_floats_and_rejects_non_numbers():
+    a = repsc.ClusterAssignment(np.array([0.0, 1.0, 1.0]), 2)
+    assert a.labels.dtype == np.int64 and a.labels.tolist() == [0, 1, 1]
+    for labels in (np.array(["0", "1"]), np.array([0, 1j]), np.array([0, 1], dtype=object)):
+        with pytest.raises(ValueError, match="integer array"):
+            repsc.ClusterAssignment(labels, 2)
+    with pytest.raises(ValueError, match="lie in"):
+        repsc.ClusterAssignment(np.array([0.0, np.inf]), 2)
+
+
 def test_contiguous_assignment():
     a = repsc.contiguous_assignment(6, 3)
     assert a.labels.tolist() == [0, 0, 1, 1, 2, 2]
@@ -285,6 +303,32 @@ def test_assignment_round_trip(tmp_path):
         bad.write_text(text)
         with pytest.raises(repsc.MalformedLineError):
             repsc.read_assignment(bad)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("# k = 2\n0\n-1\n", 3),         # negative label
+    ("0\n-1\n1\n", 2),               # negative label, no k line
+    ("0\n1_0\n", 2),                  # int() would read 10
+    ("0\n\u0661\n", 2),              # int() would read 1 (Arabic-Indic digit)
+    ("0\n1.0\n", 2),
+    ("0\n1 1\n", 2),
+    ("# k = 1_0\n0\n", 1),
+    ("# k = 2\n0\n\n# note\n2\n", 5),  # not below k
+    (f"0\n{2**63}\n", 2),             # does not fit the int64 label array
+])
+def test_read_assignment_names_the_bad_line(tmp_path, text, line):
+    path = tmp_path / "labels.txt"
+    path.write_text(text)
+    with pytest.raises(repsc.MalformedLineError) as info:
+        repsc.read_assignment(path)
+    assert info.value.line_number == line
+
+
+def test_read_assignment_takes_signed_ascii_decimals(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("# k = +3\n+0\n  2  \n01\n")
+    read = repsc.read_assignment(path)
+    assert read.k == 3 and read.labels.tolist() == [0, 2, 1]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,9 @@
 """Dense linear algebra primitives: conventions, errors, reconstruction."""
 
 import ast
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -305,6 +308,24 @@ def test_only_linalg_multiplies_matrices():
                   and any(alias.name in PRODUCT_CALLS for alias in node.names)):
                 found.append(f"{path.name}:{node.lineno}: from numpy import")
     assert found == []
+
+
+# Loaded by scipy.optimize (and by scipy.spatial), never by scipy.linalg;
+# together they add about 0.2 s and 20 MiB to a process's import on a
+# 2-core machine.
+HEAVY_SCIPY = ("scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special", "scipy.fft")
+
+
+def test_importing_the_cli_loads_no_heavy_scipy_module():
+    # A fresh interpreter, so modules the test suite has loaded do not count.
+    probe = ("import sys, repsc.cli; "
+             f"print(sorted(m for m in {HEAVY_SCIPY!r} if m in sys.modules))")
+    src = str(Path(repsc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # -- what the removed helpers did, through the code that replaced them -------

@@ -4,9 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import repsc
 from conftest import brute_force_mistake, random_assignment, same_partition
+from repsc.metrics import _max_weight_matching
 
 
 def complete_graph(n: int) -> repsc.Graph:
@@ -139,6 +142,40 @@ def test_mistake_fraction_rejects_mismatched_shapes():
         repsc.mistake_fraction(
             repsc.contiguous_assignment(12, 2), repsc.contiguous_assignment(12, 3)
         )
+
+
+# -- the exact matching solver against independent optima --------------------
+
+
+def brute_force_matching(weights):
+    k = weights.shape[0]
+    return max(int(weights[range(k), list(perm)].sum())
+               for perm in itertools.permutations(range(k)))
+
+
+# Few distinct values make ties (and many optimal matchings) likely.
+small_confusions = st.integers(1, 6).flatmap(lambda k: hnp.arrays(
+    np.int64, (k, k), elements=st.one_of(st.integers(0, 3), st.integers(0, 10**6))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_confusions)
+def test_matching_equals_brute_force_on_small_matrices(weights):
+    assert _max_weight_matching(weights) == brute_force_matching(weights)
+    # Transposing (swapping truth and prediction) keeps the optimum.
+    assert _max_weight_matching(weights.T.copy()) == brute_force_matching(weights)
+
+
+def test_matching_equals_scipy_up_to_k_200():
+    # scipy.optimize is imported here only: the package itself avoids it.
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(64)
+    for k in (7, 12, 25, 50, 100, 200):
+        for high in (2, 50, 10**9):
+            weights = rng.integers(0, high, size=(k, k))
+            rows, cols = linear_sum_assignment(weights, maximize=True)
+            assert _max_weight_matching(weights) == int(weights[rows, cols].sum()), (k, high)
 
 
 def test_score_partition_on_fair_ground_truth(toy_instance):

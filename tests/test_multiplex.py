@@ -64,19 +64,46 @@ def unique_rows_reference(rows):
     return edges, inverse.reshape(-1)
 
 
-# Small ranges make duplicate rows likely; the extremes check signed order.
-key_part = st.one_of(st.integers(-3, 3), st.integers(-2**63, 2**63 - 1))
+# Small ranges make duplicate rows likely; gapped ids (multiples of 1000,
+# negative layers included) and values near 2**62 make wide packed digits;
+# the extremes overflow the packed key, so the lexsort fallback runs.
+key_part = st.one_of(st.integers(-3, 3), st.integers(-4, 4).map(lambda v: 1000 * v),
+                     st.integers(2**62 - 2, 2**62 + 2), st.integers(-2**63, 2**63 - 1))
+node_part = st.one_of(st.integers(0, 4), st.integers(0, 4).map(lambda v: 1000 * v),
+                      st.integers(2**62 - 2, 2**62 + 2), st.integers(0, 2**63 - 1))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(key_part, st.integers(0, 4), st.integers(0, 4)), min_size=1,
-                max_size=40))
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(key_part, node_part, node_part), min_size=1, max_size=40))
 def test_unique_rows_matches_np_unique(keys):
     rows = np.array(keys, dtype=np.int64)
     edges, inverse = _unique_rows(rows)
     ref_edges, ref_inverse = unique_rows_reference(rows)
     assert edges.dtype == ref_edges.dtype and np.array_equal(edges, ref_edges)
     assert inverse.dtype == ref_inverse.dtype and np.array_equal(inverse, ref_inverse)
+
+
+@pytest.mark.parametrize("keys, packed", [
+    # Spans 7 * 5 * 5: one packed key.
+    ([(3, 0, 4), (-3, 4, 0), (3, 0, 4), (0, 2, 2)], True),
+    # Spans 2 * 1 * (2**62 - 1): the packed range still fits int64.
+    ([(1, 7, 2**62 - 2), (0, 7, 0), (1, 7, 0), (0, 7, 2**62 - 2)], True),
+    # Spans 2 * 1 * 2**62 = 2**63, one past the largest int64.
+    ([(1, 7, 2**62 - 1), (0, 7, 0), (1, 7, 0), (0, 7, 2**62 - 1)], False),
+    # Spans 2 * 2 * 2**62 = 2**64: the key would overflow.
+    ([(1, 1, 2**62 - 1), (0, 0, 0), (1, 1, 2**62 - 1), (0, 1, 5)], False),
+    # One column alone spans 2**64.
+    ([(-2**63, 0, 0), (2**63 - 1, 0, 0), (-2**63, 0, 0)], False),
+])
+def test_unique_rows_packs_the_key_unless_it_would_overflow(monkeypatch, keys, packed):
+    lexsorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda k: lexsorts.append(1) or lexsort(k))
+    rows = np.array(keys, dtype=np.int64)
+    edges, inverse = _unique_rows(rows)
+    ref_edges, ref_inverse = unique_rows_reference(rows)
+    assert np.array_equal(edges, ref_edges) and np.array_equal(inverse, ref_inverse)
+    assert lexsorts == ([] if packed else [1])
 
 
 def test_parse_skips_comments_and_blanks():
@@ -522,3 +549,46 @@ def test_knn_matches_the_per_row_reference(case, k):
     for t, layer_id in enumerate(net.layer_ids):
         g = repsc.knn_layer_graph(net, t, k)
         assert np.array_equal(g.adjacency, knn_reference(lines, n, layer_id, k))
+
+
+# -- build_working_graphs against the public pipeline it fuses ---------------
+
+
+def seeded_multiplex_text(seed, n=40, layer_ids=(1, 2, 4, 7, 8, 9), lines=900):
+    """Random edge lines, 1-based node ids, with duplicate (summed) lines,
+    self-weights, zero and negative weights; nodes n - 3 to n never occur."""
+    rng = np.random.default_rng(seed)
+    out = ["# seeded multiplex file"]
+    for _ in range(lines):
+        layer = rng.choice(layer_ids)
+        src, dst = rng.integers(1, n - 3, size=2)
+        weight = float(rng.choice([0.0, -1.0, 0.5, 1.0, 2.0, rng.exponential()]))
+        out.append(f"{layer} {src} {dst} {weight!r}")
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("knn_k", [1, 3, 50])
+def test_working_graphs_equal_the_per_layer_pipeline(tmp_path, seed, knn_k):
+    path = tmp_path / "multiplex.txt"
+    path.write_text(seeded_multiplex_text(seed))
+    names = [f"node{i}" for i in range(40)]
+    net = repsc.parse_multiplex(path, index_base=1, names=names)
+    rep_ids, sim_ids = (1, 4), (5, 9)
+
+    def aggregate(layer_ids, force_diagonal):
+        positions = repsc.layer_positions_for_id_range(net, *layer_ids)
+        return repsc.aggregate_layers([repsc.knn_layer_graph(net, t, knn_k) for t in positions],
+                                      force_diagonal=force_diagonal)
+
+    rep, sim = aggregate(rep_ids, True), aggregate(sim_ids, False)
+    for drop, want in ((True, repsc.drop_isolated_nodes(sim, rep)),
+                       (False, (sim, rep, np.arange(sim.n)))):
+        got = repsc.build_working_graphs(path, rep_ids, sim_ids, knn_k, index_base=1,
+                                         drop_isolated=drop, names=names)
+        assert drop is False or want[2].size < net.n  # some node is dropped
+        for g, w in zip(got[:2], want[:2]):
+            assert g.adjacency.dtype == w.adjacency.dtype
+            assert np.array_equal(g.adjacency, w.adjacency)
+            assert g.allows_self_loops == w.allows_self_loops
+        assert got[2].dtype == want[2].dtype and np.array_equal(got[2], want[2])
