@@ -45,7 +45,8 @@ step is one ``matmul`` for all of them.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,22 +69,17 @@ ONES_IN_NULL_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class KMeansConfig:
-    """Settings for the k-means backend.
-
-    ``k`` may be left None when the caller (a spectral algorithm) supplies
-    the cluster count itself, and a spectral algorithm rejects any other k.
-    Every error message starts with the name of the field at fault.
+    """Settings for the k-means backend; the cluster count is an argument of
+    ``kmeans`` and of every algorithm. Every error message starts with the
+    name of the field at fault.
     """
 
-    k: int | None = None
     restarts: int = 10
     max_iters: int = 100
     rel_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.max_iters < 1:
@@ -245,20 +241,17 @@ def _lloyd(points: np.ndarray, k: int, seed: int, restarts, max_iters: int,
     return labels, centroids, inertia, iters
 
 
-class _KMeansOutput(tuple):
-    """``kmeans``'s (labels, centroids, inertia), which also carries the
-    winning restart's number of Lloyd updates as ``iters``."""
+class KMeansFit(NamedTuple):
+    """The winning k-means restart: its labels (n,), centroids (k, d),
+    inertia and number of Lloyd updates."""
 
-    def __new__(cls, labels, centroids, inertia, iters):
-        out = super().__new__(cls, (labels, centroids, inertia))
-        out.iters = iters
-        return out
-
-    def __getnewargs__(self):
-        return (*self, self.iters)
+    labels: np.ndarray
+    centroids: np.ndarray
+    inertia: float
+    iters: int
 
 
-def kmeans(points, cfg: KMeansConfig) -> tuple[np.ndarray, np.ndarray, float]:
+def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> KMeansFit:
     """Restarted Lloyd iterations with k-means++ seeding.
 
     Runs ``cfg.restarts`` seeded attempts and keeps the one with the lowest
@@ -273,25 +266,20 @@ def kmeans(points, cfg: KMeansConfig) -> tuple[np.ndarray, np.ndarray, float]:
     the product of another width differently in the last bit, so its
     result is a function of (seed, restart) except at exact near-ties.
 
-    Returns:
-        (labels, centroids, inertia); the tuple also carries the winning
-        restart's number of Lloyd updates as ``.iters``.
-
     Raises:
-        KTooLargeError if cfg.k exceeds the number of points.
+        ValueError if k < 1; KTooLargeError if k exceeds the number of points.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError(f"points must be 2-d, got shape {pts.shape}")
-    if cfg.k is None:
-        raise ValueError("cfg.k must be set for a direct kmeans call")
-    k = cfg.k
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     if k > pts.shape[0]:
         raise KTooLargeError(f"k={k} exceeds number of points {pts.shape[0]}")
     labels, centroids, inertia, iters = _lloyd(pts, k, cfg.seed, range(cfg.restarts),
                                                cfg.max_iters, cfg.rel_tol)
     best = int(inertia.argmin())
-    return _KMeansOutput(labels[best], centroids[best], float(inertia[best]), int(iters[best]))
+    return KMeansFit(labels[best], centroids[best], float(inertia[best]), int(iters[best]))
 
 
 def _gap_warnings(eigenvalues: np.ndarray, k: int) -> tuple[str, ...]:
@@ -413,17 +401,9 @@ def _embed(graph, k: int, basis: np.ndarray | None = None,
     return embedding, values[:k], _gap_warnings(values, k)
 
 
-def _with_k(cfg: KMeansConfig, k: int) -> KMeansConfig:
-    """``cfg`` for k clusters; every algorithm calls this before any other
-    work, so a contradicting ``cfg.k`` is rejected before R is decomposed."""
-    if cfg.k is not None and cfg.k != k:
-        raise ValueError(f"cfg.k={cfg.k} contradicts k={k}")
-    return replace(cfg, k=k)
-
-
 def _solve(graph, k: int, cfg: KMeansConfig, basis: np.ndarray | None = None,
            normalized: bool = False, unit_rows: bool = False) -> ClusteringResult:
-    """k-means, configured by ``cfg`` (from ``_with_k``), on the rows of
+    """k-means into k clusters, configured by ``cfg``, on the rows of
     ``_embed``'s solution, scaled to unit length with ``unit_rows`` and fed
     as they are otherwise."""
     embedding, spectrum, warnings = _embed(graph, k, basis, normalized)
@@ -436,8 +416,8 @@ def _solve(graph, k: int, cfg: KMeansConfig, basis: np.ndarray | None = None,
                 int(zero_rows.sum()),
             )
         embedding /= np.where(zero_rows, 1.0, norms)[:, None]
-    labels, _, inertia = fit = kmeans(embedding, cfg)
-    return ClusteringResult(ClusterAssignment(labels, k), embedding, inertia, fit.iters,
+    fit = kmeans(embedding, k, cfg)
+    return ClusteringResult(ClusterAssignment(fit.labels, k), embedding, fit.inertia, fit.iters,
                             spectrum, warnings)
 
 
@@ -461,7 +441,7 @@ def usc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     Accepts a Graph or any symmetric real matrix (so expected-case inputs
     can be clustered directly).
     """
-    return _solve(graph, k, _with_k(cfg, k))
+    return _solve(graph, k, cfg)
 
 
 def nsc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
@@ -470,7 +450,7 @@ def nsc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     Raises IsolatedNodeError when some degree is not positive, since the
     normalized Laplacian is undefined there.
     """
-    return _solve(graph, k, _with_k(cfg, k), normalized=True, unit_rows=True)
+    return _solve(graph, k, cfg, normalized=True, unit_rows=True)
 
 
 def urepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
@@ -480,7 +460,6 @@ def urepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> Clus
     space of the centered representation matrix, then clusters the rows of
     the re-expanded embedding Y Z.
     """
-    cfg = _with_k(cfg, k)
     return _solve(graph, k, cfg, constraint_null_basis(rep_graph))
 
 
@@ -492,7 +471,6 @@ def nrepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> Clus
     D-orthonormal. The embedding rows are fed to k-means as they are; no
     unit-length scaling is applied.
     """
-    cfg = _with_k(cfg, k)
     return _solve(graph, k, cfg, constraint_null_basis(rep_graph), normalized=True)
 
 
@@ -504,12 +482,10 @@ def urepsc_approx(graph, rep_graph, k: int, rank: int,
     at least k null dimensions, at the price of only approximately
     satisfying the original constraint.
     """
-    cfg = _with_k(cfg, k)
     return _solve(graph, k, cfg, _truncated_basis(graph, rep_graph, k, rank))
 
 
 def nrepsc_approx(graph, rep_graph, k: int, rank: int,
                   cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     """nrepsc on the best low-rank approximation of the representation matrix."""
-    cfg = _with_k(cfg, k)
     return _solve(graph, k, cfg, _truncated_basis(graph, rep_graph, k, rank), normalized=True)

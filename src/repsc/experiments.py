@@ -28,6 +28,7 @@ from .clustering import KMeansConfig, ClusteringResult, usc
 from .errors import ConfigError, RepscError
 from .graphs import (
     RppParams,
+    _parse_int,
     as_adjacency,
     contiguous_assignment,
     build_d_regular_rep_graph,
@@ -147,12 +148,13 @@ class ExperimentConfig:
 
 
 def parse_layer_range(text: str) -> tuple[int, int]:
-    """Parse an inclusive ``a..b`` range (``a`` alone means ``a..a``)."""
+    """Parse an inclusive ``a..b`` range (``a`` alone means ``a..a``) of
+    ASCII decimal integers."""
     parts = text.split("..")
     if len(parts) not in (1, 2):
         raise ConfigError(f"expected a range 'a..b', got {text!r}")
     try:
-        lo, hi = int(parts[0]), int(parts[-1])
+        lo, hi = _parse_int(parts[0].strip()), _parse_int(parts[-1].strip())
     except ValueError:
         raise ConfigError(f"range bounds must be integers, got {text!r}")
     if hi < lo:
@@ -175,10 +177,10 @@ def _split(text: str) -> list[str]:
 
 # A config value is converted by the annotation of its ExperimentConfig field.
 _CONVERTERS: dict[str, Callable[[str], object]] = {
-    "str": str, "str | None": str, "int": int, "int | None": int, "float": float,
+    "str": str, "str | None": str, "int": _parse_int, "int | None": _parse_int, "float": float,
     "bool": _parse_bool, "tuple[int, int] | None": parse_layer_range,
     "tuple[str, ...]": lambda text: tuple(_split(text)),
-    "tuple[int, ...]": lambda text: tuple(int(item) for item in _split(text)),
+    "tuple[int, ...]": lambda text: tuple(map(_parse_int, _split(text))),
 }
 _FIELD_CONVERTERS = {item.name: _CONVERTERS[item.type] for item in fields(ExperimentConfig)}
 
@@ -188,7 +190,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     One ``key = value`` pair per line; ``#`` starts a comment; blank lines
     are skipped; list values are comma-separated; layer ranges use the
-    inclusive ``a..b`` form; booleans accept true/false/yes/no/1/0.
+    inclusive ``a..b`` form; integers are ASCII decimal with an optional
+    sign; booleans accept true/false/yes/no/1/0.
     The keys are ``ExperimentConfig``'s fields, and each value is converted
     by the annotation of its field. Unknown or duplicate keys are errors.
     """
@@ -234,11 +237,9 @@ def fair_sc_baseline(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig(
     (``clustering._group_basis``, Kleindessner et al.'s F^T H = 0). With one
     group the constraint is empty and the result is unconstrained clustering.
     """
-    solve_cfg = clustering._with_k(cfg, k)
     r = as_adjacency(rep_graph)
-    discovered = usc(r, groups if groups is not None else max(1, r.shape[0] // 10),
-                     replace(cfg, k=None))
-    return clustering._solve(graph, k, solve_cfg, clustering._group_basis(discovered.assignment))
+    discovered = usc(r, groups if groups is not None else max(1, r.shape[0] // 10), cfg)
+    return clustering._solve(graph, k, cfg, clustering._group_basis(discovered.assignment))
 
 
 class _Algorithm(NamedTuple):

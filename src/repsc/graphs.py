@@ -32,6 +32,13 @@ from .linalg import EigenDecomposition, as_float_matrix, ensure_symmetric, matmu
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
+def _parse_int(text: str) -> int:
+    """``text`` as an ``_INT_FIELD`` integer; ValueError for anything else."""
+    if not _INT_FIELD.fullmatch(text):
+        raise ValueError(f"expected an ASCII decimal integer, got {text!r}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with a dense 0/1 adjacency matrix.
@@ -410,15 +417,16 @@ def write_graph(graph: Graph, path) -> None:
 
 
 def read_graph(path) -> Graph:
-    """Parse the edge-list format written by write_graph."""
+    """Parse the edge-list format written by write_graph; its numbers are
+    ASCII decimal integers, as in the assignment and multiplex grammars."""
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines:
         raise MalformedLineError(1, "empty graph file")
     header = lines[0].split()
     try:
-        n = int(header[0].removeprefix("n="))
-        diag = int(header[1].removeprefix("diag="))
+        n = _parse_int(header[0].removeprefix("n="))
+        diag = _parse_int(header[1].removeprefix("diag="))
         if diag not in (0, 1) or n < 0:
             raise ValueError
     except (IndexError, ValueError):
@@ -432,7 +440,7 @@ def read_graph(path) -> Graph:
         if len(parts) != 2:
             raise MalformedLineError(lineno, f"expected 'i j', got {line!r}")
         try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = _parse_int(parts[0]), _parse_int(parts[1])
         except ValueError:
             raise MalformedLineError(lineno, f"non-integer endpoint in {line!r}")
         if not (0 <= i < n and 0 <= j < n):

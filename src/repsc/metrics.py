@@ -127,7 +127,8 @@ def _max_weight_matching(weights: np.ndarray) -> int:
     return int(weights[row_of[1:] - 1, np.arange(k)].sum())
 
 
-def _matched_nodes(truth: ClusterAssignment, predicted: ClusterAssignment) -> int:
+def _agreement(truth: ClusterAssignment, predicted: ClusterAssignment) -> tuple[float, float]:
+    """(mistake_fraction, accuracy_nodes), both from one best relabeling."""
     if truth.n != predicted.n:
         raise SizeMismatchError(f"assignments cover {truth.n} and {predicted.n} nodes")
     if truth.k != predicted.k:
@@ -137,7 +138,8 @@ def _matched_nodes(truth: ClusterAssignment, predicted: ClusterAssignment) -> in
         )
     confusion = np.zeros((truth.k, truth.k), dtype=np.int64)
     np.add.at(confusion, (truth.labels, predicted.labels), 1)
-    return _max_weight_matching(confusion)
+    matched = _max_weight_matching(confusion)
+    return 2.0 * (truth.n - matched) / truth.n, matched / truth.n
 
 
 def mistake_fraction(truth: ClusterAssignment, predicted: ClusterAssignment) -> float:
@@ -149,13 +151,12 @@ def mistake_fraction(truth: ClusterAssignment, predicted: ClusterAssignment) -> 
     best permutation is found by maximum-weight matching on the confusion
     matrix, which minimizes the mismatch exactly.
     """
-    matched = _matched_nodes(truth, predicted)
-    return 2.0 * (truth.n - matched) / truth.n
+    return _agreement(truth, predicted)[0]
 
 
 def accuracy_nodes(truth: ClusterAssignment, predicted: ClusterAssignment) -> float:
     """Fraction of nodes placed correctly under the best cluster relabeling."""
-    return _matched_nodes(truth, predicted) / truth.n
+    return _agreement(truth, predicted)[1]
 
 
 @dataclass(frozen=True)
@@ -184,8 +185,7 @@ def score_partition(graph, rep_graph: Graph, predicted: ClusterAssignment,
     rcut, ncut = _cuts(graph, predicted)
     balance = node_balance(rep_graph, predicted)
     max_residual = float(np.abs(representation_residual(rep_graph, predicted)).max())
-    mistakes, accuracy = ((mistake_fraction(truth, predicted), accuracy_nodes(truth, predicted))
-                          if truth is not None else (None, None))
+    mistakes, accuracy = _agreement(truth, predicted) if truth is not None else (None, None)
     return PartitionScore(
         rcut=rcut,
         ncut=ncut,

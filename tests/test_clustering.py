@@ -28,49 +28,11 @@ def test_kmeans_config_validation():
         repsc.KMeansConfig(rel_tol=0.0)
 
 
-def test_spectral_algorithms_reject_a_different_cfg_k():
-    graph = two_cliques(4)
-    with pytest.raises(ValueError, match="cfg.k=3 contradicts k=2"):
-        repsc.usc(graph, 2, repsc.KMeansConfig(k=3))
-    for k in (None, 2):
-        assert repsc.usc(graph, 2, repsc.KMeansConfig(k=k)).assignment.k == 2
-        # The baseline's group discovery clusters into its own group count.
-        baseline = repsc.fair_sc_baseline(graph, graph, 2, repsc.KMeansConfig(k=k), groups=3)
-        assert baseline.assignment.k == 2
-
-
-def test_a_contradicting_cfg_k_is_rejected_before_any_eigensolve(monkeypatch):
-    calls = []
-
-    def counting(m, b=None, count=None):
-        calls.append(np.shape(m))
-        return sym_eig(m, b, count)
-
-    monkeypatch.setattr(repsc.graphs, "sym_eig", counting)
-    monkeypatch.setattr(clustering, "sym_eig", counting)
-    graph = two_cliques(6)
-    rep, _ = repsc.build_d_regular_rep_graph(12, 2, 4)
-    cfg = repsc.KMeansConfig(k=3)
-    runs = [
-        lambda r: repsc.urepsc(graph, r, 2, cfg),
-        lambda r: repsc.nrepsc(graph, r, 2, cfg),
-        lambda r: repsc.urepsc_approx(graph, r, 2, 4, cfg),
-        lambda r: repsc.nrepsc_approx(graph, r, 2, 4, cfg),
-        lambda r: repsc.fair_sc_baseline(graph, r, 2, cfg),
-    ]
-    for run in runs:
-        # A Graph R (decomposed through Graph.spectrum) and a raw matrix R.
-        for r in (rep, rep.adjacency.copy()):
-            with pytest.raises(ValueError, match="cfg.k=3 contradicts k=2"):
-                run(r)
-    assert calls == []
-
-
 def test_kmeans_recovers_separated_clouds():
     rng = np.random.default_rng(17)
     centers = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
     points = np.vstack([c + 0.1 * rng.standard_normal((10, 2)) for c in centers])
-    labels, centroids, inertia = repsc.kmeans(points, repsc.KMeansConfig(k=3, seed=1))
+    labels, centroids, inertia, _ = repsc.kmeans(points, 3, repsc.KMeansConfig(seed=1))
     truth = repsc.ClusterAssignment(np.repeat(np.arange(3), 10), 3)
     assert same_partition(repsc.ClusterAssignment(labels, 3), truth)
     # Inertia equals the within-cloud squared deviation from cloud means.
@@ -84,7 +46,7 @@ def test_kmeans_recovers_separated_clouds():
 
 def test_kmeans_identical_points():
     points = np.ones((8, 3))
-    labels, _, inertia = repsc.kmeans(points, repsc.KMeansConfig(k=2, seed=0))
+    labels, _, inertia, _ = repsc.kmeans(points, 2, repsc.KMeansConfig(seed=0))
     assert inertia == 0.0
     assert set(labels.tolist()) == {0, 1}  # empty-cluster repair keeps k clusters
 
@@ -98,7 +60,7 @@ def test_kmeans_never_returns_an_empty_cluster(data, k, dim, seed):
     points = np.array(coords, dtype=np.float64).reshape(n, dim)
     if len(np.unique(points, axis=0)) < k:
         return
-    labels, _, _ = repsc.kmeans(points, repsc.KMeansConfig(k=k, restarts=2, max_iters=5, seed=seed))
+    labels = repsc.kmeans(points, k, repsc.KMeansConfig(restarts=2, max_iters=5, seed=seed)).labels
     assert np.bincount(labels, minlength=k).min() >= 1
     assert labels.max() < k
 
@@ -118,25 +80,27 @@ def test_kmeans_close_to_brute_force_restarts():
     rng = np.random.default_rng(18)
     centers = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]])
     points = np.vstack([c + rng.standard_normal((30, 2)) for c in centers])
-    _, _, inertia = repsc.kmeans(points, repsc.KMeansConfig(k=3, restarts=10, seed=2))
-    _, _, best = repsc.kmeans(points, repsc.KMeansConfig(k=3, restarts=1000, seed=3))
+    inertia = repsc.kmeans(points, 3, repsc.KMeansConfig(restarts=10, seed=2)).inertia
+    best = repsc.kmeans(points, 3, repsc.KMeansConfig(restarts=1000, seed=3)).inertia
     assert inertia <= 1.05 * best
 
 
 def test_kmeans_k_too_large():
     with pytest.raises(repsc.KTooLargeError):
-        repsc.kmeans(np.zeros((3, 2)), repsc.KMeansConfig(k=4))
+        repsc.kmeans(np.zeros((3, 2)), 4)
+    with pytest.raises(ValueError, match="k must be positive, got 0"):
+        repsc.kmeans(np.zeros((3, 2)), 0)
 
 
 def test_kmeans_deterministic():
     rng = np.random.default_rng(19)
     points = rng.standard_normal((40, 3))
-    cfg = repsc.KMeansConfig(k=4, seed=7)
-    first = repsc.kmeans(points, cfg)
-    second = repsc.kmeans(points, cfg)
-    assert np.array_equal(first[0], second[0])
-    assert np.array_equal(first[1], second[1])
-    assert first[2] == second[2]
+    cfg = repsc.KMeansConfig(seed=7)
+    first = repsc.kmeans(points, 4, cfg)
+    second = repsc.kmeans(points, 4, cfg)
+    assert np.array_equal(first.labels, second.labels)
+    assert np.array_equal(first.centroids, second.centroids)
+    assert (first.inertia, first.iters) == (second.inertia, second.iters)
 
 
 def test_usc_disjoint_cliques():

@@ -18,6 +18,11 @@ from repsc.linalg import sym_eig
 from conftest import same_partition
 
 
+# The results.csv cells computed from a row's partition.
+PARTITION_COLUMNS = ("accuracy_nodes", "mistake_fraction", "rcut", "ncut", "avg_balance",
+                     "min_balance", "max_representation_residual", "balance_over_rcut")
+
+
 def sweep_config(out_dir, extra=""):
     return (
         "mode = d_regular_sweep\n"
@@ -82,11 +87,23 @@ def test_parse_layer_range():
         parse_layer_range("5..2")
     with pytest.raises(repsc.ConfigError):
         parse_layer_range("1..2..3")
-    with pytest.raises(repsc.ConfigError):
-        parse_layer_range("x..y")
+    for bad in ("x..y", "1..1_0", " \u0661..\u0663", "\uff12"):  # int() reads the last three
+        with pytest.raises(repsc.ConfigError):
+            parse_layer_range(bad)
     # In a config, range errors name their line like every other bad value.
     with pytest.raises(repsc.ConfigError, match="line 2: range '5..2' is empty"):
         repsc.parse_config_text("mode = real_network\nrep_layers = 5..2\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rep_layers", "1..1_0"), ("rep_layers", " \u0661..\u0663"), ("sim_layers", "\uff12"),
+    ("n_values", "1_2"), ("n_values", "8, \u0661\u0662"), ("trials", "1_0"),
+    ("knn_k", "\u0665"), ("base_seed", "+\u0660"),
+])
+def test_config_integers_are_ascii_decimals(key, value):
+    # int() reads every one of these values; the config grammar does not.
+    with pytest.raises(repsc.ConfigError, match="^line 2: "):
+        repsc.parse_config_text(f"mode = real_network\n{key} = {value}\n")
 
 
 def test_small_sweep_rows(tmp_path):
@@ -124,30 +141,43 @@ def test_sweep_deterministic_except_runtime(tmp_path):
     assert normalized_lines(tmp_path / "a") == normalized_lines(tmp_path / "b")
 
 
-def test_kmeans_max_iters_changes_the_sweep_output(tmp_path):
-    # Clustering columns, not only kmeans_iters, differ between 1 and 100 updates.
-    def clustering_cells(max_iters):
-        out_dir = tmp_path / f"iters{max_iters}"
-        repsc.run_experiment(repsc.parse_config_text(
+ALL_ALGORITHMS = ("usc", "urepsc_approx", "fair_sc_baseline")
+
+
+# Every config field that reaches an algorithm: a pair of its values, and the
+# algorithms whose rows it may change (the rows of the others must not move).
+LIVE_FIELDS = {
+    "kmeans_max_iters": ((1, 100), ALL_ALGORITHMS),
+    "kmeans_restarts": ((1, 10), ALL_ALGORITHMS),
+    "kmeans_rel_tol": ((0.5, 1e-9), ALL_ALGORITHMS),
+    "baseline_groups": ((2, 8), ("fair_sc_baseline",)),
+    "rank_values": ((2, 8), ("urepsc_approx",)),
+    "rep_groups": ((2, 8), ALL_ALGORITHMS),  # R, and so G, change
+}
+
+
+@pytest.mark.parametrize("name", LIVE_FIELDS)
+def test_config_field_changes_the_sweep_output(tmp_path, name):
+    # The partition's cells, not only kmeans_iters, differ between the two values.
+    def run(value):
+        rows = repsc.run_experiment(repsc.parse_config_text(
             "mode = planted_partition_sweep\n"
-            "algorithms = usc, fair_sc_baseline\n"
+            f"algorithms = {', '.join(ALL_ALGORITHMS)}\n"
             "n_values = 40\n"
             "k_values = 4\n"
             "trials = 2\n"
-            f"kmeans_max_iters = {max_iters}\n"
-            f"out = {out_dir}\n"
-        ))
-        header, *lines = (out_dir / "results.csv").read_text().splitlines()
-        columns = header.split(",")
-        keep = [i for i, name in enumerate(columns) if name not in ("runtime_ms", "kmeans_iters")]
-        iters = [int(line.split(",")[columns.index("kmeans_iters")]) for line in lines]
-        return [[line.split(",")[i] for i in keep] for line in lines], iters
+            f"{name} = {value}\n"
+            f"out = {tmp_path / str(value)}\n"
+        )).rows
+        assert not any(row["error"] for row in rows)
+        max_iters = value if name == "kmeans_max_iters" else repsc.KMeansConfig.max_iters
+        assert all(1 <= row["kmeans_iters"] <= max_iters for row in rows)
+        return [(row["algorithm"], [row[column] for column in PARTITION_COLUMNS]) for row in rows]
 
-    one, one_iters = clustering_cells(1)
-    full, full_iters = clustering_cells(100)
-    assert one_iters == [1] * 4
-    assert all(n >= 1 for n in full_iters) and max(full_iters) > 1
-    assert one != full
+    values, reaches = LIVE_FIELDS[name]
+    first, second = map(run, values)
+    moved = {algorithm for (algorithm, cells), (_, others) in zip(first, second) if cells != others}
+    assert moved and moved <= set(reaches)
 
 
 def test_aggregate_means_match_rows(tmp_path):
@@ -241,6 +271,7 @@ def test_fair_sc_baseline_equals_urepsc_on_the_block_matrix():
         params = repsc.RppParams(assignment=truth, rep_graph=rep, p=0.6, q=0.5, r=0.3, s=0.2)
         g = repsc.sample_rpp(params, [seed, 1])
         baseline = repsc.fair_sc_baseline(g, rep, k, groups=groups)
+        assert baseline.assignment.k == k  # groups sets the discovery's cluster count only
         assert same_partition(baseline.assignment,
                               block_constraint_baseline(g, rep, k, groups).assignment)
 

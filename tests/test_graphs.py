@@ -277,7 +277,11 @@ def test_graph_read_errors(tmp_path):
     out_of_range.write_text("n=4 diag=0\n0 7\n")
     with pytest.raises(repsc.IndexOutOfRangeError):
         repsc.read_graph(out_of_range)
-    for text, line_number in (("n=-1 diag=0\n", 1), ("n=4 diag=0\n0 1\n\n1 1\n", 4)):
+    # int() would read n=1_0 as 10, the Arabic-Indic and fullwidth digits as 4 and 0.
+    for text, line_number in (("n=-1 diag=0\n", 1), ("n=4 diag=0\n0 1\n\n1 1\n", 4),
+                              ("n=1_0 diag=0\n", 1), ("n=\u0664 diag=0\n", 1),
+                              ("n=4 diag=\uff10\n", 1), ("n=40 diag=0\n0 1\n0 1_0\n", 3),
+                              ("n=4 diag=0\n\u0661 2\n", 2)):
         bad = tmp_path / "bad.edges"
         bad.write_text(text)
         with pytest.raises(repsc.MalformedLineError) as exc:

@@ -194,6 +194,26 @@ def test_score_partition_on_fair_ground_truth(toy_instance):
     assert score.balance_over_rcut == pytest.approx(1.0 / score.rcut)
 
 
+def test_each_scored_row_solves_one_matching(tmp_path, monkeypatch, toy_instance):
+    calls = []
+
+    def counting(weights):
+        calls.append(weights.shape)
+        return _max_weight_matching(weights)
+
+    monkeypatch.setattr(repsc.metrics, "_max_weight_matching", counting)
+    rows = repsc.run_experiment(repsc.parse_config_text(
+        "mode = d_regular_sweep\nalgorithms = usc, urepsc\nn_values = 24\nk_values = 2\n"
+        f"d_values = 6\ntrials = 2\nout = {tmp_path}\n")).rows
+    assert not any(row["error"] for row in rows)
+    assert calls == [(2, 2)] * len(rows) == [(2, 2)] * 4
+    # A row without a truth assignment solves none.
+    rep, truth, params = toy_instance
+    calls.clear()
+    assert repsc.score_partition(repsc.sample_rpp(params, 3), rep, truth).accuracy is None
+    assert calls == []
+
+
 def test_score_partition_zero_cut_leaves_ratio_undefined():
     adjacency = np.zeros((8, 8))
     adjacency[:4, :4] = np.ones((4, 4)) - np.eye(4)

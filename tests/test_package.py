@@ -1,0 +1,17 @@
+"""The package's public surface: ``repsc.__all__`` against what ``__init__`` imports."""
+
+import ast
+from pathlib import Path
+
+import repsc
+
+
+def test_all_is_sorted_resolves_and_lists_every_public_import():
+    assert repsc.__all__ == sorted(set(repsc.__all__))
+    for name in repsc.__all__:
+        assert getattr(repsc, name, None) is not None, name
+    tree = ast.parse(Path(repsc.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {name for name in imported if not name.startswith("_")} <= set(repsc.__all__)
+    assert "KMeansFit" in repsc.__all__
