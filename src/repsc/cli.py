@@ -21,6 +21,16 @@ from .experiments import (
     parse_layer_range,
     run_experiment,
 )
+from .graphs import _parse_int
+
+
+def _integer(text: str) -> int:
+    """An integer option: ASCII decimal digits with an optional sign, as in
+    the config file and every input format."""
+    try:
+        return _parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,8 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser("run", help="execute a config-driven sweep")
     run_parser.add_argument("--config", required=True, help="path to the config file")
     run_parser.add_argument("--out", help="output directory (overrides the config)")
-    run_parser.add_argument("--threads", type=int, help="worker processes (overrides the config)")
-    run_parser.add_argument("--seed", type=int, dest="base_seed",
+    run_parser.add_argument("--threads", type=_integer,
+                            help="worker processes (overrides the config)")
+    run_parser.add_argument("--seed", type=_integer, dest="base_seed",
                             help="base seed (overrides the config)")
     run_parser.add_argument("--plots", action="store_true",
                             help="also write SVG line charts")
@@ -45,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check_parser.add_argument("--config", required=True)
     check_parser.add_argument("--out", help="output directory (overrides the config)")
-    check_parser.add_argument("--threads", type=int)
+    check_parser.add_argument("--threads", type=_integer)
 
     ingest_parser = sub.add_parser(
         "ingest", help="reduce a multiplex edge list to two graphs"
@@ -55,12 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="inclusive layer range a..b for the representation graph")
     ingest_parser.add_argument("--sim-layers", required=True,
                                help="inclusive layer range a..b for the similarity graph")
-    ingest_parser.add_argument("--knn", type=int, default=5,
+    ingest_parser.add_argument("--knn", type=_integer, default=5,
                                help="neighbors kept per node and layer (default 5)")
     ingest_parser.add_argument("--out", required=True, help="output directory")
     ingest_parser.add_argument("--names", dest="names_file",
                                help="node-name sidecar file, one name per line")
-    ingest_parser.add_argument("--index-base", type=int, default=0,
+    ingest_parser.add_argument("--index-base", type=_integer, default=0,
                                help="subtract this from node indices in the file (default 0)")
     ingest_parser.add_argument("--keep-isolated", action="store_true",
                                help="keep nodes isolated in either graph instead of dropping them")

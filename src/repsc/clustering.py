@@ -36,6 +36,15 @@ eigendecomposition (``Graph.spectrum``), so every Y built from one R object,
 exact or rank-r, shares one decomposition; a raw matrix R is decomposed on
 every call. ``_group_basis`` writes the baseline's Y down from the groups.
 
+Everything before k-means is deterministic, so ``_solve`` keeps it on the
+similarity ``Graph`` (``Graph._memo``): the k-means input points, the
+spectrum and the warnings, keyed by (R, rank, normalized, unit_rows, k).
+Runs that differ only in the k-means seed, such as the trials of a sweep
+on one fixed pair of graphs, then build each Y, restrict L and solve the
+eigenproblem once. An entry is an N-by-k array and lives as long as the
+Graph; no basis or Laplacian outlives its call. A raw matrix, as the graph
+or as R, and the baseline's group basis are solved on every call.
+
 k-means is implemented here rather than borrowed so that seeding, restarts,
 tie-breaking and empty-cluster repair are fully deterministic functions of
 the config seed. Its restarts run in lockstep, so each seeding or Lloyd
@@ -401,12 +410,44 @@ def _embed(graph, k: int, basis: np.ndarray | None = None,
     return embedding, values[:k], _gap_warnings(values, k)
 
 
-def _solve(graph, k: int, cfg: KMeansConfig, basis: np.ndarray | None = None,
-           normalized: bool = False, unit_rows: bool = False) -> ClusteringResult:
-    """k-means into k clusters, configured by ``cfg``, on the rows of
-    ``_embed``'s solution, scaled to unit length with ``unit_rows`` and fed
-    as they are otherwise."""
-    embedding, spectrum, warnings = _embed(graph, k, basis, normalized)
+def _order(graph) -> int:
+    """Node count of a Graph or of a square matrix."""
+    return graph.n if isinstance(graph, Graph) else np.shape(graph)[0]
+
+
+def _truncated_basis(graph, rep_graph, k: int, rank: int) -> np.ndarray:
+    """``constraint_null_basis(rep_graph, rank)`` for a ``rank`` that leaves
+    room for k dimensions, checked before R is decomposed."""
+    n = _order(graph)
+    if rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank}")
+    if rank > n - k:
+        raise RankTooLargeError(
+            f"rank {rank} exceeds n - k = {n - k}; the constraint null space "
+            "would be too small"
+        )
+    return constraint_null_basis(rep_graph, rank)
+
+
+def _basis(graph, k: int, rep, rank: int | None) -> np.ndarray | None:
+    """The Y that ``rep`` and ``rank`` stand for: None (the identity) without
+    ``rep``, ``_group_basis`` of a ClusterAssignment, and otherwise the null
+    basis of R, or of its rank-``rank`` truncation when ``rank`` is given."""
+    if rep is None:
+        return None
+    if isinstance(rep, ClusterAssignment):
+        return _group_basis(rep)
+    if rank is None:
+        return constraint_null_basis(rep)
+    return _truncated_basis(graph, rep, k, rank)
+
+
+def _points(graph, k: int, rep, rank: int | None, normalized: bool,
+            unit_rows: bool) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The deterministic half of ``_solve``: the k-means input points (the
+    rows of ``_embed``'s solution, scaled to unit length with ``unit_rows``
+    and as they are otherwise), the spectrum and the warnings."""
+    embedding, spectrum, warnings = _embed(graph, k, _basis(graph, k, rep, rank), normalized)
     if unit_rows:
         norms = np.linalg.norm(embedding, axis=1)
         zero_rows = norms <= 1e-12
@@ -416,23 +457,34 @@ def _solve(graph, k: int, cfg: KMeansConfig, basis: np.ndarray | None = None,
                 int(zero_rows.sum()),
             )
         embedding /= np.where(zero_rows, 1.0, norms)[:, None]
-    fit = kmeans(embedding, k, cfg)
-    return ClusteringResult(ClusterAssignment(fit.labels, k), embedding, fit.inertia, fit.iters,
-                            spectrum, warnings)
+    return embedding, spectrum, warnings
 
 
-def _truncated_basis(graph, rep_graph, k: int, rank: int) -> np.ndarray:
-    """``constraint_null_basis(rep_graph, rank)`` for a ``rank`` that leaves
-    room for k dimensions, checked before R is decomposed."""
-    n = graph.n if isinstance(graph, Graph) else np.shape(graph)[0]
-    if rank < 1:
-        raise ValueError(f"rank must be at least 1, got {rank}")
-    if rank > n - k:
-        raise RankTooLargeError(
-            f"rank {rank} exceeds n - k = {n - k}; the constraint null space "
-            "would be too small"
-        )
-    return constraint_null_basis(rep_graph, rank)
+def _solve(graph, k: int, cfg: KMeansConfig, rep=None, rank: int | None = None,
+           normalized: bool = False, unit_rows: bool = False) -> ClusteringResult:
+    """k-means into k clusters, configured by ``cfg``, on ``_points``.
+
+    ``rep`` is what Y is built from (see ``_basis``). When ``graph`` is a
+    Graph and ``rep`` is a Graph or None, the points, spectrum and warnings
+    are kept in ``graph._memo`` once the call succeeds, keyed by
+    (rep, rank, normalized, unit_rows, k), and a later call with that key
+    builds no basis and solves nothing; only k-means, whose seed is in
+    ``cfg``, runs again. Every result gets its own copies of the arrays.
+    """
+    keyed = isinstance(graph, Graph) and (rep is None or isinstance(rep, Graph))
+    key = ("points", rep, rank, normalized, unit_rows, k)
+    kept = graph._memo.get(key) if keyed else None
+    if kept is None:
+        points, spectrum, warnings = _points(graph, k, rep, rank, normalized, unit_rows)
+    else:
+        points, spectrum, warnings = kept
+    fit = kmeans(points, k, cfg)
+    if keyed and kept is None:
+        for array in (points, spectrum):
+            array.flags.writeable = False
+        graph._memo[key] = points, spectrum, warnings
+    return ClusteringResult(ClusterAssignment(fit.labels, k), points.copy(), fit.inertia,
+                            fit.iters, spectrum.copy(), warnings)
 
 
 def usc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
@@ -460,7 +512,7 @@ def urepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> Clus
     space of the centered representation matrix, then clusters the rows of
     the re-expanded embedding Y Z.
     """
-    return _solve(graph, k, cfg, constraint_null_basis(rep_graph))
+    return _solve(graph, k, cfg, rep_graph)
 
 
 def nrepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
@@ -471,7 +523,7 @@ def nrepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> Clus
     D-orthonormal. The embedding rows are fed to k-means as they are; no
     unit-length scaling is applied.
     """
-    return _solve(graph, k, cfg, constraint_null_basis(rep_graph), normalized=True)
+    return _solve(graph, k, cfg, rep_graph, normalized=True)
 
 
 def urepsc_approx(graph, rep_graph, k: int, rank: int,
@@ -482,10 +534,10 @@ def urepsc_approx(graph, rep_graph, k: int, rank: int,
     at least k null dimensions, at the price of only approximately
     satisfying the original constraint.
     """
-    return _solve(graph, k, cfg, _truncated_basis(graph, rep_graph, k, rank))
+    return _solve(graph, k, cfg, rep_graph, rank)
 
 
 def nrepsc_approx(graph, rep_graph, k: int, rank: int,
                   cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     """nrepsc on the best low-rank approximation of the representation matrix."""
-    return _solve(graph, k, cfg, _truncated_basis(graph, rep_graph, k, rank), normalized=True)
+    return _solve(graph, k, cfg, rep_graph, rank, normalized=True)

@@ -27,9 +27,10 @@ from . import clustering
 from .clustering import KMeansConfig, ClusteringResult, usc
 from .errors import ConfigError, RepscError
 from .graphs import (
+    Graph,
     RppParams,
+    _parse_float,
     _parse_int,
-    as_adjacency,
     contiguous_assignment,
     build_d_regular_rep_graph,
     check_probabilities,
@@ -177,7 +178,8 @@ def _split(text: str) -> list[str]:
 
 # A config value is converted by the annotation of its ExperimentConfig field.
 _CONVERTERS: dict[str, Callable[[str], object]] = {
-    "str": str, "str | None": str, "int": _parse_int, "int | None": _parse_int, "float": float,
+    "str": str, "str | None": str, "int": _parse_int, "int | None": _parse_int,
+    "float": _parse_float,
     "bool": _parse_bool, "tuple[int, int] | None": parse_layer_range,
     "tuple[str, ...]": lambda text: tuple(_split(text)),
     "tuple[int, ...]": lambda text: tuple(map(_parse_int, _split(text))),
@@ -191,7 +193,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     One ``key = value`` pair per line; ``#`` starts a comment; blank lines
     are skipped; list values are comma-separated; layer ranges use the
     inclusive ``a..b`` form; integers are ASCII decimal with an optional
-    sign; booleans accept true/false/yes/no/1/0.
+    sign, and reals are ASCII decimal or inf/nan without underscores;
+    booleans accept true/false/yes/no/1/0.
     The keys are ``ExperimentConfig``'s fields, and each value is converted
     by the annotation of its field. Unknown or duplicate keys are errors.
     """
@@ -236,10 +239,17 @@ def fair_sc_baseline(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig(
     then solves urepsc's problem with Y = 1 plus each group's zero-sum contrasts
     (``clustering._group_basis``, Kleindessner et al.'s F^T H = 0). With one
     group the constraint is empty and the result is unconstrained clustering.
+    A Graph R keeps each discovered assignment in its memo, keyed by the
+    group count and ``cfg``, and usc keeps L_R's solution there, so rows that
+    share R solve L_R once and run its k-means once per seed. The final
+    solve on the group basis is not kept.
     """
-    r = as_adjacency(rep_graph)
-    discovered = usc(r, groups if groups is not None else max(1, r.shape[0] // 10), cfg)
-    return clustering._solve(graph, k, cfg, clustering._group_basis(discovered.assignment))
+    count = groups if groups is not None else max(1, clustering._order(rep_graph) // 10)
+    discoveries = rep_graph._memo if isinstance(rep_graph, Graph) else {}
+    key = ("groups", count, cfg)
+    if key not in discoveries:
+        discoveries[key] = usc(rep_graph, count, cfg).assignment
+    return clustering._solve(graph, k, cfg, discoveries[key])
 
 
 class _Algorithm(NamedTuple):

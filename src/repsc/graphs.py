@@ -30,6 +30,12 @@ from .linalg import EigenDecomposition, as_float_matrix, ensure_symmetric, matmu
 # An integer field of the text formats: ASCII decimal digits with an optional
 # sign. int() alone would also take '1_0', padding and other scripts' digits.
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
+# A real field: the tokens numpy's reader converts, which are ASCII decimal
+# integers and the decimal, inf and nan spellings of Python's float() without
+# underscores. float() alone would also take '0_5' and other scripts' digits.
+_FLOAT_FIELD = re.compile(
+    r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))"
+)
 
 
 def _parse_int(text: str) -> int:
@@ -39,7 +45,14 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
+def _parse_float(text: str) -> float:
+    """``text`` as a ``_FLOAT_FIELD`` number; ValueError for anything else."""
+    if not _FLOAT_FIELD.fullmatch(text):
+        raise ValueError(f"expected an ASCII decimal number, got {text!r}")
+    return float(text)
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected graph with a dense 0/1 adjacency matrix.
 
@@ -47,7 +60,9 @@ class Graph:
     diagonal is meaningful and usually all ones) from similarity graphs
     (diagonal forced to zero). ``Graph(a)`` keeps a float64 ``a`` itself,
     without a copy, and makes it read-only: pass ``a.copy()`` to keep a
-    writable array. A Graph never changes, so ``spectrum`` is computed once.
+    writable array. A Graph never changes, so ``spectrum`` is computed once,
+    and the clustering code keeps what it solves on a Graph in ``_memo``.
+    Graphs compare and hash by identity, so a Graph can key such a memo.
     """
 
     adjacency: np.ndarray
@@ -83,6 +98,15 @@ class Graph:
         for array in spectrum:
             array.flags.writeable = False
         return spectrum
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Deterministic results computed on this graph, for as long as it
+        lives. ``clustering._solve`` keeps each solution's k-means points,
+        spectrum and warnings here, keyed by what built the problem, and
+        ``fair_sc_baseline`` keeps each group discovery on its R. Entries are
+        node-by-k arrays and label vectors, never a node-by-node array."""
+        return {}
 
 
 @dataclass(frozen=True)

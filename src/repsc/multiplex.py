@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,17 +39,11 @@ from .errors import (
     NoLayersError,
     SizeMismatchError,
 )
-from .graphs import _INT_FIELD, Graph
+from .graphs import _FLOAT_FIELD, _INT_FIELD, Graph
 
 _ROW = np.dtype([("layer", np.int64), ("src", np.int64), ("dst", np.int64),
                  ("weight", np.float64)])
 _INT64 = np.iinfo(np.int64)
-# The tokens numpy's reader converts: ASCII decimal integers (_INT_FIELD),
-# and the decimal, inf and nan spellings of Python's float() without
-# underscores.
-_FLOAT_FIELD = re.compile(
-    r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))"
-)
 # A line is skipped when its first non-blank character is missing or '#'.
 _HEAD = operator.itemgetter(slice(1))
 _SKIPPED_HEADS = frozenset(("", "#"))

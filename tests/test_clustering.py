@@ -8,7 +8,7 @@ import repsc
 from repsc import clustering
 from repsc.clustering import _assign, _lifted_points, constraint_null_basis
 from repsc.linalg import sym_eig
-from conftest import random_orthonormal, same_partition
+from conftest import SWEEP_PROBS, random_orthonormal, same_partition
 
 
 def two_cliques(m: int) -> repsc.Graph:
@@ -371,3 +371,127 @@ def test_sweep_decomposes_each_r_once_per_grid_point(r_eigs, tmp_path):
     result = repsc.run_experiment(cfg)
     assert result.error_count == 0 and len(result.rows) == 12
     assert r_eigs == [(24, 24), (24, 24)]
+
+
+# -- what a Graph keeps of each solve (Graph._memo) --
+#
+# Tests that patch a solver build their own Graphs: the session-scoped
+# toy_instance graph keeps what earlier tests solved on it.
+
+
+def memo_pair(seed: int = 3) -> tuple[repsc.Graph, repsc.Graph]:
+    """A fresh (similarity, representation) pair on the 24-node toy model."""
+    rep, truth = repsc.build_d_regular_rep_graph(24, 2, 6)
+    params = repsc.RppParams(assignment=truth, rep_graph=rep, **SWEEP_PROBS)
+    return repsc.sample_rpp(params, seed), rep
+
+
+def fresh(graph: repsc.Graph) -> repsc.Graph:
+    return repsc.Graph(graph.adjacency.copy(), graph.allows_self_loops)
+
+
+def assert_same_result(a: repsc.ClusteringResult, b: repsc.ClusteringResult) -> None:
+    assert np.array_equal(a.assignment.labels, b.assignment.labels)
+    assert np.array_equal(a.embedding, b.embedding)
+    assert np.array_equal(a.spectrum_used, b.spectrum_used)
+    assert a.warnings == b.warnings
+    assert a.kmeans_inertia == b.kmeans_inertia
+    assert a.kmeans_iters == b.kmeans_iters
+
+
+MEMO_RUNS = {
+    "usc": lambda g, rep, cfg: repsc.usc(g, 2, cfg),
+    "nsc": lambda g, rep, cfg: repsc.nsc(g, 2, cfg),
+    "urepsc": lambda g, rep, cfg: repsc.urepsc(g, rep, 2, cfg),
+    "nrepsc": lambda g, rep, cfg: repsc.nrepsc(g, rep, 2, cfg),
+    "urepsc_approx": lambda g, rep, cfg: repsc.urepsc_approx(g, rep, 2, 6, cfg),
+    "nrepsc_approx": lambda g, rep, cfg: repsc.nrepsc_approx(g, rep, 2, 6, cfg),
+    "fair_sc_baseline": lambda g, rep, cfg: repsc.fair_sc_baseline(g, rep, 2, cfg, groups=3),
+}
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The ``count`` of every eigensolve of the clustering code."""
+    counts = []
+
+    def counting(m, b=None, count=None):
+        counts.append(count)
+        return sym_eig(m, b, count)
+
+    monkeypatch.setattr(clustering, "sym_eig", counting)
+    return counts
+
+
+@pytest.mark.parametrize("name", MEMO_RUNS)
+def test_a_kept_solve_equals_a_solve_on_fresh_graphs(name, eigensolves):
+    run = MEMO_RUNS[name]
+    g, rep = memo_pair()
+    run(g, rep, repsc.KMeansConfig(seed=1))
+    solved = len(eigensolves)
+    for seed in (1, 2):  # k-means with the seed of the first call, then another
+        cfg = repsc.KMeansConfig(seed=seed)
+        kept = run(g, rep, cfg)
+        # Only the baseline's group-constrained problem is solved again.
+        assert len(eigensolves) == solved + (name == "fair_sc_baseline")
+        assert_same_result(kept, run(fresh(g), fresh(rep), cfg))
+        solved = len(eigensolves)
+
+
+def test_results_own_their_arrays():
+    g, rep = memo_pair()
+    first = repsc.nrepsc(g, rep, 2)
+    embedding, spectrum = first.embedding.copy(), first.spectrum_used.copy()
+    for result in (first, repsc.nrepsc(g, rep, 2, repsc.KMeansConfig(seed=5))):
+        result.embedding[:] = 7.0
+        result.spectrum_used[:] = 7.0
+        result.assignment.labels[:] = 0
+    later = repsc.nrepsc(g, rep, 2)
+    assert np.array_equal(later.embedding, embedding)
+    assert np.array_equal(later.spectrum_used, spectrum)
+    assert_same_result(later, repsc.nrepsc(fresh(g), fresh(rep), 2))
+
+
+def test_a_degenerate_eigengap_warning_survives_a_kept_solve(eigensolves):
+    # Three equal cliques: the bottom three eigenvalues are all zero, so the
+    # two-dimensional embedding is one choice among many.
+    block = np.ones((4, 4)) - np.eye(4)
+    g = repsc.Graph(np.kron(np.eye(3), block))
+    first = repsc.usc(g, 2)
+    assert len(first.warnings) == 1 and "eigengap between positions 1 and 2" in first.warnings[0]
+    assert repsc.usc(g, 2, repsc.KMeansConfig(seed=4)).warnings == first.warnings
+    assert len(eigensolves) == 1
+
+
+def test_raw_matrices_are_solved_on_every_call(eigensolves):
+    g, rep = memo_pair()
+    raw_g, raw_rep = g.adjacency.copy(), rep.adjacency.copy()
+    for _ in range(2):
+        repsc.usc(raw_g, 2)
+        repsc.urepsc(g, raw_rep, 2)
+        repsc.nrepsc_approx(raw_g, rep, 2, 6)
+        repsc.fair_sc_baseline(raw_g, raw_rep, 2, groups=3)
+    # usc: 1; urepsc: R and the restricted problem; nrepsc_approx: the
+    # restricted problem (R is a Graph); the baseline: discovery and solve.
+    assert len(eigensolves) == 2 * (1 + 2 + 1 + 2)
+    assert "_memo" not in vars(g)
+
+
+def test_a_failing_call_keeps_nothing(monkeypatch):
+    g, rep = memo_pair()
+    with pytest.raises(repsc.RankTooLargeError):
+        repsc.urepsc_approx(g, rep, 2, rank=23)
+    with pytest.raises(repsc.KTooLargeError):
+        repsc.usc(g, 25)
+    with pytest.raises(repsc.KTooLargeError):
+        repsc.fair_sc_baseline(g, rep, 2, groups=25)
+
+    def failing(points, k, cfg):
+        raise repsc.EigenConvergenceError("no convergence")
+
+    monkeypatch.setattr(clustering, "kmeans", failing)
+    with pytest.raises(repsc.EigenConvergenceError):
+        repsc.nsc(g, 2)
+    with pytest.raises(repsc.EigenConvergenceError):
+        repsc.fair_sc_baseline(g, rep, 2, groups=3)
+    assert g._memo == {} and rep._memo == {}

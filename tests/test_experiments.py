@@ -106,6 +106,23 @@ def test_config_integers_are_ascii_decimals(key, value):
         repsc.parse_config_text(f"mode = real_network\n{key} = {value}\n")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("epsilon", "0_5"), ("p", "0.\u0664"), ("kmeans_rel_tol", "\u0661e-9"), ("q", "0x1p-2"),
+    ("p_in", " .5 .5"),
+])
+def test_config_floats_are_ascii_decimals(key, value):
+    # float() reads the first three; the config grammar is the multiplex weights'.
+    with pytest.raises(repsc.ConfigError, match=f"^line 2: bad value for '{key}'"):
+        repsc.parse_config_text(f"mode = real_network\n{key} = {value}\n")
+
+
+def test_config_floats_take_every_ascii_spelling():
+    cfg = repsc.parse_config_text(
+        "mode = d_regular_sweep\nalgorithms = usc\nn_values = 24\nk_values = 2\n"
+        "d_values = 4\np = 1\nq = .5\nr = 2.5E-1\ns = -0e0\np_in = +1.\nepsilon = 3\n")
+    assert (cfg.p, cfg.q, cfg.r, cfg.s, cfg.p_in, cfg.epsilon) == (1.0, 0.5, 0.25, 0.0, 1.0, 3.0)
+
+
 def test_small_sweep_rows(tmp_path):
     cfg = repsc.parse_config_text(sweep_config(tmp_path / "run"))
     result = repsc.run_experiment(cfg)
@@ -356,6 +373,26 @@ def test_cli_rejects_bad_ranges_and_thread_counts(tmp_path, capsys):
     assert main(["run", "--config", str(config_path), "--threads", "0"]) == 2
     assert "threads must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff12"])
+@pytest.mark.parametrize("command, option", [
+    ("run", "--threads"), ("run", "--seed"), ("check-expected", "--threads"),
+    ("ingest", "--knn"), ("ingest", "--index-base"),
+])
+def test_cli_integer_options_are_ascii_decimals(tmp_path, capsys, command, option, value):
+    # int() reads every one of these values; no input of the package does.
+    if command == "ingest":
+        args = ["ingest", "--multiplex", "edges.txt", "--rep-layers", "1..1",
+                "--sim-layers", "2..2", "--out", str(tmp_path / "ingested")]
+    else:
+        args = [command, "--config", "sweep.cfg"]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*args, option, value])
+    assert exit_info.value.code == 2
+    assert f"argument {option}: expected an ASCII decimal integer, got {value!r}" in \
+        capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_rejects_knn_below_one(tmp_path, capsys):
@@ -623,6 +660,56 @@ def test_real_network_sweep_decomposes_the_shared_r_once(tmp_path, decomposed):
     # The shared R once; the fair_sc_baseline rows decompose nothing.
     assert sum(m is rep.adjacency for m in decomposed) == 1
     assert len(decomposed) == 1
+
+
+def test_real_network_sweep_solves_each_problem_once(tmp_path, monkeypatch):
+    # Trials differ only in the k-means seed, so every row of a k shares its
+    # restricted eigensolves, and every row shares one group discovery
+    # eigensolve; k-means runs for every row, and the discovery's once per
+    # trial (its seed).
+    ks, trials, groups = (2, 4), 2, 3
+    eigensolves, discoveries, kmeans_ks = [], [], []
+
+    def counting_eig(m, b=None, count=None):
+        eigensolves.append(count)
+        return sym_eig(m, b, count)
+
+    def counting_usc(graph, k, cfg):
+        discoveries.append(cfg.seed)
+        return repsc.usc(graph, k, cfg)
+
+    def counting_kmeans(points, k, cfg):
+        kmeans_ks.append(k)
+        return repsc.kmeans(points, k, cfg)
+
+    monkeypatch.setattr(repsc.graphs, "sym_eig", counting_eig)
+    monkeypatch.setattr(repsc.clustering, "sym_eig", counting_eig)
+    monkeypatch.setattr(repsc.experiments, "usc", counting_usc)
+    monkeypatch.setattr(repsc.clustering, "kmeans", counting_kmeans)
+    edges = tmp_path / "multiplex.edges"
+    edges.write_text(synthetic_multiplex(5))
+    cfg = repsc.parse_config_text(
+        "mode = real_network\n"
+        "algorithms = urepsc_approx, nrepsc_approx, fair_sc_baseline\n"
+        f"multiplex_file = {edges}\n"
+        "rep_layers = 1..3\n"
+        "sim_layers = 4..6\n"
+        "knn_k = 3\n"
+        f"k_values = {', '.join(map(str, ks))}\n"
+        f"trials = {trials}\n"
+        f"baseline_groups = {groups}\n"
+        f"out = {tmp_path / 'sweep'}\n"
+    )
+    result = repsc.run_experiment(cfg)
+    assert result.error_count == 0 and len(result.rows) == 3 * len(ks) * trials
+    # R once, the two approximate problems once per k, the discovery once,
+    # and the baseline's group-constrained problem once per row.
+    assert eigensolves.count(None) == 1
+    assert eigensolves.count(groups + 1) == 1
+    assert len(eigensolves) == 1 + 2 * len(ks) + 1 + len(ks) * trials
+    assert discoveries == list(range(trials))
+    assert kmeans_ks.count(groups) == trials
+    assert len(kmeans_ks) == 3 * len(ks) * trials + trials
 
 
 def test_planted_sweep_decomposes_each_trials_r_once(tmp_path, decomposed):

@@ -51,6 +51,15 @@ def test_cluster_assignment_takes_integral_floats_and_rejects_non_numbers():
         repsc.ClusterAssignment(np.array([0.0, np.inf]), 2)
 
 
+def test_graphs_compare_and_hash_by_identity():
+    adjacency = np.ones((3, 3))
+    graph = repsc.Graph(adjacency, allows_self_loops=True)
+    twin = repsc.Graph(adjacency.copy(), allows_self_loops=True)
+    assert graph == graph and graph != twin
+    assert {graph: "graph", twin: "twin"}[graph] == "graph"
+    assert hash(graph) == hash(graph)
+
+
 def test_contiguous_assignment():
     a = repsc.contiguous_assignment(6, 3)
     assert a.labels.tolist() == [0, 0, 1, 1, 2, 2]

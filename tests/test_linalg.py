@@ -310,6 +310,29 @@ def test_only_linalg_multiplies_matrices():
     assert found == []
 
 
+FUNCTION_CACHES = {"cache", "lru_cache"}
+
+
+def test_memos_stay_attached_to_objects():
+    # What the package keeps lives on the object it was computed from (a
+    # Graph's spectrum and memo) and is freed with it. A function-level cache
+    # holds its arguments and results for the life of the process, and an
+    # id() key can name a later object that reuses a freed one's address.
+    found = []
+    for path in sorted(Path(repsc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in FUNCTION_CACHES
+                    and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                found.append(f"{path.name}:{node.lineno}: functools.{node.attr}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                  and any(alias.name in FUNCTION_CACHES for alias in node.names)):
+                found.append(f"{path.name}:{node.lineno}: from functools import")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "id"):
+                found.append(f"{path.name}:{node.lineno}: id()")
+    assert found == []
+
+
 # Loaded by scipy.optimize (and by scipy.spatial), never by scipy.linalg;
 # together they add about 0.2 s and 20 MiB to a process's import on a
 # 2-core machine.
