@@ -66,7 +66,7 @@ from .errors import (
     RankTooLargeError,
 )
 from .graphs import ClusterAssignment, Graph, _laplacian, as_adjacency
-from .linalg import RANK_REL_TOL, _fix_signs, matmul, sym_eig
+from .linalg import RANK_REL_TOL, _fix_signs, as_float_matrix, matmul, sym_eig
 
 logger = logging.getLogger(__name__)
 
@@ -276,11 +276,10 @@ def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> KMeansFit:
     result is a function of (seed, restart) except at exact near-ties.
 
     Raises:
-        ValueError if k < 1; KTooLargeError if k exceeds the number of points.
+        ValueError if ``points`` is not a finite 2-d array or k < 1;
+        KTooLargeError if k exceeds the number of points.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError(f"points must be 2-d, got shape {pts.shape}")
+    pts = as_float_matrix(points, "points")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if k > pts.shape[0]:
@@ -415,31 +414,25 @@ def _order(graph) -> int:
     return graph.n if isinstance(graph, Graph) else np.shape(graph)[0]
 
 
-def _truncated_basis(graph, rep_graph, k: int, rank: int) -> np.ndarray:
-    """``constraint_null_basis(rep_graph, rank)`` for a ``rank`` that leaves
-    room for k dimensions, checked before R is decomposed."""
-    n = _order(graph)
-    if rank < 1:
-        raise ValueError(f"rank must be at least 1, got {rank}")
-    if rank > n - k:
-        raise RankTooLargeError(
-            f"rank {rank} exceeds n - k = {n - k}; the constraint null space "
-            "would be too small"
-        )
-    return constraint_null_basis(rep_graph, rank)
-
-
 def _basis(graph, k: int, rep, rank: int | None) -> np.ndarray | None:
     """The Y that ``rep`` and ``rank`` stand for: None (the identity) without
     ``rep``, ``_group_basis`` of a ClusterAssignment, and otherwise the null
-    basis of R, or of its rank-``rank`` truncation when ``rank`` is given."""
+    basis of R, or of its rank-``rank`` truncation when ``rank`` is given (a
+    rank that leaves room for k dimensions, checked before R is decomposed)."""
     if rep is None:
         return None
     if isinstance(rep, ClusterAssignment):
         return _group_basis(rep)
-    if rank is None:
-        return constraint_null_basis(rep)
-    return _truncated_basis(graph, rep, k, rank)
+    if rank is not None:
+        n = _order(graph)
+        if rank < 1:
+            raise ValueError(f"rank must be at least 1, got {rank}")
+        if rank > n - k:
+            raise RankTooLargeError(
+                f"rank {rank} exceeds n - k = {n - k}; the constraint null space "
+                "would be too small"
+            )
+    return constraint_null_basis(rep, rank)
 
 
 def _points(graph, k: int, rep, rank: int | None, normalized: bool,

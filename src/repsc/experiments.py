@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import csv
 import functools
+import inspect
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -230,6 +231,11 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_text(Path(path).read_text())
 
 
+def _tenth(n: int) -> int:
+    """The default rank and group count: a tenth of the node count, at least 1."""
+    return max(1, n // 10)
+
+
 def fair_sc_baseline(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig(),
                      groups: int | None = None) -> ClusteringResult:
     """Group-fairness baseline: urepsc's problem under a group constraint.
@@ -244,7 +250,7 @@ def fair_sc_baseline(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig(
     share R solve L_R once and run its k-means once per seed. The final
     solve on the group basis is not kept.
     """
-    count = groups if groups is not None else max(1, clustering._order(rep_graph) // 10)
+    count = groups if groups is not None else _tenth(clustering._order(rep_graph))
     discoveries = rep_graph._memo if isinstance(rep_graph, Graph) else {}
     key = ("groups", count, cfg)
     if key not in discoveries:
@@ -252,34 +258,16 @@ def fair_sc_baseline(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig(
     return clustering._solve(graph, k, cfg, discoveries[key])
 
 
-class _Algorithm(NamedTuple):
-    """A sweep algorithm: ``run(graph, rep, k, rank, kcfg, cfg)``.
-
-    ``ranked`` algorithms take the approximation rank (swept over
-    ``rank_values``, default a tenth of the node count); the others get
-    ``rank=None``.
-    """
-
-    run: Callable[..., ClusteringResult]
-    ranked: bool = False
-
-
+# The sweep passes each function the representation graph, rank and group
+# count only when its signature names ``rep_graph``, ``rank`` and ``groups``.
 ALGORITHMS = {
-    "usc": _Algorithm(lambda graph, rep, k, rank, kcfg, cfg: clustering.usc(graph, k, kcfg)),
-    "nsc": _Algorithm(lambda graph, rep, k, rank, kcfg, cfg: clustering.nsc(graph, k, kcfg)),
-    "urepsc": _Algorithm(
-        lambda graph, rep, k, rank, kcfg, cfg: clustering.urepsc(graph, rep, k, kcfg)),
-    "nrepsc": _Algorithm(
-        lambda graph, rep, k, rank, kcfg, cfg: clustering.nrepsc(graph, rep, k, kcfg)),
-    "urepsc_approx": _Algorithm(
-        lambda graph, rep, k, rank, kcfg, cfg: clustering.urepsc_approx(graph, rep, k, rank, kcfg),
-        ranked=True),
-    "nrepsc_approx": _Algorithm(
-        lambda graph, rep, k, rank, kcfg, cfg: clustering.nrepsc_approx(graph, rep, k, rank, kcfg),
-        ranked=True),
-    "fair_sc_baseline": _Algorithm(
-        lambda graph, rep, k, rank, kcfg, cfg: fair_sc_baseline(
-            graph, rep, k, kcfg, groups=cfg.baseline_groups)),
+    "usc": clustering.usc,
+    "nsc": clustering.nsc,
+    "urepsc": clustering.urepsc,
+    "nrepsc": clustering.nrepsc,
+    "urepsc_approx": clustering.urepsc_approx,
+    "nrepsc_approx": clustering.nrepsc_approx,
+    "fair_sc_baseline": fair_sc_baseline,
 }
 
 
@@ -304,11 +292,8 @@ def _build_tasks(cfg: ExperimentConfig) -> list[_Task]:
     for n, k, d in grid:
         for trial in range(cfg.trials):
             for algorithm in cfg.algorithms:
-                if ALGORITHMS[algorithm].ranked and cfg.rank_values:
-                    ranks: tuple[int | None, ...] = cfg.rank_values
-                else:
-                    ranks = (None,)
-                for rank in ranks:
+                ranked = "rank" in inspect.signature(ALGORITHMS[algorithm]).parameters
+                for rank in cfg.rank_values if ranked and cfg.rank_values else (None,):
                     tasks.append(_Task(n, k, d, trial, algorithm, rank))
     return tasks
 
@@ -365,7 +350,7 @@ def _trial_inputs(cfg: ExperimentConfig, n: int | None, k: int, d: int | None, s
         graph = sample_rpp(params, seed) if cfg.mode == "d_regular_sweep" else expected
         return graph, rep, truth, info
     if cfg.mode == "planted_partition_sweep":
-        groups = cfg.rep_groups if cfg.rep_groups is not None else max(1, n // 10)
+        groups = cfg.rep_groups if cfg.rep_groups is not None else _tenth(n)
         rep, _ = sample_planted_partition_rep_graph(n, groups, cfg.p_in, cfg.p_out, [seed, 0])
         truth = contiguous_assignment(n, k)
         params = RppParams(assignment=truth, rep_graph=rep, p=cfg.p, q=cfg.q, r=cfg.r, s=cfg.s)
@@ -391,13 +376,13 @@ def _execute_task(args: tuple[ExperimentConfig, _Task]) -> dict:
         row["N"] = n
         if info is not None:
             row["gamma"], row["bound_shape_unnormalized"], row["bound_shape_normalized"] = info
-        algorithm = ALGORITHMS[task.algorithm]
-        rank = task.rank
-        if algorithm.ranked and rank is None:
-            rank = max(1, n // 10)
-            row["rank"] = rank
+        run = ALGORITHMS[task.algorithm]
+        given = {"rep_graph": rep, "rank": task.rank, "groups": cfg.baseline_groups}
+        inputs = {name: given[name] for name in inspect.signature(run).parameters if name in given}
+        if "rank" in inputs and task.rank is None:
+            inputs["rank"] = row["rank"] = _tenth(n)
         start = time.perf_counter()
-        result = algorithm.run(graph, rep, task.k, rank, kcfg, cfg)
+        result = run(graph, k=task.k, cfg=kcfg, **inputs)
         row["runtime_ms"] = (time.perf_counter() - start) * 1000.0
         score = score_partition(graph, rep, result.assignment, truth)
         row.update(

@@ -151,7 +151,9 @@ class ClusterAssignment:
 
 
 def contiguous_assignment(n: int, k: int) -> ClusterAssignment:
-    """Equal-size clusters of consecutive node indices; requires k | n."""
+    """Equal-size clusters of consecutive node indices; requires k >= 1 and k | n."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     if n % k != 0:
         raise DivisibilityError(f"cluster count {k} must divide node count {n}")
     return ClusterAssignment(np.repeat(np.arange(k), n // k), k)

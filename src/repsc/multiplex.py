@@ -14,9 +14,10 @@ stays inspectable and re-composable. Each parsed layer is one edge table
 (``src``, ``dst``, ``weight`` arrays sorted by (src, dst)), grouped from the
 file's lines by one sort of a packed (layer, src, dst) key, and the
 nearest-neighbor reduction works on it without a dense weight matrix.
-``build_working_graphs`` runs the whole protocol without a graph per layer:
-every layer's selected pairs are stored straight into one adjacency per
-layer range, which is the OR that ``aggregate_layers`` would take.
+``_knn_union`` builds every nearest-neighbor graph: ``knn_layer_graph``'s
+one layer, and ``build_working_graphs``' union of a layer range, whose
+layers' selected pairs are stored into one adjacency without a graph per
+layer (the OR that ``aggregate_layers`` takes of the per-layer graphs).
 """
 
 from __future__ import annotations
@@ -272,6 +273,20 @@ def _knn_selection(net: MultiplexNetwork, layer: int, k: int) -> tuple[np.ndarra
     return src[top], dst[top]
 
 
+def _knn_union(net: MultiplexNetwork, layers: Iterable[int], k: int,
+               self_loops: bool) -> Graph:
+    """The OR of the nearest-neighbor graphs of ``layers``: every layer's
+    selection is stored both ways into one adjacency. With ``self_loops``
+    the diagonal is set to ones (every node represents itself)."""
+    adjacency = np.zeros((net.n, net.n))
+    for layer in layers:
+        src, dst = _knn_selection(net, layer, k)
+        adjacency[src, dst] = adjacency[dst, src] = 1.0
+    if self_loops:
+        np.fill_diagonal(adjacency, 1.0)
+    return Graph(adjacency, allows_self_loops=self_loops)
+
+
 def knn_layer_graph(net: MultiplexNetwork, layer: int, k: int) -> Graph:
     """Undirected nearest-neighbor graph of one layer.
 
@@ -282,10 +297,7 @@ def knn_layer_graph(net: MultiplexNetwork, layer: int, k: int) -> Graph:
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    src, dst = _knn_selection(net, layer, k)
-    adjacency = np.zeros((net.n, net.n))
-    adjacency[src, dst] = adjacency[dst, src] = 1.0
-    return Graph(adjacency, allows_self_loops=False)
+    return _knn_union(net, [layer], k, False)
 
 
 def aggregate_layers(graphs: Iterable[Graph], force_diagonal: bool = False) -> Graph:
@@ -359,19 +371,8 @@ def build_working_graphs(path, rep_layers: tuple[int, int], sim_layers: tuple[in
         raise ConfigError(f"knn_k must be at least 1, got {knn_k}")
     net = parse_multiplex(path, index_base=index_base, names=names)
 
-    def aggregate(layer_ids: tuple[int, int], force_diagonal: bool) -> Graph:
-        # knn_layer_graph then aggregate_layers, written as one adjacency
-        # that every layer's selection is stored into: the OR of the layers.
-        adjacency = np.zeros((net.n, net.n))
-        for t in layer_positions_for_id_range(net, *layer_ids):
-            src, dst = _knn_selection(net, t, knn_k)
-            adjacency[src, dst] = adjacency[dst, src] = 1.0
-        if force_diagonal:
-            np.fill_diagonal(adjacency, 1.0)
-        return Graph(adjacency, allows_self_loops=force_diagonal)
-
-    rep = aggregate(rep_layers, True)
-    sim = aggregate(sim_layers, False)
+    rep = _knn_union(net, layer_positions_for_id_range(net, *rep_layers), knn_k, True)
+    sim = _knn_union(net, layer_positions_for_id_range(net, *sim_layers), knn_k, False)
     if drop_isolated:
         return drop_isolated_nodes(sim, rep)
     return sim, rep, np.arange(sim.n)

@@ -63,6 +63,8 @@ def canonical_y_vectors(n: int, k: int) -> np.ndarray:
     the columns span exactly the functions that are constant on each
     cluster, and each column beyond the first is orthogonal to all-ones.
     """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     if n % k != 0:
         raise DivisibilityError(f"k={k} must divide n={n}")
     m = n // k

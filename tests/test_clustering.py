@@ -92,6 +92,14 @@ def test_kmeans_k_too_large():
         repsc.kmeans(np.zeros((3, 2)), 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kmeans_rejects_non_finite_points(bad):
+    points = np.random.default_rng(5).standard_normal((20, 2))
+    points[7, 1] = bad
+    with pytest.raises(ValueError, match="points contains non-finite entries"):
+        repsc.kmeans(points, 3)
+
+
 def test_kmeans_deterministic():
     rng = np.random.default_rng(19)
     points = rng.standard_normal((40, 3))
@@ -495,3 +503,48 @@ def test_a_failing_call_keeps_nothing(monkeypatch):
     with pytest.raises(repsc.EigenConvergenceError):
         repsc.fair_sc_baseline(g, rep, 2, groups=3)
     assert g._memo == {} and rep._memo == {}
+
+
+# -- permutation equivariance ------------------------------------------------
+
+EQUIVARIANT = {  # name: (which R, direct call on (G, R))
+    "usc": ("planted", lambda g, r, cfg: repsc.usc(g, 3, cfg)),
+    "nsc": ("planted", lambda g, r, cfg: repsc.nsc(g, 3, cfg)),
+    "urepsc": ("regular", lambda g, r, cfg: repsc.urepsc(g, r, 3, cfg)),
+    "nrepsc": ("regular", lambda g, r, cfg: repsc.nrepsc(g, r, 3, cfg)),
+    "urepsc_approx": ("planted", lambda g, r, cfg: repsc.urepsc_approx(g, r, 3, 30, cfg)),
+    "nrepsc_approx": ("planted", lambda g, r, cfg: repsc.nrepsc_approx(g, r, 3, 30, cfg)),
+}
+
+
+@pytest.fixture(scope="module")
+def equivariance_instances():
+    """N = 300, K = 3: a planted R with 30 groups (no tied eigenvalues at the
+    rank-30 cut-off) and a d-regular R with d = 30, each with a sampled G."""
+    truth = repsc.contiguous_assignment(300, 3)
+    reps = {"planted": repsc.sample_planted_partition_rep_graph(300, 30, 0.8, 0.2, 0)[0],
+            "regular": repsc.build_d_regular_rep_graph(300, 3, 30)[0]}
+    return {name: (repsc.sample_rpp(repsc.RppParams(truth, rep, **SWEEP_PROBS), 1), rep)
+            for name, rep in reps.items()}
+
+
+@pytest.mark.parametrize("name", EQUIVARIANT)
+def test_embedding_subspace_is_permutation_equivariant(equivariance_instances, name):
+    """Relabelling the nodes of G and R by pi moves the embedding X to
+    pi(X) Q for some orthogonal Q, so X X^T (the projector onto span(X) when
+    its columns are orthonormal) moves to pi(X X^T). Partitions are not
+    compared: k-means++ picks rows by index. fair_sc_baseline is not
+    equivariant either, because its group discovery is itself a k-means:
+    its X X^T moves by 0.12 on the planted instance with 30 groups."""
+    which, call = EQUIVARIANT[name]
+    graph, rep = equivariance_instances[which]
+    perm = np.random.default_rng(3).permutation(graph.n)
+
+    def relabel(g):
+        return repsc.Graph(g.adjacency[np.ix_(perm, perm)], g.allows_self_loops)
+
+    cfg = repsc.KMeansConfig(restarts=1)
+    before = call(graph, rep, cfg).embedding
+    after = call(relabel(graph), relabel(rep), cfg).embedding
+    gram_before, gram_after = before @ before.T, after @ after.T
+    assert np.abs(gram_after - gram_before[np.ix_(perm, perm)]).max() <= 1e-10

@@ -15,7 +15,7 @@ from repsc.cli import main
 from repsc.graphs import check_probabilities
 from repsc.experiments import CSV_COLUMNS, parse_layer_range, write_line_chart_svg
 from repsc.linalg import sym_eig
-from conftest import same_partition
+from conftest import SWEEP_PROBS, same_partition
 
 
 # The results.csv cells computed from a row's partition.
@@ -195,6 +195,53 @@ def test_config_field_changes_the_sweep_output(tmp_path, name):
     first, second = map(run, values)
     moved = {algorithm for (algorithm, cells), (_, others) in zip(first, second) if cells != others}
     assert moved and moved <= set(reaches)
+
+
+# Each algorithm called directly on a trial's (G, R): rank N/10 for the
+# approximate variants, and the configured group count for the baseline.
+DIRECT_CALLS = {
+    "usc": lambda g, rep, k, cfg: repsc.usc(g, k, cfg),
+    "nsc": lambda g, rep, k, cfg: repsc.nsc(g, k, cfg),
+    "urepsc": lambda g, rep, k, cfg: repsc.urepsc(g, rep, k, cfg),
+    "nrepsc": lambda g, rep, k, cfg: repsc.nrepsc(g, rep, k, cfg),
+    "urepsc_approx": lambda g, rep, k, cfg: repsc.urepsc_approx(g, rep, k, g.n // 10, cfg),
+    "nrepsc_approx": lambda g, rep, k, cfg: repsc.nrepsc_approx(g, rep, k, g.n // 10, cfg),
+    "fair_sc_baseline": lambda g, rep, k, cfg: repsc.fair_sc_baseline(g, rep, k, cfg, groups=3),
+}
+
+
+@pytest.mark.parametrize("algorithm", DIRECT_CALLS)
+def test_a_sweep_row_scores_a_direct_call_of_its_algorithm(tmp_path, algorithm):
+    cfg = repsc.parse_config_text(
+        "mode = planted_partition_sweep\n"
+        f"algorithms = {algorithm}\n"
+        "n_values = 40\n"
+        "k_values = 4\n"
+        "trials = 2\n"
+        "rep_groups = 5\n"
+        "p_in = 1.0\n"  # R is 5 blocks of ones: the exact variants' null space has 36 dimensions
+        "p_out = 0.0\n"
+        "baseline_groups = 3\n"
+        "base_seed = 5\n"
+        f"out = {tmp_path}\n"
+    )
+    assert set(DIRECT_CALLS) == set(repsc.experiments.ALGORITHMS)
+    rows = repsc.run_experiment(cfg).rows
+    assert len(rows) == 2
+    for row in rows:
+        seed = row["seed"]
+        rep, _ = repsc.sample_planted_partition_rep_graph(40, 5, 1.0, 0.0, [seed, 0])
+        truth = repsc.contiguous_assignment(40, 4)
+        params = repsc.RppParams(assignment=truth, rep_graph=rep, **SWEEP_PROBS)
+        graph = repsc.sample_rpp(params, [seed, 1])
+        result = DIRECT_CALLS[algorithm](graph, rep, 4, cfg.kmeans_config(seed))
+        score = repsc.score_partition(graph, rep, result.assignment, truth)
+        assert row["error"] is None
+        assert row["rank"] == (4 if algorithm.endswith("_approx") else None)
+        assert row["kmeans_iters"] == result.kmeans_iters
+        assert [row[column] for column in PARTITION_COLUMNS] == [
+            score.accuracy, score.mistake_fraction, score.rcut, score.ncut, score.avg_balance,
+            score.min_balance, score.max_representation_residual, score.balance_over_rcut]
 
 
 def test_aggregate_means_match_rows(tmp_path):
@@ -545,7 +592,7 @@ def test_unexpected_exception_is_isolated_to_its_rows(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("solver exploded")
 
-    monkeypatch.setattr(repsc.clustering, "urepsc", broken)
+    monkeypatch.setitem(repsc.experiments.ALGORITHMS, "urepsc", broken)
     assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "broken")]) == 1
     lines = (tmp_path / "broken" / "results.csv").read_text().splitlines()
     header = lines[0].split(",")

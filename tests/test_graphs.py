@@ -67,6 +67,17 @@ def test_contiguous_assignment():
         repsc.contiguous_assignment(7, 3)
 
 
+@pytest.mark.parametrize("build, k", [
+    (lambda k: repsc.contiguous_assignment(10, k), 0),
+    (lambda k: repsc.contiguous_assignment(10, k), -2),
+    (lambda k: repsc.sample_planted_partition_rep_graph(10, k, 0.8, 0.2, 0), 0),
+    (lambda k: repsc.canonical_y_vectors(10, k), 0),
+])
+def test_contiguous_constructors_reject_k_below_one(build, k):
+    with pytest.raises(ValueError, match=f"k must be positive, got {k}"):
+        build(k)
+
+
 def test_rpp_params_ordering(toy_instance):
     rep, truth, _ = toy_instance
     with pytest.raises(ValueError):

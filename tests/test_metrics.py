@@ -297,3 +297,32 @@ def test_empty_cluster_is_an_empty_cluster_error_for_every_cut():
         repsc.normalized_cut(g, empty)
     with pytest.raises(repsc.EmptyClusterError):
         repsc.score_partition(g, rep, empty)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 40), st.integers(2, 4))
+def test_score_partition_ignores_node_and_cluster_relabelling(seed, n, k):
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, n)
+    rep = repsc.Graph(random_graph(rng, n).adjacency + np.eye(n), allows_self_loops=True)
+    truth, predicted = random_assignment(rng, n, k), random_assignment(rng, n, k)
+    score = repsc.score_partition(graph, rep, predicted, truth)
+    nodes, clusters = rng.permutation(n), rng.permutation(k)
+
+    def relabel(g):
+        return repsc.Graph(g.adjacency[np.ix_(nodes, nodes)], g.allows_self_loops)
+
+    moved = (
+        repsc.score_partition(relabel(graph), relabel(rep),
+                              repsc.ClusterAssignment(predicted.labels[nodes], k),
+                              repsc.ClusterAssignment(truth.labels[nodes], k)),
+        repsc.score_partition(graph, rep, repsc.ClusterAssignment(clusters[predicted.labels], k),
+                              truth),
+    )
+    for other in moved:
+        assert other.accuracy == score.accuracy
+        assert other.mistake_fraction == score.mistake_fraction
+        for name in ("rcut", "ncut", "avg_balance", "min_balance",
+                     "max_representation_residual", "balance_over_rcut"):
+            want, got = getattr(score, name), getattr(other, name)
+            assert got == want if want is None else got == pytest.approx(want, rel=1e-12), name

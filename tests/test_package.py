@@ -15,3 +15,9 @@ def test_all_is_sorted_resolves_and_lists_every_public_import():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert {name for name in imported if not name.startswith("_")} <= set(repsc.__all__)
     assert "KMeansFit" in repsc.__all__
+
+
+def test_the_sweep_registry_holds_the_exported_functions():
+    # The sweep calls each algorithm as it is exported, with no adapter between.
+    for name, run in repsc.experiments.ALGORITHMS.items():
+        assert name in repsc.__all__ and run is getattr(repsc, name), name
