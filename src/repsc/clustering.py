@@ -11,30 +11,35 @@ flavor); Y is the identity or an orthonormal basis of the null space of the
 centered representation matrix R (I - 11^T/N), which forces the relaxed
 indicator vectors to respect proportional representation. Writing H = Y Z,
 the solution is the bottom-k generalized eigenvectors of
-(Y^T L Y, Y^T B Y), re-expanded by Y.
+(Y^T L Y, Y^T B Y), re-expanded by Y. ``_embed`` solves a generalized
+problem only where Y^T D Y is a dense m-by-m matrix (m the columns of Y);
+with Y = I and B = D it solves the standard problem on D^{-1/2} L D^{-1/2}
+and returns D^{-1/2} times its eigenvectors, which are the generalized
+ones.
 
-================ = =================================== =====================
-algorithm        B Y                                   rows fed to k-means
-================ = =================================== =====================
-usc              I I                                   as they are
-nsc              D I                                   scaled to unit length
-urepsc           I null basis of R                     as they are
-nrepsc           D null basis of R                     as they are
-urepsc_approx    I null basis of R's rank-r truncation as they are
-nrepsc_approx    D null basis of R's rank-r truncation as they are
-fair_sc_baseline I span(1) + zero sum on every group   as they are
-================ = =================================== =====================
+================ = =================================== =================== =====================
+algorithm        B Y                                   eigenproblem        rows fed to k-means
+================ = =================================== =================== =====================
+usc              I I                                   L                   as they are
+nsc              D I                                   D^{-1/2} L D^{-1/2} scaled to unit length
+urepsc           I null basis of R                     Y^T L Y             as they are
+nrepsc           D null basis of R                     (Y^T L Y, Y^T D Y)  as they are
+urepsc_approx    I null basis of R's rank-r truncation Y^T L Y             as they are
+nrepsc_approx    D null basis of R's rank-r truncation (Y^T L Y, Y^T D Y)  as they are
+fair_sc_baseline I span(1) + zero sum on every group   Y^T L Y             as they are
+================ = =================================== =================== =====================
 
-nsc's unit-length scaling cancels the D^{-1/2} factor between the
-generalized eigenvectors and those of I - D^{-1/2} A D^{-1/2}, so it
-clusters the classic normalized embedding. This module owns every Y, and no
-Y takes an SVD. ``constraint_null_basis`` builds every Y that comes from an
-R, from one eigendecomposition of R; for the approximate variants the null
-space of the truncation is spanned by the eigenvectors the truncation
-discards, so no rank-r matrix is ever formed. A ``Graph`` R keeps that
-eigendecomposition (``Graph.spectrum``), so every Y built from one R object,
-exact or rank-r, shares one decomposition; a raw matrix R is decomposed on
-every call. ``_group_basis`` writes the baseline's Y down from the groups.
+D^{-1/2} L D^{-1/2} = I - D^{-1/2} A D^{-1/2} is the normalized Laplacian
+of Ng, Jordan and Weiss, and nsc's unit-length scaling cancels the D^{-1/2}
+factor again, so it clusters the classic normalized embedding. This module
+owns every Y, and no Y takes an SVD. ``constraint_null_basis`` builds every
+Y that comes from an R, from one eigendecomposition of R; for the
+approximate variants the null space of the truncation is spanned by the
+eigenvectors the truncation discards, so no rank-r matrix is ever formed. A
+``Graph`` R keeps that eigendecomposition (``Graph.spectrum``), so every Y
+built from one R object, exact or rank-r, shares one decomposition; a raw
+matrix R is decomposed on every call. ``_group_basis`` writes the
+baseline's Y down from the groups.
 
 Everything before k-means is deterministic, so ``_solve`` keeps it on the
 similarity ``Graph`` (``Graph._memo``): the k-means input points, the
@@ -65,7 +70,7 @@ from .errors import (
     NullSpaceTooSmallError,
     RankTooLargeError,
 )
-from .graphs import ClusterAssignment, Graph, _laplacian, as_adjacency
+from .graphs import ClusterAssignment, Graph, _check_k, _laplacian, as_adjacency
 from .linalg import RANK_REL_TOL, _fix_signs, as_float_matrix, matmul, sym_eig
 
 logger = logging.getLogger(__name__)
@@ -276,12 +281,12 @@ def kmeans(points, k: int, cfg: KMeansConfig = KMeansConfig()) -> KMeansFit:
     result is a function of (seed, restart) except at exact near-ties.
 
     Raises:
-        ValueError if ``points`` is not a finite 2-d array or k < 1;
+        ValueError if ``points`` is not a finite 2-d array or k is not a
+        positive integer;
         KTooLargeError if k exceeds the number of points.
     """
+    _check_k(k)
     pts = as_float_matrix(points, "points")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
     if k > pts.shape[0]:
         raise KTooLargeError(f"k={k} exceeds number of points {pts.shape[0]}")
     labels, centroids, inertia, iters = _lloyd(pts, k, cfg.seed, range(cfg.restarts),
@@ -366,13 +371,9 @@ def _group_basis(groups: ClusterAssignment) -> np.ndarray:
     return basis
 
 
-def _restrict(basis: np.ndarray | None, m: np.ndarray) -> np.ndarray:
-    """Y^T M Y, averaged with its transpose to remove rounding asymmetry.
-
-    A 1-d ``m`` is the diagonal of M; a None ``basis`` is the identity Y.
-    """
-    if basis is None:
-        return np.diag(m) if m.ndim == 1 else m
+def _restrict(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Y^T M Y, averaged with its transpose to remove rounding asymmetry;
+    a 1-d ``m`` is the diagonal of M."""
     if m.ndim == 1:
         reduced = matmul(basis.T, m[:, None] * basis)
     else:
@@ -385,12 +386,14 @@ def _embed(graph, k: int, basis: np.ndarray | None = None,
     """Solve the module's restricted problem; return (Y Z, spectrum, warnings).
 
     B is D when ``normalized`` and I otherwise; Y is ``basis``, an N-row
-    matrix with orthonormal columns, or the identity when it is None.
+    matrix with orthonormal columns, or the identity when it is None. With
+    both Y = I and B = D (nsc) the problem is solved in its standard form:
+    the bottom eigenvectors V of D^{-1/2} L D^{-1/2} give Z = D^{-1/2} V,
+    whose columns are D-orthonormal, so no N-by-N B is ever factored.
     """
+    _check_k(k)
     a = as_adjacency(graph)
     n = a.shape[0]
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
     degrees, laplacian = _laplacian(a)
     if normalized and np.any(degrees <= 0.0):
         bad = np.flatnonzero(degrees <= 0.0)
@@ -403,9 +406,19 @@ def _embed(graph, k: int, basis: np.ndarray | None = None,
         raise NullSpaceTooSmallError(
             f"constraint null space has {basis.shape[1]} dimensions, need at least k={k}"
         )
-    weight = _restrict(basis, degrees) if normalized else None
-    values, vectors = sym_eig(_restrict(basis, laplacian), weight, count=k + 1)
-    embedding = vectors[:, :k] if basis is None else matmul(basis, vectors[:, :k])
+    if basis is not None:
+        weight = _restrict(basis, degrees) if normalized else None
+        values, vectors = sym_eig(_restrict(basis, laplacian), weight, count=k + 1)
+        embedding = matmul(basis, vectors[:, :k])
+    elif normalized:
+        inv_root = 1.0 / np.sqrt(degrees)
+        laplacian *= inv_root[:, None]
+        laplacian *= inv_root
+        values, vectors = sym_eig(laplacian, count=k + 1)
+        embedding = inv_root[:, None] * vectors[:, :k]
+    else:
+        values, vectors = sym_eig(laplacian, count=k + 1)
+        embedding = vectors[:, :k]
     return embedding, values[:k], _gap_warnings(values, k)
 
 
@@ -463,7 +476,9 @@ def _solve(graph, k: int, cfg: KMeansConfig, rep=None, rank: int | None = None,
     (rep, rank, normalized, unit_rows, k), and a later call with that key
     builds no basis and solves nothing; only k-means, whose seed is in
     ``cfg``, runs again. Every result gets its own copies of the arrays.
+    A k that is not a positive integer raises ValueError before any of it.
     """
+    _check_k(k)
     keyed = isinstance(graph, Graph) and (rep is None or isinstance(rep, Graph))
     key = ("points", rep, rank, normalized, unit_rows, k)
     kept = graph._memo.get(key) if keyed else None

@@ -52,6 +52,15 @@ def _parse_float(text: str) -> float:
     return float(text)
 
 
+def _check_k(k) -> None:
+    """Raise ValueError unless the cluster count ``k`` is a positive Python
+    or numpy integer; a bool or a float, even a whole one, is not one."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected graph with a dense 0/1 adjacency matrix.
@@ -125,8 +134,7 @@ class ClusterAssignment:
         raw = np.asarray(self.labels)
         if raw.ndim != 1 or raw.size == 0 or raw.dtype.kind not in "biuf":
             raise ValueError("labels must be a non-empty 1-d integer array")
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
+        _check_k(self.k)
         if raw.dtype.kind == "f":
             fractional = raw[raw != np.trunc(raw)]
             if fractional.size:
@@ -151,9 +159,9 @@ class ClusterAssignment:
 
 
 def contiguous_assignment(n: int, k: int) -> ClusterAssignment:
-    """Equal-size clusters of consecutive node indices; requires k >= 1 and k | n."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    """Equal-size clusters of consecutive node indices; requires an integer
+    k >= 1 that divides n."""
+    _check_k(k)
     if n % k != 0:
         raise DivisibilityError(f"cluster count {k} must divide node count {n}")
     return ClusterAssignment(np.repeat(np.arange(k), n // k), k)
@@ -227,9 +235,9 @@ def build_d_regular_rep_graph(n: int, k: int, d: int) -> tuple[Graph, ClusterAss
             block is infeasible by parity (d/k even with odd cluster size
             forces an odd total degree on an odd number of nodes).
         DegreeRangeError: d outside [k, n] or d/k exceeding the cluster size.
+        ValueError: k is not a positive integer.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    _check_k(k)
     if not (k <= d <= n):
         raise DegreeRangeError(f"degree d={d} must satisfy k <= d <= n (k={k}, n={n})")
     if n % k != 0:
@@ -355,13 +363,22 @@ def validate_regular_representation(rep_graph: Graph, assignment: ClusterAssignm
 
 
 def _case_probabilities(params: RppParams) -> np.ndarray:
-    """Entrywise edge probabilities (diagonal included, caller discards it)."""
-    labels = params.assignment.labels
-    same = (labels[:, None] == labels[None, :]).astype(np.float64)
-    rep = params.rep_graph.adjacency
-    return rep * (params.q + (params.p - params.q) * same) + (1.0 - rep) * (
+    """Entrywise edge probabilities (diagonal included, caller discards it).
+
+    The model's formula is evaluated once per case, into a 2x2 table indexed
+    by (represented, same cluster), and every pair looks its case up, so each
+    entry has the bits the formula gives entry by entry.
+    """
+    rep = np.array([[0.0, 0.0], [1.0, 1.0]])
+    same = np.array([[0.0, 1.0], [0.0, 1.0]])
+    table = rep * (params.q + (params.p - params.q) * same) + (1.0 - rep) * (
         params.s + (params.r - params.s) * same
     )
+    labels = params.assignment.labels
+    case = params.rep_graph.adjacency.astype(np.uint8)
+    case <<= 1
+    case |= labels[:, None] == labels[None, :]
+    return table.ravel().take(case)
 
 
 def _symmetric_draw(prob: np.ndarray, seed) -> np.ndarray:

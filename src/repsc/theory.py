@@ -20,8 +20,8 @@ import numpy as np
 
 from .clustering import DEGENERATE_GAP_TOL, _contrasts, _restrict, constraint_null_basis
 from .errors import AssumptionViolatedError, DivisibilityError, ZeroGapError
-from .graphs import (RppParams, _laplacian, build_d_regular_rep_graph, expected_adjacency,
-                     validate_regular_representation)
+from .graphs import (RppParams, _check_k, _laplacian, build_d_regular_rep_graph,
+                     expected_adjacency, validate_regular_representation)
 from .linalg import sym_eig
 
 SPECTRUM_REL_TOL = 1e-7
@@ -63,8 +63,7 @@ def canonical_y_vectors(n: int, k: int) -> np.ndarray:
     the columns span exactly the functions that are constant on each
     cluster, and each column beyond the first is orthogonal to all-ones.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    _check_k(k)
     if n % k != 0:
         raise DivisibilityError(f"k={k} must divide n={n}")
     m = n // k
@@ -81,7 +80,6 @@ class ExpectedSpectrum:
     ``mu`` holds the ascending eigenvalues of the expected Laplacian
     restricted to the constraint null space; ``gamma`` is the gap between
     positions k and k+1 (inf when the null space has exactly k dimensions).
-    ``lambda_bar`` is the smallest eigenvalue of the raw expectation matrix.
     The ``*_normalized`` fields describe the degree-whitened problem, which
     under the regularity assumption is the same problem scaled by the
     constant expected degree.
@@ -91,7 +89,6 @@ class ExpectedSpectrum:
     lambda_rest: float
     mu: np.ndarray
     gamma: float
-    lambda_bar: float
     mu_normalized: np.ndarray
     gamma_normalized: float
 
@@ -102,7 +99,9 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
     Verifies that the bottom k restricted eigenvalues match the closed form
     (0 and k-1 copies of lambda1 - lambda_rest) and that the expected degree
     is the constant lambda1 - p, raising AssumptionViolatedError when the
-    inputs do not actually satisfy the regularity assumption.
+    inputs do not actually satisfy the regularity assumption. Its one
+    eigensolve is of the restricted Laplacian, of the null space's dimension;
+    no N-by-N matrix is decomposed (``lambda_bar`` does that, on demand).
     """
     lambda1, lambda_rest = closed_form_eigenvalues(params)
     centered = expected_adjacency(params)
@@ -133,7 +132,6 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
             "restricted eigengap %.3g is numerically degenerate; the "
             "recovery guarantees do not apply at this configuration", gamma
         )
-    lambda_bar = float(sym_eig(centered, count=1).eigenvalues[0] + params.p)
     if expected_degree <= 1e-12:
         raise ZeroGapError(
             f"expected degree {expected_degree:g} is not positive; the "
@@ -146,10 +144,18 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
         lambda_rest=lambda_rest,
         mu=mu,
         gamma=gamma,
-        lambda_bar=lambda_bar,
         mu_normalized=mu_normalized,
         gamma_normalized=float(gamma_normalized),
     )
+
+
+def lambda_bar(params: RppParams) -> float:
+    """Smallest eigenvalue of the raw expectation matrix (p on the diagonal).
+
+    One N-by-N eigensolve of ``expected_adjacency``, whose eigenvalues are
+    the raw ones shifted by -p; nothing else in the package reads it.
+    """
+    return float(sym_eig(expected_adjacency(params), count=1).eigenvalues[0] + params.p)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 import repsc
 from repsc import clustering
@@ -90,6 +91,32 @@ def test_kmeans_k_too_large():
         repsc.kmeans(np.zeros((3, 2)), 4)
     with pytest.raises(ValueError, match="k must be positive, got 0"):
         repsc.kmeans(np.zeros((3, 2)), 0)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True])
+def test_kmeans_rejects_a_k_that_is_not_an_integer(k):
+    with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+        repsc.kmeans(np.arange(10.0).reshape(5, 2), k)
+
+
+def test_kmeans_takes_a_numpy_integer_k():
+    points = np.arange(10.0).reshape(5, 2)
+    assert np.array_equal(repsc.kmeans(points, np.int64(2)).labels, repsc.kmeans(points, 2).labels)
+
+
+@pytest.mark.parametrize("run", [
+    lambda g, rep: repsc.usc(g, 1.5),
+    lambda g, rep: repsc.nsc(g, 1.5),
+    lambda g, rep: repsc.urepsc(g, rep, 1.5),
+    lambda g, rep: repsc.nrepsc_approx(g, rep, 1.5, 6),
+    lambda g, rep: clustering._embed(g, 1.5),
+], ids=["usc", "nsc", "urepsc", "nrepsc_approx", "_embed"])
+def test_algorithms_reject_a_k_that_is_not_an_integer_before_solving(run, eigensolves):
+    # No eigensolve starts: neither of the similarity graph nor of R.
+    g, rep = memo_pair()
+    with pytest.raises(ValueError, match="k must be an integer, got 1.5"):
+        run(g, rep)
+    assert eigensolves == [] and "spectrum" not in vars(rep)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -548,3 +575,84 @@ def test_embedding_subspace_is_permutation_equivariant(equivariance_instances, n
     after = call(relabel(graph), relabel(rep), cfg).embedding
     gram_before, gram_after = before @ before.T, after @ after.T
     assert np.abs(gram_after - gram_before[np.ix_(perm, perm)]).max() <= 1e-10
+
+
+# -- the eigensolves a sweep pays for -----------------------------------------
+
+
+@pytest.fixture
+def eighs(monkeypatch):
+    """One record per ``scipy.linalg.eigh`` call: the order of its matrix,
+    the shape of its ``b`` (None without one) and what it solves, told apart
+    by the matrix: "full" for a whole spectrum, "L" for a Laplacian (rows
+    sum to zero), "normalized L" for a unit diagonal, "other" otherwise."""
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def recording(a, b=None, **options):
+        if options.get("subset_by_index") is None:
+            kind = "full"
+        elif np.allclose(a.sum(axis=1), 0.0):
+            kind = "L"
+        elif np.allclose(np.diag(a), 1.0):
+            kind = "normalized L"
+        else:
+            kind = "other"
+        calls.append((a.shape[0], None if b is None else b.shape, kind))
+        return eigh(a, b, **options)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording)
+    return calls
+
+
+def test_a_sweep_solves_only_r_and_the_unconstrained_problems_at_full_size(eighs, tmp_path):
+    # Per grid point: R once (Graph.spectrum, shared by the setup and the
+    # constrained rows), then usc's L and nsc's D^{-1/2} L D^{-1/2} once per
+    # trial's sampled graph. The setup's expected spectrum and the
+    # constrained rows solve problems of the null space's dimension, and no
+    # call factors an N-by-N b.
+    n, d_values, trials = 60, (6, 12), 2
+    cfg = repsc.parse_config_text(
+        "mode = d_regular_sweep\n"
+        "algorithms = usc, nsc, urepsc, nrepsc\n"
+        f"n_values = {n}\n"
+        "k_values = 3\n"
+        f"d_values = {', '.join(map(str, d_values))}\n"
+        f"trials = {trials}\n"
+        f"out = {tmp_path}\n"
+    )
+    result = repsc.run_experiment(cfg)
+    assert result.error_count == 0 and len(result.rows) == 4 * len(d_values) * trials
+    assert all(b is None or b[0] < n for _, b, _ in eighs)
+    full_size = sorted(kind for order, _, kind in eighs if order == n)
+    assert full_size == sorted(["full"] * len(d_values)
+                               + ["L", "normalized L"] * len(d_values) * trials)
+
+
+# -- basis invariance ---------------------------------------------------------
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["d_regular", "planted"]), normalized=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_embedding_does_not_depend_on_the_orthonormal_basis_of_y(kind, normalized, seed):
+    """Y and Y Q span one space for an orthogonal Q, so the restricted
+    problem is one problem and X X^T must not move: which basis LAPACK
+    returns for R's repeated null eigenvalue is arbitrary. A planted R is
+    full rank, so its Y is the null basis of the rank-N/10 truncation."""
+    rng = np.random.default_rng(seed)
+    n, k = 60, 3
+    if kind == "d_regular":
+        rep, truth = repsc.build_d_regular_rep_graph(n, k, 12)
+        basis = constraint_null_basis(rep)
+    else:
+        rep, _ = repsc.sample_planted_partition_rep_graph(n, 6, 0.8, 0.2, seed)
+        truth = repsc.contiguous_assignment(n, k)
+        basis = constraint_null_basis(rep, rank=n // 10)
+    graph = repsc.sample_rpp(repsc.RppParams(truth, rep, **SWEEP_PROBS), seed)
+    q = random_orthonormal(rng, basis.shape[1], basis.shape[1])
+    x, spectrum, warnings = clustering._embed(graph, k, basis, normalized)
+    rotated, rotated_spectrum, _ = clustering._embed(graph, k, basis @ q, normalized)
+    assume(not warnings)  # a tied k-th eigenvalue leaves the subspace open
+    assert np.allclose(rotated_spectrum, spectrum, atol=1e-10)
+    assert np.abs(rotated @ rotated.T - x @ x.T).max() <= 1e-10

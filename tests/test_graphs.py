@@ -78,6 +78,19 @@ def test_contiguous_constructors_reject_k_below_one(build, k):
         build(k)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+def test_cluster_assignment_rejects_a_k_that_is_not_an_integer(k):
+    with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+        repsc.contiguous_assignment(10, k)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        repsc.ClusterAssignment(np.zeros(10, dtype=int), k)
+
+
+@pytest.mark.parametrize("k", [2, np.int64(2), np.int32(2), np.uint8(2)])
+def test_cluster_assignment_takes_python_and_numpy_integer_k(k):
+    assert repsc.contiguous_assignment(10, k).sizes.tolist() == [5, 5]
+
+
 def test_rpp_params_ordering(toy_instance):
     rep, truth, _ = toy_instance
     with pytest.raises(ValueError):
@@ -263,6 +276,33 @@ def test_expected_adjacency_matches_per_pair_cases(toy_instance):
             else:
                 nominal = params.s
             assert expected[i, j] == pytest.approx(nominal, abs=1e-12)
+
+
+def elementwise_case_probabilities(params):
+    """Each pair's edge probability from the model's formula, entry by entry."""
+    labels = params.assignment.labels
+    same = (labels[:, None] == labels[None, :]).astype(np.float64)
+    rep = params.rep_graph.adjacency
+    return rep * (params.q + (params.p - params.q) * same) + (1.0 - rep) * (
+        params.s + (params.r - params.s) * same
+    )
+
+
+@pytest.mark.parametrize("probs", [SWEEP_PROBS, dict(p=0.9, q=0.37, r=0.1 + 0.2, s=0.0),
+                                   dict(p=1.0, q=1.0, r=1e-300, s=1e-300)])
+@pytest.mark.parametrize("kind", ["d_regular", "planted"])
+def test_case_table_lookup_equals_the_elementwise_formula(kind, probs):
+    # The lookup must reproduce every probability bit for bit, so a sample
+    # drawn from it is the sample the formula gives.
+    if kind == "d_regular":
+        rep, truth = repsc.build_d_regular_rep_graph(60, 3, 6)
+    else:
+        rep, _ = repsc.sample_planted_partition_rep_graph(60, 6, 0.8, 0.2, 4)
+        truth = repsc.ClusterAssignment(np.random.default_rng(4).integers(0, 3, 60), 3)
+    params = repsc.RppParams(assignment=truth, rep_graph=rep, **probs)
+    got = repsc.graphs._case_probabilities(params)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, elementwise_case_probabilities(params))
 
 
 def test_expected_adjacency_constant_row_sums(toy_instance):

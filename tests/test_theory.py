@@ -118,7 +118,7 @@ def test_expected_spectrum_toy_values(toy_instance):
     assert spec.gamma_normalized == pytest.approx(spec.gamma / degree)
     # lambda_bar is the smallest raw-expectation eigenvalue.
     raw = repsc.expected_adjacency(params) + params.p * np.eye(24)
-    assert spec.lambda_bar == pytest.approx(float(np.linalg.eigvalsh(raw)[0]), abs=1e-9)
+    assert repsc.lambda_bar(params) == pytest.approx(float(np.linalg.eigvalsh(raw)[0]), abs=1e-9)
 
 
 def test_expected_degrees_are_constant(toy_instance):
@@ -165,7 +165,6 @@ def dummy_spectrum(gamma, lambda1=152.0, gamma_normalized=None):
         lambda_rest=24.0,
         mu=np.array([0.0, 128.0]),
         gamma=gamma,
-        lambda_bar=0.0,
         mu_normalized=np.array([0.0, 128.0 / degree]),
         gamma_normalized=gamma / degree if gamma_normalized is None else gamma_normalized,
     )
