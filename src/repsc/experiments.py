@@ -30,6 +30,7 @@ from .errors import ConfigError, RepscError
 from .graphs import (
     Graph,
     RppParams,
+    _check_k,
     _parse_float,
     _parse_int,
     contiguous_assignment,
@@ -248,8 +249,10 @@ def fair_sc_baseline(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig(
     A Graph R keeps each discovered assignment in its memo, keyed by the
     group count and ``cfg``, and usc keeps L_R's solution there, so rows that
     share R solve L_R once and run its k-means once per seed. The final
-    solve on the group basis is not kept.
+    solve on the group basis is not kept. ``k`` is checked before the
+    discovery runs.
     """
+    _check_k(k)
     count = groups if groups is not None else _tenth(clustering._order(rep_graph))
     discoveries = rep_graph._memo if isinstance(rep_graph, Graph) else {}
     key = ("groups", count, cfg)

@@ -5,8 +5,13 @@ with lines ``layer_id src dst weight``: three ASCII decimal integers and a
 finite float, with ``#`` comment lines and blank lines skipped. The parser
 reads every edge line into one table with numpy's C tokenizer and checks
 it column by column; only when a check fails does it walk the lines, to
-name the first bad one. The reduction protocol used for real data builds,
-per layer, an undirected nearest-neighbor graph (each node keeps its
+name the first bad one. A file is read as a stream, in blocks of whole
+lines, so the parse holds the table (one 32-byte row per edge line) and
+the arrays that group it, not the text: its traced peak is about 71 bytes
+per edge line on a 282,213-line file (numpy 2.4). A file that fails a
+check is read a second time, only to name its bad line. The reduction
+protocol used for real data builds, per layer, an undirected
+nearest-neighbor graph (each node keeps its
 strongest neighbors, then edges are symmetrized by union), aggregates a
 range of layers by entrywise OR, and finally drops nodes that end up
 isolated. Each of those steps is its own function here so the protocol
@@ -22,6 +27,7 @@ layer (the OR that ``aggregate_layers`` takes of the per-layer graphs).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -48,6 +54,9 @@ _INT64 = np.iinfo(np.int64)
 # A line is skipped when its first non-blank character is missing or '#'.
 _HEAD = operator.itemgetter(slice(1))
 _SKIPPED_HEADS = frozenset(("", "#"))
+_LINES = operator.itemgetter(1)
+# Characters of file text read, split and filtered at a time.
+_PIECE_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,39 +106,15 @@ def load_node_names(path) -> tuple[str, ...]:
 
 
 def parse_multiplex(path, index_base: int = 0, names=None) -> MultiplexNetwork:
-    """``parse_multiplex_text`` of the file at ``path`` (FileNotFoundError if missing)."""
-    return parse_multiplex_text(Path(path).read_text(), index_base=index_base, names=names)
-
-
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(rows, axis=0, return_inverse=True)`` for an (n, 3) int64
-    array: the distinct rows sorted by (column 0, 1, 2), and each row's index
-    among them.
-
-    Each column, shifted to start at 0, is one digit of a mixed-radix int64
-    key with column 0 the most significant, so one stable argsort of the key
-    orders the rows. Only when the key's range would not fit in int64 does a
-    stable lexsort over the three columns order them instead. A row starts a
-    run when its key (or row) differs from the one before it in sorted order.
-    """
-    lo, hi = rows.min(axis=0), rows.max(axis=0)
-    spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
-    starts = np.ones(len(rows), dtype=bool)
-    if math.prod(spans) <= _INT64.max:
-        key = (rows[:, 0] - lo[0]) * spans[1]
-        key += rows[:, 1] - lo[1]
-        key *= spans[2]
-        key += rows[:, 2] - lo[2]
-        order = np.argsort(key, kind="stable")
-        ordered = key[order]
-        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    else:
-        order = np.lexsort(rows.T[::-1])
-        ordered = rows[order]
-        np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return rows[order[starts]], inverse
+    """``parse_multiplex_text`` of the file at ``path`` (FileNotFoundError if
+    missing), read as a stream of blocks of whole lines, so the file's text
+    is never held at once. A file that fails the read or a check is read a
+    second time, only to name its first bad line."""
+    with Path(path).open() as handle:
+        def pieces():
+            handle.seek(0)
+            return map("".join, iter(functools.partial(handle.readlines, _PIECE_CHARS), []))
+        return _parse_pieces(pieces, index_base, names)
 
 
 def parse_multiplex_text(text: str, index_base: int = 0, names=None) -> MultiplexNetwork:
@@ -147,10 +132,10 @@ def parse_multiplex_text(text: str, index_base: int = 0, names=None) -> Multiple
     Duplicate (layer, src, dst) triples have their weights summed in file
     order.
 
-    The kept lines are read as one table by numpy's C tokenizer and checked
-    column by column, so no Python code runs per line on a valid file. When
-    the read or a check fails, the lines are walked in file order and the
-    first bad one raises.
+    The lines are those of ``text.splitlines()``. The kept ones are read as
+    one table by numpy's C tokenizer and checked column by column, so no
+    Python code runs per line on a valid file. When the read or a check
+    fails, the lines are walked in file order and the first bad one raises.
 
     Raises:
         MalformedLineError: wrong token count, a non-numeric field or a
@@ -160,36 +145,104 @@ def parse_multiplex_text(text: str, index_base: int = 0, names=None) -> Multiple
             index outside 64 bits; the message names the line.
         NoLayersError: no edges at all.
     """
-    lines = text.splitlines()
-    # Built-in maps, so no Python code runs per line.
-    heads = map(_HEAD, map(str.lstrip, lines))
-    is_body = list(map(operator.not_, map(_SKIPPED_HEADS.__contains__, heads)))
-    body = list(itertools.compress(lines, is_body))
-    if not body:
+    return _parse_pieces(lambda: (text,), index_base, names)
+
+
+def _body(pieces: Iterable[str]):
+    """Lazily, per piece of a text: the 1-based numbers and the text of its
+    lines that are not skipped. The lines are those of ``str.splitlines`` of
+    the whole text when every piece but the last ends with a line break.
+    Built-in maps, so no Python code runs per line."""
+    start = 1
+    for piece in pieces:
+        lines = piece.splitlines()
+        heads = map(_HEAD, map(str.lstrip, lines))
+        kept = list(map(operator.not_, map(_SKIPPED_HEADS.__contains__, heads)))
+        yield itertools.compress(itertools.count(start), kept), itertools.compress(lines, kept)
+        start += len(lines)
+
+
+def _parse_pieces(pieces, index_base: int, names) -> MultiplexNetwork:
+    """``parse_multiplex_text`` of the text that ``pieces()`` yields piece by
+    piece; ``pieces`` is called a second time only to name a bad line."""
+    lines = itertools.chain.from_iterable(map(_LINES, _body(pieces())))
+    first = next(lines, None)
+    if first is None:
         raise NoLayersError("multiplex input contains no edges")
     try:
-        table = np.loadtxt(body, dtype=_ROW, comments=None, ndmin=1)
+        table = np.loadtxt(itertools.chain((first,), lines), dtype=_ROW, comments=None, ndmin=1)
     except ValueError:
         table = None
     if table is None or not _columns_pass(table, index_base, names):
-        numbers = itertools.compress(itertools.count(1), is_body)
-        _raise_first_bad_line(zip(numbers, body), index_base, names)
+        numbered = itertools.chain.from_iterable(itertools.starmap(zip, _body(pieces())))
+        _raise_first_bad_line(numbered, index_base, names)
     # int64 arithmetic wraps, so subtracting index_base modulo 2**64 gives
     # the exact adjusted index (in range, by the checks) for any index_base.
     base = (int(index_base) - _INT64.min) % 2**64 + _INT64.min
-    rows = np.column_stack((table["layer"], table["src"] - base, table["dst"] - base))
-    edges, inverse = _unique_rows(rows)
+    layer_of, src, dst = table["layer"], table["src"], table["dst"]
+    src -= base  # in place: the peak memory is the table's, so no copies
+    dst -= base
+    firsts, inverse = _group_rows((layer_of, src, dst))
     # bincount adds each row's duplicates in file order, exactly as a running
-    # sum over the lines would.
-    summed = np.bincount(inverse, weights=table["weight"], minlength=len(edges))
-    layer_of, src, dst = edges.T
+    # sum over the lines would. Each array is dropped once it is used.
+    summed = np.bincount(inverse, weights=table["weight"], minlength=len(firsts))
+    del inverse
+    layer_of, src, dst = layer_of[firsts], src[firsts], dst[firsts]
+    del table, firsts
     ids, starts = np.unique(layer_of, return_index=True)
-    bounds = zip(starts, [*starts[1:], len(edges)])
+    bounds = zip(starts, [*starts[1:], len(summed)])
     layers = tuple((src[a:b], dst[a:b], summed[a:b]) for a, b in bounds)
     node_names = tuple(names) if names is not None else None
-    n = len(node_names) if node_names is not None else int(edges[:, 1:].max()) + 1
+    n = len(node_names) if node_names is not None else int(max(src.max(), dst.max())) + 1
     return MultiplexNetwork(n=n, layers=layers, layer_ids=tuple(ids.tolist()),
                             node_names=node_names)
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` for an (n, 3) int64
+    array: the distinct rows sorted by (column 0, 1, 2), and each row's index
+    among them."""
+    firsts, inverse = _group_rows(tuple(rows.T))
+    return rows[firsts], inverse
+
+
+def _group_rows(columns) -> tuple[np.ndarray, np.ndarray]:
+    """For three equal-length int64 columns, the index of the first of each
+    group of equal rows, the groups sorted by (column 0, 1, 2), and each
+    row's group.
+
+    Each column, shifted to start at 0, is one digit of a mixed-radix int64
+    key with column 0 the most significant, so one stable argsort of the key
+    orders the rows. Only when the key's range would not fit in int64 does a
+    stable lexsort over the three columns order them instead. A row starts a
+    group when its key (or row) differs from the one before it in sorted
+    order.
+    """
+    lo = [int(column.min()) for column in columns]
+    spans = [int(column.max()) - a + 1 for column, a in zip(columns, lo)]
+    if math.prod(spans) <= _INT64.max:
+        key = (columns[0] - lo[0]) * spans[1]
+        key += columns[1] - lo[1]
+        key *= spans[2]
+        key += columns[2] - lo[2]
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        del key
+        starts = np.ones(len(order), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    else:
+        order = np.lexsort(columns[::-1])
+        starts = np.zeros(len(order), dtype=bool)
+        starts[0] = True
+        for column in columns:
+            ordered = column[order]
+            starts[1:] |= ordered[1:] != ordered[:-1]
+    # The group of each row in sorted order, scattered back to file order.
+    ranks = np.cumsum(starts, out=ordered)
+    ranks -= 1
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = ranks
+    return order[starts], inverse
 
 
 def _columns_pass(table: np.ndarray, index_base: int, names) -> bool:

@@ -110,9 +110,11 @@ def test_kmeans_takes_a_numpy_integer_k():
     lambda g, rep: repsc.urepsc(g, rep, 1.5),
     lambda g, rep: repsc.nrepsc_approx(g, rep, 1.5, 6),
     lambda g, rep: clustering._embed(g, 1.5),
-], ids=["usc", "nsc", "urepsc", "nrepsc_approx", "_embed"])
+    lambda g, rep: repsc.fair_sc_baseline(g, rep, 1.5, groups=3),
+], ids=["usc", "nsc", "urepsc", "nrepsc_approx", "_embed", "fair_sc_baseline"])
 def test_algorithms_reject_a_k_that_is_not_an_integer_before_solving(run, eigensolves):
-    # No eigensolve starts: neither of the similarity graph nor of R.
+    # No eigensolve starts: neither of the similarity graph nor of R (nor
+    # the baseline's group discovery on R).
     g, rep = memo_pair()
     with pytest.raises(ValueError, match="k must be an integer, got 1.5"):
         run(g, rep)

@@ -1,5 +1,6 @@
 """Config parsing, sweep execution, output files, and the CLI."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -195,6 +196,52 @@ def test_config_field_changes_the_sweep_output(tmp_path, name):
     first, second = map(run, values)
     moved = {algorithm for (algorithm, cells), (_, others) in zip(first, second) if cells != others}
     assert moved and moved <= set(reaches)
+
+
+# Every field that only real_network reads, other than the input file
+# itself: a pair of settings over REAL_NETWORK_BASE that must change
+# results.csv. The file counts nodes from 1, and node 31 has only
+# self-weights, so it is isolated in both graphs.
+REAL_NETWORK_BASE = {"rep_layers": "1..3", "sim_layers": "4..6", "knn_k": "3",
+                     "index_base": "1"}
+REAL_NETWORK_PAIRS = {
+    "rep_layers": ({"rep_layers": "1..3"}, {"rep_layers": "1..2"}),
+    "sim_layers": ({"sim_layers": "4..6"}, {"sim_layers": "5..6"}),
+    "knn_k": ({"knn_k": "3"}, {"knn_k": "6"}),
+    # Under index_base = 0 the absent node 0 is isolated, so with
+    # drop_isolated the shift would leave the graphs as they are; without
+    # it, the shift adds that node.
+    "index_base": ({"index_base": "0", "drop_isolated": "false"},
+                   {"index_base": "1", "drop_isolated": "false"}),
+    "drop_isolated": ({"drop_isolated": "true"}, {"drop_isolated": "false"}),
+}
+
+
+@pytest.mark.parametrize("name", REAL_NETWORK_PAIRS)
+def test_real_network_field_changes_the_sweep_output(tmp_path, name):
+    edges = tmp_path / "multiplex.edges"
+    lines = [line.split() for line in synthetic_multiplex(3).splitlines()]
+    edges.write_text("".join(f"{layer} {int(src) + 1} {int(dst) + 1} {weight}\n"
+                             for layer, src, dst, weight in lines) + "1 31 31 1\n4 31 31 1\n")
+
+    def run(at, settings):
+        rows = repsc.run_experiment(repsc.parse_config_text(
+            "mode = real_network\n"
+            f"algorithms = {', '.join(ALL_ALGORITHMS)}\n"
+            f"multiplex_file = {edges}\n"
+            "k_values = 2\n"
+            "baseline_groups = 2\n"
+            + "".join(f"{key} = {value}\n" for key, value in {**REAL_NETWORK_BASE,
+                                                             **settings}.items())
+            + f"out = {tmp_path / str(at)}\n"
+        )).rows
+        assert not any(row["error"] for row in rows)
+        return [(row["algorithm"], [row[column] for column in ("N", *PARTITION_COLUMNS)])
+                for row in rows]
+
+    first, second = itertools.starmap(run, enumerate(REAL_NETWORK_PAIRS[name]))
+    assert [algorithm for algorithm, _ in first] == [algorithm for algorithm, _ in second]
+    assert first != second
 
 
 # Each algorithm called directly on a trial's (G, R): rank N/10 for the

@@ -3,6 +3,7 @@
 import functools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,19 +247,24 @@ def test_parse_equals_the_per_line_reference(case):
     assert_same_network(got, parse_reference(text, index_base=index_base, names=names))
 
 
-def test_parse_equals_the_reference_on_a_large_file():
-    rng = np.random.default_rng(20)
-    size = 25_000
+def large_file_lines(size=25_000, seed=20):
+    """``size`` random edge lines over nodes 1 to 299, then a tenth of them
+    again (so duplicates are summed), with comments and blank lines
+    interleaved."""
+    rng = np.random.default_rng(seed)
     layer = rng.integers(1, 40, size)
     src, dst = rng.integers(1, 300, size), rng.integers(1, 300, size)
     weight = rng.exponential(1.0, size)
     lines = [f"{a} {b} {c} {w!r}" for a, b, c, w in
              zip(layer.tolist(), src.tolist(), dst.tolist(), weight.tolist())]
-    # Repeat a tenth of the lines so duplicates are summed, and interleave comments.
     lines += lines[: size // 10]
     for at in range(0, len(lines), 997):
         lines.insert(at, "# block" if at % 2 else "")
-    text = "\n".join(lines) + "\n"
+    return lines
+
+
+def test_parse_equals_the_reference_on_a_large_file():
+    text = "\n".join(large_file_lines()) + "\n"
     for index_base in (0, 1):
         assert_same_network(repsc.parse_multiplex_text(text, index_base=index_base),
                             parse_reference(text, index_base=index_base))
@@ -371,6 +377,100 @@ def test_the_reader_and_the_reporter_agree_with_the_reference(tokens, seps, inde
         assert got == want
     else:
         assert_same_network(got, want)
+
+
+# -- the file reader against the text reader ---------------------------------
+
+
+@pytest.fixture(scope="module")
+def write_file(tmp_path_factory):
+    """Write a text to a file, line breaks as given, and return its path."""
+    path = tmp_path_factory.mktemp("multiplex") / "edges.txt"
+
+    def write(text):
+        path.write_text(text, newline="")
+        return path
+
+    return write
+
+
+def parse_both(write_file, text, **kwargs):
+    """The outcome of ``parse_multiplex_text`` on ``text``, after asserting
+    that ``parse_multiplex`` of a file holding ``text`` has the same one."""
+    from_text = parse_outcome(repsc.parse_multiplex_text, text, **kwargs)
+    from_file = parse_outcome(repsc.parse_multiplex, write_file(text), **kwargs)
+    if isinstance(from_text, tuple):
+        assert from_file == from_text
+    else:
+        assert_same_network(from_file, from_text)
+    return from_text
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_files())
+@example(("1 0 1 1.0", 0, None))
+@example(("# header\n\n  3\t1 2 -0.5  \n", 1, ("a", "b")))
+def test_the_file_reader_equals_the_per_line_reference(write_file, case):
+    text, index_base, names = case
+    got = parse_both(write_file, text, index_base=index_base, names=names)
+    assert_same_network(got, parse_reference(text, index_base=index_base, names=names))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), min_size=0, max_size=5),
+       st.lists(st.sampled_from(SEPARATORS), min_size=6, max_size=6),
+       st.sampled_from([0, 1]))
+def test_the_file_reader_agrees_with_the_text_reader_on_every_token_line(
+        write_file, tokens, seps, index_base):
+    line = seps[0] + "".join(t + s for t, s in zip(tokens, seps[1:]))
+    parse_both(write_file, "1 0 1 1.0\n" + line + "\n", index_base=index_base)
+
+
+def test_the_file_reader_on_a_one_line_file_and_a_large_file(write_file):
+    assert_same_network(parse_both(write_file, "4 2 0 1.5"), parse_reference("4 2 0 1.5"))
+    text = "\n".join(large_file_lines()) + "\n"
+    for index_base in (0, 1):
+        assert_same_network(parse_both(write_file, text, index_base=index_base),
+                            parse_reference(text, index_base=index_base))
+
+
+@pytest.mark.parametrize("brk", ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_each_line_break_splits_a_file_as_it_splits_the_text(write_file, brk):
+    # Enough lines that the file is read in several pieces, every other one
+    # ended by ``brk``: a physical line of the file then holds two lines.
+    lines = large_file_lines(4000, seed=21)
+    text = "".join(line + (brk if i % 2 else "\n") for i, line in enumerate(lines))
+    assert_same_network(parse_both(write_file, text, index_base=1),
+                        parse_reference(text, index_base=1))
+    # A bad line is named by its number in text.splitlines(), past the pieces.
+    count = len(text.splitlines())
+    for after in ("", brk):
+        bad = text + "1 0 x 1.0" + brk + "1 1 2 1.0" + after
+        assert parse_both(write_file, bad, index_base=1) == (MalformedLineError, count + 1)
+    assert parse_both(write_file, text + brk + "7 0 1 1.0", index_base=1) == \
+        (IndexOutOfRangeError, None)
+
+
+# Traced bytes a parse may hold at its peak per line of the file: three
+# times the 32-byte table row that the edge lines are read into.
+PARSE_BYTES_PER_LINE = 96
+
+
+def test_the_file_reader_holds_memory_for_the_table_not_the_text(write_file):
+    lines = large_file_lines(50_000, seed=22)
+    path = write_file("\n".join(lines) + "\n")
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        repsc.parse_multiplex(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < PARSE_BYTES_PER_LINE * len(lines)
 
 
 def test_parse_from_file(tmp_path):
