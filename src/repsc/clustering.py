@@ -3,52 +3,68 @@
 The six spectral algorithms and the group-fairness baseline solve one
 problem and then run k-means on the rows of its solution:
 
-    minimize tr(H^T L H)  subject to  H^T B H = I,  H in span(Y),
+    minimize tr(H^T L H)  subject to  H^T B H = I,  H in S,
 
 with L = D - A the unnormalized Laplacian of the similarity graph. B is the
 identity (ratio-cut flavor) or the degree matrix D (normalized-cut
-flavor); Y is the identity or an orthonormal basis of the null space of the
-centered representation matrix R (I - 11^T/N), which forces the relaxed
-indicator vectors to respect proportional representation. Writing H = Y Z,
-the solution is the bottom-k generalized eigenvectors of
-(Y^T L Y, Y^T B Y), re-expanded by Y. ``_embed`` solves a generalized
-problem only where Y^T D Y is a dense m-by-m matrix (m the columns of Y);
-with Y = I and B = D it solves the standard problem on D^{-1/2} L D^{-1/2}
-and returns D^{-1/2} times its eigenvectors, which are the generalized
-ones.
+flavor); S is everything or the null space of the centered representation
+matrix R (I - 11^T/N), which forces the relaxed indicator vectors to
+respect proportional representation. ``_embed`` takes S in one of two
+forms, and ``_basis`` hands it whichever has fewer columns; both widths
+follow from the input before either is built, so no option picks one:
 
-================ = =================================== =================== =====================
-algorithm        B Y                                   eigenproblem        rows fed to k-means
-================ = =================================== =================== =====================
-usc              I I                                   L                   as they are
-nsc              D I                                   D^{-1/2} L D^{-1/2} scaled to unit length
-urepsc           I null basis of R                     Y^T L Y             as they are
-nrepsc           D null basis of R                     (Y^T L Y, Y^T D Y)  as they are
-urepsc_approx    I null basis of R's rank-r truncation Y^T L Y             as they are
-nrepsc_approx    D null basis of R's rank-r truncation (Y^T L Y, Y^T D Y)  as they are
-fair_sc_baseline I span(1) + zero sum on every group   Y^T L Y             as they are
-================ = =================================== =================== =====================
+* Y, an orthonormal basis of S (m columns). Writing H = Y Z, the solution
+  is the bottom-k generalized eigenvectors of (Y^T L Y, Y^T B Y),
+  re-expanded by Y; a generalized m-by-m problem when B = D. Exact urepsc
+  and nrepsc on a d-regular R take this arm (about 21 of 600 dimensions).
+* W, an orthonormal basis of S's orthogonal complement (w columns: about r
+  for the approximate variants, G - 1 for the baseline's G groups).
+  ``_deflate`` turns L into P L P + c W W^T (P = I - W W^T), with c above
+  every eigenvalue of L, and the bottom min(k + 1, N - w) eigenpairs of
+  that N-by-N matrix are the restricted problem's. With B = D the same runs
+  on D^{-1/2} L D^{-1/2} with D^{-1/2} W orthonormalized, and H is D^{-1/2}
+  times the eigenvectors. No generalized problem, N-by-m Y or m-by-m
+  matrix is formed.
+
+With no constraint (usc, nsc) L or D^{-1/2} L D^{-1/2} is solved directly,
+and nsc's embedding is D^{-1/2} times the eigenvectors: the generalized
+ones, so no N-by-N B is ever factored.
+
+================ = =================================== =================== =================================== =====================
+algorithm        B S                                   Y arm               W arm                               rows fed to k-means
+================ = =================================== =================== =================================== =====================
+usc              I everything                          none                L                                   as they are
+nsc              D everything                          none                D^{-1/2} L D^{-1/2}                 scaled to unit length
+urepsc           I null space of R (I - 11^T/N)        Y^T L Y             L deflated by W                     as they are
+nrepsc           D null space of R (I - 11^T/N)        (Y^T L Y, Y^T D Y)  D^{-1/2} L D^{-1/2} deflated by W'  as they are
+urepsc_approx    I the same for R's rank-r truncation  Y^T L Y             L deflated by W                     as they are
+nrepsc_approx    D the same for R's rank-r truncation  (Y^T L Y, Y^T D Y)  D^{-1/2} L D^{-1/2} deflated by W'  as they are
+fair_sc_baseline I span(1) + zero sum on every group   Y^T L Y             L deflated by W                     as they are
+================ = =================================== =================== =================================== =====================
 
 D^{-1/2} L D^{-1/2} = I - D^{-1/2} A D^{-1/2} is the normalized Laplacian
 of Ng, Jordan and Weiss, and nsc's unit-length scaling cancels the D^{-1/2}
 factor again, so it clusters the classic normalized embedding. This module
-owns every Y, and no Y takes an SVD. ``constraint_null_basis`` builds every
-Y that comes from an R, from one eigendecomposition of R; for the
+owns every Y and W, and none takes an SVD. ``constraint_null_basis`` builds
+every Y that comes from an R, from one eigendecomposition of R; for the
 approximate variants the null space of the truncation is spanned by the
-eigenvectors the truncation discards, so no rank-r matrix is ever formed. A
-``Graph`` R keeps that eigendecomposition (``Graph.spectrum``), so every Y
-built from one R object, exact or rank-r, shares one decomposition; a raw
-matrix R is decomposed on every call. ``_group_basis`` writes the
-baseline's Y down from the groups.
+eigenvectors the truncation discards, so no rank-r matrix is ever formed.
+W comes from the same decomposition: it spans (I - 11^T/N) V_r for the
+kept eigenvectors V_r that are not null. A ``Graph`` R keeps that
+eigendecomposition (``Graph.spectrum``), so every Y and W built from one R
+object, exact or rank-r, shares one decomposition; a raw matrix R is
+decomposed on every call. ``_group_basis`` writes the baseline's Y down
+from the groups, and ``_group_complement`` its W. ``_split_ones`` takes the
+ones direction out of orthonormal columns for both arms.
 
 Everything before k-means is deterministic, so ``_solve`` keeps it on the
 similarity ``Graph`` (``Graph._memo``): the k-means input points, the
 spectrum and the warnings, keyed by (R, rank, normalized, unit_rows, k).
 Runs that differ only in the k-means seed, such as the trials of a sweep
-on one fixed pair of graphs, then build each Y, restrict L and solve the
+on one fixed pair of graphs, then build each Y or W and solve the
 eigenproblem once. An entry is an N-by-k array and lives as long as the
 Graph; no basis or Laplacian outlives its call. A raw matrix, as the graph
-or as R, and the baseline's group basis are solved on every call.
+or as R, and the baseline's group constraint are solved on every call.
 
 k-means is implemented here rather than borrowed so that seeding, restarts,
 tie-breaking and empty-cluster repair are fully deterministic functions of
@@ -71,7 +87,14 @@ from .errors import (
     RankTooLargeError,
 )
 from .graphs import ClusterAssignment, Graph, _check_k, _laplacian, as_adjacency
-from .linalg import RANK_REL_TOL, _fix_signs, as_float_matrix, matmul, sym_eig
+from .linalg import (
+    RANK_REL_TOL,
+    _fix_signs,
+    as_float_matrix,
+    matmul,
+    orthonormal_columns,
+    sym_eig,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -306,23 +329,13 @@ def _gap_warnings(eigenvalues: np.ndarray, k: int) -> tuple[str, ...]:
     return ()
 
 
-def constraint_null_basis(rep_graph_or_matrix, rank: int | None = None) -> np.ndarray:
-    """Orthonormal basis Y of the null space of R (I - 11^T/N).
-
-    Every vector in this space, viewed as a relaxed cluster indicator,
-    assigns each node's representatives to clusters in proportion to
-    cluster sizes. The space is span(1) plus the part of null(R) orthogonal
-    to 1, so one eigendecomposition of R gives it: eigenvalues with
-    |lambda| <= RANK_REL_TOL * max|lambda| * N count as zero. With ``rank``,
-    R is replaced by its best rank-``rank`` approximation (the eigenpairs of
-    largest |lambda|, ties kept in ascending position), whose null space is
-    spanned by the discarded eigenvectors and the kept null ones.
-
-    Column 0 is the normalized all-ones vector; every column carries the
-    linalg sign convention. A ``Graph`` R is decomposed once for every
-    ``rank`` (``Graph.spectrum``), a raw matrix R on every call; the
-    returned basis is always a fresh array.
-    """
+def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """R's eigenvectors and the mask of those that span null(R), or the null
+    space of R's rank-``rank`` truncation: eigenvalues with |lambda| <=
+    RANK_REL_TOL * max|lambda| * N count as zero, and with ``rank`` so do all
+    but the ``rank`` eigenpairs of largest |lambda| (ties kept in ascending
+    position). A ``Graph`` R is decomposed once for every ``rank``
+    (``Graph.spectrum``), a raw matrix R on every call."""
     if isinstance(rep_graph_or_matrix, Graph):
         values, vectors = rep_graph_or_matrix.spectrum
     else:
@@ -334,16 +347,62 @@ def constraint_null_basis(rep_graph_or_matrix, rank: int | None = None) -> np.nd
     null = magnitude <= RANK_REL_TOL * (magnitude.max() if n else 0.0) * n
     if rank is not None:
         null[np.argsort(-magnitude, kind="stable")[rank:]] = True
+    return vectors, null
+
+
+def _split_ones(columns: np.ndarray, overlap: np.ndarray, drop: bool) -> np.ndarray:
+    """Orthonormal columns for the part of span(C) orthogonal to 1, for
+    orthonormal C = ``columns`` whose inner products with the unit all-ones
+    vector u are ``overlap`` (w).
+
+    C is returned as it is when |w| <= ONES_IN_NULL_ATOL: it counts as
+    orthogonal to u. Otherwise a Householder step takes span(C) ∩ u^⊥:
+    columns 1.. of C times the reflector taking w to e_0, sign-fixed, one
+    column fewer. With ``drop`` that is the result. Without it, the column
+    the step dropped comes back projected off u, C w - |w|^2 u scaled to
+    unit length, so the columns span (I - 11^T/N) span(C), as
+    (C - u w^T)(I - w w^T)^{-1/2} does. The two spaces agree when u lies in
+    span(C), where only the first can be computed accurately.
+    """
+    length = np.linalg.norm(overlap)
+    if length <= ONES_IN_NULL_ATOL:
+        return columns
+    v = overlap / length
+    v[0] += np.copysign(1.0, v[0])
+    v /= np.linalg.norm(v)
+    rest = _fix_signs(columns[:, 1:] - 2.0 * np.outer(matmul(columns, v), v[1:]))
+    if drop:
+        return rest
+    tilt = matmul(columns, overlap) - length * length / np.sqrt(columns.shape[0])
+    return np.column_stack([rest, tilt / np.linalg.norm(tilt)])
+
+
+def constraint_null_basis(rep_graph_or_matrix, rank: int | None = None) -> np.ndarray:
+    """Orthonormal basis Y of the null space of R (I - 11^T/N).
+
+    Every vector in this space, viewed as a relaxed cluster indicator,
+    assigns each node's representatives to clusters in proportion to
+    cluster sizes. The space is span(1) plus the part of null(R) orthogonal
+    to 1, so one eigendecomposition of R gives it (see ``_rep_spectrum`` for
+    what counts as null). With ``rank``, R is replaced by its best
+    rank-``rank`` approximation, whose null space is spanned by the
+    discarded eigenvectors and the kept null ones.
+
+    Column 0 is the normalized all-ones vector; every column carries the
+    linalg sign convention. A ``Graph`` R is decomposed once for every
+    ``rank`` (``Graph.spectrum``), a raw matrix R on every call; the
+    returned basis is always a fresh array.
+    """
+    return _null_basis(*_rep_spectrum(rep_graph_or_matrix, rank))
+
+
+def _null_basis(vectors: np.ndarray, null: np.ndarray) -> np.ndarray:
+    """``constraint_null_basis`` from R's eigenvectors and null mask."""
+    n = vectors.shape[0]
     ones = np.full(n, 1.0 / np.sqrt(n))
     rest = vectors[:, null]
     overlap = matmul(rest.T, ones)
-    if np.linalg.norm(overlap) > ONES_IN_NULL_ATOL:
-        # Columns 1.. of the Householder reflector taking overlap to e_0 span its complement.
-        v = overlap / np.linalg.norm(overlap)
-        v[0] += np.copysign(1.0, v[0])
-        v /= np.linalg.norm(v)
-        rest = _fix_signs(rest[:, 1:] - 2.0 * np.outer(matmul(rest, v), v[1:]))
-    return np.column_stack([ones, rest])
+    return np.column_stack([ones, _split_ones(rest, overlap, drop=True)])
 
 
 def _contrasts(count: int, weight: int = 1) -> np.ndarray:
@@ -371,6 +430,19 @@ def _group_basis(groups: ClusterAssignment) -> np.ndarray:
     return basis
 
 
+def _group_complement(groups: ClusterAssignment) -> np.ndarray:
+    """W for the group constraint: an orthonormal basis of the span of
+    1_g - (|g|/N) 1 over the non-empty groups g, the orthogonal complement
+    of ``_group_basis``'s span. The unit indicators of the groups span 1, so
+    ``_split_ones`` drops it from them."""
+    used = groups.sizes > 0
+    sizes = groups.sizes[used]
+    indicators = np.zeros((groups.n, sizes.size))
+    column = (np.cumsum(used) - 1)[groups.labels]
+    indicators[np.arange(groups.n), column] = 1.0 / np.sqrt(sizes[column])
+    return _split_ones(indicators, np.sqrt(sizes / groups.n), drop=True)
+
+
 def _restrict(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Y^T M Y, averaged with its transpose to remove rounding asymmetry;
     a 1-d ``m`` is the diagonal of M."""
@@ -381,15 +453,46 @@ def _restrict(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (reduced + reduced.T) / 2.0
 
 
-def _embed(graph, k: int, basis: np.ndarray | None = None,
-           normalized: bool = False) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+def _deflate(m: np.ndarray, complement: np.ndarray) -> None:
+    """Turn symmetric ``m`` in place into m - W E^T - E W^T, where W is
+    ``complement`` (orthonormal columns) and E = m W - W (W^T m W + c I) / 2.
+
+    That is P m P + c W W^T with P = I - W W^T: m compressed to the
+    orthogonal complement S of span(W), and c on span(W). With c one more
+    than the largest absolute row sum of m, which bounds every eigenvalue of
+    m and so of P m P (Gershgorin), every eigenvalue of the compression lies
+    below c, and the bottom N - width(W) eigenpairs of the result are those
+    of m restricted to S. The result is averaged with its transpose: the
+    product's rounding is of the order of c times the rounding unit, which
+    on heavy edge weights exceeds ``sym_eig``'s absolute symmetry tolerance.
+    """
+    shift = 1.0 + np.abs(m).sum(axis=1).max()
+    applied = matmul(m, complement)
+    inner = matmul(complement.T, applied)
+    inner[np.diag_indices_from(inner)] += shift
+    applied -= matmul(complement, inner) / 2.0
+    deflated = matmul(np.hstack([complement, applied]), np.hstack([applied, complement]).T)
+    np.subtract(m, deflated, out=deflated)
+    np.add(deflated, deflated.T, out=m)
+    m /= 2.0
+
+
+def _embed(graph, k: int, basis: np.ndarray | None = None, normalized: bool = False,
+           complement: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Solve the module's restricted problem; return (Y Z, spectrum, warnings).
 
-    B is D when ``normalized`` and I otherwise; Y is ``basis``, an N-row
-    matrix with orthonormal columns, or the identity when it is None. With
-    both Y = I and B = D (nsc) the problem is solved in its standard form:
-    the bottom eigenvectors V of D^{-1/2} L D^{-1/2} give Z = D^{-1/2} V,
-    whose columns are D-orthonormal, so no N-by-N B is ever factored.
+    B is D when ``normalized`` and I otherwise. The constraint space S is
+    given by at most one of ``basis`` (Y, orthonormal columns spanning S)
+    and ``complement`` (W, orthonormal columns spanning its orthogonal
+    complement); with neither, S is everything. On Y the problem is
+    (Y^T L Y, Y^T B Y), a generalized one when B = D. Otherwise it is solved
+    on an N-by-N matrix: L, or with B = D its standard form
+    D^{-1/2} L D^{-1/2}, whose bottom eigenvectors V give D^{-1/2} V with
+    D-orthonormal columns (as for nsc); there W becomes D^{-1/2} W
+    orthonormalized, which spans the complement of D^{1/2} S. ``_deflate``
+    moves the span of W above the spectrum, and only the bottom
+    min(k + 1, dim S) eigenpairs are solved, so its eigenvalue enters
+    neither the spectrum nor the gap test. No N-by-N B is ever factored.
     """
     _check_k(k)
     a = as_adjacency(graph)
@@ -398,27 +501,32 @@ def _embed(graph, k: int, basis: np.ndarray | None = None,
     if normalized and np.any(degrees <= 0.0):
         bad = np.flatnonzero(degrees <= 0.0)
         raise IsolatedNodeError(f"nodes with non-positive degree: {bad.tolist()}")
-    if basis is None and k > n:
-        raise KTooLargeError(f"k={k} exceeds node count {n}")
-    if basis is not None and basis.shape[0] != n:
-        raise ValueError(f"graph has {n} nodes but representation matrix has {basis.shape[0]}")
-    if basis is not None and basis.shape[1] < k:
-        raise NullSpaceTooSmallError(
-            f"constraint null space has {basis.shape[1]} dimensions, need at least k={k}"
-        )
+    if basis is None and complement is None:
+        if k > n:
+            raise KTooLargeError(f"k={k} exceeds node count {n}")
+        dims = n
+    else:
+        rows = (basis if basis is not None else complement).shape[0]
+        if rows != n:
+            raise ValueError(f"graph has {n} nodes but representation matrix has {rows}")
+        dims = basis.shape[1] if basis is not None else n - complement.shape[1]
+        if dims < k:
+            raise NullSpaceTooSmallError(
+                f"constraint null space has {dims} dimensions, need at least k={k}"
+            )
     if basis is not None:
         weight = _restrict(basis, degrees) if normalized else None
         values, vectors = sym_eig(_restrict(basis, laplacian), weight, count=k + 1)
-        embedding = matmul(basis, vectors[:, :k])
-    elif normalized:
+        return matmul(basis, vectors[:, :k]), values[:k], _gap_warnings(values, k)
+    if normalized:
         inv_root = 1.0 / np.sqrt(degrees)
         laplacian *= inv_root[:, None]
         laplacian *= inv_root
-        values, vectors = sym_eig(laplacian, count=k + 1)
-        embedding = inv_root[:, None] * vectors[:, :k]
-    else:
-        values, vectors = sym_eig(laplacian, count=k + 1)
-        embedding = vectors[:, :k]
+    if complement is not None and complement.shape[1]:
+        _deflate(laplacian, orthonormal_columns(inv_root[:, None] * complement)
+                 if normalized else complement)
+    values, vectors = sym_eig(laplacian, count=min(k + 1, dims))
+    embedding = inv_root[:, None] * vectors[:, :k] if normalized else vectors[:, :k]
     return embedding, values[:k], _gap_warnings(values, k)
 
 
@@ -427,15 +535,22 @@ def _order(graph) -> int:
     return graph.n if isinstance(graph, Graph) else np.shape(graph)[0]
 
 
-def _basis(graph, k: int, rep, rank: int | None) -> np.ndarray | None:
-    """The Y that ``rep`` and ``rank`` stand for: None (the identity) without
-    ``rep``, ``_group_basis`` of a ClusterAssignment, and otherwise the null
-    basis of R, or of its rank-``rank`` truncation when ``rank`` is given (a
-    rank that leaves room for k dimensions, checked before R is decomposed)."""
+def _basis(graph, k: int, rep, rank: int | None) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The constraint that ``rep`` and ``rank`` stand for, as ``_embed``'s
+    (basis, complement): (None, None) without ``rep``; for the groups of a
+    ClusterAssignment, or the null space of R (of its rank-``rank``
+    truncation when ``rank`` is given), whichever of Y and W has fewer
+    columns, the other None. Y wins a tie. Both widths follow from the
+    groups' sizes, or from R's null mask and where 1 lies, before either
+    is built. A ``rank`` must leave room for k dimensions; that is checked
+    before R is decomposed."""
     if rep is None:
-        return None
+        return None, None
     if isinstance(rep, ClusterAssignment):
-        return _group_basis(rep)
+        groups = np.count_nonzero(rep.sizes)
+        if groups - 1 < rep.n - groups + 1:
+            return None, _group_complement(rep)
+        return _group_basis(rep), None
     if rank is not None:
         n = _order(graph)
         if rank < 1:
@@ -445,7 +560,16 @@ def _basis(graph, k: int, rep, rank: int | None) -> np.ndarray | None:
                 f"rank {rank} exceeds n - k = {n - k}; the constraint null space "
                 "would be too small"
             )
-    return constraint_null_basis(rep, rank)
+    vectors, null = _rep_spectrum(rep, rank)
+    order = vectors.shape[0]
+    overlap = matmul(np.full(order, 1.0 / np.sqrt(order)), vectors)
+    leans = np.linalg.norm(overlap[null]) > ONES_IN_NULL_ATOL
+    width = np.count_nonzero(null) + (0 if leans else 1)
+    if width <= order - width:
+        return _null_basis(vectors, null), None
+    # W = (I - 11^T/N) V_r for the kept eigenvectors V_r; 1 lies in span(V_r)
+    # when it does not lean into the null span.
+    return None, _split_ones(vectors[:, ~null], overlap[~null], drop=not leans)
 
 
 def _points(graph, k: int, rep, rank: int | None, normalized: bool,
@@ -453,7 +577,8 @@ def _points(graph, k: int, rep, rank: int | None, normalized: bool,
     """The deterministic half of ``_solve``: the k-means input points (the
     rows of ``_embed``'s solution, scaled to unit length with ``unit_rows``
     and as they are otherwise), the spectrum and the warnings."""
-    embedding, spectrum, warnings = _embed(graph, k, _basis(graph, k, rep, rank), normalized)
+    basis, complement = _basis(graph, k, rep, rank)
+    embedding, spectrum, warnings = _embed(graph, k, basis, normalized, complement)
     if unit_rows:
         norms = np.linalg.norm(embedding, axis=1)
         zero_rows = norms <= 1e-12
@@ -526,9 +651,12 @@ def urepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> Clus
 def nrepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     """Representation-constrained normalized spectral clustering.
 
-    Solves Y^T L Y z = mu Y^T D Y z, so the volume-scaled indicator
-    relaxation stays inside the constraint space and the embedding Y Z is
-    D-orthonormal. The embedding rows are fed to k-means as they are; no
+    Minimizes tr(H^T L H) over H in the constraint space with H^T D H = I,
+    so the volume-scaled indicator relaxation stays inside that space and
+    the embedding is D-orthonormal: on a null basis Y as the generalized
+    problem Y^T L Y z = mu Y^T D Y z, on its complement W as the standard
+    problem on D^{-1/2} L D^{-1/2} deflated by D^{-1/2} W orthonormalized
+    (see ``_embed``). The embedding rows are fed to k-means as they are; no
     unit-length scaling is applied.
     """
     return _solve(graph, k, cfg, rep_graph, normalized=True)

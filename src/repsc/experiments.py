@@ -243,14 +243,19 @@ def fair_sc_baseline(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig(
 
     Clusters the representation graph itself into ``groups`` groups (default
     a tenth of the node count, at least 1) with plain spectral clustering,
-    then solves urepsc's problem with Y = 1 plus each group's zero-sum contrasts
-    (``clustering._group_basis``, Kleindessner et al.'s F^T H = 0). With one
-    group the constraint is empty and the result is unconstrained clustering.
-    A Graph R keeps each discovered assignment in its memo, keyed by the
-    group count and ``cfg``, and usc keeps L_R's solution there, so rows that
-    share R solve L_R once and run its k-means once per seed. The final
-    solve on the group basis is not kept. ``k`` is checked before the
-    discovery runs.
+    then solves urepsc's problem under Kleindessner et al.'s F^T H = 0: H
+    lies in span(1) plus each group's zero-sum vectors. With G non-empty
+    groups that constraint is G - 1 directions, 1_g - (|g|/N) 1, so for G at
+    most N/2 the kernel solves on their orthonormal basis W
+    (``clustering._group_complement``): L deflated by W, one N-by-N
+    eigensolve for the bottom k + 1 pairs. With more groups it solves on
+    Y = 1 plus each group's Helmert contrasts (``clustering._group_basis``),
+    Y^T L Y. With one group W has no column, the constraint is empty and the
+    result is unconstrained clustering. A Graph R keeps each discovered
+    assignment in its memo, keyed by the group count and ``cfg``, and usc
+    keeps L_R's solution there, so rows that share R solve L_R once and run
+    its k-means once per seed. The final solve under the group constraint is
+    not kept. ``k`` is checked before the discovery runs.
     """
     _check_k(k)
     count = groups if groups is not None else _tenth(clustering._order(rep_graph))

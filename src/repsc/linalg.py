@@ -3,11 +3,12 @@
 All routines work on plain float64 numpy arrays and are meant for the
 desk-scale problems this package targets (a few thousand nodes), so
 everything is dense and exact up to LAPACK precision. This module owns every
-dense matrix product in the package (``matmul``) as well as the
-eigensolver (``sym_eig``), and both run on scipy's BLAS. numpy links a
-second OpenBLAS with its own thread pool, and a pool whose threads still
-spin after a numpy product slows the next scipy eigensolve down; with one
-library for both, there is one pool. Two conventions are applied to every
+dense matrix product in the package (``matmul``) as well as every
+factorization: the eigensolver (``sym_eig``) and the Cholesky QR of a few
+columns (``orthonormal_columns``), and all of them run on scipy's BLAS.
+numpy links a second OpenBLAS with its own thread pool, and a pool whose
+threads still spin after a numpy product slows the next scipy eigensolve
+down; with one library for both, there is one pool. Two conventions are applied to every
 eigendecomposition so that repeated runs and different call sites agree
 bit for bit:
 
@@ -132,6 +133,24 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     # through a column view whose rows are 8 doubles apart.
     vectors *= signs
     return vectors
+
+
+def orthonormal_columns(m: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the column span of ``m``, which must have
+    full column rank: m R^{-1} for R the Cholesky factor of m^T m (one
+    Cholesky QR step). Its columns are orthonormal to about cond(m)^2 times
+    the rounding unit, so ``m`` should be well conditioned, such as a
+    diagonal rescaling of orthonormal columns.
+
+    Raises:
+        EigenConvergenceError when m^T m is not numerically positive
+        definite.
+    """
+    try:
+        upper = scipy.linalg.cholesky(matmul(m.T, m), check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(str(exc)) from exc
+    return scipy.linalg.solve_triangular(upper, m.T, trans="T", check_finite=False).T
 
 
 def sym_eig(m, b=None, count: int | None = None) -> EigenDecomposition:

@@ -658,3 +658,80 @@ def test_embedding_does_not_depend_on_the_orthonormal_basis_of_y(kind, normalize
     assume(not warnings)  # a tied k-th eigenvalue leaves the subspace open
     assert np.allclose(rotated_spectrum, spectrum, atol=1e-10)
     assert np.abs(rotated @ rotated.T - x @ x.T).max() <= 1e-10
+
+
+# -- errors and warnings on the complement (W) arm -----------------------------
+
+
+def pairs(n: int = 20) -> repsc.ClusterAssignment:
+    """n/2 groups of two nodes: W has n/2 - 1 columns and Y n/2 + 1, so the
+    group constraint is solved on W and leaves n/2 + 1 dimensions."""
+    return repsc.ClusterAssignment(np.arange(n) // 2, n // 2)
+
+
+def test_rank_out_of_range_raises_before_r_is_decomposed(r_eigs):
+    g, rep = memo_pair()
+    with pytest.raises(ValueError, match="rank must be at least 1, got 0"):
+        repsc.urepsc_approx(g, rep, 2, rank=0)
+    with pytest.raises(repsc.RankTooLargeError):
+        repsc.nrepsc_approx(g, rep.adjacency.copy(), 2, rank=23)
+    assert r_eigs == [] and "spectrum" not in vars(rep)
+
+
+def test_complement_arm_raises_when_fewer_than_k_dimensions_are_left():
+    g = repsc.Graph(np.ones((20, 20)) - np.eye(20))
+    assert clustering._basis(g, 12, pairs(), None)[0] is None
+    message = "constraint null space has 11 dimensions, need at least k=12"
+    for normalized in (False, True):
+        with pytest.raises(repsc.NullSpaceTooSmallError, match=message):
+            clustering._solve(g, 12, repsc.KMeansConfig(), pairs(), normalized=normalized)
+        with pytest.raises(repsc.NullSpaceTooSmallError, match=message):
+            clustering._embed(g, 12, clustering._group_basis(pairs()), normalized)
+
+
+def test_complement_arm_with_exactly_k_dimensions_left(eigensolves):
+    # The eigenvalue c of span(W) is not solved for, so it can neither enter
+    # the spectrum nor the gap test.
+    rng = np.random.default_rng(9)
+    upper = np.triu(rng.random((20, 20)), 1)
+    g = upper + upper.T
+    for normalized in (False, True):
+        result = clustering._solve(g, 11, repsc.KMeansConfig(), pairs(), normalized=normalized)
+        assert eigensolves[-1] == 11
+        _, spectrum, warnings = clustering._embed(g, 11, clustering._group_basis(pairs()),
+                                                  normalized)
+        assert result.warnings == warnings == ()
+        assert np.allclose(result.spectrum_used, spectrum, atol=1e-10)
+
+
+def test_complement_arm_warning_survives_a_kept_solve(eigensolves):
+    # Three 4-cliques, and an R of two groups with two members in every
+    # clique: each clique's indicator meets the constraint, so the bottom
+    # three eigenvalues are zero. R has rank 2 and 1 in its span, so W has
+    # one column.
+    g = repsc.Graph(np.kron(np.eye(3), np.ones((4, 4)) - np.eye(4)))
+    labels = np.arange(12) % 4 // 2
+    rep = repsc.Graph((labels[:, None] == labels[None, :]).astype(float), allows_self_loops=True)
+    assert clustering._basis(g, 2, rep, None)[1].shape == (12, 1)
+    first = repsc.urepsc(g, rep, 2)
+    assert len(first.warnings) == 1 and "eigengap between positions 1 and 2" in first.warnings[0]
+    assert repsc.urepsc(g, rep, 2, repsc.KMeansConfig(seed=4)).warnings == first.warnings
+    assert len(eigensolves) == 1
+    assert clustering._embed(g, 2, constraint_null_basis(rep))[2] == first.warnings
+
+
+def test_complement_arm_accepts_heavy_edge_weights():
+    # The deflated matrix carries c ~ 2 max degree = 6e10 on span(W); its
+    # rounding asymmetry must not reach sym_eig's absolute tolerance.
+    rng = np.random.default_rng(0)
+    upper = np.triu(rng.random((60, 60)), 1) * 1e9
+    g = upper + upper.T
+    groups = repsc.ClusterAssignment(np.arange(60) % 4, 4)
+    assert clustering._basis(g, 3, groups, None)[0] is None
+    for normalized in (False, True):
+        got = clustering._solve(g, 3, repsc.KMeansConfig(), groups, normalized=normalized)
+        x, spectrum, _ = clustering._embed(g, 3, clustering._group_basis(groups), normalized)
+        scale = np.abs(spectrum).max()
+        assert np.allclose(got.spectrum_used, spectrum, rtol=0.0, atol=1e-12 * scale)
+        gram = got.embedding @ got.embedding.T
+        assert np.abs(gram - x @ x.T).max() <= 1e-9 * np.abs(x @ x.T).max()

@@ -171,6 +171,23 @@ LIVE_FIELDS = {
     "baseline_groups": ((2, 8), ("fair_sc_baseline",)),
     "rank_values": ((2, 8), ("urepsc_approx",)),
     "rep_groups": ((2, 8), ALL_ALGORITHMS),  # R, and so G, change
+    # The model: G's four probabilities, R's two, and the seed of both.
+    "p": ((0.4, 0.9), ALL_ALGORITHMS),
+    "q": ((0.3, 0.4), ALL_ALGORITHMS),
+    "r": ((0.2, 0.3), ALL_ALGORITHMS),
+    "s": ((0.1, 0.0), ALL_ALGORITHMS),
+    "p_in": ((0.8, 0.3), ALL_ALGORITHMS),
+    "p_out": ((0.2, 0.5), ALL_ALGORITHMS),
+    "base_seed": ((0, 5), ALL_ALGORITHMS),
+}
+
+# Fields the planted-partition sweep reads without a cell of results.csv
+# other than runtime_ms moving: the reason, and the pair of values
+# test_inert_field_leaves_the_sweep_output_alone runs (None: checked elsewhere).
+INERT_FIELDS = {
+    "epsilon": ("read only by the d-regular misclustering bound shapes", (0.0, 0.5)),
+    "threads": ("the worker count; criterion 10 checks that no CSV byte depends on it", None),
+    "plots": ("writes SVG charts next to the CSVs and nothing else", ("false", "true")),
 }
 
 
@@ -196,6 +213,28 @@ def test_config_field_changes_the_sweep_output(tmp_path, name):
     first, second = map(run, values)
     moved = {algorithm for (algorithm, cells), (_, others) in zip(first, second) if cells != others}
     assert moved and moved <= set(reaches)
+
+
+@pytest.mark.parametrize("name", [name for name, (_, pair) in INERT_FIELDS.items() if pair])
+def test_inert_field_leaves_the_sweep_output_alone(tmp_path, name):
+    def run(value):
+        out = tmp_path / str(value)
+        repsc.run_experiment(repsc.parse_config_text(
+            "mode = planted_partition_sweep\n"
+            f"algorithms = {', '.join(ALL_ALGORITHMS)}\n"
+            "n_values = 40\n"
+            "k_values = 4\n"
+            "trials = 2\n"
+            f"{name} = {value}\n"
+            f"out = {out}\n"
+        ))
+        header, *rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()]
+        timing = header.index("runtime_ms")
+        return [row[:timing] + row[timing + 1:] for row in rows]
+
+    assert not set(INERT_FIELDS) & set(LIVE_FIELDS)
+    first, second = map(run, INERT_FIELDS[name][1])
+    assert first == second
 
 
 # Every field that only real_network reads, other than the input file

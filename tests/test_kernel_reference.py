@@ -4,7 +4,9 @@ Every reference here is built inside the test from scipy primitives: the
 constraint null space from an SVD of R (I - 11^T/N) (or of the explicitly
 rebuilt rank-r truncation of R), and each variant's embedding from the
 textbook formula (the D^{-1/2} A D^{-1/2} Laplacian for nsc, Q^{-1}
-whitening with Q = (Y^T D Y)^{1/2} for nrepsc).
+whitening with Q = (Y^T D Y)^{1/2} for nrepsc). The kernel's two arms, on a
+basis Y of the constraint space and on a basis W of its complement, are
+also checked against each other.
 """
 
 import numpy as np
@@ -217,9 +219,13 @@ def reference_embedding(name, a, r, k, rank):
         inv_root = 1.0 / np.sqrt(degrees)
         values, vectors, spectrum = bottom(np.eye(len(a)) - inv_root[:, None] * a * inv_root, k)
         return values, unit_rows(vectors), spectrum
-    basis = reference_null_basis(truncated(r, rank) if rank else r)
+    if name == "fair_sc_baseline":
+        labels = repsc.usc(r, BASELINE_GROUPS).assignment.labels
+        basis = reference_null_basis((labels[:, None] == labels[None, :]).astype(float))
+    else:
+        basis = reference_null_basis(truncated(r, rank) if rank else r)
     reduced = basis.T @ laplacian @ basis
-    if name in ("urepsc", "urepsc_approx"):
+    if name in ("urepsc", "urepsc_approx", "fair_sc_baseline"):
         values, vectors, spectrum = bottom((reduced + reduced.T) / 2.0, k)
         return values, basis @ vectors, spectrum
     restricted_degree = basis.T @ (degrees[:, None] * basis)
@@ -230,19 +236,26 @@ def reference_embedding(name, a, r, k, rank):
     return values, basis @ inv_root @ vectors, spectrum
 
 
+BASELINE_GROUPS = 3
+
+# Each variant's instances are drawn from the seed of its position here.
 VARIANTS = {
-    "usc": lambda g, r, k, rank: repsc.usc(g, k),
+    "nrepsc": lambda g, r, k, rank: repsc.nrepsc(g, r, k),
+    "nrepsc_approx": lambda g, r, k, rank: repsc.nrepsc_approx(g, r, k, rank),
     "nsc": lambda g, r, k, rank: repsc.nsc(g, k),
     "urepsc": lambda g, r, k, rank: repsc.urepsc(g, r, k),
-    "nrepsc": lambda g, r, k, rank: repsc.nrepsc(g, r, k),
     "urepsc_approx": lambda g, r, k, rank: repsc.urepsc_approx(g, r, k, rank),
-    "nrepsc_approx": lambda g, r, k, rank: repsc.nrepsc_approx(g, r, k, rank),
+    "usc": lambda g, r, k, rank: repsc.usc(g, k),
+    # The group-constrained solve; its reference rebuilds the discovered
+    # groups' block matrix and takes its null space by SVD.
+    "fair_sc_baseline": lambda g, r, k, rank: repsc.fair_sc_baseline(g, r, k,
+                                                                     groups=BASELINE_GROUPS),
 }
 
 
-@pytest.mark.parametrize("name", sorted(VARIANTS))
+@pytest.mark.parametrize("name", VARIANTS)
 def test_variant_embedding_matches_old_formula(name):
-    rng = np.random.default_rng(sorted(VARIANTS).index(name))
+    rng = np.random.default_rng(list(VARIANTS).index(name))
     checked = 0
     for trial in range(30):
         kind = sorted(REP_KINDS)[trial % len(REP_KINDS)]
@@ -289,3 +302,61 @@ def test_normalized_embedding_is_degree_orthonormal():
     for result in (repsc.nrepsc(a, r, 2), repsc.nrepsc_approx(a, r, 2, 4)):
         gram = result.embedding.T @ (a.sum(axis=1)[:, None] * result.embedding)
         assert np.allclose(gram, np.eye(2), atol=1e-9)
+
+
+# -- the kernel's two arms: a basis Y of the constraint space or W of its complement
+
+
+def planted_truncation():
+    # A planted R's all-ones direction leans into the null space of its
+    # rank-6 truncation: W whitens all six kept eigenvectors.
+    rep, _ = repsc.sample_planted_partition_rep_graph(60, 6, 0.8, 0.2, 0)
+    return rep, 6, constraint_null_basis(rep, rank=6), 6
+
+
+def regular_truncation():
+    # 1 is the kept eigenvector of eigenvalue d, so a Householder step drops
+    # it from the five kept ones (rank 5 cuts between distinct |lambda|).
+    rep, _ = repsc.build_d_regular_rep_graph(60, 3, 12)
+    return rep, 5, constraint_null_basis(rep, rank=5), 4
+
+
+def rank_beyond_the_null_space():
+    # Rank 7 of a rank-4 block R keeps three null eigenpairs, which stay in
+    # the constraint space; W is the four groups' contrasts.
+    labels = np.arange(60) % 4
+    block = (labels[:, None] == labels[None, :]).astype(float)
+    return block, 7, constraint_null_basis(block, rank=7), 3
+
+
+def groups_with_empty_ones():
+    groups = repsc.ClusterAssignment(np.arange(60) % 3 * 2, 6)  # 1, 3 and 5 are empty
+    return groups, None, clustering._group_basis(groups), 2
+
+
+def one_group():
+    groups = repsc.ClusterAssignment(np.zeros(60, dtype=np.int64), 1)
+    return groups, None, clustering._group_basis(groups), 0
+
+
+ARM_CASES = {case.__name__: case for case in (planted_truncation, regular_truncation,
+                                              rank_beyond_the_null_space,
+                                              groups_with_empty_ones, one_group)}
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("case", ARM_CASES)
+def test_complement_arm_matches_basis_arm(case, normalized):
+    rep, rank, basis, width = ARM_CASES[case]()
+    graph = random_graph(np.random.default_rng(7), 60)
+    k = 3
+    # W is the narrower description here, so _basis picks it.
+    none, complement = clustering._basis(graph, k, rep, rank)
+    assert none is None and complement.shape == (60, width)
+    assert np.allclose(complement.T @ complement, np.eye(width), atol=1e-12)
+    assert basis.shape[1] + width == 60 and np.abs(basis.T @ complement).max(initial=0.0) <= 1e-12
+    x, spectrum, warnings = clustering._embed(graph, k, basis, normalized)
+    got, got_spectrum, got_warnings = clustering._embed(graph, k, None, normalized, complement)
+    assert got_warnings == warnings == ()
+    assert np.abs(got_spectrum - spectrum).max() <= 1e-10
+    assert np.abs(got @ got.T - x @ x.T).max() <= 1e-10

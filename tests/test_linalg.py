@@ -15,7 +15,14 @@ from hypothesis.extra import numpy as hnp
 
 import repsc
 from repsc.clustering import constraint_null_basis
-from repsc.linalg import SIGN_THRESHOLD, _fix_signs, as_float_matrix, ensure_symmetric, matmul
+from repsc.linalg import (
+    SIGN_THRESHOLD,
+    _fix_signs,
+    as_float_matrix,
+    ensure_symmetric,
+    matmul,
+    orthonormal_columns,
+)
 
 
 def test_sym_eig_known_diagonal():
@@ -260,6 +267,20 @@ def test_matmul_edge_shapes():
         matmul(np.ones((2, 2, 2)), np.ones((2, 2)))
 
 
+def test_orthonormal_columns_keeps_the_span():
+    # A degree rescaling of orthonormal columns, as the normalized W arm
+    # hands it: degrees spread over two orders of magnitude.
+    rng = np.random.default_rng(21)
+    columns, _ = np.linalg.qr(rng.standard_normal((200, 12)))
+    scaled = columns / np.sqrt(rng.uniform(1.0, 100.0, 200))[:, None]
+    got = orthonormal_columns(scaled)
+    assert np.abs(got.T @ got - np.eye(12)).max() <= 1e-13
+    reference, _ = np.linalg.qr(scaled)
+    assert np.abs(got @ got.T - reference @ reference.T).max() <= 1e-13
+    with pytest.raises(repsc.EigenConvergenceError):
+        orthonormal_columns(np.column_stack([scaled, scaled[:, 0]]))
+
+
 def test_matmul_copies_no_contiguous_operand():
     a = np.random.default_rng(13).standard_normal((600, 400))
     for x, y in [(a.T, a), (a, a.T), (np.asfortranarray(a), a.T)]:
@@ -275,6 +296,14 @@ def test_matmul_copies_no_contiguous_operand():
 
 
 PRODUCT_CALLS = {"dot", "matmul", "tensordot"}
+# numpy.linalg's factorizations and solvers run on numpy's OpenBLAS, the
+# second thread pool; np.linalg.norm runs no LAPACK and stays allowed.
+NUMPY_LAPACK_CALLS = {"cholesky", "solve", "qr", "svd", "eigh", "eig", "inv", "pinv", "lstsq"}
+
+
+def _is_numpy_linalg(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "linalg"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
 
 
 def _names_scipy_spatial(node) -> bool:
@@ -290,8 +319,9 @@ def _names_scipy_spatial(node) -> bool:
 
 def test_only_linalg_multiplies_matrices():
     # One BLAS library, and so one thread pool, serves the package only while
-    # every product goes through linalg.matmul; distances are products too,
-    # so no module may reach for scipy.spatial's cdist instead.
+    # every product goes through linalg.matmul and every factorization
+    # through linalg; distances are products too, so no module may reach for
+    # scipy.spatial's cdist instead.
     found = []
     for path in sorted(Path(repsc.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -305,8 +335,13 @@ def test_only_linalg_multiplies_matrices():
                   and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
                 found.append(f"{path.name}:{node.lineno}: np.{node.attr}")
             elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"
-                  and any(alias.name in PRODUCT_CALLS for alias in node.names)):
+                  and any(alias.name in PRODUCT_CALLS | {"linalg"} for alias in node.names)):
                 found.append(f"{path.name}:{node.lineno}: from numpy import")
+            elif (isinstance(node, ast.Attribute) and node.attr in NUMPY_LAPACK_CALLS
+                  and _is_numpy_linalg(node.value)):
+                found.append(f"{path.name}:{node.lineno}: np.linalg.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                found.append(f"{path.name}:{node.lineno}: from numpy.linalg import")
     assert found == []
 
 
