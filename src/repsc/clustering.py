@@ -16,7 +16,8 @@ follow from the input before either is built, so no option picks one:
 * Y, an orthonormal basis of S (m columns). Writing H = Y Z, the solution
   is the bottom-k generalized eigenvectors of (Y^T L Y, Y^T B Y),
   re-expanded by Y; a generalized m-by-m problem when B = D. Exact urepsc
-  and nrepsc on a d-regular R take this arm (about 21 of 600 dimensions).
+  and nrepsc on a d-regular R take this arm (40 of 600 dimensions on the
+  benchmark's R).
 * W, an orthonormal basis of S's orthogonal complement (w columns: about r
   for the approximate variants, G - 1 for the baseline's G groups).
   ``_deflate`` turns L into P L P + c W W^T (P = I - W W^T), with c above
@@ -46,14 +47,20 @@ D^{-1/2} L D^{-1/2} = I - D^{-1/2} A D^{-1/2} is the normalized Laplacian
 of Ng, Jordan and Weiss, and nsc's unit-length scaling cancels the D^{-1/2}
 factor again, so it clusters the classic normalized embedding. This module
 owns every Y and W, and none takes an SVD. ``constraint_null_basis`` builds
-every Y that comes from an R, from one eigendecomposition of R; for the
-approximate variants the null space of the truncation is spanned by the
-eigenvectors the truncation discards, so no rank-r matrix is ever formed.
-W comes from the same decomposition: it spans (I - 11^T/N) V_r for the
-kept eigenvectors V_r that are not null. A ``Graph`` R keeps that
-eigendecomposition (``Graph.spectrum``), so every Y and W built from one R
-object, exact or rank-r, shares one decomposition; a raw matrix R is
-decomposed on every call. ``_group_basis`` writes the baseline's Y down
+every Y that comes from an R from R's eigenvectors, and ``_rep_spectrum``
+owns what counts as null. The exact constraint reads null(R) alone, so one
+interval solve gives it: the eigenpairs with |lambda| at most the null
+threshold, an N-by-m block (m = 39 of 600 on the benchmark's d-regular R).
+For the approximate variants the null space of the truncation is spanned by
+the eigenvectors the truncation discards, which takes R's full
+eigendecomposition, and no rank-r matrix is ever formed. W comes from the
+full decomposition too: it spans (I - 11^T/N) V_r for the kept
+eigenvectors V_r that are not null, so an exact null block too wide to be
+sure of the Y arm (2 (m + 1) > N) sends the exact constraint there as well;
+the block's width decides, whichever solve ran first. A ``Graph`` R keeps
+both solves, the null block in ``Graph._memo`` and the full decomposition
+as ``Graph.spectrum``, so each runs at most once per R object; a raw matrix
+R is solved on every call. ``_group_basis`` writes the baseline's Y down
 from the groups, and ``_group_complement`` its W. ``_split_ones`` takes the
 ones direction out of orthonormal columns for both arms.
 
@@ -331,20 +338,45 @@ def _gap_warnings(eigenvalues: np.ndarray, k: int) -> tuple[str, ...]:
 
 def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, np.ndarray]:
     """R's eigenvectors and the mask of those that span null(R), or the null
-    space of R's rank-``rank`` truncation: eigenvalues with |lambda| <=
-    RANK_REL_TOL * max|lambda| * N count as zero, and with ``rank`` so do all
-    but the ``rank`` eigenpairs of largest |lambda| (ties kept in ascending
-    position). A ``Graph`` R is decomposed once for every ``rank``
-    (``Graph.spectrum``), a raw matrix R on every call."""
-    if isinstance(rep_graph_or_matrix, Graph):
-        values, vectors = rep_graph_or_matrix.spectrum
-    else:
-        values, vectors = sym_eig(rep_graph_or_matrix)
-    n = values.shape[0]
+    space of R's rank-``rank`` truncation.
+
+    An eigenvalue counts as zero when |lambda| <= t = RANK_REL_TOL * N *
+    ||R||_inf, with ||R||_inf the largest absolute row sum: it bounds every
+    |lambda| (Gershgorin) and equals max|lambda| on a regular R. With
+    ``rank`` so do all but the ``rank`` eigenpairs of largest |lambda| (ties
+    kept in ascending position), which needs R's full decomposition: once
+    per ``Graph`` (``Graph.spectrum``), on every call for a raw matrix.
+
+    Without ``rank`` only null(R) is read, so the eigenpairs with |lambda|
+    <= t are solved for alone (``sym_eig``'s ``within``) and come back with
+    an all-true mask. A ``Graph`` keeps t and that null block in its memo
+    ("null_tol" and "null"). The
+    block's own width m picks the path: when 2 (m + 1) > N, so that
+    ``_basis`` may choose the complement W, which needs the non-null
+    eigenvectors, the full decomposition is used instead, as it is for
+    R = 0 (t = 0). No result of this function depends on which of R's
+    solves ran first.
+    """
+    graph = isinstance(rep_graph_or_matrix, Graph)
+    r = rep_graph_or_matrix.adjacency if graph else as_float_matrix(rep_graph_or_matrix)
+    n = r.shape[0]
     if rank is not None and not 0 <= rank <= n:
         raise ValueError(f"rank must lie in [0, {n}], got {rank}")
+    memo = rep_graph_or_matrix._memo if graph else {}
+    if "null_tol" not in memo:
+        memo["null_tol"] = RANK_REL_TOL * n * (np.abs(r).sum(axis=1).max() if r.size else 0.0)
+    tol = memo["null_tol"]
+    if rank is None and tol > 0.0:
+        if "null" not in memo:
+            block = sym_eig(r, within=tol).eigenvectors
+            block.flags.writeable = False
+            memo["null"] = block
+        block = memo["null"]
+        if 2 * (block.shape[1] + 1) <= n:
+            return block, np.ones(block.shape[1], dtype=bool)
+    values, vectors = rep_graph_or_matrix.spectrum if graph else sym_eig(r)
     magnitude = np.abs(values)
-    null = magnitude <= RANK_REL_TOL * (magnitude.max() if n else 0.0) * n
+    null = magnitude <= tol
     if rank is not None:
         null[np.argsort(-magnitude, kind="stable")[rank:]] = True
     return vectors, null
@@ -383,15 +415,16 @@ def constraint_null_basis(rep_graph_or_matrix, rank: int | None = None) -> np.nd
     Every vector in this space, viewed as a relaxed cluster indicator,
     assigns each node's representatives to clusters in proportion to
     cluster sizes. The space is span(1) plus the part of null(R) orthogonal
-    to 1, so one eigendecomposition of R gives it (see ``_rep_spectrum`` for
-    what counts as null). With ``rank``, R is replaced by its best
+    to 1, so R's null eigenvectors give it (see ``_rep_spectrum`` for what
+    counts as null). With ``rank``, R is replaced by its best
     rank-``rank`` approximation, whose null space is spanned by the
     discarded eigenvectors and the kept null ones.
 
     Column 0 is the normalized all-ones vector; every column carries the
-    linalg sign convention. A ``Graph`` R is decomposed once for every
-    ``rank`` (``Graph.spectrum``), a raw matrix R on every call; the
-    returned basis is always a fresh array.
+    linalg sign convention. Without ``rank`` only R's null eigenpairs are
+    solved for, unless they span more than about N/2 dimensions; with it R
+    is decomposed in full. A ``Graph`` R keeps each solve, a raw matrix R
+    is solved on every call; the returned basis is always a fresh array.
     """
     return _null_basis(*_rep_spectrum(rep_graph_or_matrix, rank))
 
@@ -542,8 +575,9 @@ def _basis(graph, k: int, rep, rank: int | None) -> tuple[np.ndarray | None, np.
     truncation when ``rank`` is given), whichever of Y and W has fewer
     columns, the other None. Y wins a tie. Both widths follow from the
     groups' sizes, or from R's null mask and where 1 lies, before either
-    is built. A ``rank`` must leave room for k dimensions; that is checked
-    before R is decomposed."""
+    is built; an exact constraint handed R's null block alone has Y the
+    narrower (``_rep_spectrum``). A ``rank`` must leave room for k
+    dimensions; that is checked before R is decomposed."""
     if rep is None:
         return None, None
     if isinstance(rep, ClusterAssignment):

@@ -46,7 +46,11 @@ def _representative_counts(rep_graph: Graph, assignment: ClusterAssignment) -> n
 
 def node_balance(rep_graph: Graph, assignment: ClusterAssignment) -> BalanceReport:
     """Balance of every node's representatives across the clusters."""
-    counts = _representative_counts(rep_graph, assignment)
+    return _balance(_representative_counts(rep_graph, assignment))
+
+
+def _balance(counts: np.ndarray) -> BalanceReport:
+    """``node_balance`` from the representative counts R onehot."""
     smallest = counts.min(axis=1)
     largest = counts.max(axis=1)
     balance = np.where(largest > 0.0, smallest / np.maximum(largest, 1.0e-300), 1.0)
@@ -65,7 +69,11 @@ def representation_residual(rep_graph: Graph, assignment: ClusterAssignment) -> 
     zeros means every cluster looks, from i's point of view, like a scaled
     copy of the population.
     """
-    counts = _representative_counts(rep_graph, assignment)
+    return _residual(rep_graph, assignment, _representative_counts(rep_graph, assignment))
+
+
+def _residual(rep_graph: Graph, assignment: ClusterAssignment, counts: np.ndarray) -> np.ndarray:
+    """``representation_residual`` from the representative counts R onehot."""
     sizes = assignment.sizes.astype(np.float64)
     if np.any(sizes == 0):
         raise EmptyClusterError("assignment contains an empty cluster")

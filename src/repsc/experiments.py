@@ -352,7 +352,8 @@ def _real_setup(cfg: ExperimentConfig):
 @_one_entry_cache
 def _trial_inputs(cfg: ExperimentConfig, n: int | None, k: int, d: int | None, seed: int):
     """Return (graph_or_matrix, rep_graph, truth_or_None, spectrum_info), shared by
-    every row of a trial: one sampled graph, and one R decomposed once."""
+    every row of a trial: one sampled graph, and one R object, which keeps
+    each of its solves."""
     if cfg.mode in ("d_regular_sweep", "expected_case_check"):
         rep, truth, params, expected, info = _regular_setup(cfg, n, k, d)
         graph = sample_rpp(params, seed) if cfg.mode == "d_regular_sweep" else expected

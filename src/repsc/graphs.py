@@ -112,9 +112,13 @@ class Graph:
     def _memo(self) -> dict:
         """Deterministic results computed on this graph, for as long as it
         lives. ``clustering._solve`` keeps each solution's k-means points,
-        spectrum and warnings here, keyed by what built the problem, and
-        ``fair_sc_baseline`` keeps each group discovery on its R. Entries are
-        node-by-k arrays and label vectors, never a node-by-node array."""
+        spectrum and warnings here, keyed by what built the problem,
+        ``fair_sc_baseline`` keeps each group discovery on its R, and
+        ``clustering._rep_spectrum`` keeps R's null threshold under
+        "null_tol" and its null block under "null": the eigenvectors with
+        |lambda| near zero, node-by-m with m usually far below N. The other
+        entries are node-by-k arrays and label vectors, never a node-by-node
+        array."""
         return {}
 
 
@@ -427,8 +431,8 @@ def expected_adjacency(params: RppParams) -> np.ndarray:
     representation graph the row sums are constant.
     """
     atilde = _case_probabilities(params)
-    np.fill_diagonal(atilde, params.p)
-    return atilde - params.p * np.eye(params.n)
+    np.fill_diagonal(atilde, 0.0)
+    return atilde
 
 
 def _laplacian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

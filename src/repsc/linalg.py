@@ -38,6 +38,8 @@ from .errors import (
 
 SYMMETRY_ATOL = 1e-10
 SIGN_THRESHOLD = 1e-12
+# An eigenvalue of R counts as zero when |lambda| <= RANK_REL_TOL * N *
+# ||R||_inf (``clustering._rep_spectrum``, the one place that applies it).
 RANK_REL_TOL = 1e-10
 
 
@@ -153,14 +155,17 @@ def orthonormal_columns(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_triangular(upper, m.T, trans="T", check_finite=False).T
 
 
-def sym_eig(m, b=None, count: int | None = None) -> EigenDecomposition:
+def sym_eig(m, b=None, count: int | None = None,
+            within: float | None = None) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, optionally generalized.
 
     With ``b`` the problem is ``m z = lambda b z`` for a symmetric positive
     definite ``b``, and the eigenvectors are b-orthonormal (Z^T b Z = I).
-    With ``count`` only the ``count`` smallest eigenpairs are computed.
+    With ``count`` only the ``count`` smallest eigenpairs are computed, and
+    with ``within`` only those with |lambda| <= ``within`` (possibly none).
     The LAPACK driver follows from the call: the divide-and-conquer drivers
-    (``evd``/``gvd``) for a full spectrum, the subset drivers otherwise.
+    (``evd``/``gvd``) for a full spectrum, the subset drivers otherwise,
+    over the closed interval [-within, within] for ``within``.
     ``m`` and ``b`` are never modified: LAPACK overwrites the symmetrized
     copies made here, whose transposes are the Fortran-ordered views it
     reads without copying again (the copies are exactly symmetric).
@@ -169,6 +174,7 @@ def sym_eig(m, b=None, count: int | None = None) -> EigenDecomposition:
         m: square matrix, symmetric up to 1e-10 absolute tolerance.
         b: optional positive definite matrix of the same shape.
         count: optional number of bottom eigenpairs, at least 1.
+        within: optional positive bound on |lambda|; not with ``count``.
 
     Returns:
         EigenDecomposition with ascending eigenvalues and sign-fixed
@@ -186,7 +192,15 @@ def sym_eig(m, b=None, count: int | None = None) -> EigenDecomposition:
             raise SizeMismatchError(f"b has shape {b.shape}, matrix has {a.shape}")
     if count is not None and count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    if count is None or count >= n:
+    if within is not None:
+        if count is not None:
+            raise ValueError("count and within cannot both be given")
+        if not within > 0.0:
+            raise ValueError(f"within must be positive, got {within}")
+        # LAPACK's interval is half-open, (vl, vu]: one step below -within
+        # closes it.
+        options = {"subset_by_value": [np.nextafter(-within, -np.inf), within]}
+    elif count is None or count >= n:
         options = {"driver": "evd" if b is None else "gvd"}
     else:
         options = {"subset_by_index": [0, count - 1]}

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import build_indicator_h, build_indicator_t, node_balance, representation_residual
+from .constraint import (_balance, _representative_counts, _residual, build_indicator_h,
+                         build_indicator_t)
 from .errors import SizeMismatchError, ZeroVolumeClusterError
 from .graphs import ClusterAssignment, Graph, _laplacian, as_adjacency
 from .linalg import matmul
@@ -181,10 +182,13 @@ class PartitionScore:
 
 def score_partition(graph, rep_graph: Graph, predicted: ClusterAssignment,
                     truth: ClusterAssignment | None = None) -> PartitionScore:
-    """Evaluate a partition against a similarity graph and representation graph."""
+    """Evaluate a partition against a similarity graph and representation
+    graph. The representative counts R onehot, which ``node_balance`` and
+    ``representation_residual`` each compute, are computed once."""
     rcut, ncut = _cuts(graph, predicted)
-    balance = node_balance(rep_graph, predicted)
-    max_residual = float(np.abs(representation_residual(rep_graph, predicted)).max())
+    counts = _representative_counts(rep_graph, predicted)
+    balance = _balance(counts)
+    max_residual = float(np.abs(_residual(rep_graph, predicted, counts)).max())
     mistakes, accuracy = _agreement(truth, predicted) if truth is not None else (None, None)
     return PartitionScore(
         rcut=rcut,

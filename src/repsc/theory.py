@@ -99,9 +99,14 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
     Verifies that the bottom k restricted eigenvalues match the closed form
     (0 and k-1 copies of lambda1 - lambda_rest) and that the expected degree
     is the constant lambda1 - p, raising AssumptionViolatedError when the
-    inputs do not actually satisfy the regularity assumption. Its one
-    eigensolve is of the restricted Laplacian, of the null space's dimension;
-    no N-by-N matrix is decomposed (``lambda_bar`` does that, on demand).
+    inputs do not actually satisfy the regularity assumption. It solves two
+    eigenproblems. ``constraint_null_basis`` solves R for its null block, the
+    eigenpairs with |lambda| near zero (one interval solve: 39 of 600 pairs
+    on the benchmark's d-regular R; R in full only when that block is wider
+    than about N/2), and the ``Graph`` R keeps it, so urepsc and nrepsc on
+    the same R reuse it. Then the restricted Laplacian, of the null space's dimension,
+    is decomposed. The expected similarity matrix is never decomposed
+    (``lambda_bar`` does that, on demand).
     """
     lambda1, lambda_rest = closed_form_eigenvalues(params)
     centered = expected_adjacency(params)

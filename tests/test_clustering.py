@@ -315,35 +315,80 @@ def test_pipelines_deterministic(toy_instance):
         assert np.array_equal(first.embedding, second.embedding)
 
 
-# -- one eigendecomposition per representation Graph (Graph.spectrum) --
+# -- each solve of a representation Graph once (Graph.spectrum, null block) --
+
+FULL, INTERVAL = ("full", (24, 24)), ("interval", (24, 24))
 
 
 @pytest.fixture
 def r_eigs(monkeypatch):
-    """Record the shape of every full eigendecomposition of an R: those of
-    Graph.spectrum and those constraint_null_basis makes of a raw matrix."""
-    shapes = []
+    """Record every solve of an R in call order, as (kind, shape): "full"
+    for a whole spectrum (Graph.spectrum, or a raw matrix's in clustering),
+    "interval" for the eigenpairs with |lambda| <= t (sym_eig's ``within``)."""
+    solves = []
 
-    def counting(m, b=None, count=None):
+    def counting(m, b=None, count=None, within=None):
         if b is None and count is None:
-            shapes.append(np.shape(m))
-        return sym_eig(m, b, count)
+            solves.append(("full" if within is None else "interval", np.shape(m)))
+        return sym_eig(m, b, count, within)
 
     monkeypatch.setattr(repsc.graphs, "sym_eig", counting)
     monkeypatch.setattr(clustering, "sym_eig", counting)
-    return shapes
+    return solves
 
 
 def test_graph_r_is_decomposed_once_for_any_rank(r_eigs, toy_instance):
+    # Rank-r truncations read the largest |lambda|: one full decomposition
+    # of R serves every rank.
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
+    first = constraint_null_basis(rep, rank=4)
+    constraint_null_basis(rep, rank=8)
+    _, _, params = toy_instance
+    g = repsc.sample_rpp(params, 3)
+    repsc.urepsc_approx(g, rep, 2, rank=5)
+    repsc.nrepsc_approx(g, rep, 2, rank=6)
+    assert np.array_equal(constraint_null_basis(rep, rank=4), first)
+    assert r_eigs == [FULL]
+
+
+def test_narrow_exact_constraint_takes_one_interval_solve(r_eigs, toy_instance):
+    # d = 8 leaves 9 null dimensions of 24: urepsc, nrepsc and the null
+    # basis read the one null block the Graph keeps, and R is never
+    # decomposed in full.
+    rep, _ = repsc.build_d_regular_rep_graph(24, 2, 8)
     first = constraint_null_basis(rep)
-    constraint_null_basis(rep, rank=4)
     _, _, params = toy_instance
     g = repsc.sample_rpp(params, 3)
     repsc.urepsc(g, rep, 2)
-    repsc.nrepsc_approx(g, rep, 2, rank=6)
+    repsc.nrepsc(g, rep, 2)
+    assert first.shape == (24, 10)
     assert np.array_equal(constraint_null_basis(rep), first)
-    assert r_eigs == [(24, 24)]
+    assert r_eigs == [INTERVAL] and "spectrum" not in vars(rep)
+
+
+def test_wide_exact_constraint_decomposes_r_in_full(r_eigs):
+    # d = 6 leaves 14 null dimensions of 24, more than N/2: the interval
+    # solve's width sends every exact call to the full decomposition, once
+    # per Graph.
+    rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
+    g, _ = memo_pair()
+    assert constraint_null_basis(rep).shape == (24, 15)
+    repsc.urepsc(g, rep, 2)
+    assert r_eigs == [INTERVAL, FULL]
+
+
+@pytest.mark.parametrize("d", [8, 6])  # a narrow null block, then a wide one
+def test_exact_rows_do_not_depend_on_an_earlier_rank_solve(d):
+    # urepsc_approx decomposes one copy of R in full first; the exact
+    # variants' bytes must not change for it.
+    rep, _ = repsc.build_d_regular_rep_graph(24, 2, d)
+    decomposed = fresh(rep)
+    g, _ = memo_pair()
+    repsc.urepsc_approx(fresh(g), decomposed, 2, rank=5)
+    assert "spectrum" in vars(decomposed)
+    assert np.array_equal(constraint_null_basis(rep), constraint_null_basis(decomposed))
+    for algorithm in (repsc.urepsc, repsc.nrepsc):
+        assert_same_result(algorithm(fresh(g), rep, 2), algorithm(fresh(g), decomposed, 2))
 
 
 def test_null_basis_memo_recomputes_a_changed_r(r_eigs):
@@ -356,16 +401,23 @@ def test_null_basis_memo_recomputes_a_changed_r(r_eigs):
     changed = raw.copy()
     changed[0, 1] = changed[1, 0] = 1.0 - changed[0, 1]
     assert not np.array_equal(constraint_null_basis(changed), first)
-    assert r_eigs == [(24, 24)] * 5
+    # The exact calls on the raw matrices are wide (see above): an interval
+    # solve, then the full decomposition.
+    assert r_eigs == [INTERVAL, FULL, FULL, FULL, INTERVAL, FULL, INTERVAL, FULL]
 
 
 def test_null_basis_memo_caches_no_failure(r_eigs, monkeypatch):
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
 
-    def failing(m, b=None, count=None):
+    def failing(m, b=None, count=None, within=None):
         raise repsc.EigenConvergenceError("no convergence")
 
     counting = repsc.graphs.sym_eig
+    monkeypatch.setattr(clustering, "sym_eig", failing)
+    with pytest.raises(repsc.EigenConvergenceError):
+        constraint_null_basis(rep)
+    assert "null" not in rep._memo
+    monkeypatch.setattr(clustering, "sym_eig", counting)
     monkeypatch.setattr(repsc.graphs, "sym_eig", failing)
     with pytest.raises(repsc.EigenConvergenceError):
         constraint_null_basis(rep)
@@ -373,7 +425,8 @@ def test_null_basis_memo_caches_no_failure(r_eigs, monkeypatch):
     monkeypatch.setattr(repsc.graphs, "sym_eig", counting)
     constraint_null_basis(rep)
     constraint_null_basis(rep)
-    assert r_eigs == [(24, 24)]
+    # R is wide (see above): the interval solve is kept from the second call.
+    assert r_eigs == [INTERVAL, FULL]
 
 
 def test_null_basis_memo_is_read_only_and_returns_fresh_bases(r_eigs):
@@ -382,32 +435,33 @@ def test_null_basis_memo_is_read_only_and_returns_fresh_bases(r_eigs):
     graph = repsc.Graph(handed, allows_self_loops=True)
     # Kept without a copy, and the caller's array became read-only with it.
     assert graph.adjacency is handed
-    for array in (handed, *graph.spectrum):
+    basis = constraint_null_basis(graph)
+    for array in (handed, *graph.spectrum, graph._memo["null"]):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
-    basis = constraint_null_basis(graph)
     expected = basis.copy()
     basis[:] = 0.0
     assert np.array_equal(constraint_null_basis(graph), expected)
-    assert len(r_eigs) == 1
+    assert r_eigs == [INTERVAL, FULL]
 
 
 def test_sweep_decomposes_each_r_once_per_grid_point(r_eigs, tmp_path):
     # Setup (expected_spectrum) and 2 trials x (urepsc, nrepsc) at each of
-    # two grid points share one eigendecomposition of that point's R.
+    # two grid points share one interval solve of that point's R, whose null
+    # block (1 and 9 of 24 dimensions) is narrow: no full decomposition.
     cfg = repsc.parse_config_text(
         "mode = d_regular_sweep\n"
         "algorithms = usc, urepsc, nrepsc\n"
         "n_values = 24\n"
         "k_values = 2\n"
-        "d_values = 4, 6\n"
+        "d_values = 4, 8\n"
         "trials = 2\n"
         f"out = {tmp_path}\n"
     )
     result = repsc.run_experiment(cfg)
     assert result.error_count == 0 and len(result.rows) == 12
-    assert r_eigs == [(24, 24), (24, 24)]
+    assert r_eigs == [INTERVAL, INTERVAL]
 
 
 # -- what a Graph keeps of each solve (Graph._memo) --
@@ -449,12 +503,13 @@ MEMO_RUNS = {
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """The ``count`` of every eigensolve of the clustering code."""
+    """The ``count`` of every eigensolve of the clustering code (None for a
+    raw R's full and interval solves)."""
     counts = []
 
-    def counting(m, b=None, count=None):
+    def counting(m, b=None, count=None, within=None):
         counts.append(count)
-        return sym_eig(m, b, count)
+        return sym_eig(m, b, count, within)
 
     monkeypatch.setattr(clustering, "sym_eig", counting)
     return counts
@@ -508,9 +563,10 @@ def test_raw_matrices_are_solved_on_every_call(eigensolves):
         repsc.urepsc(g, raw_rep, 2)
         repsc.nrepsc_approx(raw_g, rep, 2, 6)
         repsc.fair_sc_baseline(raw_g, raw_rep, 2, groups=3)
-    # usc: 1; urepsc: R and the restricted problem; nrepsc_approx: the
-    # restricted problem (R is a Graph); the baseline: discovery and solve.
-    assert len(eigensolves) == 2 * (1 + 2 + 1 + 2)
+    # usc: 1; urepsc: R (wide: its interval solve and full decomposition)
+    # and the restricted problem; nrepsc_approx: the restricted problem (R
+    # is a Graph); the baseline: discovery and solve.
+    assert len(eigensolves) == 2 * (1 + 3 + 1 + 2)
     assert "_memo" not in vars(g)
 
 
@@ -716,7 +772,9 @@ def test_complement_arm_warning_survives_a_kept_solve(eigensolves):
     first = repsc.urepsc(g, rep, 2)
     assert len(first.warnings) == 1 and "eigengap between positions 1 and 2" in first.warnings[0]
     assert repsc.urepsc(g, rep, 2, repsc.KMeansConfig(seed=4)).warnings == first.warnings
-    assert len(eigensolves) == 1
+    # R's interval solve (10 null dimensions of 12: R is then decomposed in
+    # full by Graph.spectrum) and the restricted problem.
+    assert len(eigensolves) == 2
     assert clustering._embed(g, 2, constraint_null_basis(rep))[2] == first.warnings
 
 

@@ -115,6 +115,41 @@ def test_null_basis_matches_svd_reference(kind, seed):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(kind=st.sampled_from(sorted(REP_KINDS)), seed=st.integers(0, 2**32 - 1))
+@example(kind="block", seed=0)
+def test_interval_null_block_matches_svd_reference(kind, seed):
+    # The exact constraint reads R's null eigenpairs alone: an N x m block
+    # when 2 (m + 1) <= N, and R's full decomposition when the block is
+    # wider (the block kind: at most 5 groups of 24 nodes).
+    r = REP_KINDS[kind](np.random.default_rng(seed))
+    n = r.shape[0]
+    null_r = reference_null_basis(r, center=False)
+    vectors, null = clustering._rep_spectrum(r, None)
+    if 2 * (null_r.shape[1] + 1) <= n:
+        assert null.all() and vectors.shape == null_r.shape
+    else:
+        assert vectors.shape == (n, n) and kind != "spiked"
+    assert np.allclose(vectors.T @ vectors, np.eye(vectors.shape[1]), atol=1e-10)
+    assert_same_projector(vectors[:, null], null_r)
+    if kind != "spiked":
+        # A Graph R keeps the same solve of the same matrix: the same bytes.
+        rep = repsc.Graph(r.copy(), allows_self_loops=True)
+        assert np.array_equal(constraint_null_basis(rep), constraint_null_basis(r))
+        assert ("null" in rep._memo) and ("spectrum" in vars(rep)) == (vectors.shape[1] == n)
+
+
+def test_interval_null_block_of_the_zero_matrix_is_everything():
+    # t = RANK_REL_TOL * N * ||R||_inf is 0, and LAPACK's half-open interval
+    # (-0, 0] would hold no eigenvalue: R = 0 takes the full decomposition.
+    for n in (1, 4, 7):
+        vectors, null = clustering._rep_spectrum(np.zeros((n, n)), None)
+        assert vectors.shape == (n, n) and null.all()
+        rep = repsc.Graph(np.zeros((n, n)))
+        assert constraint_null_basis(rep).shape == (n, n)
+        assert "null" not in rep._memo
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(sorted(REP_KINDS)), seed=st.integers(0, 2**32 - 1))
 def test_rank_null_basis_matches_rebuilt_truncation(kind, seed):
     rng = np.random.default_rng(seed)
     r = REP_KINDS[kind](rng)

@@ -130,6 +130,36 @@ def test_sym_eig_count_returns_the_bottom_pairs():
         assert repsc.sym_eig(a, count=n + 3).eigenvalues.shape == (n,)
 
 
+def test_sym_eig_within_returns_the_pairs_in_the_closed_interval():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(3, 12))
+        a = random_symmetric(rng, n)
+        for b in (None, random_spd(rng, n)):
+            full = repsc.sym_eig(a, b)
+            # Halfway between two magnitudes: no eigenvalue sits near an end.
+            magnitudes = np.sort(np.abs(full.eigenvalues))
+            bound = float(magnitudes[n // 2 - 1] + magnitudes[n // 2]) / 2.0
+            inside = np.abs(full.eigenvalues) <= bound
+            part = repsc.sym_eig(a, b, within=bound)
+            assert np.allclose(part.eigenvalues, full.eigenvalues[inside], atol=1e-9)
+            assert np.allclose(part.eigenvectors, full.eigenvectors[:, inside], atol=1e-7)
+            assert_sign_fixed(part.eigenvectors)
+    # Both ends of [-1, 1] belong to it, and an empty interval is no error.
+    values = repsc.sym_eig(np.diag([2.0, 1.0, -1.0, 0.5, -3.0]), within=1.0).eigenvalues
+    assert values.tolist() == [-1.0, 0.5, 1.0]
+    empty = repsc.sym_eig(np.diag([2.0, -3.0]), within=1.0)
+    assert empty.eigenvalues.shape == (0,) and empty.eigenvectors.shape == (2, 0)
+
+
+def test_sym_eig_within_rejects_a_bound_that_is_not_positive():
+    for bound in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="within must be positive"):
+            repsc.sym_eig(np.eye(3), within=bound)
+    with pytest.raises(ValueError, match="count and within"):
+        repsc.sym_eig(np.eye(3), count=1, within=1.0)
+
+
 def test_sym_eig_leaves_its_arguments_unchanged():
     rng = np.random.default_rng(9)
     n = 12
@@ -138,10 +168,10 @@ def test_sym_eig_leaves_its_arguments_unchanged():
     noisy = a + 1e-13 * rng.standard_normal((n, n))
     for m in (a, np.asfortranarray(a), noisy):
         for b in (None, spd, np.asfortranarray(spd)):
-            for count in (None, 1, 3):
+            for count, within in ((None, None), (1, None), (3, None), (None, 1.0)):
                 m_before = m.copy()
                 b_before = None if b is None else b.copy()
-                repsc.sym_eig(m, b, count)
+                repsc.sym_eig(m, b, count, within)
                 assert np.array_equal(m, m_before)
                 assert b is None or np.array_equal(b, b_before)
 
