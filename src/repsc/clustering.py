@@ -97,9 +97,12 @@ from .graphs import ClusterAssignment, Graph, _check_k, _laplacian, as_adjacency
 from .linalg import (
     RANK_REL_TOL,
     _fix_signs,
+    _scratch,
+    _symmetrize,
     as_float_matrix,
     matmul,
     orthonormal_columns,
+    row_blocks,
     sym_eig,
 )
 
@@ -486,7 +489,7 @@ def _restrict(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (reduced + reduced.T) / 2.0
 
 
-def _deflate(m: np.ndarray, complement: np.ndarray) -> None:
+def _deflate(m: np.ndarray, complement: np.ndarray, rows) -> None:
     """Turn symmetric ``m`` in place into m - W E^T - E W^T, where W is
     ``complement`` (orthonormal columns) and E = m W - W (W^T m W + c I) / 2.
 
@@ -495,19 +498,35 @@ def _deflate(m: np.ndarray, complement: np.ndarray) -> None:
     than the largest absolute row sum of m, which bounds every eigenvalue of
     m and so of P m P (Gershgorin), every eigenvalue of the compression lies
     below c, and the bottom N - width(W) eigenpairs of the result are those
-    of m restricted to S. The result is averaged with its transpose: the
-    product's rounding is of the order of c times the rounding unit, which
-    on heavy edge weights exceeds ``sym_eig``'s absolute symmetry tolerance.
+    of m restricted to S. The product [W E][E W]^T is written over m, and
+    ``rows(strip)``, which rebuilds m's rows in a row strip with the same
+    bits, supplies m for the subtraction, so no second N-by-N array is made.
+    The result is averaged with its transpose: the product's rounding is of
+    the order of c times the rounding unit, which on heavy edge weights
+    exceeds ``sym_eig``'s absolute symmetry tolerance.
     """
-    shift = 1.0 + np.abs(m).sum(axis=1).max()
+    strips = row_blocks(m.shape[0])
+    shift = 1.0 + max(np.abs(m[strip]).sum(axis=1).max() for strip in strips)
     applied = matmul(m, complement)
     inner = matmul(complement.T, applied)
     inner[np.diag_indices_from(inner)] += shift
     applied -= matmul(complement, inner) / 2.0
-    deflated = matmul(np.hstack([complement, applied]), np.hstack([applied, complement]).T)
-    np.subtract(m, deflated, out=deflated)
-    np.add(deflated, deflated.T, out=m)
-    m /= 2.0
+    matmul(np.hstack([complement, applied]), np.hstack([applied, complement]).T, out=m)
+    for strip in strips:
+        np.subtract(rows(strip), m[strip], out=m[strip])
+    _symmetrize(m, check=False)
+
+
+def _operator(a: np.ndarray, inv_root: np.ndarray | None,
+              rows: slice = slice(None)) -> np.ndarray:
+    """Rows ``rows`` of L = D - A, or of D^{-1/2} L D^{-1/2} given
+    ``inv_root`` (the degrees' inverse square roots), as a fresh array; a
+    strip has the bits of the same rows of the whole matrix."""
+    _, m = _laplacian(a[rows], rows.start or 0)
+    if inv_root is not None:
+        m *= inv_root[rows, None]
+        m *= inv_root
+    return m
 
 
 def _embed(graph, k: int, basis: np.ndarray | None = None, normalized: bool = False,
@@ -525,12 +544,14 @@ def _embed(graph, k: int, basis: np.ndarray | None = None, normalized: bool = Fa
     orthonormalized, which spans the complement of D^{1/2} S. ``_deflate``
     moves the span of W above the spectrum, and only the bottom
     min(k + 1, dim S) eigenpairs are solved, so its eigenvalue enters
-    neither the spectrum nor the gap test. No N-by-N B is ever factored.
+    neither the spectrum nor the gap test. No N-by-N B is ever factored, and
+    that N-by-N matrix is the one the solve runs on (``_scratch``):
+    beyond the graph, one N-by-N array is held.
     """
     _check_k(k)
     a = as_adjacency(graph)
     n = a.shape[0]
-    degrees, laplacian = _laplacian(a)
+    degrees = a.sum(axis=1)
     if normalized and np.any(degrees <= 0.0):
         bad = np.flatnonzero(degrees <= 0.0)
         raise IsolatedNodeError(f"nodes with non-positive degree: {bad.tolist()}")
@@ -549,16 +570,14 @@ def _embed(graph, k: int, basis: np.ndarray | None = None, normalized: bool = Fa
             )
     if basis is not None:
         weight = _restrict(basis, degrees) if normalized else None
-        values, vectors = sym_eig(_restrict(basis, laplacian), weight, count=k + 1)
+        values, vectors = sym_eig(_restrict(basis, _operator(a, None)), weight, count=k + 1)
         return matmul(basis, vectors[:, :k]), values[:k], _gap_warnings(values, k)
-    if normalized:
-        inv_root = 1.0 / np.sqrt(degrees)
-        laplacian *= inv_root[:, None]
-        laplacian *= inv_root
+    inv_root = 1.0 / np.sqrt(degrees) if normalized else None
+    operator = _operator(a, inv_root)
     if complement is not None and complement.shape[1]:
-        _deflate(laplacian, orthonormal_columns(inv_root[:, None] * complement)
-                 if normalized else complement)
-    values, vectors = sym_eig(laplacian, count=min(k + 1, dims))
+        _deflate(operator, orthonormal_columns(inv_root[:, None] * complement)
+                 if normalized else complement, lambda strip: _operator(a, inv_root, strip))
+    values, vectors = sym_eig(_scratch(operator), count=min(k + 1, dims))
     embedding = inv_root[:, None] * vectors[:, :k] if normalized else vectors[:, :k]
     return embedding, values[:k], _gap_warnings(values, k)
 

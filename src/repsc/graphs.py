@@ -25,7 +25,8 @@ from .errors import (
     MalformedLineError,
     SizeMismatchError,
 )
-from .linalg import EigenDecomposition, as_float_matrix, ensure_symmetric, matmul, sym_eig
+from .linalg import (EigenDecomposition, as_float_matrix, ensure_symmetric, matmul, row_blocks,
+                     sym_eig)
 
 # An integer field of the text formats: ASCII decimal digits with an optional
 # sign. int() alone would also take '1_0', padding and other scripts' digits.
@@ -83,7 +84,8 @@ class Graph:
             raise ValueError(f"adjacency must be square, got {a.shape}")
         if not np.array_equal(a, a.T):
             raise ValueError("adjacency must be exactly symmetric")
-        if not np.all((a == 0.0) | (a == 1.0)):
+        # The two masks are disjoint; counting each in turn holds one of them.
+        if np.count_nonzero(a == 0.0) + np.count_nonzero(a == 1.0) != a.size:
             raise ValueError("adjacency entries must be 0 or 1")
         if not self.allows_self_loops and np.any(np.diag(a) != 0.0):
             raise ValueError("self-loops present but allows_self_loops is False")
@@ -366,12 +368,14 @@ def validate_regular_representation(rep_graph: Graph, assignment: ClusterAssignm
     )
 
 
-def _case_probabilities(params: RppParams) -> np.ndarray:
-    """Entrywise edge probabilities (diagonal included, caller discards it).
+def _case_probabilities(params: RppParams, rows: slice = slice(None)) -> np.ndarray:
+    """Edge probabilities of the node pairs in ``rows`` (all rows by
+    default; the diagonal is included and the caller discards it).
 
     The model's formula is evaluated once per case, into a 2x2 table indexed
     by (represented, same cluster), and every pair looks its case up, so each
-    entry has the bits the formula gives entry by entry.
+    entry has the bits the formula gives entry by entry. Only the rows asked
+    for are indexed: a row strip holds a strip-sized case index.
     """
     rep = np.array([[0.0, 0.0], [1.0, 1.0]])
     same = np.array([[0.0, 1.0], [0.0, 1.0]])
@@ -379,29 +383,43 @@ def _case_probabilities(params: RppParams) -> np.ndarray:
         params.s + (params.r - params.s) * same
     )
     labels = params.assignment.labels
-    case = params.rep_graph.adjacency.astype(np.uint8)
+    case = params.rep_graph.adjacency[rows].astype(np.uint8)
     case <<= 1
-    case |= labels[:, None] == labels[None, :]
+    case |= labels[rows, None] == labels[None, :]
     return table.ravel().take(case)
 
 
-def _symmetric_draw(prob: np.ndarray, seed) -> np.ndarray:
+def _symmetric_draw(n: int, probabilities, seed) -> np.ndarray:
     """Symmetric 0/1 float64 matrix with a zero diagonal: pair i < j is an
-    edge when u[i, j] < prob[i, j], for one seeded n x n uniform matrix u."""
-    n = prob.shape[0]
-    upper = np.triu(np.random.default_rng(seed).random((n, n)) < prob, k=1)
-    return (upper | upper.T).astype(np.float64)
+    edge when u[i, j] < prob[i, j], for one seeded n x n uniform matrix u.
+
+    ``probabilities(rows)`` returns prob's rows. u is drawn in the row strips
+    of ``row_blocks``, which read the generator exactly as one (n, n) draw
+    does, and each strip is compared straight into the result; its lower
+    part then takes the mirror of the finished strips above it. Only the
+    result and strip-sized temporaries are held.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((n, n))
+    for rows in row_blocks(n):
+        strip = out[rows]
+        np.less(rng.random(strip.shape), probabilities(rows), out=strip)
+        strip[:, :rows.start] = out[:rows.start, rows].T
+        corner = np.triu(strip[:, rows], 1)
+        np.add(corner, corner.T, out=strip[:, rows])
+    return out
 
 
 def sample_rpp(params: RppParams, seed) -> Graph:
     """Draw a similarity graph from the representation-aware planted partition.
 
     Each unordered pair i < j is an independent Bernoulli draw with the case
-    probability for that pair; there are no self-loops. The full uniform
-    matrix is generated in one seeded pass and only the upper triangle is
+    probability for that pair; there are no self-loops. The uniforms of one
+    seeded n x n matrix are read in row strips and only the upper triangle is
     consumed, so the sample is a bit-reproducible function of (params, seed).
     """
-    return Graph(_symmetric_draw(_case_probabilities(params), seed), allows_self_loops=False)
+    return Graph(_symmetric_draw(params.n, lambda rows: _case_probabilities(params, rows), seed),
+                 allows_self_loops=False)
 
 
 def sample_planted_partition_rep_graph(
@@ -415,8 +433,9 @@ def sample_planted_partition_rep_graph(
     """
     check_probabilities(p_in=p_in, p_out=p_out)
     membership = contiguous_assignment(n, groups)
-    same = membership.labels[:, None] == membership.labels[None, :]
-    adjacency = _symmetric_draw(np.where(same, p_in, p_out), seed)
+    labels = membership.labels
+    adjacency = _symmetric_draw(
+        n, lambda rows: np.where(labels[rows, None] == labels[None, :], p_in, p_out), seed)
     np.fill_diagonal(adjacency, 1.0)
     return Graph(adjacency, allows_self_loops=True), membership
 
@@ -428,18 +447,31 @@ def expected_adjacency(params: RppParams) -> np.ndarray:
     convention matches the analysis: the raw expectation matrix carries p on
     the diagonal and this function returns it shifted by -p * I, which has
     the same eigenvectors with eigenvalues shifted by p. For a regular
-    representation graph the row sums are constant.
+    representation graph the row sums are constant. The matrix is filled row
+    strip by row strip, so it is the one N-by-N array made.
     """
-    atilde = _case_probabilities(params)
+    n = params.n
+    atilde = np.empty((n, n))
+    for rows in row_blocks(n):
+        atilde[rows] = _case_probabilities(params, rows)
     np.fill_diagonal(atilde, 0.0)
     return atilde
 
 
-def _laplacian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(degrees, L = diag(degrees) - A) of a dense adjacency A."""
+def _laplacian(a: np.ndarray, start: int = 0,
+               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(degrees, L = diag(degrees) - A) of a dense adjacency A, or of the row
+    strip ``a`` of A whose first row is row ``start``.
+
+    The degrees are ``a``'s row sums. L is 0 - A with the degrees added on
+    the diagonal, which has the bits of diag(degrees) - A, and is written to
+    ``out`` when given; ``out`` may be ``a`` itself, so a scratch adjacency
+    becomes its Laplacian without a second N-by-N array.
+    """
     degrees = a.sum(axis=1)
-    laplacian = np.diag(degrees)
-    laplacian -= a
+    laplacian = np.subtract(0.0, a, out=out)
+    diagonal = np.arange(a.shape[0])
+    laplacian[diagonal, diagonal + start] += degrees
     return degrees, laplacian
 
 

@@ -18,7 +18,12 @@ bit for bit:
 
 ``sym_eig`` never modifies its inputs: LAPACK works on the symmetrized
 copies that ``ensure_symmetric`` makes, in place, so each argument is copied
-exactly once.
+exactly once. An N-by-N scratch matrix that its caller built and drops,
+such as a Laplacian, is handed over as ``_scratch(m)`` instead: the symmetry
+check and the average (a + a^T)/2 run in place, strip by strip, and LAPACK
+overwrites the matrix, so the solve holds no second N-by-N array. Every
+N-by-N pass here works on row strips of about N/32 rows (``row_blocks``),
+so its temporaries stay a small fraction of one N-by-N matrix.
 """
 
 from __future__ import annotations
@@ -64,25 +69,57 @@ def as_float_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive row slices that cover ``n`` rows, about n/32 rows each
+    (at least 16): a pass over an N-by-N matrix strip by strip holds
+    temporaries of a few percent of it."""
+    step = max(-(-n // 32), 16)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _symmetrize(a: np.ndarray, name: str = "matrix", check: bool = True) -> np.ndarray:
+    """Overwrite square ``a`` with (a + a^T)/2 and return it; with ``check``,
+    first raise NotSymmetricError when max|a - a^T| exceeds SYMMETRY_ATOL.
+
+    Strip i of rows is paired with the same strip of columns at or right of
+    the diagonal, whose entries no earlier strip has written, so every entry
+    gets the bits of the whole-matrix formula and no N-by-N temporary is
+    made.
+    """
+    strips = row_blocks(a.shape[0])
+    if check:
+        gap = 0.0
+        for rows in strips:
+            diff = np.subtract(a[rows, rows.start:], a[rows.start:, rows].T)
+            np.abs(diff, out=diff)
+            gap = max(gap, diff.max())
+        if gap > SYMMETRY_ATOL:
+            raise NotSymmetricError(
+                f"{name} is not symmetric: max|m - m^T| = {gap:.3e} exceeds {SYMMETRY_ATOL:.0e}"
+            )
+    for rows in strips:
+        half = np.add(a[rows, rows.start:], a[rows.start:, rows].T)
+        half /= 2.0
+        a[rows, rows.start:] = half
+        a[rows.start:, rows] = half.T
+    return a
+
+
+def _square_matrix(m, name: str) -> np.ndarray:
+    """``as_float_matrix`` that also raises NonSquareError."""
+    a = as_float_matrix(m, name)
+    if a.shape[0] != a.shape[1]:
+        raise NonSquareError(f"{name} must be square, got shape {a.shape}")
+    return a
+
+
 def ensure_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Check symmetry up to SYMMETRY_ATOL and return the symmetrized copy.
 
     Asymmetry below the tolerance is treated as numerical noise and averaged
     away; anything larger is an error in the caller's data.
     """
-    a = as_float_matrix(m, name)
-    if a.shape[0] != a.shape[1]:
-        raise NonSquareError(f"{name} must be square, got shape {a.shape}")
-    sym = np.subtract(a, a.T)
-    np.abs(sym, out=sym)
-    gap = sym.max() if a.size else 0.0
-    if gap > SYMMETRY_ATOL:
-        raise NotSymmetricError(
-            f"{name} is not symmetric: max|m - m^T| = {gap:.3e} exceeds {SYMMETRY_ATOL:.0e}"
-        )
-    np.add(a, a.T, out=sym)
-    sym /= 2.0
-    return sym
+    return _symmetrize(_square_matrix(np.array(m, dtype=np.float64, order="C"), name), name)
 
 
 def _blas_operand(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -96,14 +133,17 @@ def _blas_operand(m: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ascontiguousarray(m).T, 0
 
 
-def matmul(a, b) -> np.ndarray:
+def matmul(a, b, out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b`` through scipy's BLAS ``dgemm``, the library ``sym_eig`` uses.
 
     A 1-d ``a`` is a row and a 1-d ``b`` a column, and each such dimension
     is dropped from the result, as with ``@``. BLAS computes the transpose
     b^T a^T in Fortran order, so the product comes back C-ordered, the
     layout ``@`` returns; the operands are neither modified nor copied
-    unless one is neither C- nor Fortran-contiguous.
+    unless one is neither C- nor Fortran-contiguous. For 2-d operands,
+    ``out``, a C-contiguous float64 array of the product's shape that
+    overlaps neither operand, receives the product, with the bits of a
+    fresh one, and is returned.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -115,6 +155,13 @@ def matmul(a, b) -> np.ndarray:
         raise SizeMismatchError(f"cannot multiply shapes {a.shape} and {b.shape}")
     first, trans_a = _blas_operand(right)
     second, trans_b = _blas_operand(left)
+    if out is not None:
+        if a.ndim != 2 or b.ndim != 2 or out.shape != (a.shape[0], b.shape[1]) \
+                or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous float64 {a.shape[0]}x{b.shape[1]} array")
+        # beta = 0 zeroes C before the update, as for a fresh product.
+        dgemm(1.0, first, second, trans_a=trans_a, trans_b=trans_b, c=out.T, overwrite_c=True)
+        return out
     product = dgemm(1.0, first, second, trans_a=trans_a, trans_b=trans_b).T
     return product.reshape(a.shape[:-1] + b.shape[1:])[()]
 
@@ -155,6 +202,21 @@ def orthonormal_columns(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_triangular(upper, m.T, trans="T", check_finite=False).T
 
 
+class _Scratch(np.ndarray):
+    """A matrix that ``sym_eig`` may overwrite; made by ``_scratch``."""
+
+
+def _scratch(m: np.ndarray) -> np.ndarray:
+    """``m`` handed to ``sym_eig`` as scratch: a view that ``sym_eig`` checks
+    for symmetry and averages in place (the same SYMMETRY_ATOL and the same
+    (m + m^T)/2 bits as ``ensure_symmetric``), and that LAPACK then
+    overwrites, so an N-by-N matrix the caller built and drops, such as a
+    Laplacian, is solved without a copy. It holds no meaningful values
+    afterwards. The solve stays a ``sym_eig`` call, so every eigensolve of
+    the package is one."""
+    return m.view(_Scratch)
+
+
 def sym_eig(m, b=None, count: int | None = None,
             within: float | None = None) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, optionally generalized.
@@ -168,7 +230,9 @@ def sym_eig(m, b=None, count: int | None = None,
     over the closed interval [-within, within] for ``within``.
     ``m`` and ``b`` are never modified: LAPACK overwrites the symmetrized
     copies made here, whose transposes are the Fortran-ordered views it
-    reads without copying again (the copies are exactly symmetric).
+    reads without copying again (the copies are exactly symmetric). Only an
+    ``m`` that the package marked with ``_scratch`` is symmetrized and
+    overwritten in place instead.
 
     Args:
         m: square matrix, symmetric up to 1e-10 absolute tolerance.
@@ -184,7 +248,7 @@ def sym_eig(m, b=None, count: int | None = None,
         NonSquareError, NotSymmetricError, SizeMismatchError,
         EigenConvergenceError (also when ``b`` is not positive definite).
     """
-    a = ensure_symmetric(m)
+    a = _symmetrize(_square_matrix(m, "matrix")) if type(m) is _Scratch else ensure_symmetric(m)
     n = a.shape[0]
     if b is not None:
         b = ensure_symmetric(b, "b")

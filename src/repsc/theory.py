@@ -22,7 +22,7 @@ from .clustering import DEGENERATE_GAP_TOL, _contrasts, _restrict, constraint_nu
 from .errors import AssumptionViolatedError, DivisibilityError, ZeroGapError
 from .graphs import (RppParams, _check_k, _laplacian, build_d_regular_rep_graph,
                      expected_adjacency, validate_regular_representation)
-from .linalg import sym_eig
+from .linalg import _scratch, sym_eig
 
 SPECTRUM_REL_TOL = 1e-7
 
@@ -104,14 +104,20 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
     eigenpairs with |lambda| near zero (one interval solve: 39 of 600 pairs
     on the benchmark's d-regular R; R in full only when that block is wider
     than about N/2), and the ``Graph`` R keeps it, so urepsc and nrepsc on
-    the same R reuse it. Then the restricted Laplacian, of the null space's dimension,
-    is decomposed. The expected similarity matrix is never decomposed
-    (``lambda_bar`` does that, on demand).
+    the same R reuse it. Then the restricted Laplacian, of the null space's
+    dimension, is decomposed. The expected similarity matrix is never
+    decomposed (``lambda_bar`` does that, on demand).
+
+    R's null block is solved first, while no other N-by-N array exists, and
+    the expected Laplacian is then built over the expected similarity
+    matrix's own storage: beyond R, the interval solve's two N-by-N arrays
+    or that one matrix are held, never more.
     """
     lambda1, lambda_rest = closed_form_eigenvalues(params)
-    centered = expected_adjacency(params)
     k = params.k
-    degrees, laplacian = _laplacian(centered)
+    basis = constraint_null_basis(params.rep_graph)
+    centered = expected_adjacency(params)
+    degrees, laplacian = _laplacian(centered, out=centered)
     expected_degree = lambda1 - params.p
     tol = SPECTRUM_REL_TOL * (1.0 + abs(lambda1))
     if np.max(np.abs(degrees - expected_degree)) > tol:
@@ -119,7 +125,6 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
             "expected degrees are not constant; inputs do not satisfy the "
             "regularity assumption"
         )
-    basis = constraint_null_basis(params.rep_graph)
     if basis.shape[1] < k:
         raise AssumptionViolatedError(
             f"constraint null space has {basis.shape[1]} < k={k} dimensions"
@@ -158,9 +163,10 @@ def lambda_bar(params: RppParams) -> float:
     """Smallest eigenvalue of the raw expectation matrix (p on the diagonal).
 
     One N-by-N eigensolve of ``expected_adjacency``, whose eigenvalues are
-    the raw ones shifted by -p; nothing else in the package reads it.
+    the raw ones shifted by -p, in that matrix's own storage; nothing else in
+    the package reads it.
     """
-    return float(sym_eig(expected_adjacency(params), count=1).eigenvalues[0] + params.p)
+    return float(sym_eig(_scratch(expected_adjacency(params)), count=1).eigenvalues[0] + params.p)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,24 @@ def same_partition(a: repsc.ClusterAssignment, b: repsc.ClusterAssignment) -> bo
         if reverse.setdefault(lb, la) != la:
             return False
     return True
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees ``fn()`` hold above what was held
+    when it started. One untraced warm call comes first, so imports and
+    first-use caches do not count."""
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def random_orthonormal(rng: np.random.Generator, n: int, k: int) -> np.ndarray:

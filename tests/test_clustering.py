@@ -9,7 +9,7 @@ import repsc
 from repsc import clustering
 from repsc.clustering import _assign, _lifted_points, constraint_null_basis
 from repsc.linalg import sym_eig
-from conftest import SWEEP_PROBS, random_orthonormal, same_partition
+from conftest import SWEEP_PROBS, random_orthonormal, same_partition, traced_peak
 
 
 def two_cliques(m: int) -> repsc.Graph:
@@ -793,3 +793,17 @@ def test_complement_arm_accepts_heavy_edge_weights():
         assert np.allclose(got.spectrum_used, spectrum, rtol=0.0, atol=1e-12 * scale)
         gram = got.embedding @ got.embedding.T
         assert np.abs(gram - x @ x.T).max() <= 1e-9 * np.abs(x @ x.T).max()
+
+
+@pytest.mark.parametrize("normalized, constrained", [(False, False), (True, False), (True, True)])
+def test_an_n_by_n_solve_holds_one_matrix_beyond_the_graph(normalized, constrained):
+    # usc, nsc and a normalized W-arm solve, in N x N float64 units at
+    # N = 600: the Laplacian (deflated on the W arm), solved in its own
+    # storage; a copy for the solve would read about 2.05.
+    n = 600
+    rep, truth = repsc.build_d_regular_rep_graph(n, 5, 40)
+    g = repsc.sample_rpp(repsc.RppParams(assignment=truth, rep_graph=rep, **SWEEP_PROBS), 1)
+    complement = clustering._group_complement(repsc.contiguous_assignment(n, 10))
+    peak = traced_peak(lambda: clustering._embed(g, 5, None, normalized,
+                                                 complement if constrained else None))
+    assert peak <= 1.25 * n * n * 8

@@ -237,6 +237,45 @@ def test_inert_field_leaves_the_sweep_output_alone(tmp_path, name):
     assert first == second
 
 
+# The d-regular sweep's model fields: a pair of values, and the results.csv
+# columns that must move between them (other than the field's own column and
+# runtime_ms); nothing else may. epsilon enters only the bound shapes. The
+# four probabilities enter the expected spectrum (gamma, and through it the
+# bound shapes) and the sampled graphs, and so the partitions.
+BOUND_COLUMNS = ("bound_shape_unnormalized", "bound_shape_normalized")
+DREGULAR_LIVE_FIELDS = {
+    "p": (0.4, 0.9),
+    "q": (0.3, 0.35),
+    "r": (0.2, 0.25),
+    "s": (0.1, 0.0),
+}
+DREGULAR_INERT_FIELDS = {
+    "epsilon": ((0.0, 0.5), "read only by the misclustering bound shapes"),
+}
+
+
+def d_regular_rows(out_dir, name, value):
+    result = repsc.run_experiment(repsc.parse_config_text(
+        sweep_config(out_dir, f"{name} = {value}\n").replace("usc, urepsc", "usc, urepsc, nrepsc")))
+    assert result.error_count == 0
+    return result.rows
+
+
+@pytest.mark.parametrize("name", [*DREGULAR_LIVE_FIELDS, *DREGULAR_INERT_FIELDS])
+def test_d_regular_field_moves_only_its_columns(tmp_path, name):
+    live = name in DREGULAR_LIVE_FIELDS
+    values = DREGULAR_LIVE_FIELDS[name] if live else DREGULAR_INERT_FIELDS[name][0]
+    first, second = (d_regular_rows(tmp_path / str(v), name, v) for v in values)
+    assert [row["algorithm"] for row in first] == [row["algorithm"] for row in second]
+    moved = {column for a, b in zip(first, second) for column in CSV_COLUMNS
+             if column not in (name, "runtime_ms") and a[column] != b[column]}
+    if live:
+        assert "gamma" in moved and moved & set(PARTITION_COLUMNS)
+        assert moved <= {"gamma", *BOUND_COLUMNS, *PARTITION_COLUMNS, "kmeans_iters"}
+    else:
+        assert moved == set(BOUND_COLUMNS)
+
+
 # Every field that only real_network reads, other than the input file
 # itself: a pair of settings over REAL_NETWORK_BASE that must change
 # results.csv. The file counts nodes from 1, and node 31 has only

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repsc
-from conftest import REGULAR_INSTANCES, SWEEP_PROBS
+from conftest import REGULAR_INSTANCES, SWEEP_PROBS, traced_peak
 
 
 def test_graph_validation():
@@ -412,3 +412,95 @@ def test_graph_and_assignment_round_trip_property(n, self_loops, empty_top, seed
     assert np.array_equal(back.adjacency, graph.adjacency)
     assert back.allows_self_loops == self_loops
     assert np.array_equal(read.labels, assignment.labels) and read.k == assignment.k
+
+
+# The samplers' and expected_adjacency's formulas as they stood when each
+# built its whole N x N intermediate at once: the references the row-strip
+# forms must reproduce byte for byte.
+def whole_matrix_case_probabilities(params):
+    rep = np.array([[0.0, 0.0], [1.0, 1.0]])
+    same = np.array([[0.0, 1.0], [0.0, 1.0]])
+    table = rep * (params.q + (params.p - params.q) * same) + (1.0 - rep) * (
+        params.s + (params.r - params.s) * same
+    )
+    labels = params.assignment.labels
+    case = params.rep_graph.adjacency.astype(np.uint8)
+    case <<= 1
+    case |= labels[:, None] == labels[None, :]
+    return table.ravel().take(case)
+
+
+def whole_matrix_symmetric_draw(prob, seed):
+    n = prob.shape[0]
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < prob, k=1)
+    return (upper | upper.T).astype(np.float64)
+
+
+EDGE_PROBABILITIES = st.sampled_from([0.0, 1.0, 0.5, 0.1 + 0.2, 1e-300, 0.999])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 90), self_loops=st.booleans(), k=st.integers(1, 4),
+       probs=st.lists(EDGE_PROBABILITIES, min_size=4, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, self_loops=True, k=1, probs=[1.0, 1.0, 1.0, 1.0], seed=0)
+@example(n=2, self_loops=False, k=2, probs=[1.0, 0.0, 1.0, 0.0], seed=1)
+@example(n=33, self_loops=True, k=3, probs=[0.0, 0.0, 0.0, 0.0], seed=2)
+def test_rpp_strips_equal_the_whole_matrix_formulas(n, self_loops, k, probs, seed):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < 0.5, k=0 if self_loops else 1)
+    rep = repsc.Graph((upper | upper.T).astype(np.float64), allows_self_loops=self_loops)
+    truth = repsc.ClusterAssignment(rng.integers(0, k, size=n), k)
+    p, q, r, s = sorted(probs, reverse=True)
+    params = repsc.RppParams(assignment=truth, rep_graph=rep, p=p, q=q, r=r, s=s)
+    probability = whole_matrix_case_probabilities(params)
+    sample = repsc.sample_rpp(params, seed).adjacency
+    assert sample.tobytes() == whole_matrix_symmetric_draw(probability, seed).tobytes()
+    np.fill_diagonal(probability, 0.0)
+    expected = repsc.expected_adjacency(params)
+    assert expected.flags.c_contiguous and expected.tobytes() == probability.tobytes()
+    # The Laplacian, whole, by row strips and over its adjacency's storage,
+    # has the bits of diag(degrees) - A, signed zeros included.
+    for a in (sample, rep.adjacency, expected):
+        reference = np.diag(a.sum(axis=1)) - a
+        assert repsc.graphs._laplacian(a)[1].tobytes() == reference.tobytes()
+        for rows in repsc.linalg.row_blocks(n):
+            strip = repsc.graphs._laplacian(a[rows], rows.start)[1]
+            assert strip.tobytes() == reference[rows].tobytes()
+    assert repsc.graphs._laplacian(expected, out=expected)[1].tobytes() == reference.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 90), groups=st.integers(1, 5), p_in=EDGE_PROBABILITIES,
+       p_out=EDGE_PROBABILITIES, seed=st.integers(0, 2**32 - 1))
+@example(n=1, groups=1, p_in=1.0, p_out=0.0, seed=0)
+@example(n=2, groups=2, p_in=0.0, p_out=1.0, seed=3)
+def test_planted_r_strips_equal_the_whole_matrix_draw(n, groups, p_in, p_out, seed):
+    n -= n % groups
+    if n == 0:
+        n = groups
+    rep, membership = repsc.sample_planted_partition_rep_graph(n, groups, p_in, p_out, seed)
+    same = membership.labels[:, None] == membership.labels[None, :]
+    reference = whole_matrix_symmetric_draw(np.where(same, p_in, p_out), seed)
+    np.fill_diagonal(reference, 1.0)
+    assert rep.adjacency.tobytes() == reference.tobytes()
+
+
+# In units of one N x N float64 matrix, at N = 600: the matrix returned and
+# row-strip temporaries. The whole probability matrix, uniforms and boolean
+# triangles built at once would read 2.1-2.4.
+DENSE_N = 600
+
+
+@pytest.mark.parametrize("stage", ["sample_rpp", "sample_planted_partition_rep_graph",
+                                   "expected_adjacency"])
+def test_dense_graph_stages_hold_one_matrix(stage):
+    rep, truth = repsc.build_d_regular_rep_graph(DENSE_N, 5, 40)
+    params = repsc.RppParams(assignment=truth, rep_graph=rep, **SWEEP_PROBS)
+    run = {
+        "sample_rpp": lambda: repsc.sample_rpp(params, 1),
+        "sample_planted_partition_rep_graph":
+            lambda: repsc.sample_planted_partition_rep_graph(DENSE_N, 60, 0.8, 0.2, 1),
+        "expected_adjacency": lambda: repsc.expected_adjacency(params),
+    }[stage]
+    assert traced_peak(run) <= 1.25 * DENSE_N * DENSE_N * 8

@@ -4,7 +4,6 @@ import ast
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +13,14 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import repsc
+from conftest import traced_peak
 from repsc.clustering import constraint_null_basis
 from repsc.linalg import (
     SIGN_THRESHOLD,
+    SYMMETRY_ATOL,
     _fix_signs,
+    _scratch,
+    _symmetrize,
     as_float_matrix,
     ensure_symmetric,
     matmul,
@@ -189,14 +192,69 @@ def test_sym_eig_peak_memory(use_b, count, copies):
     rng = np.random.default_rng(10)
     a = random_symmetric(rng, n)
     b = np.diag(rng.uniform(1.0, 2.0, n)) if use_b else None
-    repsc.sym_eig(a, b, count)
-    tracemalloc.start()
-    try:
-        repsc.sym_eig(a, b, count)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: repsc.sym_eig(a, b, count))
     assert peak <= (copies + 0.25) * n * n * 8
+
+
+def test_a_scratch_matrix_is_solved_without_a_copy():
+    # The matrix itself is LAPACK's workspace: only the eigenvector and
+    # work arrays are allocated.
+    n = 400
+    a = random_symmetric(np.random.default_rng(10), n)
+    copies = iter([a.copy(), a.copy()])
+    peak = traced_peak(lambda: repsc.sym_eig(_scratch(next(copies)), count=1))
+    assert peak <= 0.25 * n * n * 8
+
+
+def whole_matrix_symmetrized(a):
+    """ensure_symmetric's check and average computed on the whole matrix at
+    once, or None where the check fails: the reference of the strips."""
+    sym = np.subtract(a, a.T)
+    np.abs(sym, out=sym)
+    gap = sym.max() if a.size else 0.0
+    if gap > SYMMETRY_ATOL:
+        return None
+    np.add(a, a.T, out=sym)
+    sym /= 2.0
+    return sym
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 80), noise=st.sampled_from([0.0, 1e-13, 4e-11, 1e-10, 3e-10, 1.0]),
+       scale=st.sampled_from([1.0, 1e6]), seed=st.integers(0, 2**32 - 1))
+@example(n=1, noise=1.0, scale=1.0, seed=0)
+@example(n=2, noise=1e-10, scale=1.0, seed=1)
+def test_in_place_symmetrization_equals_the_whole_matrix_formula(n, noise, scale, seed):
+    rng = np.random.default_rng(seed)
+    a = scale * random_symmetric(rng, n) + noise * rng.standard_normal((n, n))
+    reference = whole_matrix_symmetrized(a)
+    for symmetrize in (ensure_symmetric, lambda m: _symmetrize(m.copy())):
+        if reference is None:
+            with pytest.raises(repsc.NotSymmetricError):
+                symmetrize(a)
+        else:
+            assert symmetrize(a).tobytes() == reference.tobytes()
+    # sym_eig solves a scratch matrix as it solves the matrix's copy.
+    count = max(1, n // 3)
+    if reference is None:
+        with pytest.raises(repsc.NotSymmetricError):
+            repsc.sym_eig(_scratch(a.copy()), count=count)
+    elif n:
+        got = repsc.sym_eig(_scratch(a.copy()), count=count)
+        want = repsc.sym_eig(a, count=count)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+
+def test_matmul_into_out_equals_a_fresh_product():
+    rng = np.random.default_rng(14)
+    for rows, inner, cols in [(300, 20, 300), (7, 3, 5), (1, 4, 1), (50, 600, 40)]:
+        a, b = rng.standard_normal((rows, inner)), rng.standard_normal((inner, cols))
+        out = np.full((rows, cols), np.nan)
+        assert matmul(a, b, out=out) is out
+        assert out.tobytes() == matmul(a, b).tobytes()
+        assert matmul(a.T.T, np.asfortranarray(b), out=out).tobytes() == matmul(a, b).tobytes()
+    with pytest.raises(ValueError):
+        matmul(a, b, out=np.empty((cols, rows)))
 
 
 def test_fix_signs_flips_columns_in_place():
@@ -315,14 +373,8 @@ def test_matmul_copies_no_contiguous_operand():
     a = np.random.default_rng(13).standard_normal((600, 400))
     for x, y in [(a.T, a), (a, a.T), (np.asfortranarray(a), a.T)]:
         out = matmul(x, y)
-        tracemalloc.start()
-        try:
-            matmul(x, y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         # The product itself, and no copy of a 1.9 MB operand.
-        assert peak <= out.nbytes + a.nbytes / 4
+        assert traced_peak(lambda: matmul(x, y)) <= out.nbytes + a.nbytes / 4
 
 
 PRODUCT_CALLS = {"dot", "matmul", "tensordot"}

@@ -3,13 +3,13 @@
 import functools
 import math
 import operator
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repsc
+from conftest import traced_peak
 from repsc.errors import IndexOutOfRangeError, MalformedLineError, NoLayersError
 from repsc.multiplex import _unique_rows
 
@@ -459,18 +459,7 @@ PARSE_BYTES_PER_LINE = 96
 def test_the_file_reader_holds_memory_for_the_table_not_the_text(write_file):
     lines = large_file_lines(50_000, seed=22)
     path = write_file("\n".join(lines) + "\n")
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        repsc.parse_multiplex(path)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak < PARSE_BYTES_PER_LINE * len(lines)
+    assert traced_peak(lambda: repsc.parse_multiplex(path)) < PARSE_BYTES_PER_LINE * len(lines)
 
 
 def test_parse_from_file(tmp_path):

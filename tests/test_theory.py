@@ -10,7 +10,7 @@ import repsc
 from repsc.clustering import constraint_null_basis
 from repsc.theory import ExpectedSpectrum
 
-from conftest import REGULAR_INSTANCES, SWEEP_PROBS
+from conftest import REGULAR_INSTANCES, SWEEP_PROBS, traced_peak
 
 
 def make_params(n, k, d, p, q, r, s):
@@ -207,3 +207,13 @@ def test_expected_case_inputs_convenience():
     assert params.n == 24 and params.k == 2
     assert np.allclose(matrix, repsc.expected_adjacency(params))
     assert np.allclose(np.diag(matrix), 0.0)
+
+
+def test_expected_spectrum_on_a_fresh_r_holds_three_matrices():
+    # In N x N float64 units at N = 600, R included: R, then the interval
+    # solve's copy of R and its N-column eigenvector buffer, then R and the
+    # expected Laplacian. The expected adjacency and a separate Laplacian
+    # held next to R and the solve would read about 5.05.
+    n = 600
+    peak = traced_peak(lambda: repsc.expected_spectrum(make_params(n, 5, 40, **SWEEP_PROBS)))
+    assert peak <= 3.25 * n * n * 8
