@@ -60,18 +60,21 @@ sure of the Y arm (2 (m + 1) > N) sends the exact constraint there as well;
 the block's width decides, whichever solve ran first. A ``Graph`` R keeps
 both solves, the null block in ``Graph._memo`` and the full decomposition
 as ``Graph.spectrum``, so each runs at most once per R object; a raw matrix
-R is solved on every call. ``_group_basis`` writes the baseline's Y down
-from the groups, and ``_group_complement`` its W. ``_split_ones`` takes the
-ones direction out of orthonormal columns for both arms.
+R is solved on every call. Each kept array owns its bytes, so the null
+block keeps N m numbers, not the interval solve's N-by-N buffer.
+``_group_basis`` writes the baseline's Y down from the groups, and
+``_group_complement`` its W. ``_split_ones`` takes the ones direction out
+of orthonormal columns for both arms.
 
 Everything before k-means is deterministic, so ``_solve`` keeps it on the
 similarity ``Graph`` (``Graph._memo``): the k-means input points, the
 spectrum and the warnings, keyed by (R, rank, normalized, unit_rows, k).
 Runs that differ only in the k-means seed, such as the trials of a sweep
 on one fixed pair of graphs, then build each Y or W and solve the
-eigenproblem once. An entry is an N-by-k array and lives as long as the
-Graph; no basis or Laplacian outlives its call. A raw matrix, as the graph
-or as R, and the baseline's group constraint are solved on every call.
+eigenproblem once. An entry is an N-by-k array that owns its bytes (not a
+slice of the solve's N-by-(k + 1) output) and lives as long as the Graph;
+no basis or Laplacian outlives its call. A raw matrix, as the graph or as
+R, and the baseline's group constraint are solved on every call.
 
 k-means is implemented here rather than borrowed so that seeding, restarts,
 tie-breaking and empty-cluster repair are fully deterministic functions of
@@ -97,6 +100,7 @@ from .graphs import ClusterAssignment, Graph, _check_k, _laplacian, as_adjacency
 from .linalg import (
     RANK_REL_TOL,
     _fix_signs,
+    _owned,
     _scratch,
     _symmetrize,
     as_float_matrix,
@@ -353,12 +357,13 @@ def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, np
     Without ``rank`` only null(R) is read, so the eigenpairs with |lambda|
     <= t are solved for alone (``sym_eig``'s ``within``) and come back with
     an all-true mask. A ``Graph`` keeps t and that null block in its memo
-    ("null_tol" and "null"). The
-    block's own width m picks the path: when 2 (m + 1) > N, so that
-    ``_basis`` may choose the complement W, which needs the non-null
-    eigenvectors, the full decomposition is used instead, as it is for
-    R = 0 (t = 0). No result of this function depends on which of R's
-    solves ran first.
+    ("null_tol" and "null"); the block is N-by-m and owns its bytes, as
+    every ``sym_eig`` result does, so keeping it does not keep the interval
+    solve's N-by-N eigenvector buffer alive. The block's own width m picks
+    the path: when 2 (m + 1) > N, so that ``_basis`` may choose the
+    complement W, which needs the non-null eigenvectors, the full
+    decomposition is used instead, as it is for R = 0 (t = 0). No result
+    of this function depends on which of R's solves ran first.
     """
     graph = isinstance(rep_graph_or_matrix, Graph)
     r = rep_graph_or_matrix.adjacency if graph else as_float_matrix(rep_graph_or_matrix)
@@ -629,7 +634,10 @@ def _points(graph, k: int, rep, rank: int | None, normalized: bool,
             unit_rows: bool) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """The deterministic half of ``_solve``: the k-means input points (the
     rows of ``_embed``'s solution, scaled to unit length with ``unit_rows``
-    and as they are otherwise), the spectrum and the warnings."""
+    and as they are otherwise), the spectrum and the warnings. The two
+    arrays own their bytes in the solve's layout (``_owned``): ``_embed``
+    hands out the first k of the k + 1 eigenpairs it solved for as slices,
+    and a kept slice would keep the whole solve output."""
     basis, complement = _basis(graph, k, rep, rank)
     embedding, spectrum, warnings = _embed(graph, k, basis, normalized, complement)
     if unit_rows:
@@ -641,7 +649,7 @@ def _points(graph, k: int, rep, rank: int | None, normalized: bool,
                 int(zero_rows.sum()),
             )
         embedding /= np.where(zero_rows, 1.0, norms)[:, None]
-    return embedding, spectrum, warnings
+    return _owned(embedding), _owned(spectrum), warnings
 
 
 def _solve(graph, k: int, cfg: KMeansConfig, rep=None, rank: int | None = None,

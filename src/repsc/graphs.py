@@ -120,7 +120,9 @@ class Graph:
         "null_tol" and its null block under "null": the eigenvectors with
         |lambda| near zero, node-by-m with m usually far below N. The other
         entries are node-by-k arrays and label vectors, never a node-by-node
-        array."""
+        array. Every kept array owns exactly its own bytes, never a slice
+        of a larger buffer such as LAPACK's node-by-node eigenvector
+        output, so the memo holds what its entries show."""
         return {}
 
 

@@ -202,6 +202,18 @@ def orthonormal_columns(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_triangular(upper, m.T, trans="T", check_finite=False).T
 
 
+def _owned(a: np.ndarray) -> np.ndarray:
+    """``a`` when it spans its whole buffer, else a copy in its own memory
+    layout (``order="K"``: a Fortran block stays Fortran, so every later
+    reduction over it sums in the same order). scipy's subset eigensolves
+    fill buffers sized for every eigenpair and return slices of them; a
+    kept slice would keep the whole buffer alive."""
+    base = a.base
+    if base is None or getattr(base, "nbytes", None) == a.nbytes:
+        return a
+    return a.copy(order="K")
+
+
 class _Scratch(np.ndarray):
     """A matrix that ``sym_eig`` may overwrite; made by ``_scratch``."""
 
@@ -243,6 +255,10 @@ def sym_eig(m, b=None, count: int | None = None,
     Returns:
         EigenDecomposition with ascending eigenvalues and sign-fixed
         eigenvectors (orthonormal, or b-orthonormal when ``b`` is given).
+        Both arrays own exactly their own bytes (``_owned``): the interval
+        solve's N-by-m block is copied out of LAPACK's N-by-N eigenvector
+        buffer, which is freed when the call returns, so a caller that
+        keeps the block keeps N m numbers, not N^2.
 
     Raises:
         NonSquareError, NotSymmetricError, SizeMismatchError,
@@ -275,4 +291,4 @@ def sym_eig(m, b=None, count: int | None = None,
         )
     except scipy.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
-    return EigenDecomposition(values, _fix_signs(vectors))
+    return EigenDecomposition(_owned(values), _fix_signs(_owned(vectors)))

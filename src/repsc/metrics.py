@@ -1,11 +1,13 @@
 """Partition quality and agreement metrics.
 
-Both cuts come from one pass over the adjacency (``_cuts``), and each keeps
-its own check: it is computed combinatorially from edge weights and again as
-a Laplacian trace through its scaled indicator matrix (H for the ratio cut,
-T for the normalized cut). The two routes must agree to near machine
-precision; a disagreement means a bug, so it raises instead of silently
-returning either value.
+Both cuts come from one product of the adjacency with the cluster
+indicators (``_cuts``), and each keeps its own check: it is computed
+combinatorially from edge weights and again as a Laplacian trace through its
+scaled indicator matrix (H for the ratio cut, T for the normalized cut). The
+trace is formed from node-by-k products (``_trace_form``), so scoring holds
+no node-by-node array. The two routes must agree to near machine precision;
+a disagreement means a bug, so it raises instead of silently returning
+either value.
 
 Accuracy and the mistake fraction count the nodes kept under the best
 relabeling of the predicted clusters: a maximum-weight matching on the K×K
@@ -22,7 +24,7 @@ import numpy as np
 from .constraint import (_balance, _representative_counts, _residual, build_indicator_h,
                          build_indicator_t)
 from .errors import SizeMismatchError, ZeroVolumeClusterError
-from .graphs import ClusterAssignment, Graph, _laplacian, as_adjacency
+from .graphs import ClusterAssignment, Graph, as_adjacency
 from .linalg import matmul
 
 DUAL_FORM_TOL = 1e-9
@@ -37,6 +39,12 @@ def _check_dual(name: str, combinatorial: float, trace_form: float) -> float:
     return combinatorial
 
 
+def _trace_form(a: np.ndarray, degrees: np.ndarray, x: np.ndarray) -> float:
+    """trace(X^T L X) for L = D - A, as trace(X^T (D X - A X)): one
+    N-by-k product with A, and no N-by-N Laplacian."""
+    return float(np.einsum("ik,ik->", x, degrees[:, None] * x - matmul(a, x)))
+
+
 def _cuts(graph, assignment: ClusterAssignment) -> tuple[float, float | None]:
     """Ratio cut and normalized cut (None when a cluster has zero volume).
 
@@ -48,17 +56,17 @@ def _cuts(graph, assignment: ClusterAssignment) -> tuple[float, float | None]:
         raise SizeMismatchError(f"graph has {a.shape[0]} nodes, assignment has {assignment.n}")
     h = build_indicator_h(assignment)
     onehot = assignment.onehot()
-    degrees, laplacian = _laplacian(a)
+    degrees = a.sum(axis=1)
     volumes = matmul(degrees, onehot)
     # Weight leaving each cluster: its volume minus its internal weight.
     leaving = volumes - np.einsum("ik,ik->k", onehot, matmul(a, onehot))
     rcut = _check_dual("ratio_cut", float(np.sum(leaving / assignment.sizes)),
-                       float(np.trace(matmul(matmul(h.T, laplacian), h))))
+                       _trace_form(a, degrees, h))
     if np.any(volumes <= 0.0):
         return rcut, None
     t = build_indicator_t(assignment, degrees)
     ncut = _check_dual("normalized_cut", float(np.sum(leaving / volumes)),
-                       float(np.trace(matmul(matmul(t.T, laplacian), t))))
+                       _trace_form(a, degrees, t))
     return rcut, ncut
 
 

@@ -198,14 +198,6 @@ def _parse_pieces(pieces, index_base: int, names) -> MultiplexNetwork:
                             node_names=node_names)
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(rows, axis=0, return_inverse=True)`` for an (n, 3) int64
-    array: the distinct rows sorted by (column 0, 1, 2), and each row's index
-    among them."""
-    firsts, inverse = _group_rows(tuple(rows.T))
-    return rows[firsts], inverse
-
-
 def _group_rows(columns) -> tuple[np.ndarray, np.ndarray]:
     """For three equal-length int64 columns, the index of the first of each
     group of equal rows, the groups sorted by (column 0, 1, 2), and each

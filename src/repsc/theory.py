@@ -111,7 +111,9 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
     R's null block is solved first, while no other N-by-N array exists, and
     the expected Laplacian is then built over the expected similarity
     matrix's own storage: beyond R, the interval solve's two N-by-N arrays
-    or that one matrix are held, never more.
+    (its copy of R and its eigenvector buffer) or that one matrix are held,
+    never more. Both of the solve's arrays are freed when it returns; R
+    keeps only the N-by-m null block.
     """
     lambda1, lambda_rest = closed_form_eigenvalues(params)
     k = params.k

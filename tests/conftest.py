@@ -82,6 +82,24 @@ def traced_peak(fn) -> int:
             tracemalloc.stop()
 
 
+def traced_retained(fn) -> int:
+    """Bytes that tracemalloc sees still held once ``fn()`` has returned and
+    its result is dropped, above what was held when it started: what ``fn``
+    left behind, such as a cache entry. One untraced warm call comes first,
+    as for ``traced_peak``."""
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def random_orthonormal(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """Random n-by-k matrix with orthonormal columns."""
     q, _ = np.linalg.qr(rng.standard_normal((n, k)))
@@ -104,10 +122,15 @@ def toy_instance():
     return rep, truth, params
 
 
+def clear_harness_caches() -> None:
+    """Drop the grid point, trial and multiplex file the harness holds."""
+    for cache in (experiments._regular_setup, experiments._real_setup,
+                  experiments._trial_inputs):
+        cache.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def empty_harness_caches():
     """Leave no grid point, trial or multiplex file in the harness caches."""
     yield
-    for cache in (experiments._regular_setup, experiments._real_setup,
-                  experiments._trial_inputs):
-        cache.cache_clear()
+    clear_harness_caches()

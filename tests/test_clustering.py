@@ -9,7 +9,8 @@ import repsc
 from repsc import clustering
 from repsc.clustering import _assign, _lifted_points, constraint_null_basis
 from repsc.linalg import sym_eig
-from conftest import SWEEP_PROBS, random_orthonormal, same_partition, traced_peak
+from conftest import (SWEEP_PROBS, random_orthonormal, same_partition, traced_peak,
+                      traced_retained)
 
 
 def two_cliques(m: int) -> repsc.Graph:
@@ -807,3 +808,14 @@ def test_an_n_by_n_solve_holds_one_matrix_beyond_the_graph(normalized, constrain
     peak = traced_peak(lambda: clustering._embed(g, 5, None, normalized,
                                                  complement if constrained else None))
     assert peak <= 1.25 * n * n * 8
+
+
+def test_r_keeps_its_null_block_and_not_the_solve_buffer():
+    # On a fresh d-regular R at N = 600 the interval solve finds 39 null
+    # pairs; the Graph keeps that N x 39 block and its threshold. A slice
+    # of the solve's N x N eigenvector buffer would keep all N^2 numbers.
+    n, m = 600, 39
+    graphs = [repsc.build_d_regular_rep_graph(n, 5, 40)[0] for _ in range(2)]
+    fresh = iter(graphs)
+    assert traced_retained(lambda: constraint_null_basis(next(fresh))) <= (m + 2) * n * 8
+    assert graphs[1]._memo["null"].shape == (n, m)

@@ -16,7 +16,7 @@ from repsc.cli import main
 from repsc.graphs import check_probabilities
 from repsc.experiments import CSV_COLUMNS, parse_layer_range, write_line_chart_svg
 from repsc.linalg import sym_eig
-from conftest import SWEEP_PROBS, same_partition
+from conftest import SWEEP_PROBS, clear_harness_caches, same_partition, traced_peak
 
 
 # The results.csv cells computed from a row's partition.
@@ -274,6 +274,40 @@ def test_d_regular_field_moves_only_its_columns(tmp_path, name):
         assert moved <= {"gamma", *BOUND_COLUMNS, *PARTITION_COLUMNS, "kmeans_iters"}
     else:
         assert moved == set(BOUND_COLUMNS)
+
+
+# The planted and d-regular configs of the liveness tests above, without
+# their trial count.
+TRIAL_CONFIGS = {
+    "planted": ("mode = planted_partition_sweep\n"
+                f"algorithms = {', '.join(ALL_ALGORITHMS)}\n"
+                "n_values = 40\n"
+                "k_values = 4\n"),
+    "d_regular": ("mode = d_regular_sweep\n"
+                  "algorithms = usc, urepsc, nrepsc\n"
+                  "n_values = 24\n"
+                  "k_values = 2\n"
+                  "d_values = 6\n"),
+}
+
+
+@pytest.mark.parametrize("mode", TRIAL_CONFIGS)
+def test_a_second_trial_adds_rows_and_leaves_trial_zero_alone(tmp_path, mode):
+    # trials is live (it adds rows) and touches nothing else: the rows of
+    # one trial are trial 0 of two, cell for cell outside runtime_ms.
+    def rows(trials):
+        out = tmp_path / str(trials)
+        repsc.run_experiment(repsc.parse_config_text(
+            TRIAL_CONFIGS[mode] + f"trials = {trials}\nout = {out}\n"))
+        lines = (out / "results.csv").read_text().splitlines()
+        header, *table = [line.split(",") for line in lines]
+        timing, trial = header.index("runtime_ms"), header.index("trial")
+        assert not any(row[header.index("error")] for row in table)
+        return [(row[trial], row[:timing] + row[timing + 1:]) for row in table]
+
+    one, two = rows(1), rows(2)
+    assert [trial for trial, _ in two].count("1") == len(one) > 0
+    assert [cells for _, cells in one] == [cells for trial, cells in two if trial == "0"]
 
 
 # Every field that only real_network reads, other than the input file
@@ -950,3 +984,72 @@ def test_one_entry_cache_holds_nothing_while_it_builds():
     assert len(built) == 3
     cached.cache_clear()
     assert built[-1]() is None
+
+
+def kept_arrays(value):
+    """Every array in a memo entry: arrays, tuples of them, assignments."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from kept_arrays(item)
+    elif isinstance(value, repsc.ClusterAssignment):
+        yield value.labels
+
+
+def test_every_array_a_graph_keeps_owns_its_bytes(tmp_path):
+    # After a sweep's rows, R's null block and the k-means points and
+    # spectra on G are whole arrays, not slices of a solve's larger output
+    # that would keep it alive as long as the Graph.
+    cfg = repsc.parse_config_text(
+        "mode = d_regular_sweep\n"
+        "algorithms = usc, nsc, urepsc, nrepsc\n"
+        "n_values = 120\n"
+        "k_values = 3\n"
+        "d_values = 18\n"
+        "trials = 1\n"
+        f"out = {tmp_path}\n"
+    )
+    assert repsc.run_experiment(cfg).error_count == 0
+    # The trial's inputs are still in the harness cache: this is a hit.
+    graph, rep, _, _ = repsc.experiments._trial_inputs(cfg, 120, 3, 18, cfg.base_seed)
+    assert "null" in rep._memo and sum(key[0] == "points" for key in graph._memo) == 4
+    kept = [array for memo in (graph._memo, rep._memo) for value in memo.values()
+            for array in kept_arrays(value)]
+    assert len(kept) >= 9
+    for array in kept:
+        assert array.base is None or array.base.nbytes == array.nbytes
+
+
+# The benchmark's d-regular and planted configs at N = 600, one trial.
+BUDGET_CONFIGS = {
+    "d_regular": "mode = d_regular_sweep\n"
+                 "algorithms = usc, nsc, urepsc, nrepsc\n"
+                 "d_values = 40\n"
+                 "p = 0.4\nq = 0.3\nr = 0.2\ns = 0.1\n",
+    "planted": "mode = planted_partition_sweep\n"
+               "algorithms = usc, urepsc_approx, nrepsc_approx, fair_sc_baseline\n",
+}
+
+
+@pytest.mark.parametrize("mode, budget", [
+    # R, the sampled G and one working matrix: a Laplacian, or the interval
+    # solve's copy of R and its eigenvector buffer before G is drawn. A null
+    # block that pinned that buffer read 4.18.
+    ("d_regular", 3.5),
+    # R, G and R's full decomposition: its copy of R and 2 N x N of
+    # workspace. Reads 5.03.
+    ("planted", 5.25),
+])
+def test_a_whole_sweep_holds_its_dense_floor(tmp_path, mode, budget):
+    n = 600
+    cfg = repsc.parse_config_text(BUDGET_CONFIGS[mode] + f"n_values = {n}\nk_values = 5\n"
+                                  f"trials = 1\nout = {tmp_path}\n")
+
+    def sweep():
+        try:
+            assert repsc.run_experiment(cfg).error_count == 0
+        finally:
+            clear_harness_caches()
+
+    assert traced_peak(sweep) <= budget * n * n * 8

@@ -206,6 +206,21 @@ def test_a_scratch_matrix_is_solved_without_a_copy():
     assert peak <= 0.25 * n * n * 8
 
 
+@pytest.mark.parametrize("options", [{}, {"count": 3}, {"within": 1.0}])
+def test_sym_eig_results_own_their_bytes(options):
+    # The subset solves fill buffers sized for all N pairs and scipy
+    # returns slices of them; a caller keeping such a slice, as R's memo
+    # keeps its null block, would keep the N x N buffer alive. The copy
+    # keeps LAPACK's Fortran layout.
+    n = 200
+    a = random_symmetric(np.random.default_rng(3), n)
+    values, vectors = repsc.sym_eig(a, **options)
+    assert 0 < values.shape[0] < n or not options
+    for array in (values, vectors):
+        assert array.base is None or array.base.nbytes == array.nbytes
+    assert vectors.flags.f_contiguous
+
+
 def whole_matrix_symmetrized(a):
     """ensure_symmetric's check and average computed on the whole matrix at
     once, or None where the check fails: the reference of the strips."""

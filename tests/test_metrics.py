@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import repsc
-from conftest import brute_force_mistake, random_assignment, same_partition
+from conftest import (SWEEP_PROBS, brute_force_mistake, random_assignment, same_partition,
+                      traced_peak)
 from repsc.metrics import _max_weight_matching
 
 
@@ -326,3 +327,13 @@ def test_score_partition_ignores_node_and_cluster_relabelling(seed, n, k):
                      "max_representation_residual", "balance_over_rcut"):
             want, got = getattr(score, name), getattr(other, name)
             assert got == want if want is None else got == pytest.approx(want, rel=1e-12), name
+
+
+def test_scoring_holds_no_n_by_n_array_beyond_the_graph():
+    # The trace checks are formed from N x k products; a Laplacian built
+    # for them read about 1.04 N x N float64 at N = 600.
+    n = 600
+    rep, truth = repsc.build_d_regular_rep_graph(n, 5, 40)
+    g = repsc.sample_rpp(repsc.RppParams(assignment=truth, rep_graph=rep, **SWEEP_PROBS), 1)
+    predicted = random_assignment(np.random.default_rng(66), n, 5)
+    assert traced_peak(lambda: repsc.score_partition(g, rep, predicted, truth)) <= 0.25 * n * n * 8

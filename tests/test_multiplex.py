@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import repsc
 from conftest import traced_peak
 from repsc.errors import IndexOutOfRangeError, MalformedLineError, NoLayersError
-from repsc.multiplex import _unique_rows
+from repsc.multiplex import _group_rows
 
 SAMPLE = """\
 # genetic interaction layers, 1-based node ids
@@ -78,7 +78,8 @@ node_part = st.one_of(st.integers(0, 4), st.integers(0, 4).map(lambda v: 1000 * 
 @given(st.lists(st.tuples(key_part, node_part, node_part), min_size=1, max_size=40))
 def test_unique_rows_matches_np_unique(keys):
     rows = np.array(keys, dtype=np.int64)
-    edges, inverse = _unique_rows(rows)
+    firsts, inverse = _group_rows(tuple(rows.T))
+    edges = rows[firsts]
     ref_edges, ref_inverse = unique_rows_reference(rows)
     assert edges.dtype == ref_edges.dtype and np.array_equal(edges, ref_edges)
     assert inverse.dtype == ref_inverse.dtype and np.array_equal(inverse, ref_inverse)
@@ -101,7 +102,8 @@ def test_unique_rows_packs_the_key_unless_it_would_overflow(monkeypatch, keys, p
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda k: lexsorts.append(1) or lexsort(k))
     rows = np.array(keys, dtype=np.int64)
-    edges, inverse = _unique_rows(rows)
+    firsts, inverse = _group_rows(tuple(rows.T))
+    edges = rows[firsts]
     ref_edges, ref_inverse = unique_rows_reference(rows)
     assert np.array_equal(edges, ref_edges) and np.array_equal(inverse, ref_inverse)
     assert lexsorts == ([] if packed else [1])
@@ -173,7 +175,8 @@ def parse_reference(text, index_base=0, names=None):
         rows = np.array(keys, dtype=np.int64)
     except OverflowError:
         raise IndexOutOfRangeError("a layer id or node index does not fit in 64 bits")
-    edges, inverse = _unique_rows(rows)
+    firsts, inverse = _group_rows(tuple(rows.T))
+    edges = rows[firsts]
     summed = np.bincount(inverse, weights=weights, minlength=len(edges))
     layer_of, src, dst = edges.T
     ids, starts = np.unique(layer_of, return_index=True)
