@@ -15,9 +15,9 @@ follow from the input before either is built, so no option picks one:
 
 * Y, an orthonormal basis of S (m columns). Writing H = Y Z, the solution
   is the bottom-k generalized eigenvectors of (Y^T L Y, Y^T B Y),
-  re-expanded by Y; a generalized m-by-m problem when B = D. Exact urepsc
-  and nrepsc on a d-regular R take this arm (40 of 600 dimensions on the
-  benchmark's R).
+  re-expanded by Y; a generalized m-by-m problem when B = D, with L only
+  as the N-by-m product L Y. Exact urepsc and nrepsc on a d-regular R take
+  this arm (40 of 600 dimensions on the benchmark's R).
 * W, an orthonormal basis of S's orthogonal complement (w columns: about r
   for the approximate variants, G - 1 for the baseline's G groups).
   ``_deflate`` turns L into P L P + c W W^T (P = I - W W^T), with c above
@@ -57,14 +57,12 @@ eigendecomposition, and no rank-r matrix is ever formed. W comes from the
 full decomposition too: it spans (I - 11^T/N) V_r for the kept
 eigenvectors V_r that are not null, so an exact null block too wide to be
 sure of the Y arm (2 (m + 1) > N) sends the exact constraint there as well;
-the block's width decides, whichever solve ran first. A ``Graph`` R keeps
-both solves, the null block in ``Graph._memo`` and the full decomposition
-as ``Graph.spectrum``, so each runs at most once per R object; a raw matrix
-R is solved on every call. Each kept array owns its bytes, so the null
-block keeps N m numbers, not the interval solve's N-by-N buffer.
-``_group_basis`` writes the baseline's Y down from the groups, and
-``_group_complement`` its W. ``_split_ones`` takes the ones direction out
-of orthonormal columns for both arms.
+the block's width decides, whichever solve ran first. R is solved nowhere
+else: a ``Graph`` R keeps both solves in its memo ("null" and "full"), each
+run at most once per R object and owning its bytes; a raw matrix R is
+solved on every call. ``_group_basis`` writes the baseline's Y down from
+the groups, and ``_group_complement`` its W. ``_split_ones`` takes the ones
+direction out of orthonormal columns for both arms.
 
 Everything before k-means is deterministic, so ``_solve`` keeps it on the
 similarity ``Graph`` (``Graph._memo``): the k-means input points, the
@@ -96,7 +94,8 @@ from .errors import (
     NullSpaceTooSmallError,
     RankTooLargeError,
 )
-from .graphs import ClusterAssignment, Graph, _check_k, _laplacian, as_adjacency
+from .graphs import (ClusterAssignment, Graph, _check_k, _laplacian, _laplacian_product,
+                     as_adjacency)
 from .linalg import (
     RANK_REL_TOL,
     _fix_signs,
@@ -352,7 +351,8 @@ def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, np
     |lambda| (Gershgorin) and equals max|lambda| on a regular R. With
     ``rank`` so do all but the ``rank`` eigenpairs of largest |lambda| (ties
     kept in ascending position), which needs R's full decomposition: once
-    per ``Graph`` (``Graph.spectrum``), on every call for a raw matrix.
+    per ``Graph`` (kept read-only in its memo, "full"), on every call for a
+    raw matrix.
 
     Without ``rank`` only null(R) is read, so the eigenpairs with |lambda|
     <= t are solved for alone (``sym_eig``'s ``within``) and come back with
@@ -362,8 +362,8 @@ def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, np
     solve's N-by-N eigenvector buffer alive. The block's own width m picks
     the path: when 2 (m + 1) > N, so that ``_basis`` may choose the
     complement W, which needs the non-null eigenvectors, the full
-    decomposition is used instead, as it is for R = 0 (t = 0). No result
-    of this function depends on which of R's solves ran first.
+    decomposition is used instead, as it is for R = 0 (t = 0). This is the
+    only code that solves R, and no result depends on which solve ran first.
     """
     graph = isinstance(rep_graph_or_matrix, Graph)
     r = rep_graph_or_matrix.adjacency if graph else as_float_matrix(rep_graph_or_matrix)
@@ -376,13 +376,16 @@ def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, np
     tol = memo["null_tol"]
     if rank is None and tol > 0.0:
         if "null" not in memo:
-            block = sym_eig(r, within=tol).eigenvectors
-            block.flags.writeable = False
-            memo["null"] = block
+            memo["null"] = sym_eig(r, within=tol).eigenvectors
+            memo["null"].flags.writeable = False
         block = memo["null"]
         if 2 * (block.shape[1] + 1) <= n:
             return block, np.ones(block.shape[1], dtype=bool)
-    values, vectors = rep_graph_or_matrix.spectrum if graph else sym_eig(r)
+    if "full" not in memo:
+        memo["full"] = sym_eig(r)
+        for array in memo["full"]:
+            array.flags.writeable = False
+    values, vectors = memo["full"]
     magnitude = np.abs(values)
     null = magnitude <= tol
     if rank is not None:
@@ -484,13 +487,10 @@ def _group_complement(groups: ClusterAssignment) -> np.ndarray:
     return _split_ones(indicators, np.sqrt(sizes / groups.n), drop=True)
 
 
-def _restrict(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Y^T M Y, averaged with its transpose to remove rounding asymmetry;
-    a 1-d ``m`` is the diagonal of M."""
-    if m.ndim == 1:
-        reduced = matmul(basis.T, m[:, None] * basis)
-    else:
-        reduced = matmul(matmul(basis.T, m), basis)
+def _restrict(basis: np.ndarray, applied: np.ndarray) -> np.ndarray:
+    """Y^T M Y from Y = ``basis`` and the N-by-m product M Y = ``applied``,
+    averaged with its transpose to remove rounding asymmetry."""
+    reduced = matmul(basis.T, applied)
     return (reduced + reduced.T) / 2.0
 
 
@@ -542,7 +542,8 @@ def _embed(graph, k: int, basis: np.ndarray | None = None, normalized: bool = Fa
     given by at most one of ``basis`` (Y, orthonormal columns spanning S)
     and ``complement`` (W, orthonormal columns spanning its orthogonal
     complement); with neither, S is everything. On Y the problem is
-    (Y^T L Y, Y^T B Y), a generalized one when B = D. Otherwise it is solved
+    (Y^T L Y, Y^T B Y), a generalized one when B = D, from N-by-m products
+    (L only as ``_laplacian_product``). Otherwise it is solved
     on an N-by-N matrix: L, or with B = D its standard form
     D^{-1/2} L D^{-1/2}, whose bottom eigenvectors V give D^{-1/2} V with
     D-orthonormal columns (as for nsc); there W becomes D^{-1/2} W
@@ -574,8 +575,9 @@ def _embed(graph, k: int, basis: np.ndarray | None = None, normalized: bool = Fa
                 f"constraint null space has {dims} dimensions, need at least k={k}"
             )
     if basis is not None:
-        weight = _restrict(basis, degrees) if normalized else None
-        values, vectors = sym_eig(_restrict(basis, _operator(a, None)), weight, count=k + 1)
+        weight = _restrict(basis, degrees[:, None] * basis) if normalized else None
+        reduced = _restrict(basis, _laplacian_product(a, degrees, basis))
+        values, vectors = sym_eig(reduced, weight, count=k + 1)
         return matmul(basis, vectors[:, :k]), values[:k], _gap_warnings(values, k)
     inv_root = 1.0 / np.sqrt(degrees) if normalized else None
     operator = _operator(a, inv_root)

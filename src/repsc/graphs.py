@@ -25,8 +25,7 @@ from .errors import (
     MalformedLineError,
     SizeMismatchError,
 )
-from .linalg import (EigenDecomposition, as_float_matrix, ensure_symmetric, matmul, row_blocks,
-                     sym_eig)
+from .linalg import as_float_matrix, ensure_symmetric, matmul, row_blocks
 
 # An integer field of the text formats: ASCII decimal digits with an optional
 # sign. int() alone would also take '1_0', padding and other scripts' digits.
@@ -70,9 +69,9 @@ class Graph:
     diagonal is meaningful and usually all ones) from similarity graphs
     (diagonal forced to zero). ``Graph(a)`` keeps a float64 ``a`` itself,
     without a copy, and makes it read-only: pass ``a.copy()`` to keep a
-    writable array. A Graph never changes, so ``spectrum`` is computed once,
-    and the clustering code keeps what it solves on a Graph in ``_memo``.
-    Graphs compare and hash by identity, so a Graph can key such a memo.
+    writable array. A Graph never changes, so the clustering code keeps
+    what it solves on a Graph, R's solves included, in ``_memo``. Graphs
+    compare and hash by identity, so a Graph can key such a memo.
     """
 
     adjacency: np.ndarray
@@ -102,27 +101,17 @@ class Graph:
         return self.adjacency.sum(axis=1)
 
     @cached_property
-    def spectrum(self) -> EigenDecomposition:
-        """``sym_eig(adjacency)`` in read-only arrays, kept from the first
-        successful call on."""
-        spectrum = sym_eig(self.adjacency)
-        for array in spectrum:
-            array.flags.writeable = False
-        return spectrum
-
-    @cached_property
     def _memo(self) -> dict:
         """Deterministic results computed on this graph, for as long as it
         lives. ``clustering._solve`` keeps each solution's k-means points,
         spectrum and warnings here, keyed by what built the problem,
         ``fair_sc_baseline`` keeps each group discovery on its R, and
-        ``clustering._rep_spectrum`` keeps R's null threshold under
-        "null_tol" and its null block under "null": the eigenvectors with
-        |lambda| near zero, node-by-m with m usually far below N. The other
-        entries are node-by-k arrays and label vectors, never a node-by-node
-        array. Every kept array owns exactly its own bytes, never a slice
-        of a larger buffer such as LAPACK's node-by-node eigenvector
-        output, so the memo holds what its entries show."""
+        ``clustering._rep_spectrum`` keeps R's null threshold ("null_tol"),
+        null block ("null": the eigenvectors with |lambda| near zero,
+        node-by-m with m usually far below N) and, for a rank or a wide null
+        block, full decomposition ("full", the one node-by-node entry).
+        Every kept array owns exactly its own bytes, never a slice of a
+        larger buffer such as LAPACK's node-by-node eigenvector output."""
         return {}
 
 
@@ -460,21 +449,26 @@ def expected_adjacency(params: RppParams) -> np.ndarray:
     return atilde
 
 
-def _laplacian(a: np.ndarray, start: int = 0,
-               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(degrees, L = diag(degrees) - A) of a dense adjacency A, or of the row
-    strip ``a`` of A whose first row is row ``start``.
+def _laplacian(a: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(degrees, L = diag(degrees) - A) of the row strip ``a`` of a dense
+    adjacency A whose first row is row ``start`` (all of A by default), for
+    a dense eigensolve; products with L are ``_laplacian_product``'s.
 
     The degrees are ``a``'s row sums. L is 0 - A with the degrees added on
-    the diagonal, which has the bits of diag(degrees) - A, and is written to
-    ``out`` when given; ``out`` may be ``a`` itself, so a scratch adjacency
-    becomes its Laplacian without a second N-by-N array.
+    the diagonal, which has the bits of diag(degrees) - A.
     """
     degrees = a.sum(axis=1)
-    laplacian = np.subtract(0.0, a, out=out)
+    laplacian = np.subtract(0.0, a)
     diagonal = np.arange(a.shape[0])
     laplacian[diagonal, diagonal + start] += degrees
     return degrees, laplacian
+
+
+def _laplacian_product(a: np.ndarray, degrees: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L X = D X - A X for L = diag(degrees) - A and node-by-k columns X,
+    from one node-by-k product with A (overwritten by the result)."""
+    product = matmul(a, x)
+    return np.subtract(degrees[:, None] * x, product, out=product)
 
 
 def as_adjacency(graph_or_matrix) -> np.ndarray:
@@ -499,18 +493,19 @@ def write_graph(graph: Graph, path) -> None:
 
 def read_graph(path) -> Graph:
     """Parse the edge-list format written by write_graph; its numbers are
-    ASCII decimal integers, as in the assignment and multiplex grammars."""
+    ASCII decimal integers, as in the assignment and multiplex grammars, and
+    its header is exactly the two fields ``n=<N> diag=<0|1>``."""
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines:
         raise MalformedLineError(1, "empty graph file")
-    header = lines[0].split()
     try:
-        n = _parse_int(header[0].removeprefix("n="))
-        diag = _parse_int(header[1].removeprefix("diag="))
-        if diag not in (0, 1) or n < 0:
+        (n_key, _, n_text), (diag_key, _, diag_text) = (
+            field.partition("=") for field in lines[0].split())
+        n, diag = _parse_int(n_text), _parse_int(diag_text)
+        if (n_key, diag_key) != ("n", "diag") or diag not in (0, 1) or n < 0:
             raise ValueError
-    except (IndexError, ValueError):
+    except ValueError:
         raise MalformedLineError(1, f"expected header 'n=<N> diag=<0|1>', got {lines[0]!r}")
     adjacency = np.zeros((n, n))
     for lineno, line in enumerate(lines[1:], start=2):
@@ -542,10 +537,10 @@ def read_assignment(path) -> ClusterAssignment:
     """Parse the assignment format; k comes from a ``# k = K`` line if any.
 
     Without such a line (files written before it existed) k is the largest
-    label plus one. Other ``#`` lines and blank lines are skipped. Labels and
-    k are ASCII decimal integers with an optional sign, as in the multiplex
-    grammar. A label that is not one, is negative, or is not below k raises
-    MalformedLineError naming its line.
+    label plus one; a second one raises MalformedLineError, as does a label
+    that is not an integer, is negative, or is not below k, naming its line.
+    Other ``#`` lines and blank lines are skipped. Labels and k are ASCII
+    decimal integers with an optional sign, as in the multiplex grammar.
     """
     labels, label_lines = [], []
     k = None
@@ -554,6 +549,8 @@ def read_assignment(path) -> ClusterAssignment:
         if stripped.startswith("#"):
             key, sep, value = stripped[1:].partition("=")
             if sep and key.strip() == "k":
+                if k is not None:
+                    raise MalformedLineError(lineno, f"a second k line {line!r}; k is {k}")
                 if not _INT_FIELD.fullmatch(value.strip()):
                     raise MalformedLineError(lineno, f"expected an integer k, got {line!r}")
                 k = int(value)

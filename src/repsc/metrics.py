@@ -24,7 +24,7 @@ import numpy as np
 from .constraint import (_balance, _representative_counts, _residual, build_indicator_h,
                          build_indicator_t)
 from .errors import SizeMismatchError, ZeroVolumeClusterError
-from .graphs import ClusterAssignment, Graph, as_adjacency
+from .graphs import ClusterAssignment, Graph, _laplacian_product, as_adjacency
 from .linalg import matmul
 
 DUAL_FORM_TOL = 1e-9
@@ -40,9 +40,8 @@ def _check_dual(name: str, combinatorial: float, trace_form: float) -> float:
 
 
 def _trace_form(a: np.ndarray, degrees: np.ndarray, x: np.ndarray) -> float:
-    """trace(X^T L X) for L = D - A, as trace(X^T (D X - A X)): one
-    N-by-k product with A, and no N-by-N Laplacian."""
-    return float(np.einsum("ik,ik->", x, degrees[:, None] * x - matmul(a, x)))
+    """trace(X^T L X) for L = D - A, from the N-by-k product L X."""
+    return float(np.einsum("ik,ik->", x, _laplacian_product(a, degrees, x)))
 
 
 def _cuts(graph, assignment: ClusterAssignment) -> tuple[float, float | None]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .clustering import DEGENERATE_GAP_TOL, _contrasts, _restrict, constraint_null_basis
 from .errors import AssumptionViolatedError, DivisibilityError, ZeroGapError
-from .graphs import (RppParams, _check_k, _laplacian, build_d_regular_rep_graph,
+from .graphs import (RppParams, _check_k, _laplacian_product, build_d_regular_rep_graph,
                      expected_adjacency, validate_regular_representation)
 from .linalg import _scratch, sym_eig
 
@@ -104,22 +104,21 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
     eigenpairs with |lambda| near zero (one interval solve: 39 of 600 pairs
     on the benchmark's d-regular R; R in full only when that block is wider
     than about N/2), and the ``Graph`` R keeps it, so urepsc and nrepsc on
-    the same R reuse it. Then the restricted Laplacian, of the null space's
-    dimension, is decomposed. The expected similarity matrix is never
-    decomposed (``lambda_bar`` does that, on demand).
+    the same R reuse it. Then the restricted Laplacian Y^T (D Y - A Y) of
+    the expected similarity matrix A, of the null space's dimension, is
+    decomposed. No Laplacian is built over A, and A is never decomposed
+    (``lambda_bar`` does that, on demand).
 
-    R's null block is solved first, while no other N-by-N array exists, and
-    the expected Laplacian is then built over the expected similarity
-    matrix's own storage: beyond R, the interval solve's two N-by-N arrays
-    (its copy of R and its eigenvector buffer) or that one matrix are held,
-    never more. Both of the solve's arrays are freed when it returns; R
+    R's null block is solved before the expected similarity matrix is
+    built: beyond R, the interval solve's two N-by-N arrays (its copy of R
+    and its eigenvector buffer) or that one matrix are held, never more; R
     keeps only the N-by-m null block.
     """
     lambda1, lambda_rest = closed_form_eigenvalues(params)
     k = params.k
     basis = constraint_null_basis(params.rep_graph)
-    centered = expected_adjacency(params)
-    degrees, laplacian = _laplacian(centered, out=centered)
+    atilde = expected_adjacency(params)
+    degrees = atilde.sum(axis=1)
     expected_degree = lambda1 - params.p
     tol = SPECTRUM_REL_TOL * (1.0 + abs(lambda1))
     if np.max(np.abs(degrees - expected_degree)) > tol:
@@ -131,7 +130,7 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
         raise AssumptionViolatedError(
             f"constraint null space has {basis.shape[1]} < k={k} dimensions"
         )
-    mu = sym_eig(_restrict(basis, laplacian)).eigenvalues
+    mu = sym_eig(_restrict(basis, _laplacian_product(atilde, degrees, basis))).eigenvalues
     expected_bottom = np.concatenate(([0.0], np.full(k - 1, lambda1 - lambda_rest)))
     if np.max(np.abs(mu[:k] - expected_bottom)) > tol:
         raise AssumptionViolatedError(

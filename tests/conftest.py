@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import repsc
-from repsc import experiments
+from repsc import clustering, experiments
+from repsc.linalg import sym_eig
 
 # Regular-representation instances used across the suite: (n, k, d) with
 # d/k representatives per cluster, chosen so the ring construction is
@@ -134,3 +136,41 @@ def empty_harness_caches():
     """Leave no grid point, trial or multiplex file in the harness caches."""
     yield
     clear_harness_caches()
+
+
+class Solve(NamedTuple):
+    """One ``sym_eig`` call: its matrix, ``count`` and ``within``."""
+
+    matrix: np.ndarray
+    count: int | None
+    within: float | None
+
+    @property
+    def kind(self) -> str:
+        """"subset" for the bottom ``count`` eigenpairs, "interval" for those
+        with |lambda| <= ``within`` and "full" for a whole spectrum."""
+        if self.count is not None:
+            return "subset"
+        return "full" if self.within is None else "interval"
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Every eigensolve of ``repsc.clustering``, as a ``Solve``, in call
+    order. That module is the one that solves R (its interval and full
+    solves) and every clustering problem; ``theory`` solves its restricted
+    problem itself, which is not recorded."""
+    solves = []
+
+    def recording(m, b=None, count=None, within=None):
+        solves.append(Solve(m, count, within))
+        return sym_eig(m, b, count, within)
+
+    monkeypatch.setattr(clustering, "sym_eig", recording)
+    return solves
+
+
+def r_solves(solves) -> list[tuple[str, tuple[int, ...]]]:
+    """(kind, shape) of each solve of an R among ``solves``: its full and
+    interval solves, the ones that ask for no ``count``."""
+    return [(solve.kind, solve.matrix.shape) for solve in solves if solve.kind != "subset"]

@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 import repsc
 from repsc import clustering
 from repsc.clustering import _assign, _lifted_points, constraint_null_basis
-from repsc.linalg import sym_eig
-from conftest import (SWEEP_PROBS, random_orthonormal, same_partition, traced_peak,
+from conftest import (SWEEP_PROBS, r_solves, random_orthonormal, same_partition, traced_peak,
                       traced_retained)
 
 
@@ -119,7 +118,7 @@ def test_algorithms_reject_a_k_that_is_not_an_integer_before_solving(run, eigens
     g, rep = memo_pair()
     with pytest.raises(ValueError, match="k must be an integer, got 1.5"):
         run(g, rep)
-    assert eigensolves == [] and "spectrum" not in vars(rep)
+    assert eigensolves == [] and "full" not in rep._memo
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -316,29 +315,16 @@ def test_pipelines_deterministic(toy_instance):
         assert np.array_equal(first.embedding, second.embedding)
 
 
-# -- each solve of a representation Graph once (Graph.spectrum, null block) --
+# -- each solve of a representation Graph once (its memo's "full" and "null") --
+#
+# r_solves(eigensolves) lists R's solves in call order, as (kind, shape):
+# "full" for a whole spectrum, "interval" for the eigenpairs with
+# |lambda| <= t (sym_eig's ``within``).
 
 FULL, INTERVAL = ("full", (24, 24)), ("interval", (24, 24))
 
 
-@pytest.fixture
-def r_eigs(monkeypatch):
-    """Record every solve of an R in call order, as (kind, shape): "full"
-    for a whole spectrum (Graph.spectrum, or a raw matrix's in clustering),
-    "interval" for the eigenpairs with |lambda| <= t (sym_eig's ``within``)."""
-    solves = []
-
-    def counting(m, b=None, count=None, within=None):
-        if b is None and count is None:
-            solves.append(("full" if within is None else "interval", np.shape(m)))
-        return sym_eig(m, b, count, within)
-
-    monkeypatch.setattr(repsc.graphs, "sym_eig", counting)
-    monkeypatch.setattr(clustering, "sym_eig", counting)
-    return solves
-
-
-def test_graph_r_is_decomposed_once_for_any_rank(r_eigs, toy_instance):
+def test_graph_r_is_decomposed_once_for_any_rank(eigensolves, toy_instance):
     # Rank-r truncations read the largest |lambda|: one full decomposition
     # of R serves every rank.
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
@@ -349,10 +335,10 @@ def test_graph_r_is_decomposed_once_for_any_rank(r_eigs, toy_instance):
     repsc.urepsc_approx(g, rep, 2, rank=5)
     repsc.nrepsc_approx(g, rep, 2, rank=6)
     assert np.array_equal(constraint_null_basis(rep, rank=4), first)
-    assert r_eigs == [FULL]
+    assert r_solves(eigensolves) == [FULL]
 
 
-def test_narrow_exact_constraint_takes_one_interval_solve(r_eigs, toy_instance):
+def test_narrow_exact_constraint_takes_one_interval_solve(eigensolves, toy_instance):
     # d = 8 leaves 9 null dimensions of 24: urepsc, nrepsc and the null
     # basis read the one null block the Graph keeps, and R is never
     # decomposed in full.
@@ -364,10 +350,10 @@ def test_narrow_exact_constraint_takes_one_interval_solve(r_eigs, toy_instance):
     repsc.nrepsc(g, rep, 2)
     assert first.shape == (24, 10)
     assert np.array_equal(constraint_null_basis(rep), first)
-    assert r_eigs == [INTERVAL] and "spectrum" not in vars(rep)
+    assert r_solves(eigensolves) == [INTERVAL] and "full" not in rep._memo
 
 
-def test_wide_exact_constraint_decomposes_r_in_full(r_eigs):
+def test_wide_exact_constraint_decomposes_r_in_full(eigensolves):
     # d = 6 leaves 14 null dimensions of 24, more than N/2: the interval
     # solve's width sends every exact call to the full decomposition, once
     # per Graph.
@@ -375,7 +361,7 @@ def test_wide_exact_constraint_decomposes_r_in_full(r_eigs):
     g, _ = memo_pair()
     assert constraint_null_basis(rep).shape == (24, 15)
     repsc.urepsc(g, rep, 2)
-    assert r_eigs == [INTERVAL, FULL]
+    assert r_solves(eigensolves) == [INTERVAL, FULL]
 
 
 @pytest.mark.parametrize("d", [8, 6])  # a narrow null block, then a wide one
@@ -386,13 +372,13 @@ def test_exact_rows_do_not_depend_on_an_earlier_rank_solve(d):
     decomposed = fresh(rep)
     g, _ = memo_pair()
     repsc.urepsc_approx(fresh(g), decomposed, 2, rank=5)
-    assert "spectrum" in vars(decomposed)
+    assert "full" in decomposed._memo
     assert np.array_equal(constraint_null_basis(rep), constraint_null_basis(decomposed))
     for algorithm in (repsc.urepsc, repsc.nrepsc):
         assert_same_result(algorithm(fresh(g), rep, 2), algorithm(fresh(g), decomposed, 2))
 
 
-def test_null_basis_memo_recomputes_a_changed_r(r_eigs):
+def test_null_basis_memo_recomputes_a_changed_r(eigensolves):
     # A raw matrix R, changed or not, is decomposed on every call.
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
     raw = rep.adjacency.copy()
@@ -404,50 +390,54 @@ def test_null_basis_memo_recomputes_a_changed_r(r_eigs):
     assert not np.array_equal(constraint_null_basis(changed), first)
     # The exact calls on the raw matrices are wide (see above): an interval
     # solve, then the full decomposition.
-    assert r_eigs == [INTERVAL, FULL, FULL, FULL, INTERVAL, FULL, INTERVAL, FULL]
+    assert r_solves(eigensolves) == [INTERVAL, FULL, FULL, FULL, INTERVAL, FULL, INTERVAL, FULL]
 
 
-def test_null_basis_memo_caches_no_failure(r_eigs, monkeypatch):
+def test_null_basis_memo_caches_no_failure(eigensolves, monkeypatch):
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
+    recording = clustering.sym_eig
 
     def failing(m, b=None, count=None, within=None):
         raise repsc.EigenConvergenceError("no convergence")
 
-    counting = repsc.graphs.sym_eig
+    def failing_in_full(m, b=None, count=None, within=None):
+        if within is None:
+            raise repsc.EigenConvergenceError("no convergence")
+        return recording(m, b, count, within)
+
     monkeypatch.setattr(clustering, "sym_eig", failing)
     with pytest.raises(repsc.EigenConvergenceError):
         constraint_null_basis(rep)
     assert "null" not in rep._memo
-    monkeypatch.setattr(clustering, "sym_eig", counting)
-    monkeypatch.setattr(repsc.graphs, "sym_eig", failing)
+    monkeypatch.setattr(clustering, "sym_eig", failing_in_full)
     with pytest.raises(repsc.EigenConvergenceError):
         constraint_null_basis(rep)
-    assert "spectrum" not in vars(rep)
-    monkeypatch.setattr(repsc.graphs, "sym_eig", counting)
+    assert "full" not in rep._memo
+    monkeypatch.setattr(clustering, "sym_eig", recording)
     constraint_null_basis(rep)
     constraint_null_basis(rep)
     # R is wide (see above): the interval solve is kept from the second call.
-    assert r_eigs == [INTERVAL, FULL]
+    assert r_solves(eigensolves) == [INTERVAL, FULL]
 
 
-def test_null_basis_memo_is_read_only_and_returns_fresh_bases(r_eigs):
+def test_null_basis_memo_is_read_only_and_returns_fresh_bases(eigensolves):
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
     handed = rep.adjacency.copy()
     graph = repsc.Graph(handed, allows_self_loops=True)
     # Kept without a copy, and the caller's array became read-only with it.
     assert graph.adjacency is handed
     basis = constraint_null_basis(graph)
-    for array in (handed, *graph.spectrum, graph._memo["null"]):
+    for array in (handed, *graph._memo["full"], graph._memo["null"]):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
     expected = basis.copy()
     basis[:] = 0.0
     assert np.array_equal(constraint_null_basis(graph), expected)
-    assert r_eigs == [INTERVAL, FULL]
+    assert r_solves(eigensolves) == [INTERVAL, FULL]
 
 
-def test_sweep_decomposes_each_r_once_per_grid_point(r_eigs, tmp_path):
+def test_sweep_decomposes_each_r_once_per_grid_point(eigensolves, tmp_path):
     # Setup (expected_spectrum) and 2 trials x (urepsc, nrepsc) at each of
     # two grid points share one interval solve of that point's R, whose null
     # block (1 and 9 of 24 dimensions) is narrow: no full decomposition.
@@ -462,7 +452,7 @@ def test_sweep_decomposes_each_r_once_per_grid_point(r_eigs, tmp_path):
     )
     result = repsc.run_experiment(cfg)
     assert result.error_count == 0 and len(result.rows) == 12
-    assert r_eigs == [INTERVAL, INTERVAL]
+    assert r_solves(eigensolves) == [INTERVAL, INTERVAL]
 
 
 # -- what a Graph keeps of each solve (Graph._memo) --
@@ -500,20 +490,6 @@ MEMO_RUNS = {
     "nrepsc_approx": lambda g, rep, cfg: repsc.nrepsc_approx(g, rep, 2, 6, cfg),
     "fair_sc_baseline": lambda g, rep, cfg: repsc.fair_sc_baseline(g, rep, 2, cfg, groups=3),
 }
-
-
-@pytest.fixture
-def eigensolves(monkeypatch):
-    """The ``count`` of every eigensolve of the clustering code (None for a
-    raw R's full and interval solves)."""
-    counts = []
-
-    def counting(m, b=None, count=None, within=None):
-        counts.append(count)
-        return sym_eig(m, b, count, within)
-
-    monkeypatch.setattr(clustering, "sym_eig", counting)
-    return counts
 
 
 @pytest.mark.parametrize("name", MEMO_RUNS)
@@ -565,9 +541,10 @@ def test_raw_matrices_are_solved_on_every_call(eigensolves):
         repsc.nrepsc_approx(raw_g, rep, 2, 6)
         repsc.fair_sc_baseline(raw_g, raw_rep, 2, groups=3)
     # usc: 1; urepsc: R (wide: its interval solve and full decomposition)
-    # and the restricted problem; nrepsc_approx: the restricted problem (R
-    # is a Graph); the baseline: discovery and solve.
-    assert len(eigensolves) == 2 * (1 + 3 + 1 + 2)
+    # and the restricted problem; nrepsc_approx: the restricted problem, and
+    # on the first call the Graph R's full decomposition, which it keeps;
+    # the baseline: discovery and solve.
+    assert len(eigensolves) == 2 * (1 + 3 + 1 + 2) + 1
     assert "_memo" not in vars(g)
 
 
@@ -665,7 +642,7 @@ def eighs(monkeypatch):
 
 
 def test_a_sweep_solves_only_r_and_the_unconstrained_problems_at_full_size(eighs, tmp_path):
-    # Per grid point: R once (Graph.spectrum, shared by the setup and the
+    # Per grid point: R once (kept in its memo, shared by the setup and the
     # constrained rows), then usc's L and nsc's D^{-1/2} L D^{-1/2} once per
     # trial's sampled graph. The setup's expected spectrum and the
     # constrained rows solve problems of the null space's dimension, and no
@@ -726,13 +703,13 @@ def pairs(n: int = 20) -> repsc.ClusterAssignment:
     return repsc.ClusterAssignment(np.arange(n) // 2, n // 2)
 
 
-def test_rank_out_of_range_raises_before_r_is_decomposed(r_eigs):
+def test_rank_out_of_range_raises_before_r_is_decomposed(eigensolves):
     g, rep = memo_pair()
     with pytest.raises(ValueError, match="rank must be at least 1, got 0"):
         repsc.urepsc_approx(g, rep, 2, rank=0)
     with pytest.raises(repsc.RankTooLargeError):
         repsc.nrepsc_approx(g, rep.adjacency.copy(), 2, rank=23)
-    assert r_eigs == [] and "spectrum" not in vars(rep)
+    assert r_solves(eigensolves) == [] and "full" not in rep._memo
 
 
 def test_complement_arm_raises_when_fewer_than_k_dimensions_are_left():
@@ -754,7 +731,7 @@ def test_complement_arm_with_exactly_k_dimensions_left(eigensolves):
     g = upper + upper.T
     for normalized in (False, True):
         result = clustering._solve(g, 11, repsc.KMeansConfig(), pairs(), normalized=normalized)
-        assert eigensolves[-1] == 11
+        assert eigensolves[-1].count == 11
         _, spectrum, warnings = clustering._embed(g, 11, clustering._group_basis(pairs()),
                                                   normalized)
         assert result.warnings == warnings == ()
@@ -773,9 +750,9 @@ def test_complement_arm_warning_survives_a_kept_solve(eigensolves):
     first = repsc.urepsc(g, rep, 2)
     assert len(first.warnings) == 1 and "eigengap between positions 1 and 2" in first.warnings[0]
     assert repsc.urepsc(g, rep, 2, repsc.KMeansConfig(seed=4)).warnings == first.warnings
-    # R's interval solve (10 null dimensions of 12: R is then decomposed in
-    # full by Graph.spectrum) and the restricted problem.
-    assert len(eigensolves) == 2
+    # R's interval solve, its full decomposition (10 null dimensions of 12
+    # make the block wide) and the restricted problem.
+    assert len(eigensolves) == 3
     assert clustering._embed(g, 2, constraint_null_basis(rep))[2] == first.warnings
 
 
@@ -808,6 +785,20 @@ def test_an_n_by_n_solve_holds_one_matrix_beyond_the_graph(normalized, constrain
     peak = traced_peak(lambda: clustering._embed(g, 5, None, normalized,
                                                  complement if constrained else None))
     assert peak <= 1.25 * n * n * 8
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_the_basis_arm_holds_no_n_by_n_matrix_beyond_the_graph(normalized):
+    # urepsc's and nrepsc's solve on a d-regular null basis at N = 900 (10
+    # of 900 dimensions), in N x N float64 units: Y^T L Y and Y^T D Y come
+    # from N x m products. A whole L built to be multiplied reads 1.01.
+    n = 900
+    rep, truth = repsc.build_d_regular_rep_graph(n, 5, 40)
+    g = repsc.sample_rpp(repsc.RppParams(assignment=truth, rep_graph=rep, **SWEEP_PROBS), 1)
+    basis = constraint_null_basis(rep)
+    assert basis.shape == (n, 10)
+    peak = traced_peak(lambda: clustering._embed(g, 5, basis, normalized))
+    assert peak <= 0.25 * n * n * 8
 
 
 def test_r_keeps_its_null_block_and_not_the_solve_buffer():

@@ -15,7 +15,6 @@ import repsc
 from repsc.cli import main
 from repsc.graphs import check_probabilities
 from repsc.experiments import CSV_COLUMNS, parse_layer_range, write_line_chart_svg
-from repsc.linalg import sym_eig
 from conftest import SWEEP_PROBS, clear_harness_caches, same_partition, traced_peak
 
 
@@ -188,6 +187,7 @@ INERT_FIELDS = {
     "epsilon": ("read only by the d-regular misclustering bound shapes", (0.0, 0.5)),
     "threads": ("the worker count; criterion 10 checks that no CSV byte depends on it", None),
     "plots": ("writes SVG charts next to the CSVs and nothing else", ("false", "true")),
+    "out": ("the directory the CSVs go to; no cell names it", ("a", "b")),
 }
 
 
@@ -225,8 +225,8 @@ def test_inert_field_leaves_the_sweep_output_alone(tmp_path, name):
             "n_values = 40\n"
             "k_values = 4\n"
             "trials = 2\n"
-            f"{name} = {value}\n"
-            f"out = {out}\n"
+            + ("" if name == "out" else f"{name} = {value}\n")
+            + f"out = {out}\n"
         ))
         header, *rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()]
         timing = header.index("runtime_ms")
@@ -274,6 +274,37 @@ def test_d_regular_field_moves_only_its_columns(tmp_path, name):
         assert moved <= {"gamma", *BOUND_COLUMNS, *PARTITION_COLUMNS, "kmeans_iters"}
     else:
         assert moved == set(BOUND_COLUMNS)
+
+
+# The grid fields, which the d-regular sweep reads all three of: the
+# results.csv column each one sets and a pair of its values.
+GRID_FIELDS = {
+    "n_values": ("N", (24, 48)),
+    "k_values": ("K", (2, 3)),
+    "d_values": ("d", (6, 12)),
+}
+
+
+@pytest.mark.parametrize("name", GRID_FIELDS)
+def test_grid_field_changes_the_sweep_rows(tmp_path, name):
+    # Each value's rows carry it, and a partition cell or gamma moves with it.
+    column, values = GRID_FIELDS[name]
+
+    def rows(value):
+        grid = {"n_values": 48, "k_values": 2, "d_values": 6, name: value}
+        result = repsc.run_experiment(repsc.parse_config_text(
+            "mode = d_regular_sweep\n"
+            "algorithms = usc, urepsc, nrepsc\n"
+            "trials = 2\n"
+            + "".join(f"{field} = {grid_value}\n" for field, grid_value in grid.items())
+            + f"out = {tmp_path / str(value)}\n"))
+        assert result.error_count == 0 and len(result.rows) == 6
+        assert {row[column] for row in result.rows} == {value}
+        return result.rows
+
+    first, second = map(rows, values)
+    assert any(a[cell] != b[cell] for a, b in zip(first, second)
+               for cell in (*PARTITION_COLUMNS, "gamma"))
 
 
 # The planted and d-regular configs of the liveness tests above, without
@@ -816,20 +847,9 @@ def test_real_network_sweep_clusters_the_ingested_graphs(tmp_path):
 # -- what the rows of a sweep share --
 
 
-@pytest.fixture
-def decomposed(monkeypatch):
-    """Every matrix decomposed in full, in call order: by Graph.spectrum, or
-    by clustering (where constraint_null_basis decomposes a raw matrix)."""
-    matrices = []
-
-    def counting(m, b=None, count=None):
-        if b is None and count is None:
-            matrices.append(m)
-        return sym_eig(m, b, count)
-
-    monkeypatch.setattr(repsc.graphs, "sym_eig", counting)
-    monkeypatch.setattr(repsc.clustering, "sym_eig", counting)
-    return matrices
+def decomposed(solves) -> list[np.ndarray]:
+    """Every matrix among ``solves`` decomposed in full, in call order."""
+    return [solve.matrix for solve in solves if solve.kind == "full"]
 
 
 def test_each_trial_samples_its_graph_once(tmp_path, monkeypatch):
@@ -845,7 +865,7 @@ def test_each_trial_samples_its_graph_once(tmp_path, monkeypatch):
     assert seeds == [0, 1]
 
 
-def test_real_network_sweep_decomposes_the_shared_r_once(tmp_path, decomposed):
+def test_real_network_sweep_decomposes_the_shared_r_once(tmp_path, eigensolves):
     edges = tmp_path / "multiplex.edges"
     edges.write_text(synthetic_multiplex(5))
     cfg = repsc.parse_config_text(
@@ -864,21 +884,17 @@ def test_real_network_sweep_decomposes_the_shared_r_once(tmp_path, decomposed):
     assert result.error_count == 0 and len(result.rows) == 4
     _, rep, _ = repsc.experiments._real_setup(cfg)
     # The shared R once; the fair_sc_baseline rows decompose nothing.
-    assert sum(m is rep.adjacency for m in decomposed) == 1
-    assert len(decomposed) == 1
+    assert sum(m is rep.adjacency for m in decomposed(eigensolves)) == 1
+    assert len(decomposed(eigensolves)) == 1
 
 
-def test_real_network_sweep_solves_each_problem_once(tmp_path, monkeypatch):
+def test_real_network_sweep_solves_each_problem_once(tmp_path, monkeypatch, eigensolves):
     # Trials differ only in the k-means seed, so every row of a k shares its
     # restricted eigensolves, and every row shares one group discovery
     # eigensolve; k-means runs for every row, and the discovery's once per
     # trial (its seed).
     ks, trials, groups = (2, 4), 2, 3
-    eigensolves, discoveries, kmeans_ks = [], [], []
-
-    def counting_eig(m, b=None, count=None):
-        eigensolves.append(count)
-        return sym_eig(m, b, count)
+    discoveries, kmeans_ks = [], []
 
     def counting_usc(graph, k, cfg):
         discoveries.append(cfg.seed)
@@ -888,8 +904,6 @@ def test_real_network_sweep_solves_each_problem_once(tmp_path, monkeypatch):
         kmeans_ks.append(k)
         return repsc.kmeans(points, k, cfg)
 
-    monkeypatch.setattr(repsc.graphs, "sym_eig", counting_eig)
-    monkeypatch.setattr(repsc.clustering, "sym_eig", counting_eig)
     monkeypatch.setattr(repsc.experiments, "usc", counting_usc)
     monkeypatch.setattr(repsc.clustering, "kmeans", counting_kmeans)
     edges = tmp_path / "multiplex.edges"
@@ -910,15 +924,16 @@ def test_real_network_sweep_solves_each_problem_once(tmp_path, monkeypatch):
     assert result.error_count == 0 and len(result.rows) == 3 * len(ks) * trials
     # R once, the two approximate problems once per k, the discovery once,
     # and the baseline's group-constrained problem once per row.
-    assert eigensolves.count(None) == 1
-    assert eigensolves.count(groups + 1) == 1
-    assert len(eigensolves) == 1 + 2 * len(ks) + 1 + len(ks) * trials
+    counts = [solve.count for solve in eigensolves]
+    assert counts.count(None) == 1
+    assert counts.count(groups + 1) == 1
+    assert len(counts) == 1 + 2 * len(ks) + 1 + len(ks) * trials
     assert discoveries == list(range(trials))
     assert kmeans_ks.count(groups) == trials
     assert len(kmeans_ks) == 3 * len(ks) * trials + trials
 
 
-def test_planted_sweep_decomposes_each_trials_r_once(tmp_path, decomposed):
+def test_planted_sweep_decomposes_each_trials_r_once(tmp_path, eigensolves):
     cfg = repsc.parse_config_text(
         "mode = planted_partition_sweep\n"
         "algorithms = urepsc_approx, nrepsc_approx\n"
@@ -929,7 +944,7 @@ def test_planted_sweep_decomposes_each_trials_r_once(tmp_path, decomposed):
     )
     result = repsc.run_experiment(cfg)
     assert result.error_count == 0 and len(result.rows) == 4
-    assert [m.shape for m in decomposed] == [(40, 40), (40, 40)]
+    assert [m.shape for m in decomposed(eigensolves)] == [(40, 40), (40, 40)]
 
 
 def test_planted_sweep_takes_no_svd(tmp_path, monkeypatch):

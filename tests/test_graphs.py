@@ -325,9 +325,13 @@ def test_graph_round_trip(tmp_path, toy_instance):
 
 def test_graph_read_errors(tmp_path):
     bad_header = tmp_path / "h.edges"
-    bad_header.write_text("nodes 4\n0 1\n")
-    with pytest.raises(repsc.MalformedLineError):
-        repsc.read_graph(bad_header)
+    # The header is exactly the two fields n=<N> and diag=<0|1>.
+    for header in ("nodes 4", "n=3 diag=0 extra", "n=3", "3 0", "diag=0 n=3", "n=3 flag=0",
+                   "n=3 diag=0=1"):
+        bad_header.write_text(f"{header}\n0 1\n")
+        with pytest.raises(repsc.MalformedLineError) as exc:
+            repsc.read_graph(bad_header)
+        assert exc.value.line_number == 1
     bad_line = tmp_path / "l.edges"
     bad_line.write_text("n=4 diag=0\n0 1 2\n")
     with pytest.raises(repsc.MalformedLineError) as exc:
@@ -378,6 +382,8 @@ def test_assignment_round_trip(tmp_path):
     ("0\n1 1\n", 2),
     ("# k = 1_0\n0\n", 1),
     ("# k = 2\n0\n\n# note\n2\n", 5),  # not below k
+    ("# k = 3\n# k = 2\n0\n1\n", 2),   # a second k line, even one the labels fit
+    ("# k = 2\n0\n# k = 2\n1\n", 3),   # a second k line, even an equal one
     (f"0\n{2**63}\n", 2),             # does not fit the int64 label array
 ])
 def test_read_assignment_names_the_bad_line(tmp_path, text, line):
@@ -459,15 +465,20 @@ def test_rpp_strips_equal_the_whole_matrix_formulas(n, self_loops, k, probs, see
     np.fill_diagonal(probability, 0.0)
     expected = repsc.expected_adjacency(params)
     assert expected.flags.c_contiguous and expected.tobytes() == probability.tobytes()
-    # The Laplacian, whole, by row strips and over its adjacency's storage,
-    # has the bits of diag(degrees) - A, signed zeros included.
+    # The Laplacian, whole and by row strips, has the bits of
+    # diag(degrees) - A, signed zeros included; its product with columns X
+    # equals (diag(degrees) - A) @ X.
+    x = np.random.default_rng(seed).standard_normal((n, 3))
     for a in (sample, rep.adjacency, expected):
-        reference = np.diag(a.sum(axis=1)) - a
+        degrees = a.sum(axis=1)
+        reference = np.diag(degrees) - a
         assert repsc.graphs._laplacian(a)[1].tobytes() == reference.tobytes()
         for rows in repsc.linalg.row_blocks(n):
             strip = repsc.graphs._laplacian(a[rows], rows.start)[1]
             assert strip.tobytes() == reference[rows].tobytes()
-    assert repsc.graphs._laplacian(expected, out=expected)[1].tobytes() == reference.tobytes()
+        product = repsc.graphs._laplacian_product(a, degrees, x)
+        scale = 1.0 + np.abs(reference).sum(axis=1).max() * np.abs(x).max()
+        assert np.abs(product - reference @ x).max() <= 1e-13 * scale
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -17,7 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 import repsc
 from repsc import clustering
 from repsc.clustering import ONES_IN_NULL_ATOL, constraint_null_basis
-from repsc.linalg import RANK_REL_TOL
+from repsc.linalg import RANK_REL_TOL, matmul, sym_eig
+from conftest import clear_harness_caches
 
 PROJECTOR_ATOL = 1e-8
 
@@ -134,7 +135,7 @@ def test_interval_null_block_matches_svd_reference(kind, seed):
         # A Graph R keeps the same solve of the same matrix: the same bytes.
         rep = repsc.Graph(r.copy(), allows_self_loops=True)
         assert np.array_equal(constraint_null_basis(rep), constraint_null_basis(r))
-        assert ("null" in rep._memo) and ("spectrum" in vars(rep)) == (vectors.shape[1] == n)
+        assert ("null" in rep._memo) and ("full" in rep._memo) == (vectors.shape[1] == n)
 
 
 def test_interval_null_block_of_the_zero_matrix_is_everything():
@@ -395,3 +396,65 @@ def test_complement_arm_matches_basis_arm(case, normalized):
     assert got_warnings == warnings == ()
     assert np.abs(got_spectrum - spectrum).max() <= 1e-10
     assert np.abs(got @ got.T - x @ x.T).max() <= 1e-10
+
+
+# -- the basis arm against the whole-Laplacian formula it replaced ------------
+
+
+def whole_laplacian_basis_arm(graph, k, basis, normalized):
+    """``_embed``'s Y arm as it stood when it restricted a whole N x N
+    Laplacian: Y^T L Y as (Y^T L) Y, with L = diag(degrees) - A."""
+    a = repsc.graphs.as_adjacency(graph)
+    degrees = a.sum(axis=1)
+    reduced = matmul(matmul(basis.T, np.diag(degrees) - a), basis)
+    weight = matmul(basis.T, degrees[:, None] * basis) if normalized else None
+    values, vectors = sym_eig((reduced + reduced.T) / 2.0,
+                              None if weight is None else (weight + weight.T) / 2.0, count=k + 1)
+    return matmul(basis, vectors[:, :k]), values[:k], clustering._gap_warnings(values, k)
+
+
+# The benchmark's d-regular grid, and a toy one with a narrow null block.
+BASIS_ARM_SWEEPS = {
+    "benchmark": "n_values = 600, 900\nk_values = 5\nd_values = 40\n",
+    "toy": "n_values = 24\nk_values = 2\nd_values = 4, 8\n",
+}
+
+
+@pytest.mark.parametrize("grid", BASIS_ARM_SWEEPS)
+def test_basis_arm_matches_the_whole_laplacian_formula_on_the_sweep(grid, tmp_path, monkeypatch):
+    # Forming Y^T L Y from the N x m product L Y changes its rounding only:
+    # every Y-arm spectrum of the sweep agrees with the whole-Laplacian
+    # formula within 1e-12 of its scale, and k-means finds the same
+    # partitions on both embeddings.
+    embed, kmeans = clustering._embed, clustering.kmeans
+    checked, labels = [], []
+
+    def reference(graph, k, basis=None, normalized=False, complement=None):
+        got = embed(graph, k, basis, normalized, complement)
+        if basis is None:
+            return got
+        want = whole_laplacian_basis_arm(graph, k, basis, normalized)
+        assert np.abs(got[1] - want[1]).max() <= 1e-12 * np.abs(want[1]).max()
+        assert got[2] == want[2]
+        checked.append(normalized)
+        return want
+
+    def recording(points, k, cfg):
+        fit = kmeans(points, k, cfg)
+        labels[-1].append(fit.labels)
+        return fit
+
+    monkeypatch.setattr(clustering, "kmeans", recording)
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(clustering, "_embed", reference)
+        labels.append([])
+        clear_harness_caches()
+        result = repsc.run_experiment(repsc.parse_config_text(
+            "mode = d_regular_sweep\nalgorithms = urepsc, nrepsc\ntrials = 2\n"
+            + BASIS_ARM_SWEEPS[grid] + f"out = {tmp_path / str(patched)}\n"))
+        assert result.error_count == 0
+    assert sorted(set(checked)) == [False, True]
+    plain, whole = labels
+    assert len(plain) == len(whole) == len(result.rows)
+    assert all(np.array_equal(a, b) for a, b in zip(plain, whole))
