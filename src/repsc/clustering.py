@@ -52,17 +52,21 @@ owns what counts as null. The exact constraint reads null(R) alone, so one
 interval solve gives it: the eigenpairs with |lambda| at most the null
 threshold, an N-by-m block (m = 39 of 600 on the benchmark's d-regular R).
 For the approximate variants the null space of the truncation is spanned by
-the eigenvectors the truncation discards, which takes R's full
-eigendecomposition, and no rank-r matrix is ever formed. W comes from the
-full decomposition too: it spans (I - 11^T/N) V_r for the kept
-eigenvectors V_r that are not null, so an exact null block too wide to be
-sure of the Y arm (2 (m + 1) > N) sends the exact constraint there as well;
-the block's width decides, whichever solve ran first. R is solved nowhere
-else: a ``Graph`` R keeps both solves in its memo ("null" and "full"), each
-run at most once per R object and owning its bytes; a raw matrix R is
-solved on every call. ``_group_basis`` writes the baseline's Y down from
-the groups, and ``_group_complement`` its W. ``_split_ones`` takes the ones
-direction out of orthonormal columns for both arms.
+the eigenvectors the truncation discards, and no rank-r matrix is ever
+formed. W spans (I - 11^T/N) V_r for the kept eigenvectors V_r that are not
+null. So a rank-r constraint, or an exact null block too wide to be sure of
+the Y arm (2 (m + 1) > N, as the interval solve finds it), takes one
+select solve of R (``sym_eig``'s ``pick``): every eigenvalue, and the
+eigenvectors of the narrower side only, V_r or the null ones, an N-by-w
+block with w at most about N/2. The other side, where an arm needs it, is
+that block's orthogonal complement.
+No N-by-N eigenvector matrix of R is formed. R is solved nowhere else: a
+``Graph`` R keeps its null block ("null") and each select solve
+(("picked", rank)) in its memo, each run at most once per R object and
+rank and owning its bytes; a raw matrix R is solved on every call.
+``_group_basis`` writes the baseline's Y down from the groups, and
+``_group_complement`` its W. ``_split_ones`` takes the ones direction out
+of orthonormal columns for both arms.
 
 Everything before k-means is deterministic, so ``_solve`` keeps it on the
 similarity ``Graph`` (``Graph._memo``): the k-means input points, the
@@ -98,6 +102,7 @@ from .graphs import (ClusterAssignment, Graph, _check_k, _laplacian, _laplacian_
                      as_adjacency)
 from .linalg import (
     RANK_REL_TOL,
+    _complement_columns,
     _fix_signs,
     _owned,
     _scratch,
@@ -342,28 +347,52 @@ def _gap_warnings(eigenvalues: np.ndarray, k: int) -> tuple[str, ...]:
     return ()
 
 
-def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """R's eigenvectors and the mask of those that span null(R), or the null
-    space of R's rank-``rank`` truncation.
+def _pick(r: np.ndarray, tol: float, rank: int | None) -> tuple[np.ndarray, bool]:
+    """One ``sym_eig(r, pick=...)`` solve for the narrower side of R's null
+    mask (|lambda| <= ``tol``, and with ``rank`` every eigenpair outside the
+    ``rank`` of largest |lambda|, ties kept in ascending position): its
+    eigenvectors, and whether they are the null ones. Without ``rank`` the
+    side that is not null is taken."""
+    null_side = False
+
+    def narrower(values: np.ndarray) -> np.ndarray:
+        nonlocal null_side
+        magnitude = np.abs(values)
+        null = magnitude <= tol
+        if rank is not None:
+            null[np.argsort(-magnitude, kind="stable")[rank:]] = True
+        null_side = rank is not None and 2 * np.count_nonzero(null) < null.size
+        return null if null_side else ~null
+
+    return sym_eig(r, pick=narrower).eigenvectors, null_side
+
+
+def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, bool]:
+    """Orthonormal eigenvectors of R that span either null(R), or the null
+    space of R's rank-``rank`` truncation, or its orthogonal complement,
+    and whether they span the null side (N-by-w, w at most about N/2).
 
     An eigenvalue counts as zero when |lambda| <= t = RANK_REL_TOL * N *
     ||R||_inf, with ||R||_inf the largest absolute row sum: it bounds every
     |lambda| (Gershgorin) and equals max|lambda| on a regular R. With
     ``rank`` so do all but the ``rank`` eigenpairs of largest |lambda| (ties
-    kept in ascending position), which needs R's full decomposition: once
-    per ``Graph`` (kept read-only in its memo, "full"), on every call for a
-    raw matrix.
+    kept in ascending position).
 
     Without ``rank`` only null(R) is read, so the eigenpairs with |lambda|
-    <= t are solved for alone (``sym_eig``'s ``within``) and come back with
-    an all-true mask. A ``Graph`` keeps t and that null block in its memo
-    ("null_tol" and "null"); the block is N-by-m and owns its bytes, as
-    every ``sym_eig`` result does, so keeping it does not keep the interval
-    solve's N-by-N eigenvector buffer alive. The block's own width m picks
-    the path: when 2 (m + 1) > N, so that ``_basis`` may choose the
-    complement W, which needs the non-null eigenvectors, the full
-    decomposition is used instead, as it is for R = 0 (t = 0). This is the
-    only code that solves R, and no result depends on which solve ran first.
+    <= t are solved for alone (``sym_eig``'s ``within``). A ``Graph`` keeps
+    t and that null block in its memo ("null_tol" and "null"); the block is
+    N-by-m and owns its bytes, as every ``sym_eig`` result does. When the
+    block is wide (2 (m + 1) > N, so that ``_basis`` may choose the
+    complement W), or R = 0 (t = 0), the eigenvectors that are not null are
+    taken instead, and the wide block is not kept.
+
+    With ``rank``, or for a wide exact constraint, ``_pick`` computes all of
+    R's eigenvalues and the eigenvectors of the narrower side only: the
+    ``rank`` kept ones or the null ones, whichever are fewer. A ``Graph``
+    keeps that solve, read-only, in its memo under ("picked", rank), once
+    per (R, rank); a raw matrix R is solved on every call. This is the only
+    code that solves R, no N-by-N eigenvector matrix of R is formed, and no
+    result depends on which solve ran first.
     """
     graph = isinstance(rep_graph_or_matrix, Graph)
     r = rep_graph_or_matrix.adjacency if graph else as_float_matrix(rep_graph_or_matrix)
@@ -374,23 +403,20 @@ def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, np
     if "null_tol" not in memo:
         memo["null_tol"] = RANK_REL_TOL * n * (np.abs(r).sum(axis=1).max() if r.size else 0.0)
     tol = memo["null_tol"]
-    if rank is None and tol > 0.0:
-        if "null" not in memo:
-            memo["null"] = sym_eig(r, within=tol).eigenvectors
-            memo["null"].flags.writeable = False
-        block = memo["null"]
+    key = ("picked", rank)
+    if rank is None and "null" in memo:
+        return memo["null"], True
+    if rank is None and key not in memo and tol > 0.0:
+        block = sym_eig(r, within=tol).eigenvectors
         if 2 * (block.shape[1] + 1) <= n:
-            return block, np.ones(block.shape[1], dtype=bool)
-    if "full" not in memo:
-        memo["full"] = sym_eig(r)
-        for array in memo["full"]:
-            array.flags.writeable = False
-    values, vectors = memo["full"]
-    magnitude = np.abs(values)
-    null = magnitude <= tol
-    if rank is not None:
-        null[np.argsort(-magnitude, kind="stable")[rank:]] = True
-    return vectors, null
+            block.flags.writeable = False
+            memo["null"] = block
+            return block, True
+        del block  # wide: neither kept nor held through the select solve
+    if key not in memo:
+        memo[key] = _pick(r, tol, rank)
+        memo[key][0].flags.writeable = False
+    return memo[key]
 
 
 def _split_ones(columns: np.ndarray, overlap: np.ndarray, drop: bool) -> np.ndarray:
@@ -432,21 +458,22 @@ def constraint_null_basis(rep_graph_or_matrix, rank: int | None = None) -> np.nd
     discarded eigenvectors and the kept null ones.
 
     Column 0 is the normalized all-ones vector; every column carries the
-    linalg sign convention. Without ``rank`` only R's null eigenpairs are
-    solved for, unless they span more than about N/2 dimensions; with it R
-    is decomposed in full. A ``Graph`` R keeps each solve, a raw matrix R
-    is solved on every call; the returned basis is always a fresh array.
+    linalg sign convention. Only the narrower side of R's eigenvectors is
+    solved for (``_rep_spectrum``); when that is the side that is not null,
+    the null side is its orthogonal complement (``_complement_columns``). A
+    ``Graph`` R keeps each solve, a raw matrix R is solved on every call;
+    the returned basis is always a fresh array.
     """
-    return _null_basis(*_rep_spectrum(rep_graph_or_matrix, rank))
+    vectors, null = _rep_spectrum(rep_graph_or_matrix, rank)
+    return _null_basis(vectors if null else _complement_columns(vectors))
 
 
-def _null_basis(vectors: np.ndarray, null: np.ndarray) -> np.ndarray:
-    """``constraint_null_basis`` from R's eigenvectors and null mask."""
+def _null_basis(vectors: np.ndarray) -> np.ndarray:
+    """``constraint_null_basis`` from orthonormal columns spanning null(R)."""
     n = vectors.shape[0]
     ones = np.full(n, 1.0 / np.sqrt(n))
-    rest = vectors[:, null]
-    overlap = matmul(rest.T, ones)
-    return np.column_stack([ones, _split_ones(rest, overlap, drop=True)])
+    overlap = matmul(vectors.T, ones)
+    return np.column_stack([ones, _split_ones(vectors, overlap, drop=True)])
 
 
 def _contrasts(count: int, weight: int = 1) -> np.ndarray:
@@ -600,10 +627,12 @@ def _basis(graph, k: int, rep, rank: int | None) -> tuple[np.ndarray | None, np.
     ClusterAssignment, or the null space of R (of its rank-``rank``
     truncation when ``rank`` is given), whichever of Y and W has fewer
     columns, the other None. Y wins a tie. Both widths follow from the
-    groups' sizes, or from R's null mask and where 1 lies, before either
-    is built; an exact constraint handed R's null block alone has Y the
-    narrower (``_rep_spectrum``). A ``rank`` must leave room for k
-    dimensions; that is checked before R is decomposed."""
+    groups' sizes, or from the width of R's null side and where 1 lies,
+    before either is built; an exact constraint handed R's null block alone
+    has Y the narrower (``_rep_spectrum``). Either is built from the side of
+    R's eigenvectors that was solved for, or from its orthogonal complement.
+    A ``rank`` must leave room for k dimensions; that is checked before R is
+    solved."""
     if rep is None:
         return None, None
     if isinstance(rep, ClusterAssignment):
@@ -622,14 +651,23 @@ def _basis(graph, k: int, rep, rank: int | None) -> tuple[np.ndarray | None, np.
             )
     vectors, null = _rep_spectrum(rep, rank)
     order = vectors.shape[0]
-    overlap = matmul(np.full(order, 1.0 / np.sqrt(order)), vectors)
-    leans = np.linalg.norm(overlap[null]) > ONES_IN_NULL_ATOL
-    width = np.count_nonzero(null) + (0 if leans else 1)
+    ones = np.full(order, 1.0 / np.sqrt(order))
+    overlap = matmul(ones, vectors)
+    if null:
+        leans = np.linalg.norm(overlap) > ONES_IN_NULL_ATOL
+        nulls = vectors.shape[1]
+    else:  # 1's part in the null span is what the kept side leaves of it
+        leans = np.linalg.norm(ones - matmul(vectors, overlap)) > ONES_IN_NULL_ATOL
+        nulls = order - vectors.shape[1]
+    width = nulls + (0 if leans else 1)
     if width <= order - width:
-        return _null_basis(vectors, null), None
+        return _null_basis(vectors if null else _complement_columns(vectors)), None
     # W = (I - 11^T/N) V_r for the kept eigenvectors V_r; 1 lies in span(V_r)
     # when it does not lean into the null span.
-    return None, _split_ones(vectors[:, ~null], overlap[~null], drop=not leans)
+    if null:
+        vectors = _complement_columns(vectors)
+        overlap = matmul(ones, vectors)
+    return None, _split_ones(vectors, overlap, drop=not leans)
 
 
 def _points(graph, k: int, rep, rank: int | None, normalized: bool,

@@ -107,11 +107,13 @@ class Graph:
         spectrum and warnings here, keyed by what built the problem,
         ``fair_sc_baseline`` keeps each group discovery on its R, and
         ``clustering._rep_spectrum`` keeps R's null threshold ("null_tol"),
-        null block ("null": the eigenvectors with |lambda| near zero,
-        node-by-m with m usually far below N) and, for a rank or a wide null
-        block, full decomposition ("full", the one node-by-node entry).
-        Every kept array owns exactly its own bytes, never a slice of a
-        larger buffer such as LAPACK's node-by-node eigenvector output."""
+        narrow null block ("null": the eigenvectors with |lambda| near zero,
+        node-by-m with m usually far below N) and, for each rank and for a
+        wide null block (rank None), one select solve (("picked", rank): the
+        node-by-w eigenvectors of the narrower side, w at most about N/2,
+        and whether they are the null side). No entry is node-by-node, and
+        every kept array owns exactly its own bytes, never a slice of a
+        larger buffer such as LAPACK's eigenvector output."""
         return {}
 
 

@@ -4,8 +4,10 @@ All routines work on plain float64 numpy arrays and are meant for the
 desk-scale problems this package targets (a few thousand nodes), so
 everything is dense and exact up to LAPACK precision. This module owns every
 dense matrix product in the package (``matmul``) as well as every
-factorization: the eigensolver (``sym_eig``) and the Cholesky QR of a few
-columns (``orthonormal_columns``), and all of them run on scipy's BLAS.
+factorization: the eigensolver (``sym_eig``), the Cholesky QR of a few
+columns (``orthonormal_columns``) and the Householder QR that completes
+orthonormal columns to a basis (``_complement_columns``), and all of them
+run on scipy's BLAS and LAPACK.
 numpy links a second OpenBLAS with its own thread pool, and a pool whose
 threads still spin after a numpy product slows the next scipy eigensolve
 down; with one library for both, there is one pool. Two conventions are applied to every
@@ -24,14 +26,20 @@ check and the average (a + a^T)/2 run in place, strip by strip, and LAPACK
 overwrites the matrix, so the solve holds no second N-by-N array. Every
 N-by-N pass here works on row strips of about N/32 rows (``row_blocks``),
 so its temporaries stay a small fraction of one N-by-N matrix.
+
+``sym_eig(m, pick=fn)`` computes every eigenvalue but only the
+eigenvectors that ``fn`` asks for, from one tridiagonalization of the
+symmetrized copy (``_picked_eig``): N-by-w eigenvectors for w picked
+positions, with no N-by-N eigenvector matrix formed.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 from scipy.linalg.blas import dgemm
 
 from .errors import (
@@ -52,7 +60,8 @@ class EigenDecomposition(NamedTuple):
     """Spectrum (or its bottom part) of a symmetric matrix.
 
     ``eigenvalues`` is ascending; column ``eigenvectors[:, i]`` belongs to
-    ``eigenvalues[i]`` and carries the deterministic sign convention.
+    ``eigenvalues[i]`` (to the i-th picked one for ``sym_eig``'s ``pick``)
+    and carries the deterministic sign convention.
     """
 
     eigenvalues: np.ndarray
@@ -202,6 +211,22 @@ def orthonormal_columns(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_triangular(upper, m.T, trans="T", check_finite=False).T
 
 
+def _complement_columns(columns: np.ndarray) -> np.ndarray:
+    """Orthonormal N-by-(N - w) columns spanning the orthogonal complement
+    of the span of orthonormal N-by-w ``columns``: the last N - w columns of
+    the Q of their Householder QR (LAPACK's ``dgeqrf``, then ``dormqr`` on
+    [0; I]), sign-fixed. Only the N-by-(N - w) result is formed."""
+    n, width = columns.shape
+    if width == 0:
+        return np.eye(n, order="F")
+    factors, tau, _, _ = lapack.dgeqrf(np.array(columns, order="F"), overwrite_a=1)
+    out = np.zeros((n, n - width), order="F")
+    out[width:] = np.eye(n - width)
+    _, work, _ = lapack.dormqr("L", "N", factors, tau, out, -1)
+    lapack.dormqr("L", "N", factors, tau, out, max(int(work[0]), 1), overwrite_c=1)
+    return _fix_signs(out)
+
+
 def _owned(a: np.ndarray) -> np.ndarray:
     """``a`` when it spans its whole buffer, else a copy in its own memory
     layout (``order="K"``: a Fortran block stays Fortran, so every later
@@ -229,17 +254,85 @@ def _scratch(m: np.ndarray) -> np.ndarray:
     return m.view(_Scratch)
 
 
-def sym_eig(m, b=None, count: int | None = None,
-            within: float | None = None) -> EigenDecomposition:
+def _picked_eig(a: np.ndarray, pick: Callable[[np.ndarray], np.ndarray]) -> EigenDecomposition:
+    """Every eigenvalue of ``a`` (symmetric and overwritten) and
+    the eigenvectors at the positions ``pick(values)`` marks, a boolean
+    mask over the ascending eigenvalues.
+
+    LAPACK's ``dsytrd`` reduces a = Q T Q^T to a tridiagonal T (reflectors
+    below the subdiagonal, ``uplo = L``), ``dsterf`` gives T's eigenvalues,
+    and for each run of consecutive picked positions ``dstebz`` bisects for
+    those eigenvalues (and T's split points); ``dstein`` takes their
+    eigenvectors of T by inverse iteration, block by block. Q takes them
+    back, N-by-w: Q's first row and column are e_0, and its other rows are
+    ``dormqr`` with the reflectors one row down, as LAPACK's ``dormtr`` does
+    for ``uplo = L``. scipy's ``dormqr`` copies a reflector block that is
+    not contiguous, so the reflectors are first moved, column by column,
+    into the contiguous (N-1)-by-(N-1) head of their own buffer.
+    """
+    n = a.shape[0]
+    if n <= 1:  # scipy's tridiagonal wrappers reject an empty off-diagonal
+        values = a.diagonal().copy()
+        return EigenDecomposition(values, np.eye(n, order="F")[:, pick(values)])
+    # a is symmetric, so a.T is the Fortran-ordered matrix LAPACK reads.
+    work, _ = lapack.dsytrd_lwork(n, lower=1)
+    factors, diagonal, offdiagonal, tau, _ = lapack.dsytrd(
+        a.T, lower=1, lwork=max(int(work), 1), overwrite_a=1)
+    values, info = lapack.dsterf(diagonal, offdiagonal)
+    if info:
+        raise EigenConvergenceError(f"dsterf failed to converge (info={info})")
+    positions = np.flatnonzero(pick(values))
+    if not positions.size:
+        return EigenDecomposition(values, np.zeros((n, 0), order="F"))
+    found, blocks = [], []
+    for run in np.split(positions, np.flatnonzero(np.diff(positions) > 1) + 1):
+        width, bisected, block, split, info = lapack.dstebz(
+            diagonal, offdiagonal, 2, 0.0, 0.0, run[0] + 1, run[-1] + 1,
+            2.0 * np.finfo(np.float64).tiny, "E")
+        if info or width != run.size:
+            raise EigenConvergenceError(f"dstebz failed on eigenvalues {run[0]}..{run[-1]} "
+                                        f"(info={info})")
+        found.append(bisected[:width])
+        blocks.append(block[:width])
+    # dstein wants the eigenvalues grouped by T's blocks, ascending in each.
+    by_block = np.argsort(np.concatenate(blocks), kind="stable")
+    grouped = np.zeros(n, dtype=blocks[0].dtype)
+    grouped[:positions.size] = np.concatenate(blocks)[by_block]
+    tridiagonal_vectors, info = lapack.dstein(
+        diagonal, offdiagonal, np.concatenate(found)[by_block], grouped, split)
+    if info:
+        raise EigenConvergenceError(f"dstein failed to converge (info={info})")
+    vectors = np.empty((n, positions.size), order="F")
+    vectors[:, by_block] = tridiagonal_vectors
+    del tridiagonal_vectors
+    flat = factors.T.reshape(-1)  # Fortran order: column j is flat[j * n:(j + 1) * n]
+    for j in range(n - 1):  # column j of factors[1:, :-1], from its row j down
+        flat[j * n:(j + 1) * (n - 1)] = flat[j * (n + 1) + 1:(j + 1) * n]
+    reflectors = flat[:(n - 1) ** 2].reshape((n - 1, n - 1), order="F")
+    rows = np.asfortranarray(vectors[1:])
+    _, work, _ = lapack.dormqr("L", "N", reflectors, tau, rows, -1)
+    lapack.dormqr("L", "N", reflectors, tau, rows, max(int(work[0]), 1), overwrite_c=1)
+    vectors[1:] = rows
+    return EigenDecomposition(values, vectors)
+
+
+def sym_eig(m, b=None, count: int | None = None, within: float | None = None,
+            pick: Callable[[np.ndarray], np.ndarray] | None = None) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, optionally generalized.
 
     With ``b`` the problem is ``m z = lambda b z`` for a symmetric positive
     definite ``b``, and the eigenvectors are b-orthonormal (Z^T b Z = I).
     With ``count`` only the ``count`` smallest eigenpairs are computed, and
     with ``within`` only those with |lambda| <= ``within`` (possibly none).
-    The LAPACK driver follows from the call: the divide-and-conquer drivers
-    (``evd``/``gvd``) for a full spectrum, the subset drivers otherwise,
-    over the closed interval [-within, within] for ``within``.
+    With ``pick`` every eigenvalue is computed, and the eigenvectors only
+    at the positions that ``pick(eigenvalues)`` marks (a boolean mask over
+    the ascending eigenvalues): ``eigenvectors[:, j]`` then belongs to
+    ``eigenvalues[pick(eigenvalues)][j]``, and the solve holds the
+    symmetrized copy and N-by-w blocks, never an N-by-N eigenvector matrix
+    (``_picked_eig``). The LAPACK driver follows from the call: the
+    divide-and-conquer drivers (``evd``/``gvd``) for a full spectrum, the
+    subset drivers for ``count`` and for ``within``, over the closed
+    interval [-within, within].
     ``m`` and ``b`` are never modified: LAPACK overwrites the symmetrized
     copies made here, whose transposes are the Fortran-ordered views it
     reads without copying again (the copies are exactly symmetric). Only an
@@ -251,6 +344,8 @@ def sym_eig(m, b=None, count: int | None = None,
         b: optional positive definite matrix of the same shape.
         count: optional number of bottom eigenpairs, at least 1.
         within: optional positive bound on |lambda|; not with ``count``.
+        pick: optional mask of the eigenvectors wanted, from the
+            eigenvalues; not with ``b``, ``count`` or ``within``.
 
     Returns:
         EigenDecomposition with ascending eigenvalues and sign-fixed
@@ -270,6 +365,11 @@ def sym_eig(m, b=None, count: int | None = None,
         b = ensure_symmetric(b, "b")
         if b.shape != a.shape:
             raise SizeMismatchError(f"b has shape {b.shape}, matrix has {a.shape}")
+    if pick is not None:
+        if b is not None or count is not None or within is not None:
+            raise ValueError("pick cannot be given with b, count or within")
+        values, vectors = _picked_eig(a, pick)
+        return EigenDecomposition(_owned(values), _fix_signs(_owned(vectors)))
     if count is not None and count < 1:
         raise ValueError(f"count must be positive, got {count}")
     if within is not None:

@@ -139,38 +139,49 @@ def empty_harness_caches():
 
 
 class Solve(NamedTuple):
-    """One ``sym_eig`` call: its matrix, ``count`` and ``within``."""
+    """One ``sym_eig`` call: its matrix, ``count``, ``within`` and ``pick``,
+    and for a select solve the number of eigenvectors it returned (None
+    until it has returned)."""
 
     matrix: np.ndarray
     count: int | None
     within: float | None
+    pick: object = None
+    width: int | None = None
 
     @property
     def kind(self) -> str:
         """"subset" for the bottom ``count`` eigenpairs, "interval" for those
-        with |lambda| <= ``within`` and "full" for a whole spectrum."""
+        with |lambda| <= ``within``, "select" for every eigenvalue and the
+        eigenvectors ``pick`` asks for, and "full" for a whole spectrum."""
         if self.count is not None:
             return "subset"
+        if self.pick is not None:
+            return "select"
         return "full" if self.within is None else "interval"
 
 
 @pytest.fixture
 def eigensolves(monkeypatch):
     """Every eigensolve of ``repsc.clustering``, as a ``Solve``, in call
-    order. That module is the one that solves R (its interval and full
+    order. That module is the one that solves R (its interval and select
     solves) and every clustering problem; ``theory`` solves its restricted
     problem itself, which is not recorded."""
     solves = []
 
-    def recording(m, b=None, count=None, within=None):
-        solves.append(Solve(m, count, within))
-        return sym_eig(m, b, count, within)
+    def recording(m, b=None, count=None, within=None, pick=None):
+        solves.append(Solve(m, count, within, pick))
+        result = sym_eig(m, b, count, within, pick)
+        if pick is not None:
+            solves[-1] = solves[-1]._replace(width=result.eigenvectors.shape[1])
+        return result
 
     monkeypatch.setattr(clustering, "sym_eig", recording)
     return solves
 
 
 def r_solves(solves) -> list[tuple[str, tuple[int, ...]]]:
-    """(kind, shape) of each solve of an R among ``solves``: its full and
-    interval solves, the ones that ask for no ``count``."""
+    """(kind, shape) of each solve of an R among ``solves``: its interval
+    and select solves (and full ones, which the package no longer runs),
+    the ones that ask for no ``count``."""
     return [(solve.kind, solve.matrix.shape) for solve in solves if solve.kind != "subset"]

@@ -118,7 +118,7 @@ def test_algorithms_reject_a_k_that_is_not_an_integer_before_solving(run, eigens
     g, rep = memo_pair()
     with pytest.raises(ValueError, match="k must be an integer, got 1.5"):
         run(g, rep)
-    assert eigensolves == [] and "full" not in rep._memo
+    assert eigensolves == [] and picked_ranks(rep) == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -315,18 +315,27 @@ def test_pipelines_deterministic(toy_instance):
         assert np.array_equal(first.embedding, second.embedding)
 
 
-# -- each solve of a representation Graph once (its memo's "full" and "null") --
+# -- each solve of a representation Graph once (its memo's "null" and
+# ("picked", rank) entries) --
 #
 # r_solves(eigensolves) lists R's solves in call order, as (kind, shape):
-# "full" for a whole spectrum, "interval" for the eigenpairs with
-# |lambda| <= t (sym_eig's ``within``).
+# "interval" for the eigenpairs with |lambda| <= t (sym_eig's ``within``),
+# "select" for every eigenvalue and the eigenvectors of the narrower side
+# (sym_eig's ``pick``; the Solve's ``width`` counts them).
 
-FULL, INTERVAL = ("full", (24, 24)), ("interval", (24, 24))
+INTERVAL, SELECT = ("interval", (24, 24)), ("select", (24, 24))
 
 
-def test_graph_r_is_decomposed_once_for_any_rank(eigensolves, toy_instance):
-    # Rank-r truncations read the largest |lambda|: one full decomposition
-    # of R serves every rank.
+def picked_ranks(rep) -> list:
+    """The ranks (None for the exact constraint) whose select solve ``rep``
+    keeps, in the order they were solved."""
+    return [key[1] for key in rep._memo if isinstance(key, tuple) and key[0] == "picked"]
+
+
+def test_graph_r_is_solved_once_per_rank(eigensolves, toy_instance):
+    # A rank-r truncation's constraint reads the r eigenvectors of largest
+    # |lambda| (R has 10 that are not null): one select solve per rank,
+    # kept by the Graph, never repeated, each with r eigenvectors.
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
     first = constraint_null_basis(rep, rank=4)
     constraint_null_basis(rep, rank=8)
@@ -334,8 +343,11 @@ def test_graph_r_is_decomposed_once_for_any_rank(eigensolves, toy_instance):
     g = repsc.sample_rpp(params, 3)
     repsc.urepsc_approx(g, rep, 2, rank=5)
     repsc.nrepsc_approx(g, rep, 2, rank=6)
+    repsc.urepsc_approx(repsc.sample_rpp(params, 4), rep, 2, rank=8)
     assert np.array_equal(constraint_null_basis(rep, rank=4), first)
-    assert r_solves(eigensolves) == [FULL]
+    assert r_solves(eigensolves) == [SELECT] * 4
+    assert [solve.width for solve in eigensolves if solve.kind == "select"] == [4, 8, 5, 6]
+    assert picked_ranks(rep) == [4, 8, 5, 6] and "null" not in rep._memo
 
 
 def test_narrow_exact_constraint_takes_one_interval_solve(eigensolves, toy_instance):
@@ -350,36 +362,38 @@ def test_narrow_exact_constraint_takes_one_interval_solve(eigensolves, toy_insta
     repsc.nrepsc(g, rep, 2)
     assert first.shape == (24, 10)
     assert np.array_equal(constraint_null_basis(rep), first)
-    assert r_solves(eigensolves) == [INTERVAL] and "full" not in rep._memo
+    assert r_solves(eigensolves) == [INTERVAL] and picked_ranks(rep) == []
 
 
-def test_wide_exact_constraint_decomposes_r_in_full(eigensolves):
+def test_wide_exact_constraint_takes_one_select_solve(eigensolves):
     # d = 6 leaves 14 null dimensions of 24, more than N/2: the interval
-    # solve's width sends every exact call to the full decomposition, once
-    # per Graph.
+    # solve's width sends every exact call to one select solve of the 10
+    # eigenvectors that are not null, once per Graph, and the wide block
+    # itself is not kept.
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
     g, _ = memo_pair()
     assert constraint_null_basis(rep).shape == (24, 15)
     repsc.urepsc(g, rep, 2)
-    assert r_solves(eigensolves) == [INTERVAL, FULL]
+    assert r_solves(eigensolves) == [INTERVAL, SELECT] and eigensolves[1].width == 10
+    assert picked_ranks(rep) == [None] and "null" not in rep._memo
 
 
 @pytest.mark.parametrize("d", [8, 6])  # a narrow null block, then a wide one
 def test_exact_rows_do_not_depend_on_an_earlier_rank_solve(d):
-    # urepsc_approx decomposes one copy of R in full first; the exact
+    # urepsc_approx solves one copy of R for its rank first; the exact
     # variants' bytes must not change for it.
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, d)
     decomposed = fresh(rep)
     g, _ = memo_pair()
     repsc.urepsc_approx(fresh(g), decomposed, 2, rank=5)
-    assert "full" in decomposed._memo
+    assert picked_ranks(decomposed) == [5]
     assert np.array_equal(constraint_null_basis(rep), constraint_null_basis(decomposed))
     for algorithm in (repsc.urepsc, repsc.nrepsc):
         assert_same_result(algorithm(fresh(g), rep, 2), algorithm(fresh(g), decomposed, 2))
 
 
 def test_null_basis_memo_recomputes_a_changed_r(eigensolves):
-    # A raw matrix R, changed or not, is decomposed on every call.
+    # A raw matrix R, changed or not, is solved on every call.
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
     raw = rep.adjacency.copy()
     first = constraint_null_basis(raw)
@@ -389,35 +403,38 @@ def test_null_basis_memo_recomputes_a_changed_r(eigensolves):
     changed[0, 1] = changed[1, 0] = 1.0 - changed[0, 1]
     assert not np.array_equal(constraint_null_basis(changed), first)
     # The exact calls on the raw matrices are wide (see above): an interval
-    # solve, then the full decomposition.
-    assert r_solves(eigensolves) == [INTERVAL, FULL, FULL, FULL, INTERVAL, FULL, INTERVAL, FULL]
+    # solve, then a select solve. Each rank call is one select solve.
+    assert r_solves(eigensolves) == [INTERVAL, SELECT, SELECT, SELECT, INTERVAL, SELECT,
+                                     INTERVAL, SELECT]
 
 
 def test_null_basis_memo_caches_no_failure(eigensolves, monkeypatch):
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
     recording = clustering.sym_eig
 
-    def failing(m, b=None, count=None, within=None):
+    def failing(m, b=None, count=None, within=None, pick=None):
         raise repsc.EigenConvergenceError("no convergence")
 
-    def failing_in_full(m, b=None, count=None, within=None):
-        if within is None:
+    def failing_in_select(m, b=None, count=None, within=None, pick=None):
+        if pick is not None:
             raise repsc.EigenConvergenceError("no convergence")
-        return recording(m, b, count, within)
+        return recording(m, b, count, within, pick)
 
     monkeypatch.setattr(clustering, "sym_eig", failing)
     with pytest.raises(repsc.EigenConvergenceError):
         constraint_null_basis(rep)
     assert "null" not in rep._memo
-    monkeypatch.setattr(clustering, "sym_eig", failing_in_full)
+    monkeypatch.setattr(clustering, "sym_eig", failing_in_select)
     with pytest.raises(repsc.EigenConvergenceError):
         constraint_null_basis(rep)
-    assert "full" not in rep._memo
+    assert picked_ranks(rep) == [] and "null" not in rep._memo
     monkeypatch.setattr(clustering, "sym_eig", recording)
     constraint_null_basis(rep)
     constraint_null_basis(rep)
-    # R is wide (see above): the interval solve is kept from the second call.
-    assert r_solves(eigensolves) == [INTERVAL, FULL]
+    # R is wide (see above): the second call's interval solve found so and
+    # is not kept, so the third call solves it again, then selects; the
+    # fourth reads the kept select solve.
+    assert r_solves(eigensolves) == [INTERVAL, INTERVAL, SELECT]
 
 
 def test_null_basis_memo_is_read_only_and_returns_fresh_bases(eigensolves):
@@ -427,14 +444,16 @@ def test_null_basis_memo_is_read_only_and_returns_fresh_bases(eigensolves):
     # Kept without a copy, and the caller's array became read-only with it.
     assert graph.adjacency is handed
     basis = constraint_null_basis(graph)
-    for array in (handed, *graph._memo["full"], graph._memo["null"]):
+    constraint_null_basis(graph, rank=4)
+    picked = [graph._memo[("picked", rank)][0] for rank in (None, 4)]
+    for array in (handed, *picked):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
     expected = basis.copy()
     basis[:] = 0.0
     assert np.array_equal(constraint_null_basis(graph), expected)
-    assert r_solves(eigensolves) == [INTERVAL, FULL]
+    assert r_solves(eigensolves) == [INTERVAL, SELECT, SELECT]
 
 
 def test_sweep_decomposes_each_r_once_per_grid_point(eigensolves, tmp_path):
@@ -540,9 +559,9 @@ def test_raw_matrices_are_solved_on_every_call(eigensolves):
         repsc.urepsc(g, raw_rep, 2)
         repsc.nrepsc_approx(raw_g, rep, 2, 6)
         repsc.fair_sc_baseline(raw_g, raw_rep, 2, groups=3)
-    # usc: 1; urepsc: R (wide: its interval solve and full decomposition)
-    # and the restricted problem; nrepsc_approx: the restricted problem, and
-    # on the first call the Graph R's full decomposition, which it keeps;
+    # usc: 1; urepsc: R (wide: its interval solve and a select solve) and
+    # the restricted problem; nrepsc_approx: the restricted problem, and on
+    # the first call the Graph R's select solve for rank 6, which it keeps;
     # the baseline: discovery and solve.
     assert len(eigensolves) == 2 * (1 + 3 + 1 + 2) + 1
     assert "_memo" not in vars(g)
@@ -620,13 +639,17 @@ def test_embedding_subspace_is_permutation_equivariant(equivariance_instances, n
 def eighs(monkeypatch):
     """One record per ``scipy.linalg.eigh`` call: the order of its matrix,
     the shape of its ``b`` (None without one) and what it solves, told apart
-    by the matrix: "full" for a whole spectrum, "L" for a Laplacian (rows
-    sum to zero), "normalized L" for a unit diagonal, "other" otherwise."""
+    by the options and the matrix: "interval" for the eigenpairs in a range
+    of values (``subset_by_value``), "full" for a whole spectrum, "L" for a
+    Laplacian (rows sum to zero), "normalized L" for a unit diagonal,
+    "other" otherwise."""
     calls = []
     eigh = scipy.linalg.eigh
 
     def recording(a, b=None, **options):
-        if options.get("subset_by_index") is None:
+        if options.get("subset_by_value") is not None:
+            kind = "interval"
+        elif options.get("subset_by_index") is None:
             kind = "full"
         elif np.allclose(a.sum(axis=1), 0.0):
             kind = "L"
@@ -641,12 +664,15 @@ def eighs(monkeypatch):
     return calls
 
 
-def test_a_sweep_solves_only_r_and_the_unconstrained_problems_at_full_size(eighs, tmp_path):
-    # Per grid point: R once (kept in its memo, shared by the setup and the
-    # constrained rows), then usc's L and nsc's D^{-1/2} L D^{-1/2} once per
-    # trial's sampled graph. The setup's expected spectrum and the
-    # constrained rows solve problems of the null space's dimension, and no
-    # call factors an N-by-N b.
+def test_a_sweep_solves_only_r_and_the_unconstrained_problems_at_full_size(eighs, eigensolves,
+                                                                           tmp_path):
+    # Per grid point: R once, by its interval solve (kept in its memo,
+    # shared by the setup and the constrained rows), then usc's L and nsc's
+    # D^{-1/2} L D^{-1/2} once per trial's sampled graph. The setup's
+    # expected spectrum and the constrained rows solve problems of the null
+    # space's dimension, and no call factors an N-by-N b. A fallback to a
+    # full solve fails the scipy.linalg.eigh count; one to a select solve,
+    # which calls LAPACK directly, fails the count of R's solves.
     n, d_values, trials = 60, (6, 12), 2
     cfg = repsc.parse_config_text(
         "mode = d_regular_sweep\n"
@@ -661,8 +687,9 @@ def test_a_sweep_solves_only_r_and_the_unconstrained_problems_at_full_size(eighs
     assert result.error_count == 0 and len(result.rows) == 4 * len(d_values) * trials
     assert all(b is None or b[0] < n for _, b, _ in eighs)
     full_size = sorted(kind for order, _, kind in eighs if order == n)
-    assert full_size == sorted(["full"] * len(d_values)
+    assert full_size == sorted(["interval"] * len(d_values)
                                + ["L", "normalized L"] * len(d_values) * trials)
+    assert r_solves(eigensolves) == [("interval", (n, n))] * len(d_values)
 
 
 # -- basis invariance ---------------------------------------------------------
@@ -750,9 +777,9 @@ def test_complement_arm_warning_survives_a_kept_solve(eigensolves):
     first = repsc.urepsc(g, rep, 2)
     assert len(first.warnings) == 1 and "eigengap between positions 1 and 2" in first.warnings[0]
     assert repsc.urepsc(g, rep, 2, repsc.KMeansConfig(seed=4)).warnings == first.warnings
-    # R's interval solve, its full decomposition (10 null dimensions of 12
-    # make the block wide) and the restricted problem.
-    assert len(eigensolves) == 3
+    # R's interval solve, its select solve (10 null dimensions of 12 make
+    # the block wide) and the restricted problem.
+    assert len(eigensolves) == 3 and eigensolves[1].kind == "select"
     assert clustering._embed(g, 2, constraint_null_basis(rep))[2] == first.warnings
 
 
@@ -810,3 +837,16 @@ def test_r_keeps_its_null_block_and_not_the_solve_buffer():
     fresh = iter(graphs)
     assert traced_retained(lambda: constraint_null_basis(next(fresh))) <= (m + 2) * n * 8
     assert graphs[1]._memo["null"].shape == (n, m)
+
+
+def test_a_rank_r_graph_keeps_r_eigenvectors_and_not_r_s_decomposition():
+    # A planted R at N = 600 and rank r = N/10: the Graph keeps its select
+    # solve's N x r eigenvectors, the ones the truncation keeps. R's full
+    # decomposition, which it kept before, holds N^2 + N numbers.
+    n, rank = 600, 60
+    graphs = [repsc.sample_planted_partition_rep_graph(n, 6, 0.8, 0.2, seed)[0] for seed in (1, 2)]
+    fresh = iter(graphs)
+    assert traced_retained(lambda: clustering._rep_spectrum(next(fresh), rank)) \
+        <= (rank + 2) * n * 8
+    vectors, null = graphs[1]._memo[("picked", rank)]
+    assert vectors.shape == (n, rank) and not null

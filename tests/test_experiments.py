@@ -848,8 +848,9 @@ def test_real_network_sweep_clusters_the_ingested_graphs(tmp_path):
 
 
 def decomposed(solves) -> list[np.ndarray]:
-    """Every matrix among ``solves`` decomposed in full, in call order."""
-    return [solve.matrix for solve in solves if solve.kind == "full"]
+    """Every matrix among ``solves`` that a select solve (all eigenvalues,
+    some eigenvectors: R's solve for a rank) ran on, in call order."""
+    return [solve.matrix for solve in solves if solve.kind == "select"]
 
 
 def test_each_trial_samples_its_graph_once(tmp_path, monkeypatch):
@@ -1052,9 +1053,10 @@ BUDGET_CONFIGS = {
     # solve's copy of R and its eigenvector buffer before G is drawn. A null
     # block that pinned that buffer read 4.18.
     ("d_regular", 3.5),
-    # R, G and R's full decomposition: its copy of R and 2 N x N of
-    # workspace. Reads 5.03.
-    ("planted", 5.25),
+    # R, G and R's select solve: its copy of R, holding the reflectors, and
+    # N x r blocks of eigenvectors. Reads 3.84; R's full decomposition (its
+    # copy of R and 2 N x N of workspace) read 5.03.
+    ("planted", 4.0),
 ])
 def test_a_whole_sweep_holds_its_dense_floor(tmp_path, mode, budget):
     n = 600

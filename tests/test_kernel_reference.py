@@ -119,31 +119,35 @@ def test_null_basis_matches_svd_reference(kind, seed):
 @example(kind="block", seed=0)
 def test_interval_null_block_matches_svd_reference(kind, seed):
     # The exact constraint reads R's null eigenpairs alone: an N x m block
-    # when 2 (m + 1) <= N, and R's full decomposition when the block is
-    # wider (the block kind: at most 5 groups of 24 nodes).
+    # when 2 (m + 1) <= N, and the N - m eigenvectors that are not null when
+    # the block is wider (the block kind: at most 5 groups of 24 nodes).
     r = REP_KINDS[kind](np.random.default_rng(seed))
     n = r.shape[0]
     null_r = reference_null_basis(r, center=False)
     vectors, null = clustering._rep_spectrum(r, None)
     if 2 * (null_r.shape[1] + 1) <= n:
-        assert null.all() and vectors.shape == null_r.shape
+        assert null and vectors.shape == null_r.shape
     else:
-        assert vectors.shape == (n, n) and kind != "spiked"
+        assert not null and vectors.shape == (n, n - null_r.shape[1]) and kind != "spiked"
     assert np.allclose(vectors.T @ vectors, np.eye(vectors.shape[1]), atol=1e-10)
-    assert_same_projector(vectors[:, null], null_r)
+    projector = vectors @ vectors.T
+    if not null:
+        projector = np.eye(n) - projector
+    assert np.max(np.abs(projector - null_r @ null_r.T)) <= PROJECTOR_ATOL
     if kind != "spiked":
         # A Graph R keeps the same solve of the same matrix: the same bytes.
         rep = repsc.Graph(r.copy(), allows_self_loops=True)
         assert np.array_equal(constraint_null_basis(rep), constraint_null_basis(r))
-        assert ("null" in rep._memo) and ("full" in rep._memo) == (vectors.shape[1] == n)
+        assert ("null" in rep._memo) == null and (("picked", None) in rep._memo) == (not null)
 
 
 def test_interval_null_block_of_the_zero_matrix_is_everything():
     # t = RANK_REL_TOL * N * ||R||_inf is 0, and LAPACK's half-open interval
-    # (-0, 0] would hold no eigenvalue: R = 0 takes the full decomposition.
+    # (-0, 0] would hold no eigenvalue: R = 0 takes the select solve, which
+    # finds no eigenvector that is not null.
     for n in (1, 4, 7):
         vectors, null = clustering._rep_spectrum(np.zeros((n, n)), None)
-        assert vectors.shape == (n, n) and null.all()
+        assert vectors.shape == (n, 0) and not null
         rep = repsc.Graph(np.zeros((n, n)))
         assert constraint_null_basis(rep).shape == (n, n)
         assert "null" not in rep._memo
@@ -196,6 +200,139 @@ def test_null_basis_deterministic_and_sign_fixed():
         for j in range(first.shape[1]):
             lead = first[np.abs(first[:, j]) > 1e-12, j]
             assert lead.size == 0 or lead[0] > 0
+
+
+# -- R's select solve against its full decomposition ---------------------------
+
+
+def full_null_mask(r, rank):
+    """R's full ``sym_eig`` and the null mask the constraint reads from it:
+    |lambda| <= t, and with ``rank`` every eigenpair outside the ``rank`` of
+    largest |lambda| (ties kept in ascending position)."""
+    values, vectors = sym_eig(r)
+    magnitude = np.abs(values)
+    null = magnitude <= RANK_REL_TOL * r.shape[0] * np.abs(r).sum(axis=1).max()
+    if rank is not None:
+        null[np.argsort(-magnitude, kind="stable")[rank:]] = True
+    return values, vectors, null
+
+
+def reference_basis(r, rank):
+    """``clustering._basis``'s (Y, W) from R's full decomposition, as it was
+    formed before the select solve: Y from the null eigenvectors, W from the
+    kept ones, whichever is narrower."""
+    _, vectors, null = full_null_mask(r, rank)
+    n = r.shape[0]
+    overlap = np.full(n, n ** -0.5) @ vectors
+    leans = np.linalg.norm(overlap[null]) > ONES_IN_NULL_ATOL
+    width = np.count_nonzero(null) + (0 if leans else 1)
+    if width <= n - width:
+        return clustering._null_basis(vectors[:, null]), None
+    return None, clustering._split_ones(vectors[:, ~null], overlap[~null], drop=not leans)
+
+
+def block_r():
+    # Groups of 6, 9, 12, 15 and 18 consecutive nodes, so the eigenvalues
+    # that are not null (the group sizes) are distinct: the tridiagonal of
+    # this R splits into many blocks, each of a zero eigenvalue but for one
+    # per group.
+    labels = np.repeat(np.arange(5), [6, 9, 12, 15, 18])
+    return (labels[:, None] == labels[None, :]).astype(float)
+
+
+def tied_r():
+    # |-3| = |3| at the cut of rank 1 and of rank 3 (ranks by |lambda|: 3,
+    # 3, 2, 2, 1, ...), with both solvers exact on it: a permuted direct sum
+    # of 2 x 2 blocks [[0, c], [c, 0]] and a diagonal.
+    r = scipy.linalg.block_diag([[0.0, 3.0], [3.0, 0.0]], [[0.0, 2.0], [2.0, 0.0]],
+                                np.diag([1.0, 0.5, 0.0, 0.0, 0.0, 0.0]))
+    perm = np.random.default_rng(4).permutation(r.shape[0])
+    return r[np.ix_(perm, perm)]
+
+
+SELECT_CASES = {  # name: (R, ranks to pick for; None is the exact constraint)
+    "planted": (lambda: repsc.sample_planted_partition_rep_graph(120, 6, 0.8, 0.2, 3)[0]
+                .adjacency, (None, 12, 60, 100)),
+    "block": (block_r, (None, 2, 5)),
+    "zero": (lambda: np.zeros((9, 9)), (None, 3)),
+    "tie": (tied_r, (None, 1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", SELECT_CASES)
+def test_select_solve_matches_the_full_decomposition(name, monkeypatch):
+    make, ranks = SELECT_CASES[name]
+    r = make()
+    n = r.shape[0]
+    masks = []
+
+    def spying(m, pick):  # keeps the mask _pick hands the select solve
+        def spy(spectrum):
+            masks.append(pick(spectrum))
+            return masks[-1]
+        return sym_eig(m, pick=spy)
+
+    monkeypatch.setattr(clustering, "sym_eig", spying)
+    for rank in ranks:
+        values, vectors, null = full_null_mask(r, rank)
+        tol = RANK_REL_TOL * n * np.abs(r).sum(axis=1).max()
+        picked, on_null = clustering._pick(r, tol, rank)
+        # The narrower side: the null positions for a rank whose truncation
+        # keeps more than half of R, the kept ones otherwise.
+        assert on_null == (rank is not None and 2 * np.count_nonzero(null) < n)
+        mask = masks.pop()
+        assert np.array_equal(mask, null if on_null else ~null)
+        assert picked.shape == (n, np.count_nonzero(mask))
+        held = vectors[:, mask]
+        assert np.max(np.abs(picked @ picked.T - held @ held.T), initial=0.0) <= 1e-10
+        assert np.allclose(picked.T @ picked, np.eye(held.shape[1]), atol=1e-12)
+        for j in range(held.shape[1]):
+            lead = picked[np.abs(picked[:, j]) > 1e-12, j]
+            assert lead[0] > 0
+        assert picked.base is None or picked.base.nbytes == picked.nbytes
+        solved = sym_eig(r, pick=lambda v: np.ones(v.size, dtype=bool))
+        assert np.allclose(solved.eigenvalues, values, atol=1e-12 * max(1.0, np.abs(values).max()))
+        assert solved.eigenvalues.base is None
+    if name == "block":  # LAPACK's bisection sees T split into blocks
+        _, diagonal, offdiagonal, _, _ = scipy.linalg.lapack.dsytrd(r.copy(), lower=1)
+        count, _, blocks, _, _ = scipy.linalg.lapack.dstebz(diagonal, offdiagonal, 0, 0.0, 0.0,
+                                                            1, n, 0.0, "E")
+        assert blocks[:count].max() > 1
+    if name == "tie":  # the tie is real in both solves' eigenvalues
+        for spectrum in (values, sym_eig(r, pick=lambda v: v > 0).eigenvalues):
+            assert spectrum[0] == -spectrum[-1] and spectrum[1] == -spectrum[-2]
+
+
+@pytest.mark.parametrize("n", [12, 13])
+@pytest.mark.parametrize("leans", [False, True])
+@pytest.mark.parametrize("rank", [None, "half"])
+def test_a_null_half_of_r_takes_the_arm_that_leans_decides(n, leans, rank):
+    # floor(N/2) null dimensions, so Y and W are about as wide and where 1
+    # lies decides: in span of the kept eigenvectors (not leaning), W; with a
+    # part in null(R), Y. The select solve holds one side, and _basis builds
+    # the other from it where needed; both match the full decomposition.
+    rng = np.random.default_rng(n + 2 * leans)
+    start = rng.standard_normal((n, n))
+    if not leans:
+        start[:, 0] = 1.0
+    q, _ = np.linalg.qr(start)
+    nulls = n // 2
+    values = np.zeros(n)
+    values[:n - nulls] = rng.uniform(1.0, 2.0, n - nulls) * rng.choice([-1.0, 1.0], n - nulls)
+    r = (q * values) @ q.T
+    r = (r + r.T) / 2.0
+    rank = None if rank is None else n - nulls
+    expected_y, expected_w = reference_basis(r, rank)
+    basis, complement = clustering._basis(np.zeros((n, n)), 2, r, rank)
+    assert (basis is None) == (expected_y is None) and (basis is not None) == leans
+    for got, expected in ((basis, expected_y), (complement, expected_w)):
+        if expected is None:
+            assert got is None
+            continue
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got @ got.T - expected @ expected.T)) <= 1e-10
+    assert_same_projector(constraint_null_basis(r, rank=rank),
+                          reference_null_basis(truncated(r, rank) if rank else r))
 
 
 # -- the group constraint in closed form ---------------------------------------

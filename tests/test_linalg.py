@@ -163,6 +163,15 @@ def test_sym_eig_within_rejects_a_bound_that_is_not_positive():
         repsc.sym_eig(np.eye(3), count=1, within=1.0)
 
 
+def test_sym_eig_pick_stands_alone():
+    def every(values):
+        return np.ones(values.size, dtype=bool)
+
+    for options in ({"b": np.eye(3)}, {"count": 1}, {"within": 1.0}):
+        with pytest.raises(ValueError, match="pick cannot be given with b, count or within"):
+            repsc.sym_eig(np.eye(3), pick=every, **options)
+
+
 def test_sym_eig_leaves_its_arguments_unchanged():
     rng = np.random.default_rng(9)
     n = 12
@@ -177,6 +186,9 @@ def test_sym_eig_leaves_its_arguments_unchanged():
                 repsc.sym_eig(m, b, count, within)
                 assert np.array_equal(m, m_before)
                 assert b is None or np.array_equal(b, b_before)
+        m_before = m.copy()
+        repsc.sym_eig(m, pick=lambda values: values > 0.0)
+        assert np.array_equal(m, m_before)
 
 
 @pytest.mark.parametrize("use_b, count, copies", [
@@ -196,6 +208,20 @@ def test_sym_eig_peak_memory(use_b, count, copies):
     assert peak <= (copies + 0.25) * n * n * 8
 
 
+def test_sym_eig_pick_holds_one_copy_and_thin_blocks():
+    # The select solve tridiagonalizes its one copy of m in place and keeps
+    # the reflectors there: beyond it only N x w eigenvector blocks (w = N/10
+    # here), not the 2 N^2 of workspace and vectors of a full solve.
+    n = 400
+    a = random_symmetric(np.random.default_rng(10), n)
+
+    def top(values):
+        return np.abs(values) >= np.sort(np.abs(values))[-n // 10]
+
+    peak = traced_peak(lambda: repsc.sym_eig(a, pick=top))
+    assert peak <= 1.5 * n * n * 8
+
+
 def test_a_scratch_matrix_is_solved_without_a_copy():
     # The matrix itself is LAPACK's workspace: only the eigenvector and
     # work arrays are allocated.
@@ -206,7 +232,8 @@ def test_a_scratch_matrix_is_solved_without_a_copy():
     assert peak <= 0.25 * n * n * 8
 
 
-@pytest.mark.parametrize("options", [{}, {"count": 3}, {"within": 1.0}])
+@pytest.mark.parametrize("options", [{}, {"count": 3}, {"within": 1.0},
+                                     {"pick": lambda values: values > 0.0}])
 def test_sym_eig_results_own_their_bytes(options):
     # The subset solves fill buffers sized for all N pairs and scipy
     # returns slices of them; a caller keeping such a slice, as R's memo
@@ -215,7 +242,7 @@ def test_sym_eig_results_own_their_bytes(options):
     n = 200
     a = random_symmetric(np.random.default_rng(3), n)
     values, vectors = repsc.sym_eig(a, **options)
-    assert 0 < values.shape[0] < n or not options
+    assert 0 < vectors.shape[1] < n or not options
     for array in (values, vectors):
         assert array.base is None or array.base.nbytes == array.nbytes
     assert vectors.flags.f_contiguous
