@@ -98,8 +98,8 @@ from .errors import (
     NullSpaceTooSmallError,
     RankTooLargeError,
 )
-from .graphs import (ClusterAssignment, Graph, _check_k, _laplacian, _laplacian_product,
-                     as_adjacency)
+from .graphs import (ClusterAssignment, Graph, _check_k, _degrees, _laplacian,
+                     _laplacian_product, as_adjacency)
 from .linalg import (
     RANK_REL_TOL,
     _complement_columns,
@@ -401,7 +401,9 @@ def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, bo
         raise ValueError(f"rank must lie in [0, {n}], got {rank}")
     memo = rep_graph_or_matrix._memo if graph else {}
     if "null_tol" not in memo:
-        memo["null_tol"] = RANK_REL_TOL * n * (np.abs(r).sum(axis=1).max() if r.size else 0.0)
+        # A Graph's entries are 0 and 1, so its absolute row sums are its degrees.
+        row_sums = _degrees(r) if graph else np.abs(r).sum(axis=1)
+        memo["null_tol"] = RANK_REL_TOL * n * (row_sums.max() if r.size else 0.0)
     tol = memo["null_tol"]
     key = ("picked", rank)
     if rank is None and "null" in memo:
@@ -549,12 +551,13 @@ def _deflate(m: np.ndarray, complement: np.ndarray, rows) -> None:
     _symmetrize(m, check=False)
 
 
-def _operator(a: np.ndarray, inv_root: np.ndarray | None,
-              rows: slice = slice(None)) -> np.ndarray:
+def _operator(a: np.ndarray, inv_root: np.ndarray | None, rows: slice) -> np.ndarray:
     """Rows ``rows`` of L = D - A, or of D^{-1/2} L D^{-1/2} given
     ``inv_root`` (the degrees' inverse square roots), as a fresh array; a
-    strip has the bits of the same rows of the whole matrix."""
-    _, m = _laplacian(a[rows], rows.start or 0)
+    strip has the bits of the same rows of the whole matrix, so ``_embed``
+    fills the N-by-N matrix strip by strip and a bool A is never converted
+    whole."""
+    _, m = _laplacian(a[rows], rows.start)
     if inv_root is not None:
         m *= inv_root[rows, None]
         m *= inv_root
@@ -579,12 +582,13 @@ def _embed(graph, k: int, basis: np.ndarray | None = None, normalized: bool = Fa
     min(k + 1, dim S) eigenpairs are solved, so its eigenvalue enters
     neither the spectrum nor the gap test. No N-by-N B is ever factored, and
     that N-by-N matrix is the one the solve runs on (``_scratch``):
-    beyond the graph, one N-by-N array is held.
+    beyond the graph, one N-by-N array is held, built row strip by row
+    strip from a bool A.
     """
     _check_k(k)
     a = as_adjacency(graph)
     n = a.shape[0]
-    degrees = a.sum(axis=1)
+    degrees = _degrees(a)
     if normalized and np.any(degrees <= 0.0):
         bad = np.flatnonzero(degrees <= 0.0)
         raise IsolatedNodeError(f"nodes with non-positive degree: {bad.tolist()}")
@@ -607,7 +611,9 @@ def _embed(graph, k: int, basis: np.ndarray | None = None, normalized: bool = Fa
         values, vectors = sym_eig(reduced, weight, count=k + 1)
         return matmul(basis, vectors[:, :k]), values[:k], _gap_warnings(values, k)
     inv_root = 1.0 / np.sqrt(degrees) if normalized else None
-    operator = _operator(a, inv_root)
+    operator = np.empty((n, n))
+    for strip in row_blocks(n):
+        operator[strip] = _operator(a, inv_root, strip)
     if complement is not None and complement.shape[1]:
         _deflate(operator, orthonormal_columns(inv_root[:, None] * complement)
                  if normalized else complement, lambda strip: _operator(a, inv_root, strip))

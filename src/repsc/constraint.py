@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyClusterError, SizeMismatchError, ZeroVolumeClusterError
-from .graphs import ClusterAssignment, Graph, as_adjacency
+from .graphs import ClusterAssignment, Graph, _adjacency_product, as_adjacency
 from .linalg import as_float_matrix, matmul
 
 
@@ -41,7 +41,7 @@ def _representative_counts(rep_graph: Graph, assignment: ClusterAssignment) -> n
         raise SizeMismatchError(
             f"representation graph has {rep_graph.n} nodes, assignment has {assignment.n}"
         )
-    return matmul(rep_graph.adjacency, assignment.onehot())
+    return _adjacency_product(rep_graph.adjacency, assignment.onehot())
 
 
 def node_balance(rep_graph: Graph, assignment: ClusterAssignment) -> BalanceReport:
@@ -97,7 +97,7 @@ def linear_constraint_norm(embedding, rep_graph_or_matrix) -> float:
             f"embedding has {h.shape[0]} rows, representation matrix has {r.shape[0]}"
         )
     centered = h - h.mean(axis=0, keepdims=True)
-    return float(np.linalg.norm(matmul(r, centered)))
+    return float(np.linalg.norm(_adjacency_product(r, centered)))
 
 
 def build_indicator_h(assignment: ClusterAssignment) -> np.ndarray:

@@ -1,12 +1,20 @@
 """Graph types, random graph models, and plain-text serialization.
 
-The package works with undirected 0/1 graphs stored dense. Two generative
-models are provided: a deterministic builder for regular representation
-graphs in which every node has the same number of representatives in every
-cluster, and the four-probability planted-partition sampler that couples
-edge probabilities to both cluster co-membership and representation
-co-membership ("same cluster & represented", "different cluster &
-represented", and the two non-represented cases).
+The package works with undirected 0/1 graphs stored dense, one bool per
+entry: a ``Graph``'s adjacency A is never held as float64. Float arithmetic
+with A goes through ``_float_rows``, which converts one row strip at a
+time, so its degrees (``_degrees``), its products with columns
+(``_adjacency_product``, ``_laplacian_product``) and its Laplacian's rows
+(``_laplacian``) hold strip-sized float temporaries, not a float copy of A.
+A raw float matrix, such as an expected adjacency, is read as it is.
+
+Two generative models are provided: a deterministic builder for regular
+representation graphs in which every node has the same number of
+representatives in every cluster, and the four-probability
+planted-partition sampler that couples edge probabilities to both cluster
+co-membership and representation co-membership ("same cluster &
+represented", "different cluster & represented", and the two
+non-represented cases).
 """
 
 from __future__ import annotations
@@ -52,6 +60,12 @@ def _parse_float(text: str) -> float:
     return float(text)
 
 
+def _exactly_symmetric(a: np.ndarray) -> bool:
+    """Whether square ``a`` equals its transpose, compared row strip against
+    column strip, so only strip-sized masks are made."""
+    return all(np.array_equal(a[rows], a[:, rows].T) for rows in row_blocks(a.shape[0]))
+
+
 def _check_k(k) -> None:
     """Raise ValueError unless the cluster count ``k`` is a positive Python
     or numpy integer; a bool or a float, even a whole one, is not one."""
@@ -63,30 +77,41 @@ def _check_k(k) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected graph with a dense 0/1 adjacency matrix.
+    """Undirected graph with a dense 0/1 adjacency matrix, stored as a
+    read-only bool array (one byte per entry).
 
     ``allows_self_loops`` distinguishes representation graphs (where the
     diagonal is meaningful and usually all ones) from similarity graphs
-    (diagonal forced to zero). ``Graph(a)`` keeps a float64 ``a`` itself,
+    (diagonal forced to zero). ``Graph(a)`` keeps a bool ``a`` itself,
     without a copy, and makes it read-only: pass ``a.copy()`` to keep a
-    writable array. A Graph never changes, so the clustering code keeps
-    what it solves on a Graph, R's solves included, in ``_memo``. Graphs
-    compare and hash by identity, so a Graph can key such a memo.
+    writable array. Any other ``a`` (float or integer entries 0 and 1) is
+    checked and stored as a bool copy, and is neither modified nor made
+    read-only. For float arithmetic on the entries use
+    ``g.adjacency.astype(float)``. A Graph never changes, so the clustering
+    code keeps what it solves on a Graph, R's solves included, in
+    ``_memo``. Graphs compare and hash by identity, so a Graph can key such
+    a memo.
     """
 
     adjacency: np.ndarray
     allows_self_loops: bool = False
 
     def __post_init__(self):
-        a = as_float_matrix(self.adjacency, "adjacency")
+        a = np.asarray(self.adjacency)
+        if a.dtype != bool:
+            a = as_float_matrix(a, "adjacency")
+        elif a.ndim != 2:
+            raise ValueError(f"adjacency must be 2-dimensional, got shape {a.shape}")
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got {a.shape}")
-        if not np.array_equal(a, a.T):
+        if not _exactly_symmetric(a):
             raise ValueError("adjacency must be exactly symmetric")
-        # The two masks are disjoint; counting each in turn holds one of them.
-        if np.count_nonzero(a == 0.0) + np.count_nonzero(a == 1.0) != a.size:
-            raise ValueError("adjacency entries must be 0 or 1")
-        if not self.allows_self_loops and np.any(np.diag(a) != 0.0):
+        if a.dtype != bool:
+            # The two masks are disjoint; counting each in turn holds one of them.
+            if np.count_nonzero(a == 0.0) + np.count_nonzero(a == 1.0) != a.size:
+                raise ValueError("adjacency entries must be 0 or 1")
+            a = a != 0.0
+        if not self.allows_self_loops and np.any(np.diag(a)):
             raise ValueError("self-loops present but allows_self_loops is False")
         a.flags.writeable = False
         object.__setattr__(self, "adjacency", a)
@@ -97,8 +122,8 @@ class Graph:
 
     @property
     def degrees(self) -> np.ndarray:
-        """Row sums; a self-loop counts once."""
-        return self.adjacency.sum(axis=1)
+        """Row sums as float64 counts; a self-loop counts once."""
+        return _degrees(self.adjacency)
 
     @cached_property
     def _memo(self) -> dict:
@@ -261,20 +286,20 @@ def build_d_regular_rep_graph(n: int, k: int, d: int) -> tuple[Graph, ClusterAss
     else:
         offsets = [0] + [o for j in range(1, (c - 2) // 2 + 1) for o in (j, m - j)]
         offsets.append(m // 2)
-    within = np.zeros((m, m))
+    within = np.zeros((m, m), dtype=bool)
     idx = np.arange(m)
     for o in offsets:
-        within[idx, (idx + o) % m] = 1.0
+        within[idx, (idx + o) % m] = True
 
     # Cross-cluster block for an ordered pair (a, b) with a < b: node i picks
     # the window i..i+c-1 (mod m) in cluster b; the (b, a) block is the
     # transpose, which preserves the per-node count because the block is
     # circulant.
-    cross = np.zeros((m, m))
+    cross = np.zeros((m, m), dtype=bool)
     for o in range(c):
-        cross[idx, (idx + o) % m] = 1.0
+        cross[idx, (idx + o) % m] = True
 
-    adjacency = np.zeros((n, n))
+    adjacency = np.empty((n, n), dtype=bool)
     for a in range(k):
         for b in range(k):
             block = within if a == b else (cross if a < b else cross.T)
@@ -316,13 +341,13 @@ def validate_regular_representation(rep_graph: Graph, assignment: ClusterAssignm
     violations: list[str] = []
     bad_nodes: set[int] = set()
 
-    diag_bad = np.flatnonzero(np.diag(a) != 1.0)
+    diag_bad = np.flatnonzero(~np.diag(a))
     for i in diag_bad:
-        violations.append(f"node {i}: diagonal entry is {a[i, i]:g}, expected 1")
+        violations.append(f"node {i}: diagonal entry is {int(a[i, i])}, expected 1")
         bad_nodes.add(int(i))
     diagonal_ok = diag_bad.size == 0
 
-    row_sums = a.sum(axis=1).astype(np.int64)
+    row_sums = _degrees(a).astype(np.int64)
     values, counts = np.unique(row_sums, return_counts=True)
     degree = int(values[np.argmax(counts)])
     deg_bad = np.flatnonzero(row_sums != degree)
@@ -338,7 +363,7 @@ def validate_regular_representation(rep_graph: Graph, assignment: ClusterAssignm
         per_cluster_ok = False
     else:
         neighbors_per_cluster = degree // k
-        counts_nk = matmul(a, assignment.onehot())
+        counts_nk = _adjacency_product(a, assignment.onehot())
         bad_pairs = np.argwhere(counts_nk != neighbors_per_cluster)
         for i, cluster in bad_pairs:
             violations.append(
@@ -383,23 +408,23 @@ def _case_probabilities(params: RppParams, rows: slice = slice(None)) -> np.ndar
 
 
 def _symmetric_draw(n: int, probabilities, seed) -> np.ndarray:
-    """Symmetric 0/1 float64 matrix with a zero diagonal: pair i < j is an
-    edge when u[i, j] < prob[i, j], for one seeded n x n uniform matrix u.
+    """Symmetric bool matrix with a False diagonal: pair i < j is an edge
+    when u[i, j] < prob[i, j], for one seeded n x n uniform matrix u.
 
     ``probabilities(rows)`` returns prob's rows. u is drawn in the row strips
     of ``row_blocks``, which read the generator exactly as one (n, n) draw
     does, and each strip is compared straight into the result; its lower
     part then takes the mirror of the finished strips above it. Only the
-    result and strip-sized temporaries are held.
+    result (one byte per entry) and strip-sized temporaries are held.
     """
     rng = np.random.default_rng(seed)
-    out = np.empty((n, n))
+    out = np.empty((n, n), dtype=bool)
     for rows in row_blocks(n):
         strip = out[rows]
         np.less(rng.random(strip.shape), probabilities(rows), out=strip)
         strip[:, :rows.start] = out[:rows.start, rows].T
         corner = np.triu(strip[:, rows], 1)
-        np.add(corner, corner.T, out=strip[:, rows])
+        np.logical_or(corner, corner.T, out=strip[:, rows])
     return out
 
 
@@ -429,7 +454,7 @@ def sample_planted_partition_rep_graph(
     labels = membership.labels
     adjacency = _symmetric_draw(
         n, lambda rows: np.where(labels[rows, None] == labels[None, :], p_in, p_out), seed)
-    np.fill_diagonal(adjacency, 1.0)
+    np.fill_diagonal(adjacency, True)
     return Graph(adjacency, allows_self_loops=True), membership
 
 
@@ -451,16 +476,48 @@ def expected_adjacency(params: RppParams) -> np.ndarray:
     return atilde
 
 
+def _float_rows(a: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Rows ``rows`` of the adjacency ``a`` as float64: a bool (``Graph``)
+    strip converted into a fresh array, a float matrix's rows as they are
+    (a view). This is the one place that makes a float64 view of an
+    adjacency; its callers read a bool A strip by strip, so no whole float
+    copy of it is made."""
+    strip = a[rows]
+    return strip.astype(np.float64) if strip.dtype == bool else strip
+
+
+def _degrees(a: np.ndarray) -> np.ndarray:
+    """Row sums of the adjacency (or row strip) ``a`` as float64: exact
+    counts for a bool A, summed in float64 so no small integer type can
+    wrap, and the float row sums of a float matrix."""
+    return a.sum(axis=1, dtype=np.float64)
+
+
+def _adjacency_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A X for node-by-k columns X. A bool A is multiplied one row strip of
+    ``_float_rows`` at a time, into one node-by-k result; a float matrix
+    takes one ``matmul``. On 0/1 columns, such as cluster indicators, every
+    entry is an exact integer either way."""
+    if a.dtype != bool:
+        return matmul(a, x)
+    out = np.empty((a.shape[0], x.shape[1]))
+    for rows in row_blocks(a.shape[0]):
+        matmul(_float_rows(a, rows), x, out=out[rows])
+    return out
+
+
 def _laplacian(a: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(degrees, L = diag(degrees) - A) of the row strip ``a`` of a dense
     adjacency A whose first row is row ``start`` (all of A by default), for
     a dense eigensolve; products with L are ``_laplacian_product``'s.
 
-    The degrees are ``a``'s row sums. L is 0 - A with the degrees added on
-    the diagonal, which has the bits of diag(degrees) - A.
+    The degrees are ``a``'s row sums (``_degrees``). L is 0 - A with the
+    degrees added on the diagonal, which has the bits of diag(degrees) - A;
+    a bool strip's float conversion is fresh, so it is negated in place.
     """
-    degrees = a.sum(axis=1)
-    laplacian = np.subtract(0.0, a)
+    degrees = _degrees(a)
+    strip = _float_rows(a)
+    laplacian = np.subtract(0.0, strip, out=strip if a.dtype == bool else None)
     diagonal = np.arange(a.shape[0])
     laplacian[diagonal, diagonal + start] += degrees
     return degrees, laplacian
@@ -468,13 +525,16 @@ def _laplacian(a: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 def _laplacian_product(a: np.ndarray, degrees: np.ndarray, x: np.ndarray) -> np.ndarray:
     """L X = D X - A X for L = diag(degrees) - A and node-by-k columns X,
-    from one node-by-k product with A (overwritten by the result)."""
-    product = matmul(a, x)
+    from one node-by-k product with A (``_adjacency_product``, overwritten
+    by the result)."""
+    product = _adjacency_product(a, x)
     return np.subtract(degrees[:, None] * x, product, out=product)
 
 
 def as_adjacency(graph_or_matrix) -> np.ndarray:
-    """Accept a Graph or any symmetric real matrix and return the dense array.
+    """Accept a Graph or any symmetric real matrix and return the dense
+    array: a Graph's bool adjacency, or the matrix's symmetrized float64
+    copy.
 
     Real-valued matrices are allowed wherever a graph is expected so that
     expected-case (population) inputs flow through the same code paths.
@@ -509,7 +569,7 @@ def read_graph(path) -> Graph:
             raise ValueError
     except ValueError:
         raise MalformedLineError(1, f"expected header 'n=<N> diag=<0|1>', got {lines[0]!r}")
-    adjacency = np.zeros((n, n))
+    adjacency = np.zeros((n, n), dtype=bool)
     for lineno, line in enumerate(lines[1:], start=2):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -525,7 +585,7 @@ def read_graph(path) -> Graph:
             raise IndexOutOfRangeError(f"line {lineno}: endpoint out of [0, {n})")
         if i == j and not diag:
             raise MalformedLineError(lineno, f"self-loop {line!r} under diag=0")
-        adjacency[i, j] = adjacency[j, i] = 1.0
+        adjacency[i, j] = adjacency[j, i] = True
     return Graph(adjacency, allows_self_loops=bool(diag))
 
 

@@ -152,8 +152,14 @@ def matmul(a, b, out: np.ndarray | None = None) -> np.ndarray:
     unless one is neither C- nor Fortran-contiguous. For 2-d operands,
     ``out``, a C-contiguous float64 array of the product's shape that
     overlaps neither operand, receives the product, with the bits of a
-    fresh one, and is returned.
+    fresh one, and is returned. A bool operand raises ValueError: its float
+    conversion would be a whole float64 copy, which a ``Graph``'s bool
+    adjacency never gets (``graphs._adjacency_product`` multiplies it by
+    row strips).
     """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype == bool or b.dtype == bool:
+        raise ValueError("matmul takes no bool operand; convert it to float64 first")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim not in (1, 2) or b.ndim not in (1, 2):

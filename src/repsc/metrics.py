@@ -24,7 +24,8 @@ import numpy as np
 from .constraint import (_balance, _representative_counts, _residual, build_indicator_h,
                          build_indicator_t)
 from .errors import SizeMismatchError, ZeroVolumeClusterError
-from .graphs import ClusterAssignment, Graph, _laplacian_product, as_adjacency
+from .graphs import (ClusterAssignment, Graph, _adjacency_product, _degrees, _laplacian_product,
+                     as_adjacency)
 from .linalg import matmul
 
 DUAL_FORM_TOL = 1e-9
@@ -55,10 +56,10 @@ def _cuts(graph, assignment: ClusterAssignment) -> tuple[float, float | None]:
         raise SizeMismatchError(f"graph has {a.shape[0]} nodes, assignment has {assignment.n}")
     h = build_indicator_h(assignment)
     onehot = assignment.onehot()
-    degrees = a.sum(axis=1)
+    degrees = _degrees(a)
     volumes = matmul(degrees, onehot)
     # Weight leaving each cluster: its volume minus its internal weight.
-    leaving = volumes - np.einsum("ik,ik->k", onehot, matmul(a, onehot))
+    leaving = volumes - np.einsum("ik,ik->k", onehot, _adjacency_product(a, onehot))
     rcut = _check_dual("ratio_cut", float(np.sum(leaving / assignment.sizes)),
                        _trace_form(a, degrees, h))
     if np.any(volumes <= 0.0):

@@ -323,12 +323,12 @@ def _knn_union(net: MultiplexNetwork, layers: Iterable[int], k: int,
     """The OR of the nearest-neighbor graphs of ``layers``: every layer's
     selection is stored both ways into one adjacency. With ``self_loops``
     the diagonal is set to ones (every node represents itself)."""
-    adjacency = np.zeros((net.n, net.n))
+    adjacency = np.zeros((net.n, net.n), dtype=bool)
     for layer in layers:
         src, dst = _knn_selection(net, layer, k)
-        adjacency[src, dst] = adjacency[dst, src] = 1.0
+        adjacency[src, dst] = adjacency[dst, src] = True
     if self_loops:
-        np.fill_diagonal(adjacency, 1.0)
+        np.fill_diagonal(adjacency, True)
     return Graph(adjacency, allows_self_loops=self_loops)
 
 
@@ -358,7 +358,7 @@ def aggregate_layers(graphs: Iterable[Graph], force_diagonal: bool = False) -> G
     self_loops = force_diagonal
     for g in graphs:
         if combined is None:
-            combined = g.adjacency != 0.0
+            combined = g.adjacency.copy()
         elif g.n != combined.shape[0]:
             raise SizeMismatchError(
                 f"layer graphs over {combined.shape[0]} and {g.n} nodes cannot be combined")
@@ -367,10 +367,9 @@ def aggregate_layers(graphs: Iterable[Graph], force_diagonal: bool = False) -> G
         self_loops = self_loops or g.allows_self_loops
     if combined is None:
         raise NoLayersError("no layer graphs to aggregate")
-    adjacency = combined.astype(np.float64)
     if force_diagonal:
-        np.fill_diagonal(adjacency, 1.0)
-    return Graph(adjacency, allows_self_loops=self_loops)
+        np.fill_diagonal(combined, True)
+    return Graph(combined, allows_self_loops=self_loops)
 
 
 def drop_isolated_nodes(similarity: Graph, representation: Graph
@@ -387,7 +386,7 @@ def drop_isolated_nodes(similarity: Graph, representation: Graph
             f"graphs cover {similarity.n} and {representation.n} nodes"
         )
     def offdiag_degree(g: Graph) -> np.ndarray:
-        return g.adjacency.sum(axis=1) - np.diag(g.adjacency)
+        return g.degrees - np.diag(g.adjacency)
 
     kept = np.flatnonzero((offdiag_degree(similarity) > 0) & (offdiag_degree(representation) > 0))
     sim = Graph(similarity.adjacency[np.ix_(kept, kept)], similarity.allows_self_loops)

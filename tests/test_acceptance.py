@@ -256,9 +256,9 @@ def test_criterion_08_approx_lossless_at_true_rank():
         cliques, _ = repsc.sample_planted_partition_rep_graph(n, groups, 1.0, 0.0, seed)
         assert np.linalg.matrix_rank(cliques.adjacency) == groups
         sampled, _ = repsc.sample_planted_partition_rep_graph(n, 2, 0.7, 0.25, seed)
-        graph = repsc.Graph(
-            sampled.adjacency - np.diag(np.diag(sampled.adjacency))
-        )
+        # A Graph's adjacency is bool: float arithmetic takes a float copy.
+        weights = sampled.adjacency.astype(float)
+        graph = repsc.Graph(weights - np.diag(np.diag(weights)))
         exact = repsc.urepsc(graph, cliques, 2)
         approx = repsc.urepsc_approx(graph, cliques, 2, rank=groups)
         assert same_partition(exact.assignment, approx.assignment), f"seed {seed}"

@@ -282,7 +282,8 @@ def test_nrepsc_rejects_isolated_node(toy_instance):
 def test_approx_lossless_at_true_rank():
     cliques, _ = repsc.sample_planted_partition_rep_graph(30, 3, 1.0, 0.0, 0)
     g, _ = repsc.sample_planted_partition_rep_graph(30, 3, 0.7, 0.25, 5)
-    sim = repsc.Graph(g.adjacency - np.diag(np.diag(g.adjacency)))
+    weights = g.adjacency.astype(float)
+    sim = repsc.Graph(weights - np.diag(np.diag(weights)))
     exact = repsc.urepsc(sim, cliques, 3)
     approx = repsc.urepsc_approx(sim, cliques, 3, rank=3)
     assert same_partition(exact.assignment, approx.assignment)

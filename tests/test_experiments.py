@@ -1049,14 +1049,15 @@ BUDGET_CONFIGS = {
 
 
 @pytest.mark.parametrize("mode, budget", [
-    # R, the sampled G and one working matrix: a Laplacian, or the interval
-    # solve's copy of R and its eigenvector buffer before G is drawn. A null
-    # block that pinned that buffer read 4.18.
-    ("d_regular", 3.5),
-    # R, G and R's select solve: its copy of R, holding the reflectors, and
-    # N x r blocks of eigenvectors. Reads 3.84; R's full decomposition (its
-    # copy of R and 2 N x N of workspace) read 5.03.
-    ("planted", 4.0),
+    # The bool R (1/8) and R's interval solve: its float copy of R and its
+    # N-column eigenvector buffer, before G is drawn. Reads 2.27; float64 R
+    # and G read 3.21, and a null block that pinned the buffer 4.18.
+    ("d_regular", 2.5),
+    # The bool R and G (1/8 each) and R's select solve: its float copy of
+    # R, holding the reflectors, and N x r blocks of eigenvectors. Reads
+    # 2.09; float64 R and G read 3.84, and R's full decomposition (its copy
+    # of R and 2 N x N of workspace) 5.03.
+    ("planted", 2.5),
 ])
 def test_a_whole_sweep_holds_its_dense_floor(tmp_path, mode, budget):
     n = 600

@@ -1,5 +1,6 @@
 """Graph types, the two samplers, the regular builder, serialization."""
 
+import inspect
 import tempfile
 from pathlib import Path
 
@@ -8,7 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repsc
-from conftest import REGULAR_INSTANCES, SWEEP_PROBS, traced_peak
+from conftest import (REGULAR_INSTANCES, SWEEP_PROBS, random_assignment, traced_peak,
+                      traced_retained)
+from repsc import experiments, multiplex
+from repsc.graphs import _laplacian, _laplacian_product
+from repsc.linalg import RANK_REL_TOL, row_blocks
 
 
 def test_graph_validation():
@@ -439,7 +444,7 @@ def whole_matrix_case_probabilities(params):
 def whole_matrix_symmetric_draw(prob, seed):
     n = prob.shape[0]
     upper = np.triu(np.random.default_rng(seed).random((n, n)) < prob, k=1)
-    return (upper | upper.T).astype(np.float64)
+    return upper | upper.T
 
 
 EDGE_PROBABILITIES = st.sampled_from([0.0, 1.0, 0.5, 0.1 + 0.2, 1e-300, 0.999])
@@ -466,12 +471,13 @@ def test_rpp_strips_equal_the_whole_matrix_formulas(n, self_loops, k, probs, see
     expected = repsc.expected_adjacency(params)
     assert expected.flags.c_contiguous and expected.tobytes() == probability.tobytes()
     # The Laplacian, whole and by row strips, has the bits of
-    # diag(degrees) - A, signed zeros included; its product with columns X
-    # equals (diag(degrees) - A) @ X.
+    # diag(degrees) - A, signed zeros included, for a bool A those of its
+    # float copy; its product with columns X equals (diag(degrees) - A) @ X.
     x = np.random.default_rng(seed).standard_normal((n, 3))
     for a in (sample, rep.adjacency, expected):
-        degrees = a.sum(axis=1)
-        reference = np.diag(degrees) - a
+        weights = a.astype(np.float64)
+        degrees = weights.sum(axis=1)
+        reference = np.diag(degrees) - weights
         assert repsc.graphs._laplacian(a)[1].tobytes() == reference.tobytes()
         for rows in repsc.linalg.row_blocks(n):
             strip = repsc.graphs._laplacian(a[rows], rows.start)[1]
@@ -515,3 +521,190 @@ def test_dense_graph_stages_hold_one_matrix(stage):
         "expected_adjacency": lambda: repsc.expected_adjacency(params),
     }[stage]
     assert traced_peak(run) <= 1.25 * DENSE_N * DENSE_N * 8
+
+
+def test_graph_inputs_give_one_read_only_bool_adjacency():
+    # Bool, integer and float 0/1 entries store the same bool matrix. A bool
+    # input is kept itself and made read-only; any other input is checked
+    # and copied, and is neither modified nor made read-only.
+    pattern = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    stored = []
+    for dtype in (bool, np.uint8, np.int64, np.float32, np.float64):
+        a = pattern.astype(dtype)
+        before = a.copy()
+        g = repsc.Graph(a, allows_self_loops=True)
+        assert g.adjacency.dtype == bool and not g.adjacency.flags.writeable
+        if dtype is bool:
+            assert g.adjacency is a
+        else:
+            assert a.flags.writeable and a.tobytes() == before.tobytes()
+            assert not np.shares_memory(g.adjacency, a)
+        stored.append(g.adjacency)
+    for adjacency in stored:
+        assert np.array_equal(adjacency, pattern.astype(bool))
+    listed = repsc.Graph([[0, 1], [1, 0]])
+    assert listed.adjacency.dtype == bool and listed.adjacency.tolist() == [[False, True],
+                                                                            [True, False]]
+
+
+@pytest.mark.parametrize("entry", [2.0, 0.5, -1.0])
+def test_graph_rejects_entries_other_than_zero_and_one(entry):
+    a = np.zeros((3, 3))
+    a[0, 1] = a[1, 0] = entry
+    with pytest.raises(ValueError, match="adjacency entries must be 0 or 1"):
+        repsc.Graph(a)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_graph_rejects_non_finite_entries(entry):
+    a = np.zeros((3, 3))
+    a[0, 1] = a[1, 0] = entry
+    with pytest.raises(ValueError, match="adjacency contains non-finite entries"):
+        repsc.Graph(a)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float64])
+def test_graph_rejects_bad_shapes_asymmetry_and_self_loops(dtype):
+    with pytest.raises(ValueError, match="adjacency must be square"):
+        repsc.Graph(np.zeros((2, 3), dtype=dtype))
+    with pytest.raises(ValueError, match="adjacency must be 2-dimensional"):
+        repsc.Graph(np.zeros(3, dtype=dtype))
+    with pytest.raises(ValueError, match="adjacency must be exactly symmetric"):
+        repsc.Graph(np.array([[0, 1], [0, 0]], dtype=dtype))
+    # The symmetry check runs strip by strip; the only asymmetric pair here
+    # lies across two strips.
+    n = 70
+    a = np.zeros((n, n), dtype=dtype)
+    a[3, n - 2] = 1
+    with pytest.raises(ValueError, match="adjacency must be exactly symmetric"):
+        repsc.Graph(a)
+    with pytest.raises(ValueError, match="self-loops present but allows_self_loops is False"):
+        repsc.Graph(np.eye(2, dtype=dtype))
+    assert repsc.Graph(np.eye(2, dtype=dtype), allows_self_loops=True).n == 2
+
+
+def hub_graphs(n=400):
+    """A planted two-cluster G with node 0 joined to every other node
+    (degree n - 1) and a 300-regular R: every count here overflows 8 bits."""
+    rng = np.random.default_rng(24)
+    same = (np.arange(n) < n // 2)[:, None] == (np.arange(n) < n // 2)[None, :]
+    upper = np.triu(rng.random((n, n)) < np.where(same, 0.6, 0.05), 1)
+    upper[0, 1:] = True
+    sim = repsc.Graph(upper | upper.T)
+    rep, truth = repsc.build_d_regular_rep_graph(n, 2, 300)
+    return sim, rep, truth
+
+
+def test_bool_adjacency_arithmetic_equals_the_float_formulas():
+    sim, rep, truth = hub_graphs()
+    n = sim.n
+    assert sim.degrees[0] == n - 1 and np.all(rep.degrees == 300)
+    x = np.random.default_rng(7).standard_normal((n, 3))
+    for graph in (sim, rep):
+        weights = graph.adjacency.astype(np.float64)
+        degrees = weights.sum(axis=1)
+        laplacian = np.diag(degrees) - weights
+        # Integer counts: byte-equal.
+        assert graph.degrees.dtype == np.float64
+        assert graph.degrees.tobytes() == degrees.tobytes()
+        whole = _laplacian(graph.adjacency)
+        assert whole[0].tobytes() == degrees.tobytes()
+        assert whole[1].tobytes() == laplacian.tobytes()
+        for rows in row_blocks(n):
+            strip = _laplacian(graph.adjacency[rows], rows.start)[1]
+            assert strip.tobytes() == laplacian[rows].tobytes()
+        # Strip products: equal up to rounding.
+        product = _laplacian_product(graph.adjacency, graph.degrees, x)
+        scale = 1.0 + np.abs(laplacian).sum(axis=1).max() * np.abs(x).max()
+        assert np.abs(product - laplacian @ x).max() <= 1e-12 * scale
+        onehot = truth.onehot()
+        assert _laplacian_product(graph.adjacency, graph.degrees, onehot).tobytes() \
+            == (laplacian @ onehot).tobytes()
+    repsc.clustering._rep_spectrum(rep, None)
+    weights = rep.adjacency.astype(np.float64)
+    assert rep._memo["null_tol"] == RANK_REL_TOL * n * np.abs(weights).sum(axis=1).max()
+
+    report = repsc.validate_regular_representation(rep, truth)
+    assert report.ok and (report.degree, report.neighbors_per_cluster) == (300, 150)
+    # One edge fewer between clusters: nodes 0 and j have 299 neighbors and
+    # 149 in the other cluster, as the float formulas count them.
+    j = int(np.flatnonzero(rep.adjacency[0] & (truth.labels == 1))[0])
+    cut = rep.adjacency.copy()
+    cut[0, j] = cut[j, 0] = False
+    report = repsc.validate_regular_representation(repsc.Graph(cut, allows_self_loops=True),
+                                                   truth)
+    counts = cut.astype(np.float64) @ truth.onehot()
+    assert report.degree == 300 and report.violating_nodes == [0, j]
+    assert "node 0: degree 299 differs from modal degree 300" in report.violations
+    assert f"node 0: {counts[0, 1]:g} representatives in cluster 1, expected 150" \
+        in report.violations and counts[0, 1] == 149.0
+
+    predicted = random_assignment(np.random.default_rng(3), n, 2)
+    score = repsc.score_partition(sim, rep, predicted, truth)
+    raw = repsc.score_partition(sim.adjacency.astype(np.float64), rep, predicted, truth)
+    assert score.rcut == pytest.approx(raw.rcut, rel=1e-12, abs=0.0)
+    assert score.ncut == pytest.approx(raw.ncut, rel=1e-12, abs=0.0)
+    rep_counts = weights @ predicted.onehot()
+    balance = rep_counts.min(axis=1) / rep_counts.max(axis=1)
+    residual = rep_counts / predicted.sizes - (weights.sum(axis=1) / n)[:, None]
+    assert score.avg_balance == float(balance.mean())
+    assert score.min_balance == float(balance.min())
+    assert score.max_representation_residual == float(np.abs(residual).max())
+
+
+@pytest.mark.parametrize("name", sorted(experiments.ALGORITHMS))
+def test_algorithms_label_a_graph_as_its_float_matrix(name):
+    sim, rep, _ = hub_graphs()
+    given = {"rep_graph": rep, "rank": sim.n // 10, "groups": 2}
+    raw = {"rep_graph": rep.adjacency.astype(np.float64), "rank": sim.n // 10, "groups": 2}
+    algorithm = experiments.ALGORITHMS[name]
+    names = inspect.signature(algorithm).parameters
+    on_graph = algorithm(sim, k=2, **{key: given[key] for key in given if key in names})
+    on_matrix = algorithm(sim.adjacency.astype(np.float64), k=2,
+                          **{key: raw[key] for key in raw if key in names})
+    assert np.array_equal(on_graph.assignment.labels, on_matrix.assignment.labels)
+
+
+def builder_inputs(tmp_path):
+    """Builders of every Graph the package makes, at N = BUILDER_N, each
+    with its inputs made beforehand."""
+    n = BUILDER_N
+    rep, truth = repsc.build_d_regular_rep_graph(n, 5, 40)
+    params = repsc.RppParams(assignment=truth, rep_graph=rep, **SWEEP_PROBS)
+    sim = repsc.sample_rpp(params, 1)
+    path = tmp_path / "rep.txt"
+    repsc.write_graph(repsc.build_d_regular_rep_graph(n, 5, 10)[0], path)
+    rng = np.random.default_rng(5)
+    lines = [f"{layer} {i} {j} {w:.3f}" for layer in (1, 2, 3) for i in range(n)
+             for j, w in zip(rng.integers(0, n, 6), rng.random(6))]
+    net = repsc.parse_multiplex_text("\n".join(lines))
+    layers = [repsc.knn_layer_graph(net, t, 5) for t in range(3)]
+    return {
+        "sample_rpp": lambda: repsc.sample_rpp(params, 1),
+        "sample_planted_partition_rep_graph":
+            lambda: repsc.sample_planted_partition_rep_graph(n, 60, 0.8, 0.2, 1)[0],
+        "build_d_regular_rep_graph": lambda: repsc.build_d_regular_rep_graph(n, 5, 40)[0],
+        "read_graph": lambda: repsc.read_graph(path),
+        "_knn_union": lambda: multiplex._knn_union(net, range(3), 5, True),
+        "aggregate_layers": lambda: repsc.aggregate_layers(layers, force_diagonal=True),
+        "drop_isolated_nodes": lambda: repsc.drop_isolated_nodes(sim, rep)[0],
+    }
+
+
+BUILDER_N = 600
+
+
+@pytest.mark.parametrize("builder", ["sample_rpp", "sample_planted_partition_rep_graph",
+                                     "build_d_regular_rep_graph", "read_graph", "_knn_union",
+                                     "aggregate_layers", "drop_isolated_nodes"])
+def test_builders_make_no_float_matrix(builder, tmp_path):
+    # In N x N float64 units at N = 600, each builder holds its bool result
+    # (1/8; drop_isolated_nodes returns two) and strip-sized temporaries,
+    # and its Graph keeps one byte per entry. A float64 adjacency read at
+    # least 1 and kept 8 N^2 bytes.
+    build = builder_inputs(tmp_path)[builder]
+    n = BUILDER_N
+    assert build().adjacency.dtype == bool
+    assert traced_peak(build) <= 0.3 * n * n * 8
+    kept = []
+    assert traced_retained(lambda: kept.append(build())) <= 1.05 * n * n

@@ -27,7 +27,7 @@ def regular_rep(rng, n=24):
     k = int(rng.choice([2, 3]))
     d = int(rng.choice([k * 2, k * 4]))
     rep, _ = repsc.build_d_regular_rep_graph(n, k, d)
-    return rep.adjacency
+    return rep.adjacency.astype(float)
 
 
 def block_rep(rng, n=24):

@@ -397,6 +397,20 @@ def test_matmul_edge_shapes():
         matmul(np.ones((2, 2, 2)), np.ones((2, 2)))
 
 
+def test_matmul_rejects_a_bool_operand():
+    # A Graph's bool adjacency is multiplied by row strips
+    # (graphs._adjacency_product); converting it whole would copy it to
+    # float64, so matmul refuses it on either side, with or without out.
+    mask = np.eye(3, dtype=bool)
+    for x, y in [(mask, np.ones((3, 2))), (np.ones((2, 3)), mask), (mask[0], np.ones(3)),
+                 (mask, mask)]:
+        with pytest.raises(ValueError, match="bool operand"):
+            matmul(x, y)
+    with pytest.raises(ValueError, match="bool operand"):
+        matmul(mask, np.ones((3, 2)), out=np.empty((3, 2)))
+    assert np.array_equal(matmul(mask.astype(float), np.ones((3, 2))), np.ones((3, 2)))
+
+
 def test_orthonormal_columns_keeps_the_span():
     # A degree rescaling of orthonormal columns, as the normalized W arm
     # hands it: degrees spread over two orders of magnitude.

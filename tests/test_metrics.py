@@ -265,7 +265,7 @@ def test_score_partition_cuts_equal_the_cut_functions():
     for trial in range(30):
         n = int(rng.integers(6, 20))
         k = int(rng.integers(2, min(5, n)))
-        g = np.array(random_graph(rng, n, density=0.3).adjacency)
+        g = random_graph(rng, n, density=0.3).adjacency.astype(float)
         if trial % 3 == 0:
             # Real-valued weights, as on expected-case matrices.
             weights = np.triu(rng.random((n, n)), k=1)
