@@ -48,22 +48,24 @@ of Ng, Jordan and Weiss, and nsc's unit-length scaling cancels the D^{-1/2}
 factor again, so it clusters the classic normalized embedding. This module
 owns every Y and W, and none takes an SVD. ``constraint_null_basis`` builds
 every Y that comes from an R from R's eigenvectors, and ``_rep_spectrum``
-owns what counts as null. The exact constraint reads null(R) alone, so one
-interval solve gives it: the eigenpairs with |lambda| at most the null
-threshold, an N-by-m block (m = 39 of 600 on the benchmark's d-regular R).
-For the approximate variants the null space of the truncation is spanned by
-the eigenvectors the truncation discards, and no rank-r matrix is ever
-formed. W spans (I - 11^T/N) V_r for the kept eigenvectors V_r that are not
-null. So a rank-r constraint, or an exact null block too wide to be sure of
-the Y arm (2 (m + 1) > N, as the interval solve finds it), takes one
-select solve of R (``sym_eig``'s ``pick``): every eigenvalue, and the
-eigenvectors of the narrower side only, V_r or the null ones, an N-by-w
-block with w at most about N/2. The other side, where an arm needs it, is
-that block's orthogonal complement.
+owns what counts as null. Every constraint from R is one select solve of R
+(``sym_eig``'s ``pick``) from one tridiagonalization. The exact constraint
+reads null(R) alone: bisection over [-t, t], for t the null threshold,
+finds its width m and its eigenvalues, and only their eigenvectors are
+computed, an N-by-m block (m = 39 of 600 on the benchmark's d-regular R),
+with no other eigenvalue. For the approximate variants the null space of
+the truncation is spanned by the eigenvectors the truncation discards, and
+no rank-r matrix is ever formed. W spans (I - 11^T/N) V_r for the kept
+eigenvectors V_r that are not null. So a rank-r constraint, or an exact
+null block too wide to be sure of the Y arm (2 (m + 1) > N, as the
+bisection counts it, from the same tridiagonal), takes every eigenvalue
+and the eigenvectors of the narrower side only, V_r or the null ones, an
+N-by-w block with w at most about N/2. The other side, where an arm needs
+it, is that block's orthogonal complement.
 No N-by-N eigenvector matrix of R is formed. R is solved nowhere else: a
-``Graph`` R keeps its null block ("null") and each select solve
-(("picked", rank)) in its memo, each run at most once per R object and
-rank and owning its bytes; a raw matrix R is solved on every call.
+``Graph`` R keeps each solve (("picked", rank), rank None for the exact
+constraint) in its memo, each run at most once per R object and rank and
+owning its bytes; a raw matrix R is solved on every call.
 ``_group_basis`` writes the baseline's Y down from the groups, and
 ``_group_complement`` its W. ``_split_ones`` takes the ones direction out
 of orthonormal columns for both arms.
@@ -102,6 +104,7 @@ from .graphs import (ClusterAssignment, Graph, _check_k, _degrees, _laplacian,
                      _laplacian_product, as_adjacency)
 from .linalg import (
     RANK_REL_TOL,
+    Band,
     _complement_columns,
     _fix_signs,
     _owned,
@@ -352,7 +355,13 @@ def _pick(r: np.ndarray, tol: float, rank: int | None) -> tuple[np.ndarray, bool
     mask (|lambda| <= ``tol``, and with ``rank`` every eigenpair outside the
     ``rank`` of largest |lambda|, ties kept in ascending position): its
     eigenvectors, and whether they are the null ones. Without ``rank`` the
-    side that is not null is taken."""
+    pick is a ``Band``: the null block when 2 (m + 1) <= N for its width m,
+    so that ``_basis`` takes Y, else the side that is not null, which is
+    also what R = 0 (``tol`` = 0, every eigenvalue null) gets."""
+    n = r.shape[0]
+    if rank is None and tol > 0.0:
+        values, vectors = sym_eig(r, pick=Band(tol, (n - 2) // 2))
+        return vectors, values.size < n  # a wide band returns every eigenvalue
     null_side = False
 
     def narrower(values: np.ndarray) -> np.ndarray:
@@ -378,19 +387,18 @@ def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, bo
     ``rank`` so do all but the ``rank`` eigenpairs of largest |lambda| (ties
     kept in ascending position).
 
-    Without ``rank`` only null(R) is read, so the eigenpairs with |lambda|
-    <= t are solved for alone (``sym_eig``'s ``within``). A ``Graph`` keeps
-    t and that null block in its memo ("null_tol" and "null"); the block is
-    N-by-m and owns its bytes, as every ``sym_eig`` result does. When the
-    block is wide (2 (m + 1) > N, so that ``_basis`` may choose the
-    complement W), or R = 0 (t = 0), the eigenvectors that are not null are
-    taken instead, and the wide block is not kept.
-
-    With ``rank``, or for a wide exact constraint, ``_pick`` computes all of
-    R's eigenvalues and the eigenvectors of the narrower side only: the
-    ``rank`` kept ones or the null ones, whichever are fewer. A ``Graph``
-    keeps that solve, read-only, in its memo under ("picked", rank), once
-    per (R, rank); a raw matrix R is solved on every call. This is the only
+    Either constraint is one select solve of R (``_pick``), from one
+    tridiagonalization. Without ``rank`` only null(R) is read: bisection
+    over [-t, t] finds its width m and its eigenvalues, and a narrow block
+    (2 (m + 1) <= N) takes their eigenvectors alone, N-by-m, with no other
+    eigenvalue computed; a wide one, so that ``_basis`` may choose the
+    complement W, or R = 0 (t = 0, every eigenvalue null), goes on to every
+    eigenvalue and the eigenvectors that are not null. With ``rank`` every
+    eigenvalue is computed, and the eigenvectors of the narrower side only:
+    the ``rank`` kept ones or the null ones, whichever are fewer. A
+    ``Graph`` keeps t ("null_tol") and each solve, read-only, in its memo
+    under ("picked", rank), rank None for the exact constraint, once per
+    (R, rank); a raw matrix R is solved on every call. This is the only
     code that solves R, no N-by-N eigenvector matrix of R is formed, and no
     result depends on which solve ran first.
     """
@@ -404,19 +412,9 @@ def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, bo
         # A Graph's entries are 0 and 1, so its absolute row sums are its degrees.
         row_sums = _degrees(r) if graph else np.abs(r).sum(axis=1)
         memo["null_tol"] = RANK_REL_TOL * n * (row_sums.max() if r.size else 0.0)
-    tol = memo["null_tol"]
     key = ("picked", rank)
-    if rank is None and "null" in memo:
-        return memo["null"], True
-    if rank is None and key not in memo and tol > 0.0:
-        block = sym_eig(r, within=tol).eigenvectors
-        if 2 * (block.shape[1] + 1) <= n:
-            block.flags.writeable = False
-            memo["null"] = block
-            return block, True
-        del block  # wide: neither kept nor held through the select solve
     if key not in memo:
-        memo[key] = _pick(r, tol, rank)
+        memo[key] = _pick(r, memo["null_tol"], rank)
         memo[key][0].flags.writeable = False
     return memo[key]
 

@@ -131,12 +131,13 @@ class Graph:
         lives. ``clustering._solve`` keeps each solution's k-means points,
         spectrum and warnings here, keyed by what built the problem,
         ``fair_sc_baseline`` keeps each group discovery on its R, and
-        ``clustering._rep_spectrum`` keeps R's null threshold ("null_tol"),
-        narrow null block ("null": the eigenvectors with |lambda| near zero,
-        node-by-m with m usually far below N) and, for each rank and for a
-        wide null block (rank None), one select solve (("picked", rank): the
-        node-by-w eigenvectors of the narrower side, w at most about N/2,
-        and whether they are the null side). No entry is node-by-node, and
+        ``clustering._rep_spectrum`` keeps R's null threshold ("null_tol")
+        and, for each rank and for the exact constraint (rank None), one
+        select solve (("picked", rank): the node-by-w eigenvectors of the
+        narrower side, w at most about N/2, and whether they are the null
+        side; for the exact constraint usually the null block, the
+        eigenvectors with |lambda| near zero, w far below N). No entry is
+        node-by-node, and
         every kept array owns exactly its own bytes, never a slice of a
         larger buffer such as LAPACK's eigenvector output."""
         return {}

@@ -30,7 +30,11 @@ so its temporaries stay a small fraction of one N-by-N matrix.
 ``sym_eig(m, pick=fn)`` computes every eigenvalue but only the
 eigenvectors that ``fn`` asks for, from one tridiagonalization of the
 symmetrized copy (``_picked_eig``): N-by-w eigenvectors for w picked
-positions, with no N-by-N eigenvector matrix formed.
+positions, with no N-by-N eigenvector matrix formed; ``pick=Band(t, w)``
+bisects it for the eigenpairs with |lambda| <= t and, when there are at
+most w, computes no other eigenpair. scipy's subset drivers, whose
+eigenvector buffers have N columns however few pairs are found, serve
+only ``count``.
 """
 
 from __future__ import annotations
@@ -236,9 +240,10 @@ def _complement_columns(columns: np.ndarray) -> np.ndarray:
 def _owned(a: np.ndarray) -> np.ndarray:
     """``a`` when it spans its whole buffer, else a copy in its own memory
     layout (``order="K"``: a Fortran block stays Fortran, so every later
-    reduction over it sums in the same order). scipy's subset eigensolves
-    fill buffers sized for every eigenpair and return slices of them; a
-    kept slice would keep the whole buffer alive."""
+    reduction over it sums in the same order). scipy's subset eigensolve
+    (``count``) fills buffers sized for every eigenpair and returns slices
+    of them, as bisection does for a band's eigenvalues; a kept slice would
+    keep the whole buffer alive."""
     base = a.base
     if base is None or getattr(base, "nbytes", None) == a.nbytes:
         return a
@@ -260,34 +265,108 @@ def _scratch(m: np.ndarray) -> np.ndarray:
     return m.view(_Scratch)
 
 
-def _picked_eig(a: np.ndarray, pick: Callable[[np.ndarray], np.ndarray]) -> EigenDecomposition:
-    """Every eigenvalue of ``a`` (symmetric and overwritten) and
-    the eigenvectors at the positions ``pick(values)`` marks, a boolean
-    mask over the ascending eigenvalues.
+class Band(NamedTuple):
+    """A ``pick`` for ``sym_eig``: the eigenpairs with |lambda| <= ``bound``
+    (positive and finite) when there are at most ``most`` of them, else
+    every eigenvalue and the eigenvectors with |lambda| > ``bound``."""
+
+    bound: float
+    most: int
+
+
+def _tridiagonal_vectors(diagonal: np.ndarray, offdiagonal: np.ndarray, values: np.ndarray,
+                         blocks: np.ndarray, split: np.ndarray) -> np.ndarray:
+    """N-by-w eigenvectors of the tridiagonal T for ``values`` (from
+    ``dstebz``, with T's block of each in ``blocks`` and its split points in
+    ``split``), in the order of ``values``: ``dstein``'s inverse iteration,
+    which wants the eigenvalues grouped by block, ascending in each."""
+    n = diagonal.size
+    if not values.size:
+        return np.zeros((n, 0), order="F")
+    by_block = np.argsort(blocks, kind="stable")
+    grouped = np.zeros(n, dtype=blocks.dtype)
+    grouped[:values.size] = blocks[by_block]
+    tridiagonal_vectors, info = lapack.dstein(diagonal, offdiagonal, values[by_block],
+                                              grouped, split)
+    if info:
+        raise EigenConvergenceError(f"dstein failed to converge (info={info})")
+    vectors = np.empty((n, values.size), order="F")
+    vectors[:, by_block] = tridiagonal_vectors
+    return vectors
+
+
+def _back_transform(factors: np.ndarray, tau: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Overwrite eigenvectors of T with those of a = Q T Q^T and return them.
+
+    Q's first row and column are e_0, and its other rows are ``dormqr``
+    with the reflectors one row down, as LAPACK's ``dormtr`` does for
+    ``uplo = L``. scipy's ``dormqr`` copies a reflector block that is not
+    contiguous, so the reflectors are first moved, column by column, into
+    the contiguous (N-1)-by-(N-1) head of their own buffer (``factors``,
+    which is overwritten)."""
+    n = factors.shape[0]
+    if not vectors.shape[1]:
+        return vectors
+    flat = factors.T.reshape(-1)  # Fortran order: column j is flat[j * n:(j + 1) * n]
+    for j in range(n - 1):  # column j of factors[1:, :-1], from its row j down
+        flat[j * n:(j + 1) * (n - 1)] = flat[j * (n + 1) + 1:(j + 1) * n]
+    reflectors = flat[:(n - 1) ** 2].reshape((n - 1, n - 1), order="F")
+    rows = np.asfortranarray(vectors[1:])
+    _, work, _ = lapack.dormqr("L", "N", reflectors, tau, rows, -1)
+    lapack.dormqr("L", "N", reflectors, tau, rows, max(int(work[0]), 1), overwrite_c=1)
+    vectors[1:] = rows
+    return vectors
+
+
+def _picked_eig(a: np.ndarray,
+                pick: Callable[[np.ndarray], np.ndarray] | Band) -> EigenDecomposition:
+    """The eigenpairs of ``a`` (symmetric and overwritten) that ``pick``
+    asks for: a callable marks positions in the ascending eigenvalues, all
+    of which are returned, or a ``Band``.
 
     LAPACK's ``dsytrd`` reduces a = Q T Q^T to a tridiagonal T (reflectors
-    below the subdiagonal, ``uplo = L``), ``dsterf`` gives T's eigenvalues,
-    and for each run of consecutive picked positions ``dstebz`` bisects for
-    those eigenvalues (and T's split points); ``dstein`` takes their
-    eigenvectors of T by inverse iteration, block by block. Q takes them
-    back, N-by-w: Q's first row and column are e_0, and its other rows are
-    ``dormqr`` with the reflectors one row down, as LAPACK's ``dormtr`` does
-    for ``uplo = L``. scipy's ``dormqr`` copies a reflector block that is
-    not contiguous, so the reflectors are first moved, column by column,
-    into the contiguous (N-1)-by-(N-1) head of their own buffer.
+    below the subdiagonal, ``uplo = L``). A ``Band`` first bisects T over
+    [-bound, bound] (``dstebz``, range ``V``, LAPACK's default absolute
+    tolerance 0, as ``dsyevr`` does; LAPACK's interval (vl, vu] is closed by
+    one step below -bound): a narrow band returns those eigenvalues and
+    takes their eigenvectors alone, with no other eigenvalue computed. A
+    callable, or a wide band's outside, reads every eigenvalue from
+    ``dsterf``; for each run of consecutive picked positions ``dstebz``
+    bisects for those eigenvalues (and T's split points). ``dstein`` takes
+    their eigenvectors of T by inverse iteration (``_tridiagonal_vectors``)
+    and Q takes them back, N-by-w (``_back_transform``).
     """
     n = a.shape[0]
+    if isinstance(pick, Band) and not 0.0 < pick.bound < np.inf:
+        raise ValueError(f"a band's bound must be positive and finite, got {pick.bound}")
     if n <= 1:  # scipy's tridiagonal wrappers reject an empty off-diagonal
         values = a.diagonal().copy()
+        if isinstance(pick, Band):
+            inside = np.abs(values) <= pick.bound
+            if np.count_nonzero(inside) <= pick.most:
+                return EigenDecomposition(values[inside], np.eye(n, order="F")[:, inside])
+            return EigenDecomposition(values, np.eye(n, order="F")[:, ~inside])
         return EigenDecomposition(values, np.eye(n, order="F")[:, pick(values)])
     # a is symmetric, so a.T is the Fortran-ordered matrix LAPACK reads.
     work, _ = lapack.dsytrd_lwork(n, lower=1)
     factors, diagonal, offdiagonal, tau, _ = lapack.dsytrd(
         a.T, lower=1, lwork=max(int(work), 1), overwrite_a=1)
+    if isinstance(pick, Band):
+        width, found, blocks, split, info = lapack.dstebz(
+            diagonal, offdiagonal, 1, np.nextafter(-pick.bound, -np.inf), pick.bound,
+            0, 0, 0.0, "E")
+        if info:
+            raise EigenConvergenceError(f"dstebz failed on [-{pick.bound}, {pick.bound}] "
+                                        f"(info={info})")
+        if width <= pick.most:
+            vectors = _tridiagonal_vectors(diagonal, offdiagonal, found[:width],
+                                           blocks[:width], split)
+            return EigenDecomposition(found[:width], _back_transform(factors, tau, vectors))
     values, info = lapack.dsterf(diagonal, offdiagonal)
     if info:
         raise EigenConvergenceError(f"dsterf failed to converge (info={info})")
-    positions = np.flatnonzero(pick(values))
+    positions = np.flatnonzero(np.abs(values) > pick.bound if isinstance(pick, Band)
+                               else pick(values))
     if not positions.size:
         return EigenDecomposition(values, np.zeros((n, 0), order="F"))
     found, blocks = [], []
@@ -300,45 +379,32 @@ def _picked_eig(a: np.ndarray, pick: Callable[[np.ndarray], np.ndarray]) -> Eige
                                         f"(info={info})")
         found.append(bisected[:width])
         blocks.append(block[:width])
-    # dstein wants the eigenvalues grouped by T's blocks, ascending in each.
-    by_block = np.argsort(np.concatenate(blocks), kind="stable")
-    grouped = np.zeros(n, dtype=blocks[0].dtype)
-    grouped[:positions.size] = np.concatenate(blocks)[by_block]
-    tridiagonal_vectors, info = lapack.dstein(
-        diagonal, offdiagonal, np.concatenate(found)[by_block], grouped, split)
-    if info:
-        raise EigenConvergenceError(f"dstein failed to converge (info={info})")
-    vectors = np.empty((n, positions.size), order="F")
-    vectors[:, by_block] = tridiagonal_vectors
-    del tridiagonal_vectors
-    flat = factors.T.reshape(-1)  # Fortran order: column j is flat[j * n:(j + 1) * n]
-    for j in range(n - 1):  # column j of factors[1:, :-1], from its row j down
-        flat[j * n:(j + 1) * (n - 1)] = flat[j * (n + 1) + 1:(j + 1) * n]
-    reflectors = flat[:(n - 1) ** 2].reshape((n - 1, n - 1), order="F")
-    rows = np.asfortranarray(vectors[1:])
-    _, work, _ = lapack.dormqr("L", "N", reflectors, tau, rows, -1)
-    lapack.dormqr("L", "N", reflectors, tau, rows, max(int(work[0]), 1), overwrite_c=1)
-    vectors[1:] = rows
-    return EigenDecomposition(values, vectors)
+    vectors = _tridiagonal_vectors(diagonal, offdiagonal, np.concatenate(found),
+                                   np.concatenate(blocks), split)
+    return EigenDecomposition(values, _back_transform(factors, tau, vectors))
 
 
-def sym_eig(m, b=None, count: int | None = None, within: float | None = None,
-            pick: Callable[[np.ndarray], np.ndarray] | None = None) -> EigenDecomposition:
+def sym_eig(m, b=None, count: int | None = None,
+            pick: Callable[[np.ndarray], np.ndarray] | Band | None = None) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, optionally generalized.
 
     With ``b`` the problem is ``m z = lambda b z`` for a symmetric positive
     definite ``b``, and the eigenvectors are b-orthonormal (Z^T b Z = I).
-    With ``count`` only the ``count`` smallest eigenpairs are computed, and
-    with ``within`` only those with |lambda| <= ``within`` (possibly none).
-    With ``pick`` every eigenvalue is computed, and the eigenvectors only
-    at the positions that ``pick(eigenvalues)`` marks (a boolean mask over
-    the ascending eigenvalues): ``eigenvectors[:, j]`` then belongs to
-    ``eigenvalues[pick(eigenvalues)][j]``, and the solve holds the
-    symmetrized copy and N-by-w blocks, never an N-by-N eigenvector matrix
-    (``_picked_eig``). The LAPACK driver follows from the call: the
-    divide-and-conquer drivers (``evd``/``gvd``) for a full spectrum, the
-    subset drivers for ``count`` and for ``within``, over the closed
-    interval [-within, within].
+    With ``count`` only the ``count`` smallest eigenpairs are computed.
+    With ``pick`` only the eigenvectors it asks for are computed, from one
+    tridiagonalization of the symmetrized copy (``_picked_eig``), and the
+    solve holds that copy and N-by-w blocks, never an N-by-N eigenvector
+    matrix. A callable ``pick`` gets every eigenvalue and marks the
+    positions wanted (a boolean mask over the ascending eigenvalues):
+    ``eigenvectors[:, j]`` then belongs to
+    ``eigenvalues[pick(eigenvalues)][j]``. A ``Band(bound, most)`` asks
+    for the eigenpairs with |lambda| <= bound, ascending, when there are at
+    most ``most`` of them, and computes no other eigenvalue; when there are
+    more, for every eigenvalue and the eigenvectors with |lambda| > bound,
+    so the eigenvalues returned number fewer than N only in the first case
+    (for ``most`` < N). The LAPACK driver follows from the call:
+    the divide-and-conquer drivers (``evd``/``gvd``) for a full spectrum,
+    and the subset drivers for ``count``.
     ``m`` and ``b`` are never modified: LAPACK overwrites the symmetrized
     copies made here, whose transposes are the Fortran-ordered views it
     reads without copying again (the copies are exactly symmetric). Only an
@@ -349,17 +415,16 @@ def sym_eig(m, b=None, count: int | None = None, within: float | None = None,
         m: square matrix, symmetric up to 1e-10 absolute tolerance.
         b: optional positive definite matrix of the same shape.
         count: optional number of bottom eigenpairs, at least 1.
-        within: optional positive bound on |lambda|; not with ``count``.
         pick: optional mask of the eigenvectors wanted, from the
-            eigenvalues; not with ``b``, ``count`` or ``within``.
+            eigenvalues, or a ``Band``; not with ``b`` or ``count``.
 
     Returns:
         EigenDecomposition with ascending eigenvalues and sign-fixed
         eigenvectors (orthonormal, or b-orthonormal when ``b`` is given).
-        Both arrays own exactly their own bytes (``_owned``): the interval
-        solve's N-by-m block is copied out of LAPACK's N-by-N eigenvector
-        buffer, which is freed when the call returns, so a caller that
-        keeps the block keeps N m numbers, not N^2.
+        Both arrays own exactly their own bytes (``_owned``): the subset
+        solve's N-by-count block is copied out of LAPACK's larger output,
+        which is freed when the call returns, so a caller that keeps the
+        block keeps N count numbers, not more.
 
     Raises:
         NonSquareError, NotSymmetricError, SizeMismatchError,
@@ -372,21 +437,13 @@ def sym_eig(m, b=None, count: int | None = None, within: float | None = None,
         if b.shape != a.shape:
             raise SizeMismatchError(f"b has shape {b.shape}, matrix has {a.shape}")
     if pick is not None:
-        if b is not None or count is not None or within is not None:
-            raise ValueError("pick cannot be given with b, count or within")
+        if b is not None or count is not None:
+            raise ValueError("pick cannot be given with b or count")
         values, vectors = _picked_eig(a, pick)
         return EigenDecomposition(_owned(values), _fix_signs(_owned(vectors)))
     if count is not None and count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    if within is not None:
-        if count is not None:
-            raise ValueError("count and within cannot both be given")
-        if not within > 0.0:
-            raise ValueError(f"within must be positive, got {within}")
-        # LAPACK's interval is half-open, (vl, vu]: one step below -within
-        # closes it.
-        options = {"subset_by_value": [np.nextafter(-within, -np.inf), within]}
-    elif count is None or count >= n:
+    if count is None or count >= n:
         options = {"driver": "evd" if b is None else "gvd"}
     else:
         options = {"subset_by_index": [0, count - 1]}

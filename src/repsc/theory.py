@@ -101,17 +101,18 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
     is the constant lambda1 - p, raising AssumptionViolatedError when the
     inputs do not actually satisfy the regularity assumption. It solves two
     eigenproblems. ``constraint_null_basis`` solves R for its null block, the
-    eigenpairs with |lambda| near zero (one interval solve: 39 of 600 pairs
-    on the benchmark's d-regular R; R in full only when that block is wider
-    than about N/2), and the ``Graph`` R keeps it, so urepsc and nrepsc on
-    the same R reuse it. Then the restricted Laplacian Y^T (D Y - A Y) of
+    eigenvectors with |lambda| near zero (one select solve that bisects for
+    them and computes no other eigenpair: 39 of 600 on the benchmark's
+    d-regular R; every eigenvalue only when that block is wider than about
+    N/2), and the ``Graph`` R keeps it, so urepsc and nrepsc on the same R
+    reuse it. Then the restricted Laplacian Y^T (D Y - A Y) of
     the expected similarity matrix A, of the null space's dimension, is
     decomposed. No Laplacian is built over A, and A is never decomposed
     (``lambda_bar`` does that, on demand).
 
     R's null block is solved before the expected similarity matrix is
-    built: beyond R, the interval solve's two N-by-N arrays (its copy of R
-    and its eigenvector buffer) or that one matrix are held, never more; R
+    built: beyond R, the solve's one N-by-N array (its copy of R,
+    tridiagonalized in place) or that one matrix is held, never both; R
     keeps only the N-by-m null block.
     """
     lambda1, lambda_rest = closed_form_eigenvalues(params)

@@ -139,39 +139,37 @@ def empty_harness_caches():
 
 
 class Solve(NamedTuple):
-    """One ``sym_eig`` call: its matrix, ``count``, ``within`` and ``pick``,
-    and for a select solve the number of eigenvectors it returned (None
-    until it has returned)."""
+    """One ``sym_eig`` call: its matrix, ``count`` and ``pick``, and for a
+    select solve the number of eigenvectors it returned (None until it has
+    returned)."""
 
     matrix: np.ndarray
     count: int | None
-    within: float | None
     pick: object = None
     width: int | None = None
 
     @property
     def kind(self) -> str:
-        """"subset" for the bottom ``count`` eigenpairs, "interval" for those
-        with |lambda| <= ``within``, "select" for every eigenvalue and the
-        eigenvectors ``pick`` asks for, and "full" for a whole spectrum."""
+        """"subset" for the bottom ``count`` eigenpairs, "select" for the
+        eigenvectors ``pick`` asks for (a mask over every eigenvalue, or a
+        ``Band``, such as R's null block), and "full" for a whole
+        spectrum."""
         if self.count is not None:
             return "subset"
-        if self.pick is not None:
-            return "select"
-        return "full" if self.within is None else "interval"
+        return "full" if self.pick is None else "select"
 
 
 @pytest.fixture
 def eigensolves(monkeypatch):
     """Every eigensolve of ``repsc.clustering``, as a ``Solve``, in call
-    order. That module is the one that solves R (its interval and select
-    solves) and every clustering problem; ``theory`` solves its restricted
-    problem itself, which is not recorded."""
+    order. That module is the one that solves R (its select solves) and
+    every clustering problem; ``theory`` solves its restricted problem
+    itself, which is not recorded."""
     solves = []
 
-    def recording(m, b=None, count=None, within=None, pick=None):
-        solves.append(Solve(m, count, within, pick))
-        result = sym_eig(m, b, count, within, pick)
+    def recording(m, b=None, count=None, pick=None):
+        solves.append(Solve(m, count, pick))
+        result = sym_eig(m, b, count, pick)
         if pick is not None:
             solves[-1] = solves[-1]._replace(width=result.eigenvectors.shape[1])
         return result
@@ -181,7 +179,7 @@ def eigensolves(monkeypatch):
 
 
 def r_solves(solves) -> list[tuple[str, tuple[int, ...]]]:
-    """(kind, shape) of each solve of an R among ``solves``: its interval
-    and select solves (and full ones, which the package no longer runs),
-    the ones that ask for no ``count``."""
+    """(kind, shape) of each solve of an R among ``solves``: its select
+    solves (and full ones, which the package no longer runs), the ones that
+    ask for no ``count``."""
     return [(solve.kind, solve.matrix.shape) for solve in solves if solve.kind != "subset"]

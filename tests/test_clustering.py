@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 import repsc
-from repsc import clustering
+from repsc import clustering, linalg
 from repsc.clustering import _assign, _lifted_points, constraint_null_basis
 from conftest import (SWEEP_PROBS, r_solves, random_orthonormal, same_partition, traced_peak,
                       traced_retained)
@@ -316,15 +316,14 @@ def test_pipelines_deterministic(toy_instance):
         assert np.array_equal(first.embedding, second.embedding)
 
 
-# -- each solve of a representation Graph once (its memo's "null" and
-# ("picked", rank) entries) --
+# -- each solve of a representation Graph once (its memo's ("picked", rank)
+# entries, rank None for the exact constraint) --
 #
 # r_solves(eigensolves) lists R's solves in call order, as (kind, shape):
-# "interval" for the eigenpairs with |lambda| <= t (sym_eig's ``within``),
-# "select" for every eigenvalue and the eigenvectors of the narrower side
-# (sym_eig's ``pick``; the Solve's ``width`` counts them).
+# "select" for the eigenvectors of the narrower side (sym_eig's ``pick``;
+# the Solve's ``width`` counts them), R's null block among them.
 
-INTERVAL, SELECT = ("interval", (24, 24)), ("select", (24, 24))
+SELECT = ("select", (24, 24))
 
 
 def picked_ranks(rep) -> list:
@@ -348,13 +347,13 @@ def test_graph_r_is_solved_once_per_rank(eigensolves, toy_instance):
     assert np.array_equal(constraint_null_basis(rep, rank=4), first)
     assert r_solves(eigensolves) == [SELECT] * 4
     assert [solve.width for solve in eigensolves if solve.kind == "select"] == [4, 8, 5, 6]
-    assert picked_ranks(rep) == [4, 8, 5, 6] and "null" not in rep._memo
+    assert picked_ranks(rep) == [4, 8, 5, 6]
 
 
 def test_narrow_exact_constraint_takes_one_interval_solve(eigensolves, toy_instance):
-    # d = 8 leaves 9 null dimensions of 24: urepsc, nrepsc and the null
-    # basis read the one null block the Graph keeps, and R is never
-    # decomposed in full.
+    # d = 8 leaves 9 null dimensions of 24: bisection over [-t, t] finds
+    # them, and urepsc, nrepsc and the null basis read the one N x 9 null
+    # block the Graph keeps; no other eigenpair of R is computed.
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 8)
     first = constraint_null_basis(rep)
     _, _, params = toy_instance
@@ -363,20 +362,39 @@ def test_narrow_exact_constraint_takes_one_interval_solve(eigensolves, toy_insta
     repsc.nrepsc(g, rep, 2)
     assert first.shape == (24, 10)
     assert np.array_equal(constraint_null_basis(rep), first)
-    assert r_solves(eigensolves) == [INTERVAL] and picked_ranks(rep) == []
+    assert r_solves(eigensolves) == [SELECT] and eigensolves[0].width == 9
+    assert picked_ranks(rep) == [None] and rep._memo[("picked", None)][1]
 
 
 def test_wide_exact_constraint_takes_one_select_solve(eigensolves):
-    # d = 6 leaves 14 null dimensions of 24, more than N/2: the interval
-    # solve's width sends every exact call to one select solve of the 10
-    # eigenvectors that are not null, once per Graph, and the wide block
-    # itself is not kept.
+    # d = 6 leaves 14 null dimensions of 24, more than N/2: the solve that
+    # bisected for them goes on, from the same tridiagonalization, to the
+    # 10 eigenvectors that are not null, once per Graph; no eigenvector of
+    # the wide block is computed.
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
     g, _ = memo_pair()
     assert constraint_null_basis(rep).shape == (24, 15)
     repsc.urepsc(g, rep, 2)
-    assert r_solves(eigensolves) == [INTERVAL, SELECT] and eigensolves[1].width == 10
-    assert picked_ranks(rep) == [None] and "null" not in rep._memo
+    assert r_solves(eigensolves) == [SELECT] and eigensolves[0].width == 10
+    assert picked_ranks(rep) == [None] and not rep._memo[("picked", None)][1]
+
+
+@pytest.mark.parametrize("groups", [2, 5, 12])
+def test_a_block_r_takes_one_solve_of_its_groups(groups, eigensolves):
+    # R[i, j] = 1 when nodes i and j share a group, self-loops included:
+    # rank `groups`, and N - groups null dimensions, too many for the Y arm
+    # to be sure of. Bisection finds them, and the same solve goes on to
+    # the eigenvectors that are not null, which span the group indicators.
+    n = 24
+    labels = np.random.default_rng(groups).permutation(np.arange(n) * groups // n)
+    rep = repsc.Graph(labels[:, None] == labels[None, :], allows_self_loops=True)
+    vectors, null = clustering._rep_spectrum(rep, None)
+    onehot = labels[:, None] == np.arange(groups)
+    indicators = onehot / np.sqrt(onehot.sum(axis=0))
+    assert not null and vectors.shape == (n, groups)
+    assert np.abs(vectors @ vectors.T - indicators @ indicators.T).max() <= 1e-10
+    assert constraint_null_basis(rep).shape == (n, n - groups + 1)
+    assert r_solves(eigensolves) == [SELECT] and eigensolves[0].width == groups
 
 
 @pytest.mark.parametrize("d", [8, 6])  # a narrow null block, then a wide one
@@ -403,39 +421,33 @@ def test_null_basis_memo_recomputes_a_changed_r(eigensolves):
     changed = raw.copy()
     changed[0, 1] = changed[1, 0] = 1.0 - changed[0, 1]
     assert not np.array_equal(constraint_null_basis(changed), first)
-    # The exact calls on the raw matrices are wide (see above): an interval
-    # solve, then a select solve. Each rank call is one select solve.
-    assert r_solves(eigensolves) == [INTERVAL, SELECT, SELECT, SELECT, INTERVAL, SELECT,
-                                     INTERVAL, SELECT]
+    # Each call, exact or rank, is one select solve.
+    assert r_solves(eigensolves) == [SELECT] * 5
 
 
 def test_null_basis_memo_caches_no_failure(eigensolves, monkeypatch):
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
     recording = clustering.sym_eig
 
-    def failing(m, b=None, count=None, within=None, pick=None):
+    def failing(m, b=None, count=None, pick=None):
         raise repsc.EigenConvergenceError("no convergence")
-
-    def failing_in_select(m, b=None, count=None, within=None, pick=None):
-        if pick is not None:
-            raise repsc.EigenConvergenceError("no convergence")
-        return recording(m, b, count, within, pick)
 
     monkeypatch.setattr(clustering, "sym_eig", failing)
     with pytest.raises(repsc.EigenConvergenceError):
         constraint_null_basis(rep)
-    assert "null" not in rep._memo
-    monkeypatch.setattr(clustering, "sym_eig", failing_in_select)
-    with pytest.raises(repsc.EigenConvergenceError):
-        constraint_null_basis(rep)
-    assert picked_ranks(rep) == [] and "null" not in rep._memo
+    assert picked_ranks(rep) == []
+    # Inverse iteration fails after bisection has found R wide.
     monkeypatch.setattr(clustering, "sym_eig", recording)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg.lapack, "dstein", lambda *args: (np.zeros((24, 0)), 1))
+        with pytest.raises(repsc.EigenConvergenceError, match="dstein failed"):
+            constraint_null_basis(rep)
+    assert picked_ranks(rep) == []
     constraint_null_basis(rep)
     constraint_null_basis(rep)
-    # R is wide (see above): the second call's interval solve found so and
-    # is not kept, so the third call solves it again, then selects; the
-    # fourth reads the kept select solve.
-    assert r_solves(eigensolves) == [INTERVAL, INTERVAL, SELECT]
+    # The failed solve, then one that is kept: the last call reads it.
+    assert r_solves(eigensolves) == [SELECT, SELECT]
+    assert [solve.width for solve in eigensolves] == [None, 10]
 
 
 def test_null_basis_memo_is_read_only_and_returns_fresh_bases(eigensolves):
@@ -454,13 +466,13 @@ def test_null_basis_memo_is_read_only_and_returns_fresh_bases(eigensolves):
     expected = basis.copy()
     basis[:] = 0.0
     assert np.array_equal(constraint_null_basis(graph), expected)
-    assert r_solves(eigensolves) == [INTERVAL, SELECT, SELECT]
+    assert r_solves(eigensolves) == [SELECT, SELECT]
 
 
 def test_sweep_decomposes_each_r_once_per_grid_point(eigensolves, tmp_path):
     # Setup (expected_spectrum) and 2 trials x (urepsc, nrepsc) at each of
-    # two grid points share one interval solve of that point's R, whose null
-    # block (1 and 9 of 24 dimensions) is narrow: no full decomposition.
+    # two grid points share one solve of that point's R, whose null block
+    # (1 and 9 of 24 dimensions) is narrow: its eigenvectors alone.
     cfg = repsc.parse_config_text(
         "mode = d_regular_sweep\n"
         "algorithms = usc, urepsc, nrepsc\n"
@@ -472,7 +484,8 @@ def test_sweep_decomposes_each_r_once_per_grid_point(eigensolves, tmp_path):
     )
     result = repsc.run_experiment(cfg)
     assert result.error_count == 0 and len(result.rows) == 12
-    assert r_solves(eigensolves) == [INTERVAL, INTERVAL]
+    assert r_solves(eigensolves) == [SELECT, SELECT]
+    assert [solve.width for solve in eigensolves if solve.kind == "select"] == [1, 9]
 
 
 # -- what a Graph keeps of each solve (Graph._memo) --
@@ -560,11 +573,11 @@ def test_raw_matrices_are_solved_on_every_call(eigensolves):
         repsc.urepsc(g, raw_rep, 2)
         repsc.nrepsc_approx(raw_g, rep, 2, 6)
         repsc.fair_sc_baseline(raw_g, raw_rep, 2, groups=3)
-    # usc: 1; urepsc: R (wide: its interval solve and a select solve) and
-    # the restricted problem; nrepsc_approx: the restricted problem, and on
-    # the first call the Graph R's select solve for rank 6, which it keeps;
-    # the baseline: discovery and solve.
-    assert len(eigensolves) == 2 * (1 + 3 + 1 + 2) + 1
+    # usc: 1; urepsc: R's select solve and the restricted problem;
+    # nrepsc_approx: the restricted problem, and on the first call the
+    # Graph R's select solve for rank 6, which it keeps; the baseline:
+    # discovery and solve.
+    assert len(eigensolves) == 2 * (1 + 2 + 1 + 2) + 1
     assert "_memo" not in vars(g)
 
 
@@ -639,18 +652,15 @@ def test_embedding_subspace_is_permutation_equivariant(equivariance_instances, n
 @pytest.fixture
 def eighs(monkeypatch):
     """One record per ``scipy.linalg.eigh`` call: the order of its matrix,
-    the shape of its ``b`` (None without one) and what it solves, told apart
-    by the options and the matrix: "interval" for the eigenpairs in a range
-    of values (``subset_by_value``), "full" for a whole spectrum, "L" for a
+    the shape of its ``b`` (None without one), what it solves, told apart
+    by the options and the matrix ("full" for a whole spectrum, "L" for a
     Laplacian (rows sum to zero), "normalized L" for a unit diagonal,
-    "other" otherwise."""
+    "other" otherwise), and the names of the options it was given."""
     calls = []
     eigh = scipy.linalg.eigh
 
     def recording(a, b=None, **options):
-        if options.get("subset_by_value") is not None:
-            kind = "interval"
-        elif options.get("subset_by_index") is None:
+        if options.get("subset_by_index") is None:
             kind = "full"
         elif np.allclose(a.sum(axis=1), 0.0):
             kind = "L"
@@ -658,7 +668,7 @@ def eighs(monkeypatch):
             kind = "normalized L"
         else:
             kind = "other"
-        calls.append((a.shape[0], None if b is None else b.shape, kind))
+        calls.append((a.shape[0], None if b is None else b.shape, kind, sorted(options)))
         return eigh(a, b, **options)
 
     monkeypatch.setattr(scipy.linalg, "eigh", recording)
@@ -667,13 +677,14 @@ def eighs(monkeypatch):
 
 def test_a_sweep_solves_only_r_and_the_unconstrained_problems_at_full_size(eighs, eigensolves,
                                                                            tmp_path):
-    # Per grid point: R once, by its interval solve (kept in its memo,
-    # shared by the setup and the constrained rows), then usc's L and nsc's
-    # D^{-1/2} L D^{-1/2} once per trial's sampled graph. The setup's
-    # expected spectrum and the constrained rows solve problems of the null
-    # space's dimension, and no call factors an N-by-N b. A fallback to a
-    # full solve fails the scipy.linalg.eigh count; one to a select solve,
-    # which calls LAPACK directly, fails the count of R's solves.
+    # Per grid point: R once, by one select solve of its null block (kept
+    # in its memo, shared by the setup and the constrained rows), then
+    # usc's L and nsc's D^{-1/2} L D^{-1/2} once per trial's sampled graph.
+    # The setup's expected spectrum and the constrained rows solve problems
+    # of the null space's dimension, and no call factors an N-by-N b. R's
+    # solve calls LAPACK directly: a fallback to a full or an interval
+    # solve through scipy.linalg.eigh fails the eigh count or its options,
+    # and a second solve of R the count of R's solves.
     n, d_values, trials = 60, (6, 12), 2
     cfg = repsc.parse_config_text(
         "mode = d_regular_sweep\n"
@@ -686,11 +697,11 @@ def test_a_sweep_solves_only_r_and_the_unconstrained_problems_at_full_size(eighs
     )
     result = repsc.run_experiment(cfg)
     assert result.error_count == 0 and len(result.rows) == 4 * len(d_values) * trials
-    assert all(b is None or b[0] < n for _, b, _ in eighs)
-    full_size = sorted(kind for order, _, kind in eighs if order == n)
-    assert full_size == sorted(["interval"] * len(d_values)
-                               + ["L", "normalized L"] * len(d_values) * trials)
-    assert r_solves(eigensolves) == [("interval", (n, n))] * len(d_values)
+    assert all(b is None or b[0] < n for _, b, _, _ in eighs)
+    assert not any("subset_by_value" in options for *_, options in eighs)
+    full_size = sorted(kind for order, _, kind, _ in eighs if order == n)
+    assert full_size == sorted(["L", "normalized L"] * len(d_values) * trials)
+    assert r_solves(eigensolves) == [("select", (n, n))] * len(d_values)
 
 
 # -- basis invariance ---------------------------------------------------------
@@ -778,9 +789,10 @@ def test_complement_arm_warning_survives_a_kept_solve(eigensolves):
     first = repsc.urepsc(g, rep, 2)
     assert len(first.warnings) == 1 and "eigengap between positions 1 and 2" in first.warnings[0]
     assert repsc.urepsc(g, rep, 2, repsc.KMeansConfig(seed=4)).warnings == first.warnings
-    # R's interval solve, its select solve (10 null dimensions of 12 make
-    # the block wide) and the restricted problem.
-    assert len(eigensolves) == 3 and eigensolves[1].kind == "select"
+    # R's select solve (10 null dimensions of 12 make the block wide, so
+    # it takes the 2 eigenvectors that are not null) and the restricted
+    # problem.
+    assert len(eigensolves) == 2 and (eigensolves[0].kind, eigensolves[0].width) == ("select", 2)
     assert clustering._embed(g, 2, constraint_null_basis(rep))[2] == first.warnings
 
 
@@ -830,14 +842,15 @@ def test_the_basis_arm_holds_no_n_by_n_matrix_beyond_the_graph(normalized):
 
 
 def test_r_keeps_its_null_block_and_not_the_solve_buffer():
-    # On a fresh d-regular R at N = 600 the interval solve finds 39 null
-    # pairs; the Graph keeps that N x 39 block and its threshold. A slice
-    # of the solve's N x N eigenvector buffer would keep all N^2 numbers.
+    # On a fresh d-regular R at N = 600 bisection finds 39 null pairs; the
+    # Graph keeps their N x 39 eigenvectors and its threshold. A slice of
+    # an N-column eigenvector buffer would keep all N^2 numbers.
     n, m = 600, 39
     graphs = [repsc.build_d_regular_rep_graph(n, 5, 40)[0] for _ in range(2)]
     fresh = iter(graphs)
     assert traced_retained(lambda: constraint_null_basis(next(fresh))) <= (m + 2) * n * 8
-    assert graphs[1]._memo["null"].shape == (n, m)
+    vectors, null = graphs[1]._memo[("picked", None)]
+    assert vectors.shape == (n, m) and null
 
 
 def test_a_rank_r_graph_keeps_r_eigenvectors_and_not_r_s_decomposition():

@@ -1029,7 +1029,7 @@ def test_every_array_a_graph_keeps_owns_its_bytes(tmp_path):
     assert repsc.run_experiment(cfg).error_count == 0
     # The trial's inputs are still in the harness cache: this is a hit.
     graph, rep, _, _ = repsc.experiments._trial_inputs(cfg, 120, 3, 18, cfg.base_seed)
-    assert "null" in rep._memo and sum(key[0] == "points" for key in graph._memo) == 4
+    assert rep._memo[("picked", None)][1] and sum(key[0] == "points" for key in graph._memo) == 4
     kept = [array for memo in (graph._memo, rep._memo) for value in memo.values()
             for array in kept_arrays(value)]
     assert len(kept) >= 9
@@ -1049,10 +1049,12 @@ BUDGET_CONFIGS = {
 
 
 @pytest.mark.parametrize("mode, budget", [
-    # The bool R (1/8) and R's interval solve: its float copy of R and its
-    # N-column eigenvector buffer, before G is drawn. Reads 2.27; float64 R
-    # and G read 3.21, and a null block that pinned the buffer 4.18.
-    ("d_regular", 2.5),
+    # The bool R and G (1/8 each) and one N x N matrix with its solve's
+    # thin blocks: usc's and nsc's Laplacian, or before G is drawn R's
+    # float copy, tridiagonalized in place for its null block. Reads 1.46;
+    # R's interval solve with an N-column eigenvector buffer read 2.27,
+    # float64 R and G 3.21, and a null block that pinned the buffer 4.18.
+    ("d_regular", 1.75),
     # The bool R and G (1/8 each) and R's select solve: its float copy of
     # R, holding the reflectors, and N x r blocks of eigenvectors. Reads
     # 2.09; float64 R and G read 3.84, and R's full decomposition (its copy

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import repsc
 from repsc import clustering
 from repsc.clustering import ONES_IN_NULL_ATOL, constraint_null_basis
-from repsc.linalg import RANK_REL_TOL, matmul, sym_eig
+from repsc.linalg import RANK_REL_TOL, Band, matmul, sym_eig
 from conftest import clear_harness_caches
 
 PROJECTOR_ATOL = 1e-8
@@ -118,9 +118,10 @@ def test_null_basis_matches_svd_reference(kind, seed):
 @given(kind=st.sampled_from(sorted(REP_KINDS)), seed=st.integers(0, 2**32 - 1))
 @example(kind="block", seed=0)
 def test_interval_null_block_matches_svd_reference(kind, seed):
-    # The exact constraint reads R's null eigenpairs alone: an N x m block
-    # when 2 (m + 1) <= N, and the N - m eigenvectors that are not null when
-    # the block is wider (the block kind: at most 5 groups of 24 nodes).
+    # The exact constraint bisects for R's null eigenvalues over [-t, t]:
+    # their N x m eigenvectors alone when 2 (m + 1) <= N, and the N - m
+    # eigenvectors that are not null when the block is wider (the block
+    # kind: at most 5 groups of 24 nodes).
     r = REP_KINDS[kind](np.random.default_rng(seed))
     n = r.shape[0]
     null_r = reference_null_basis(r, center=False)
@@ -138,19 +139,19 @@ def test_interval_null_block_matches_svd_reference(kind, seed):
         # A Graph R keeps the same solve of the same matrix: the same bytes.
         rep = repsc.Graph(r.copy(), allows_self_loops=True)
         assert np.array_equal(constraint_null_basis(rep), constraint_null_basis(r))
-        assert ("null" in rep._memo) == null and (("picked", None) in rep._memo) == (not null)
+        assert rep._memo[("picked", None)][1] == null
 
 
 def test_interval_null_block_of_the_zero_matrix_is_everything():
-    # t = RANK_REL_TOL * N * ||R||_inf is 0, and LAPACK's half-open interval
-    # (-0, 0] would hold no eigenvalue: R = 0 takes the select solve, which
+    # t = RANK_REL_TOL * N * ||R||_inf is 0, and a band needs a positive
+    # bound: R = 0 takes the select solve over every eigenvalue, which
     # finds no eigenvector that is not null.
     for n in (1, 4, 7):
         vectors, null = clustering._rep_spectrum(np.zeros((n, n)), None)
         assert vectors.shape == (n, 0) and not null
         rep = repsc.Graph(np.zeros((n, n)))
         assert constraint_null_basis(rep).shape == (n, n)
-        assert "null" not in rep._memo
+        assert not rep._memo[("picked", None)][1]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -267,6 +268,11 @@ def test_select_solve_matches_the_full_decomposition(name, monkeypatch):
     masks = []
 
     def spying(m, pick):  # keeps the mask _pick hands the select solve
+        if isinstance(pick, Band):  # the side it takes, from every eigenvalue
+            inside = np.abs(sym_eig(m).eigenvalues) <= pick.bound
+            masks.append(inside if np.count_nonzero(inside) <= pick.most else ~inside)
+            return sym_eig(m, pick=pick)
+
         def spy(spectrum):
             masks.append(pick(spectrum))
             return masks[-1]
@@ -278,8 +284,10 @@ def test_select_solve_matches_the_full_decomposition(name, monkeypatch):
         tol = RANK_REL_TOL * n * np.abs(r).sum(axis=1).max()
         picked, on_null = clustering._pick(r, tol, rank)
         # The narrower side: the null positions for a rank whose truncation
-        # keeps more than half of R, the kept ones otherwise.
-        assert on_null == (rank is not None and 2 * np.count_nonzero(null) < n)
+        # keeps more than half of R, the kept ones otherwise; for the exact
+        # constraint, the null positions when 2 (m + 1) <= N.
+        nulls = np.count_nonzero(null)
+        assert on_null == (2 * nulls < n if rank is not None else 2 * (nulls + 1) <= n)
         mask = masks.pop()
         assert np.array_equal(mask, null if on_null else ~null)
         assert picked.shape == (n, np.count_nonzero(mask))

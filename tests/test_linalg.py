@@ -14,10 +14,12 @@ from hypothesis.extra import numpy as hnp
 
 import repsc
 from conftest import traced_peak
+from repsc import clustering
 from repsc.clustering import constraint_null_basis
 from repsc.linalg import (
     SIGN_THRESHOLD,
     SYMMETRY_ATOL,
+    Band,
     _fix_signs,
     _scratch,
     _symmetrize,
@@ -133,42 +135,85 @@ def test_sym_eig_count_returns_the_bottom_pairs():
         assert repsc.sym_eig(a, count=n + 3).eigenvalues.shape == (n,)
 
 
-def test_sym_eig_within_returns_the_pairs_in_the_closed_interval():
+def planted_null(rng, n, m):
+    """A symmetric n x n matrix with eigenvalue 0 of multiplicity m (a
+    random eigenbasis; every other |lambda| in [0.5, 3] with a random sign),
+    and the threshold that counts its null eigenvalues: rounding leaves them
+    at about 1e-15, far inside it."""
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    values = np.zeros(n)
+    values[m:] = rng.uniform(0.5, 3.0, n - m) * rng.choice([-1.0, 1.0], n - m)
+    a = (basis * values) @ basis.T
+    return (a + a.T) / 2.0, 1e-8
+
+
+def assert_band_matches_the_full_decomposition(a, bound):
+    """The narrow and the wide answer of a ``Band`` against the full ``evd``:
+    the band's eigenvalues alone and the projector of their eigenvectors,
+    or every eigenvalue and the projector of the ones outside the band."""
+    n = a.shape[0]
+    full = repsc.sym_eig(a)
+    inside = np.abs(full.eigenvalues) <= bound
+    narrow = repsc.sym_eig(a, pick=Band(bound, inside.sum()))
+    assert np.allclose(narrow.eigenvalues, full.eigenvalues[inside], atol=1e-9)
+    assert_same_projector(narrow.eigenvectors, full.eigenvectors[:, inside])
+    wide = repsc.sym_eig(a, pick=Band(bound, inside.sum() - 1))
+    assert np.allclose(wide.eigenvalues, full.eigenvalues, atol=1e-9)
+    assert_same_projector(wide.eigenvectors, full.eigenvectors[:, ~inside])
+    for vectors in (narrow.eigenvectors, wide.eigenvectors):
+        assert np.allclose(vectors.T @ vectors, np.eye(vectors.shape[1]), atol=1e-10)
+        assert_sign_fixed(vectors)
+        assert vectors.shape[0] == n and vectors.flags.f_contiguous
+    return narrow
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(4, 60), share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_a_band_spans_the_planted_null_space(n, share, seed):
+    # A zero eigenvalue of multiplicity m >= 2: bisection over [-t, t] finds
+    # the whole cluster, and inverse iteration spans the same null space as
+    # the null columns of the full decomposition.
+    m = 2 + int(share * (n - 3))
+    a, bound = planted_null(np.random.default_rng(seed), n, m)
+    narrow = assert_band_matches_the_full_decomposition(a, bound)
+    assert narrow.eigenvectors.shape == (n, m)
+    assert np.abs(narrow.eigenvalues).max() <= 1e-12
+
+
+def test_band_returns_the_pairs_in_the_closed_interval():
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(3, 12))
         a = random_symmetric(rng, n)
-        for b in (None, random_spd(rng, n)):
-            full = repsc.sym_eig(a, b)
-            # Halfway between two magnitudes: no eigenvalue sits near an end.
-            magnitudes = np.sort(np.abs(full.eigenvalues))
-            bound = float(magnitudes[n // 2 - 1] + magnitudes[n // 2]) / 2.0
-            inside = np.abs(full.eigenvalues) <= bound
-            part = repsc.sym_eig(a, b, within=bound)
-            assert np.allclose(part.eigenvalues, full.eigenvalues[inside], atol=1e-9)
-            assert np.allclose(part.eigenvectors, full.eigenvectors[:, inside], atol=1e-7)
-            assert_sign_fixed(part.eigenvectors)
+        # Halfway between two magnitudes: no eigenvalue sits near an end.
+        magnitudes = np.sort(np.abs(repsc.sym_eig(a).eigenvalues))
+        assert_band_matches_the_full_decomposition(
+            a, float(magnitudes[n // 2 - 1] + magnitudes[n // 2]) / 2.0)
+    for seed, (n, m) in enumerate([(40, 2), (40, 19), (120, 39), (9, 7)]):
+        assert_band_matches_the_full_decomposition(*planted_null(np.random.default_rng(seed), n, m))
     # Both ends of [-1, 1] belong to it, and an empty interval is no error.
-    values = repsc.sym_eig(np.diag([2.0, 1.0, -1.0, 0.5, -3.0]), within=1.0).eigenvalues
+    values = repsc.sym_eig(np.diag([2.0, 1.0, -1.0, 0.5, -3.0]), pick=Band(1.0, 5)).eigenvalues
     assert values.tolist() == [-1.0, 0.5, 1.0]
-    empty = repsc.sym_eig(np.diag([2.0, -3.0]), within=1.0)
-    assert empty.eigenvalues.shape == (0,) and empty.eigenvectors.shape == (2, 0)
+    for n in (1, 2, 5):
+        empty = repsc.sym_eig(np.diag(np.linspace(2.0, 3.0, n)), pick=Band(1.0, 0))
+        assert empty.eigenvalues.shape == (0,) and empty.eigenvectors.shape == (n, 0)
+    # A wide 1 x 1 band: its eigenvalue, and no eigenvector outside it.
+    wide = repsc.sym_eig(np.array([[0.5]]), pick=Band(1.0, 0))
+    assert wide.eigenvalues.tolist() == [0.5] and wide.eigenvectors.shape == (1, 0)
 
 
-def test_sym_eig_within_rejects_a_bound_that_is_not_positive():
-    for bound in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError, match="within must be positive"):
-            repsc.sym_eig(np.eye(3), within=bound)
-    with pytest.raises(ValueError, match="count and within"):
-        repsc.sym_eig(np.eye(3), count=1, within=1.0)
+def test_band_rejects_a_bound_that_is_not_positive_and_finite():
+    for bound in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="bound must be positive and finite"):
+            repsc.sym_eig(np.eye(3), pick=Band(bound, 3))
 
 
 def test_sym_eig_pick_stands_alone():
     def every(values):
         return np.ones(values.size, dtype=bool)
 
-    for options in ({"b": np.eye(3)}, {"count": 1}, {"within": 1.0}):
-        with pytest.raises(ValueError, match="pick cannot be given with b, count or within"):
+    for options in ({"b": np.eye(3)}, {"count": 1}):
+        with pytest.raises(ValueError, match="pick cannot be given with b or count"):
             repsc.sym_eig(np.eye(3), pick=every, **options)
 
 
@@ -180,15 +225,16 @@ def test_sym_eig_leaves_its_arguments_unchanged():
     noisy = a + 1e-13 * rng.standard_normal((n, n))
     for m in (a, np.asfortranarray(a), noisy):
         for b in (None, spd, np.asfortranarray(spd)):
-            for count, within in ((None, None), (1, None), (3, None), (None, 1.0)):
+            for count in (None, 1, 3):
                 m_before = m.copy()
                 b_before = None if b is None else b.copy()
-                repsc.sym_eig(m, b, count, within)
+                repsc.sym_eig(m, b, count)
                 assert np.array_equal(m, m_before)
                 assert b is None or np.array_equal(b, b_before)
-        m_before = m.copy()
-        repsc.sym_eig(m, pick=lambda values: values > 0.0)
-        assert np.array_equal(m, m_before)
+        for pick in (lambda values: values > 0.0, Band(1.0, n), Band(1.0, 0)):
+            m_before = m.copy()
+            repsc.sym_eig(m, pick=pick)
+            assert np.array_equal(m, m_before)
 
 
 @pytest.mark.parametrize("use_b, count, copies", [
@@ -222,6 +268,18 @@ def test_sym_eig_pick_holds_one_copy_and_thin_blocks():
     assert peak <= 1.5 * n * n * 8
 
 
+def test_the_exact_null_solve_of_a_regular_r_holds_one_copy():
+    # R's exact constraint on a fresh d-regular R at N = 400 (19 null
+    # pairs): its float copy of R, tridiagonalized in place, the bool
+    # finiteness check of that copy (1/8) and N x 19 blocks. Bisection
+    # computes no other eigenvalue and no N-column eigenvector buffer is
+    # made; the interval solve of scipy's subset driver read about 2.1.
+    n = 400
+    fresh = iter([repsc.build_d_regular_rep_graph(n, 5, 40)[0] for _ in range(2)])
+    peak = traced_peak(lambda: clustering._rep_spectrum(next(fresh), None))
+    assert peak <= 1.3 * n * n * 8
+
+
 def test_a_scratch_matrix_is_solved_without_a_copy():
     # The matrix itself is LAPACK's workspace: only the eigenvector and
     # work arrays are allocated.
@@ -232,13 +290,14 @@ def test_a_scratch_matrix_is_solved_without_a_copy():
     assert peak <= 0.25 * n * n * 8
 
 
-@pytest.mark.parametrize("options", [{}, {"count": 3}, {"within": 1.0},
+@pytest.mark.parametrize("options", [{}, {"count": 3}, {"pick": Band(1.0, 200)},
                                      {"pick": lambda values: values > 0.0}])
 def test_sym_eig_results_own_their_bytes(options):
-    # The subset solves fill buffers sized for all N pairs and scipy
-    # returns slices of them; a caller keeping such a slice, as R's memo
-    # keeps its null block, would keep the N x N buffer alive. The copy
-    # keeps LAPACK's Fortran layout.
+    # The subset solve fills buffers sized for all N pairs and scipy
+    # returns slices of them, and bisection returns a band's eigenvalues in
+    # an N-long buffer; a caller keeping such a slice, as R's memo keeps
+    # its null block, would keep the larger buffer alive. The copy keeps
+    # LAPACK's Fortran layout.
     n = 200
     a = random_symmetric(np.random.default_rng(3), n)
     values, vectors = repsc.sym_eig(a, **options)

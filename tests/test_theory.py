@@ -210,11 +210,12 @@ def test_expected_case_inputs_convenience():
 
 
 def test_expected_spectrum_on_a_fresh_r_holds_three_matrices():
-    # In N x N float64 units at N = 600, R included: R, then the interval
-    # solve's copy of R and its N-column eigenvector buffer, then R and the
-    # expected Laplacian. Reads 2.27 with a bool R, 3.14 with a float64 R.
-    # The expected adjacency and a separate Laplacian held next to R and the
-    # solve would read about 5.05.
+    # In N x N float64 units at N = 600, R included: the bool R (1/8), then
+    # R's null solve (its float copy of R, tridiagonalized in place, and
+    # N x 39 blocks), then the expected Laplacian, each about 1.2 next to
+    # R. Reads 1.42; R's interval solve with an N-column eigenvector buffer
+    # read 2.27, and 3.14 with a float64 R. The expected adjacency and a
+    # separate Laplacian held next to R and the solve would read about 5.05.
     n = 600
     peak = traced_peak(lambda: repsc.expected_spectrum(make_params(n, 5, 40, **SWEEP_PROBS)))
-    assert peak <= 3.25 * n * n * 8
+    assert peak <= 1.75 * n * n * 8
