@@ -124,7 +124,7 @@ def main(argv=None) -> int:
             for name, path in paths.items():
                 print(f"wrote {name}: {path}")
             return 0
-    except (RepscError, OSError) as exc:
+    except (RepscError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -1,89 +1,15 @@
 """Spectral clustering, plain and representation-constrained.
 
 The six spectral algorithms and the group-fairness baseline solve one
-problem and then run k-means on the rows of its solution:
+problem, minimize tr(H^T L H) subject to H^T B H = I and H in S, and run
+k-means on the rows of its solution (README, *Algorithms*). ``_embed`` is
+that kernel; ``_basis`` hands it S as an orthonormal basis Y or as one W of
+S's orthogonal complement, and ``_rep_spectrum`` is the only code that
+solves a representation matrix R. Everything before k-means is
+deterministic, and a ``Graph`` keeps it (``graphs._memoized``).
 
-    minimize tr(H^T L H)  subject to  H^T B H = I,  H in S,
-
-with L = D - A the unnormalized Laplacian of the similarity graph. B is the
-identity (ratio-cut flavor) or the degree matrix D (normalized-cut
-flavor); S is everything or the null space of the centered representation
-matrix R (I - 11^T/N), which forces the relaxed indicator vectors to
-respect proportional representation. ``_embed`` takes S in one of two
-forms, and ``_basis`` hands it whichever has fewer columns; both widths
-follow from the input before either is built, so no option picks one:
-
-* Y, an orthonormal basis of S (m columns). Writing H = Y Z, the solution
-  is the bottom-k generalized eigenvectors of (Y^T L Y, Y^T B Y),
-  re-expanded by Y; a generalized m-by-m problem when B = D, with L only
-  as the N-by-m product L Y. Exact urepsc and nrepsc on a d-regular R take
-  this arm (40 of 600 dimensions on the benchmark's R).
-* W, an orthonormal basis of S's orthogonal complement (w columns: about r
-  for the approximate variants, G - 1 for the baseline's G groups).
-  ``_deflate`` turns L into P L P + c W W^T (P = I - W W^T), with c above
-  every eigenvalue of L, and the bottom min(k + 1, N - w) eigenpairs of
-  that N-by-N matrix are the restricted problem's. With B = D the same runs
-  on D^{-1/2} L D^{-1/2} with D^{-1/2} W orthonormalized, and H is D^{-1/2}
-  times the eigenvectors. No generalized problem, N-by-m Y or m-by-m
-  matrix is formed.
-
-With no constraint (usc, nsc) L or D^{-1/2} L D^{-1/2} is solved directly,
-and nsc's embedding is D^{-1/2} times the eigenvectors: the generalized
-ones, so no N-by-N B is ever factored.
-
-================ = =================================== =================== =================================== =====================
-algorithm        B S                                   Y arm               W arm                               rows fed to k-means
-================ = =================================== =================== =================================== =====================
-usc              I everything                          none                L                                   as they are
-nsc              D everything                          none                D^{-1/2} L D^{-1/2}                 scaled to unit length
-urepsc           I null space of R (I - 11^T/N)        Y^T L Y             L deflated by W                     as they are
-nrepsc           D null space of R (I - 11^T/N)        (Y^T L Y, Y^T D Y)  D^{-1/2} L D^{-1/2} deflated by W'  as they are
-urepsc_approx    I the same for R's rank-r truncation  Y^T L Y             L deflated by W                     as they are
-nrepsc_approx    D the same for R's rank-r truncation  (Y^T L Y, Y^T D Y)  D^{-1/2} L D^{-1/2} deflated by W'  as they are
-fair_sc_baseline I span(1) + zero sum on every group   Y^T L Y             L deflated by W                     as they are
-================ = =================================== =================== =================================== =====================
-
-D^{-1/2} L D^{-1/2} = I - D^{-1/2} A D^{-1/2} is the normalized Laplacian
-of Ng, Jordan and Weiss, and nsc's unit-length scaling cancels the D^{-1/2}
-factor again, so it clusters the classic normalized embedding. This module
-owns every Y and W, and none takes an SVD. ``constraint_null_basis`` builds
-every Y that comes from an R from R's eigenvectors, and ``_rep_spectrum``
-owns what counts as null. Every constraint from R is one select solve of R
-(``sym_eig``'s ``pick``) from one tridiagonalization. The exact constraint
-reads null(R) alone: bisection over [-t, t], for t the null threshold,
-finds its width m and its eigenvalues, and only their eigenvectors are
-computed, an N-by-m block (m = 39 of 600 on the benchmark's d-regular R),
-with no other eigenvalue. For the approximate variants the null space of
-the truncation is spanned by the eigenvectors the truncation discards, and
-no rank-r matrix is ever formed. W spans (I - 11^T/N) V_r for the kept
-eigenvectors V_r that are not null. So a rank-r constraint, or an exact
-null block too wide to be sure of the Y arm (2 (m + 1) > N, as the
-bisection counts it, from the same tridiagonal), takes every eigenvalue
-and the eigenvectors of the narrower side only, V_r or the null ones, an
-N-by-w block with w at most about N/2. The other side, where an arm needs
-it, is that block's orthogonal complement.
-No N-by-N eigenvector matrix of R is formed. R is solved nowhere else: a
-``Graph`` R keeps each solve (("picked", rank), rank None for the exact
-constraint) in its memo, each run at most once per R object and rank and
-owning its bytes; a raw matrix R is solved on every call.
-``_group_basis`` writes the baseline's Y down from the groups, and
-``_group_complement`` its W. ``_split_ones`` takes the ones direction out
-of orthonormal columns for both arms.
-
-Everything before k-means is deterministic, so ``_solve`` keeps it on the
-similarity ``Graph`` (``Graph._memo``): the k-means input points, the
-spectrum and the warnings, keyed by (R, rank, normalized, unit_rows, k).
-Runs that differ only in the k-means seed, such as the trials of a sweep
-on one fixed pair of graphs, then build each Y or W and solve the
-eigenproblem once. An entry is an N-by-k array that owns its bytes (not a
-slice of the solve's N-by-(k + 1) output) and lives as long as the Graph;
-no basis or Laplacian outlives its call. A raw matrix, as the graph or as
-R, and the baseline's group constraint are solved on every call.
-
-k-means is implemented here rather than borrowed so that seeding, restarts,
-tie-breaking and empty-cluster repair are fully deterministic functions of
-the config seed. Its restarts run in lockstep, so each seeding or Lloyd
-step is one ``matmul`` for all of them.
+k-means is implemented here so that seeding, restarts, tie-breaking and
+empty-cluster repair are deterministic functions of the config seed.
 """
 
 from __future__ import annotations
@@ -101,13 +27,12 @@ from .errors import (
     RankTooLargeError,
 )
 from .graphs import (ClusterAssignment, Graph, _check_k, _degrees, _laplacian,
-                     _laplacian_product, as_adjacency)
+                     _laplacian_product, _memoized, as_adjacency)
 from .linalg import (
     RANK_REL_TOL,
     Band,
     _complement_columns,
     _fix_signs,
-    _owned,
     _scratch,
     _symmetrize,
     as_float_matrix,
@@ -355,9 +280,8 @@ def _pick(r: np.ndarray, tol: float, rank: int | None) -> tuple[np.ndarray, bool
     mask (|lambda| <= ``tol``, and with ``rank`` every eigenpair outside the
     ``rank`` of largest |lambda|, ties kept in ascending position): its
     eigenvectors, and whether they are the null ones. Without ``rank`` the
-    pick is a ``Band``: the null block when 2 (m + 1) <= N for its width m,
-    so that ``_basis`` takes Y, else the side that is not null, which is
-    also what R = 0 (``tol`` = 0, every eigenvalue null) gets."""
+    null side is taken when its width m has 2 (m + 1) <= N, and R = 0
+    (``tol`` = 0, every eigenvalue null) takes the side that is not null."""
     n = r.shape[0]
     if rank is None and tol > 0.0:
         values, vectors = sym_eig(r, pick=Band(tol, (n - 2) // 2))
@@ -379,44 +303,27 @@ def _pick(r: np.ndarray, tol: float, rank: int | None) -> tuple[np.ndarray, bool
 def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, bool]:
     """Orthonormal eigenvectors of R that span either null(R), or the null
     space of R's rank-``rank`` truncation, or its orthogonal complement,
-    and whether they span the null side (N-by-w, w at most about N/2).
+    whichever is narrower (``_pick``), and whether they span the null side.
 
     An eigenvalue counts as zero when |lambda| <= t = RANK_REL_TOL * N *
-    ||R||_inf, with ||R||_inf the largest absolute row sum: it bounds every
-    |lambda| (Gershgorin) and equals max|lambda| on a regular R. With
-    ``rank`` so do all but the ``rank`` eigenpairs of largest |lambda| (ties
-    kept in ascending position).
-
-    Either constraint is one select solve of R (``_pick``), from one
-    tridiagonalization. Without ``rank`` only null(R) is read: bisection
-    over [-t, t] finds its width m and its eigenvalues, and a narrow block
-    (2 (m + 1) <= N) takes their eigenvectors alone, N-by-m, with no other
-    eigenvalue computed; a wide one, so that ``_basis`` may choose the
-    complement W, or R = 0 (t = 0, every eigenvalue null), goes on to every
-    eigenvalue and the eigenvectors that are not null. With ``rank`` every
-    eigenvalue is computed, and the eigenvectors of the narrower side only:
-    the ``rank`` kept ones or the null ones, whichever are fewer. A
-    ``Graph`` keeps t ("null_tol") and each solve, read-only, in its memo
-    under ("picked", rank), rank None for the exact constraint, once per
-    (R, rank); a raw matrix R is solved on every call. This is the only
-    code that solves R, no N-by-N eigenvector matrix of R is formed, and no
-    result depends on which solve ran first.
+    ||R||_inf, with ||R||_inf the largest absolute row sum; with ``rank`` so
+    do all but the ``rank`` eigenpairs of largest |lambda|. A ``Graph`` R
+    keeps t ("null_tol") and each solve (("picked", rank)), so it is solved
+    at most once per rank; a raw matrix R is solved on every call.
     """
     graph = isinstance(rep_graph_or_matrix, Graph)
     r = rep_graph_or_matrix.adjacency if graph else as_float_matrix(rep_graph_or_matrix)
     n = r.shape[0]
     if rank is not None and not 0 <= rank <= n:
         raise ValueError(f"rank must lie in [0, {n}], got {rank}")
-    memo = rep_graph_or_matrix._memo if graph else {}
-    if "null_tol" not in memo:
+
+    def null_tol() -> float:
         # A Graph's entries are 0 and 1, so its absolute row sums are its degrees.
         row_sums = _degrees(r) if graph else np.abs(r).sum(axis=1)
-        memo["null_tol"] = RANK_REL_TOL * n * (row_sums.max() if r.size else 0.0)
-    key = ("picked", rank)
-    if key not in memo:
-        memo[key] = _pick(r, memo["null_tol"], rank)
-        memo[key][0].flags.writeable = False
-    return memo[key]
+        return RANK_REL_TOL * n * (row_sums.max() if r.size else 0.0)
+
+    tol = _memoized(rep_graph_or_matrix, "null_tol", null_tol)
+    return _memoized(rep_graph_or_matrix, ("picked", rank), lambda: _pick(r, tol, rank))
 
 
 def _split_ones(columns: np.ndarray, overlap: np.ndarray, drop: bool) -> np.ndarray:
@@ -452,17 +359,12 @@ def constraint_null_basis(rep_graph_or_matrix, rank: int | None = None) -> np.nd
     Every vector in this space, viewed as a relaxed cluster indicator,
     assigns each node's representatives to clusters in proportion to
     cluster sizes. The space is span(1) plus the part of null(R) orthogonal
-    to 1, so R's null eigenvectors give it (see ``_rep_spectrum`` for what
-    counts as null). With ``rank``, R is replaced by its best
-    rank-``rank`` approximation, whose null space is spanned by the
-    discarded eigenvectors and the kept null ones.
+    to 1 (see ``_rep_spectrum`` for what counts as null). With ``rank``, R
+    is replaced by its best rank-``rank`` approximation.
 
     Column 0 is the normalized all-ones vector; every column carries the
-    linalg sign convention. Only the narrower side of R's eigenvectors is
-    solved for (``_rep_spectrum``); when that is the side that is not null,
-    the null side is its orthogonal complement (``_complement_columns``). A
-    ``Graph`` R keeps each solve, a raw matrix R is solved on every call;
-    the returned basis is always a fresh array.
+    linalg sign convention. A ``Graph`` R keeps its solve, a raw matrix R
+    is solved on every call; the returned basis is always a fresh array.
     """
     vectors, null = _rep_spectrum(rep_graph_or_matrix, rank)
     return _null_basis(vectors if null else _complement_columns(vectors))
@@ -476,36 +378,10 @@ def _null_basis(vectors: np.ndarray) -> np.ndarray:
     return np.column_stack([ones, _split_ones(vectors, overlap, drop=True)])
 
 
-def _contrasts(count: int, weight: int = 1) -> np.ndarray:
-    """Helmert contrasts of ``count`` items of ``weight`` nodes each, one per
-    column: column j is 0 before item j, positive on it and equal and negative
-    after it, and has unit length over the nodes."""
-    remaining = np.arange(count - 1, 0, -1)
-    scale = 1.0 / np.sqrt(weight * remaining * (remaining + 1))
-    out = np.tril(np.broadcast_to(-scale, (count, count - 1)), -1)
-    np.fill_diagonal(out, remaining * scale)
-    return out
-
-
-def _group_basis(groups: ClusterAssignment) -> np.ndarray:
-    """[1/sqrt(N), each non-empty group's ``_contrasts`` over its members in
-    node order]: the null basis of the centered block matrix of the groups,
-    with the linalg sign convention by construction."""
-    sizes = groups.sizes[groups.sizes > 0]
-    basis = np.zeros((groups.n, 1 + groups.n - sizes.size))
-    basis[:, 0] = 1.0 / np.sqrt(groups.n)
-    column = 1
-    for members in np.split(np.argsort(groups.labels, kind="stable"), np.cumsum(sizes)[:-1]):
-        basis[members, column:column + members.size - 1] = _contrasts(members.size)
-        column += members.size - 1
-    return basis
-
-
 def _group_complement(groups: ClusterAssignment) -> np.ndarray:
     """W for the group constraint: an orthonormal basis of the span of
-    1_g - (|g|/N) 1 over the non-empty groups g, the orthogonal complement
-    of ``_group_basis``'s span. The unit indicators of the groups span 1, so
-    ``_split_ones`` drops it from them."""
+    1_g - (|g|/N) 1 over the non-empty groups g. The unit indicators of the
+    groups span 1, so ``_split_ones`` drops it from them."""
     used = groups.sizes > 0
     sizes = groups.sizes[used]
     indicators = np.zeros((groups.n, sizes.size))
@@ -627,23 +503,15 @@ def _order(graph) -> int:
 
 def _basis(graph, k: int, rep, rank: int | None) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The constraint that ``rep`` and ``rank`` stand for, as ``_embed``'s
-    (basis, complement): (None, None) without ``rep``; for the groups of a
-    ClusterAssignment, or the null space of R (of its rank-``rank``
-    truncation when ``rank`` is given), whichever of Y and W has fewer
-    columns, the other None. Y wins a tie. Both widths follow from the
-    groups' sizes, or from the width of R's null side and where 1 lies,
-    before either is built; an exact constraint handed R's null block alone
-    has Y the narrower (``_rep_spectrum``). Either is built from the side of
-    R's eigenvectors that was solved for, or from its orthogonal complement.
-    A ``rank`` must leave room for k dimensions; that is checked before R is
-    solved."""
+    (basis, complement), the other one None: (None, None) without ``rep``;
+    W for the groups of a ClusterAssignment; for the null space of R (of its
+    rank-``rank`` truncation when ``rank`` is given), Y when ``_rep_spectrum``
+    solved the null side and W otherwise. A ``rank`` must leave room for k
+    dimensions; that is checked before R is solved."""
     if rep is None:
         return None, None
     if isinstance(rep, ClusterAssignment):
-        groups = np.count_nonzero(rep.sizes)
-        if groups - 1 < rep.n - groups + 1:
-            return None, _group_complement(rep)
-        return _group_basis(rep), None
+        return None, _group_complement(rep)
     if rank is not None:
         n = _order(graph)
         if rank < 1:
@@ -654,23 +522,13 @@ def _basis(graph, k: int, rep, rank: int | None) -> tuple[np.ndarray | None, np.
                 "would be too small"
             )
     vectors, null = _rep_spectrum(rep, rank)
-    order = vectors.shape[0]
-    ones = np.full(order, 1.0 / np.sqrt(order))
-    overlap = matmul(ones, vectors)
     if null:
-        leans = np.linalg.norm(overlap) > ONES_IN_NULL_ATOL
-        nulls = vectors.shape[1]
-    else:  # 1's part in the null span is what the kept side leaves of it
-        leans = np.linalg.norm(ones - matmul(vectors, overlap)) > ONES_IN_NULL_ATOL
-        nulls = order - vectors.shape[1]
-    width = nulls + (0 if leans else 1)
-    if width <= order - width:
-        return _null_basis(vectors if null else _complement_columns(vectors)), None
+        return _null_basis(vectors), None
     # W = (I - 11^T/N) V_r for the kept eigenvectors V_r; 1 lies in span(V_r)
-    # when it does not lean into the null span.
-    if null:
-        vectors = _complement_columns(vectors)
-        overlap = matmul(ones, vectors)
+    # when it has no part in the null span.
+    ones = np.full(vectors.shape[0], 1.0 / np.sqrt(vectors.shape[0]))
+    overlap = matmul(ones, vectors)
+    leans = np.linalg.norm(ones - matmul(vectors, overlap)) > ONES_IN_NULL_ATOL
     return None, _split_ones(vectors, overlap, drop=not leans)
 
 
@@ -678,10 +536,7 @@ def _points(graph, k: int, rep, rank: int | None, normalized: bool,
             unit_rows: bool) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """The deterministic half of ``_solve``: the k-means input points (the
     rows of ``_embed``'s solution, scaled to unit length with ``unit_rows``
-    and as they are otherwise), the spectrum and the warnings. The two
-    arrays own their bytes in the solve's layout (``_owned``): ``_embed``
-    hands out the first k of the k + 1 eigenpairs it solved for as slices,
-    and a kept slice would keep the whole solve output."""
+    and as they are otherwise), the spectrum and the warnings."""
     basis, complement = _basis(graph, k, rep, rank)
     embedding, spectrum, warnings = _embed(graph, k, basis, normalized, complement)
     if unit_rows:
@@ -693,36 +548,32 @@ def _points(graph, k: int, rep, rank: int | None, normalized: bool,
                 int(zero_rows.sum()),
             )
         embedding /= np.where(zero_rows, 1.0, norms)[:, None]
-    return _owned(embedding), _owned(spectrum), warnings
+    return embedding, spectrum, warnings
 
 
 def _solve(graph, k: int, cfg: KMeansConfig, rep=None, rank: int | None = None,
            normalized: bool = False, unit_rows: bool = False) -> ClusteringResult:
     """k-means into k clusters, configured by ``cfg``, on ``_points``.
 
-    ``rep`` is what Y is built from (see ``_basis``). When ``graph`` is a
-    Graph and ``rep`` is a Graph or None, the points, spectrum and warnings
-    are kept in ``graph._memo`` once the call succeeds, keyed by
-    (rep, rank, normalized, unit_rows, k), and a later call with that key
-    builds no basis and solves nothing; only k-means, whose seed is in
-    ``cfg``, runs again. Every result gets its own copies of the arrays.
-    A k that is not a positive integer raises ValueError before any of it.
+    ``rep`` is what the constraint is built from (see ``_basis``). When
+    ``graph`` is a Graph and ``rep`` is a Graph or None, the points,
+    spectrum and warnings are kept in ``graph``'s memo once the call
+    succeeds, keyed by (rep, rank, normalized, unit_rows, k), and a later
+    call with that key runs only k-means, whose seed is in ``cfg``. Every
+    result gets its own copies of the arrays. A k that is not a positive
+    integer raises ValueError before any of it.
     """
     _check_k(k)
-    keyed = isinstance(graph, Graph) and (rep is None or isinstance(rep, Graph))
-    key = ("points", rep, rank, normalized, unit_rows, k)
-    kept = graph._memo.get(key) if keyed else None
-    if kept is None:
-        points, spectrum, warnings = _points(graph, k, rep, rank, normalized, unit_rows)
-    else:
+
+    def cluster(kept):
         points, spectrum, warnings = kept
-    fit = kmeans(points, k, cfg)
-    if keyed and kept is None:
-        for array in (points, spectrum):
-            array.flags.writeable = False
-        graph._memo[key] = points, spectrum, warnings
-    return ClusteringResult(ClusterAssignment(fit.labels, k), points.copy(), fit.inertia,
-                            fit.iters, spectrum.copy(), warnings)
+        fit = kmeans(points, k, cfg)
+        return ClusteringResult(ClusterAssignment(fit.labels, k), points.copy(), fit.inertia,
+                                fit.iters, spectrum.copy(), warnings)
+
+    holder = graph if rep is None or isinstance(rep, Graph) else None
+    return _memoized(holder, ("points", rep, rank, normalized, unit_rows, k),
+                     lambda: _points(graph, k, rep, rank, normalized, unit_rows), cluster)
 
 
 def usc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:

@@ -28,9 +28,10 @@ from . import clustering
 from .clustering import KMeansConfig, ClusteringResult, usc
 from .errors import ConfigError, RepscError
 from .graphs import (
-    Graph,
+    ClusterAssignment,
     RppParams,
     _check_k,
+    _memoized,
     _parse_float,
     _parse_int,
     contiguous_assignment,
@@ -244,26 +245,18 @@ def fair_sc_baseline(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig(
     Clusters the representation graph itself into ``groups`` groups (default
     a tenth of the node count, at least 1) with plain spectral clustering,
     then solves urepsc's problem under Kleindessner et al.'s F^T H = 0: H
-    lies in span(1) plus each group's zero-sum vectors. With G non-empty
-    groups that constraint is G - 1 directions, 1_g - (|g|/N) 1, so for G at
-    most N/2 the kernel solves on their orthonormal basis W
-    (``clustering._group_complement``): L deflated by W, one N-by-N
-    eigensolve for the bottom k + 1 pairs. With more groups it solves on
-    Y = 1 plus each group's Helmert contrasts (``clustering._group_basis``),
-    Y^T L Y. With one group W has no column, the constraint is empty and the
-    result is unconstrained clustering. A Graph R keeps each discovered
-    assignment in its memo, keyed by the group count and ``cfg``, and usc
-    keeps L_R's solution there, so rows that share R solve L_R once and run
-    its k-means once per seed. The final solve under the group constraint is
-    not kept. ``k`` is checked before the discovery runs.
+    lies in span(1) plus each group's zero-sum vectors. With one group the
+    constraint is empty and the result is unconstrained clustering. A Graph
+    R keeps each discovered assignment, keyed by the group count and
+    ``cfg``, once the whole call succeeds; the final solve under the group
+    constraint is not kept. ``k`` is checked before the discovery runs.
     """
     _check_k(k)
     count = groups if groups is not None else _tenth(clustering._order(rep_graph))
-    discoveries = rep_graph._memo if isinstance(rep_graph, Graph) else {}
-    key = ("groups", count, cfg)
-    if key not in discoveries:
-        discoveries[key] = usc(rep_graph, count, cfg).assignment
-    return clustering._solve(graph, k, cfg, discoveries[key])
+    return _memoized(rep_graph, ("groups", count, cfg),
+                     lambda: usc(rep_graph, count, cfg).assignment.labels,
+                     lambda labels: clustering._solve(graph, k, cfg,
+                                                      ClusterAssignment(labels, count)))
 
 
 # The sweep passes each function the representation graph, rank and group

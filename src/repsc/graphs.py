@@ -33,7 +33,7 @@ from .errors import (
     MalformedLineError,
     SizeMismatchError,
 )
-from .linalg import as_float_matrix, ensure_symmetric, matmul, row_blocks
+from .linalg import _owned, as_float_matrix, ensure_symmetric, matmul, row_blocks
 
 # An integer field of the text formats: ASCII decimal digits with an optional
 # sign. int() alone would also take '1_0', padding and other scripts' digits.
@@ -128,19 +128,37 @@ class Graph:
     @cached_property
     def _memo(self) -> dict:
         """Deterministic results computed on this graph, for as long as it
-        lives. ``clustering._solve`` keeps each solution's k-means points,
-        spectrum and warnings here, keyed by what built the problem,
-        ``fair_sc_baseline`` keeps each group discovery on its R, and
-        ``clustering._rep_spectrum`` keeps R's null threshold ("null_tol")
-        and, for each rank and for the exact constraint (rank None), one
-        select solve (("picked", rank): the node-by-w eigenvectors of the
-        narrower side, w at most about N/2, and whether they are the null
-        side; for the exact constraint usually the null block, the
-        eigenvectors with |lambda| near zero, w far below N). No entry is
-        node-by-node, and
-        every kept array owns exactly its own bytes, never a slice of a
-        larger buffer such as LAPACK's eigenvector output."""
+        lives; ``_memoized`` is the only code that writes it. No entry is
+        node-by-node, and every kept array is read-only and owns exactly
+        its own bytes."""
         return {}
+
+
+def _frozen(value):
+    """``value`` with each array in it (itself, or an item of a tuple) made
+    read-only and owning exactly its own bytes (``linalg._owned``)."""
+    if isinstance(value, tuple):
+        return tuple(map(_frozen, value))
+    if isinstance(value, np.ndarray):
+        value = _owned(value)
+        value.flags.writeable = False
+    return value
+
+
+def _memoized(holder, key, build, use=lambda value: value):
+    """``use(value)`` for the value that ``build()`` returns, kept in the
+    memo of ``holder`` under ``key`` when ``holder`` is a Graph: a later
+    call with that key builds nothing. ``use`` gets the value ``_frozen``,
+    and it is kept only once ``use`` has returned, so a call that raises
+    keeps nothing. Without a Graph every call builds."""
+    if not isinstance(holder, Graph):
+        return use(_frozen(build()))
+    if key in holder._memo:
+        return use(holder._memo[key])
+    value = _frozen(build())
+    result = use(value)
+    holder._memo[key] = value
+    return result
 
 
 @dataclass(frozen=True)

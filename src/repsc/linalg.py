@@ -73,11 +73,12 @@ class EigenDecomposition(NamedTuple):
 
 
 def as_float_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-d float64 array and reject non-finite entries."""
+    """Coerce to a 2-d float64 array and reject non-finite entries, checked
+    by row strips (``row_blocks``), so no N-by-N mask is made."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not all(np.isfinite(a[rows]).all() for rows in row_blocks(a.shape[0])):
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -279,11 +280,12 @@ def _tridiagonal_vectors(diagonal: np.ndarray, offdiagonal: np.ndarray, values: 
     """N-by-w eigenvectors of the tridiagonal T for ``values`` (from
     ``dstebz``, with T's block of each in ``blocks`` and its split points in
     ``split``), in the order of ``values``: ``dstein``'s inverse iteration,
-    which wants the eigenvalues grouped by block, ascending in each."""
+    which wants the eigenvalues grouped by block, ascending in each
+    (``dstebz`` may list two close ones of a block out of order)."""
     n = diagonal.size
     if not values.size:
         return np.zeros((n, 0), order="F")
-    by_block = np.argsort(blocks, kind="stable")
+    by_block = np.lexsort((values, blocks))
     grouped = np.zeros(n, dtype=blocks.dtype)
     grouped[:values.size] = blocks[by_block]
     tridiagonal_vectors, info = lapack.dstein(diagonal, offdiagonal, values[by_block],

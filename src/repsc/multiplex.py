@@ -86,13 +86,6 @@ class MultiplexNetwork:
     def num_layers(self) -> int:
         return len(self.layers)
 
-    def layer_matrix(self, layer: int) -> np.ndarray:
-        """Dense directed weight matrix of one layer (by 0-based position)."""
-        src, dst, weight = _layer_edges(self, layer)
-        w = np.zeros((self.n, self.n))
-        w[src, dst] = weight
-        return w
-
 
 def _layer_edges(net: MultiplexNetwork, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not (0 <= layer < net.num_layers):

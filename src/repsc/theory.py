@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import DEGENERATE_GAP_TOL, _contrasts, _restrict, constraint_null_basis
-from .errors import AssumptionViolatedError, DivisibilityError, ZeroGapError
-from .graphs import (RppParams, _check_k, _laplacian_product, build_d_regular_rep_graph,
+from .clustering import DEGENERATE_GAP_TOL, _restrict, constraint_null_basis
+from .errors import AssumptionViolatedError, ZeroGapError
+from .graphs import (RppParams, _laplacian_product, build_d_regular_rep_graph,
                      expected_adjacency, validate_regular_representation)
-from .linalg import _scratch, sym_eig
+from .linalg import sym_eig
 
 SPECTRUM_REL_TOL = 1e-7
 
@@ -53,26 +53,6 @@ def closed_form_eigenvalues(params: RppParams) -> tuple[float, float]:
     return float(lambda1), float(shared)
 
 
-def canonical_y_vectors(n: int, k: int) -> np.ndarray:
-    """Orthonormal cluster-contrast basis for contiguous equal-size clusters.
-
-    Column 0 is the normalized all-ones vector. Column j (j >= 1) is zero on
-    clusters before j-1, takes one positive value on cluster j-1 and one
-    negative value on all later clusters, scaled to unit length: the
-    clusters' ``clustering._contrasts``, the group basis's formula. Together
-    the columns span exactly the functions that are constant on each
-    cluster, and each column beyond the first is orthogonal to all-ones.
-    """
-    _check_k(k)
-    if n % k != 0:
-        raise DivisibilityError(f"k={k} must divide n={n}")
-    m = n // k
-    basis = np.zeros((n, k))
-    basis[:, 0] = 1.0 / math.sqrt(n)
-    basis[:, 1:] = np.repeat(_contrasts(k, m), m, axis=0)
-    return basis
-
-
 @dataclass(frozen=True)
 class ExpectedSpectrum:
     """Spectral summary of the expected (population) constrained problem.
@@ -99,21 +79,12 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
     Verifies that the bottom k restricted eigenvalues match the closed form
     (0 and k-1 copies of lambda1 - lambda_rest) and that the expected degree
     is the constant lambda1 - p, raising AssumptionViolatedError when the
-    inputs do not actually satisfy the regularity assumption. It solves two
-    eigenproblems. ``constraint_null_basis`` solves R for its null block, the
-    eigenvectors with |lambda| near zero (one select solve that bisects for
-    them and computes no other eigenpair: 39 of 600 on the benchmark's
-    d-regular R; every eigenvalue only when that block is wider than about
-    N/2), and the ``Graph`` R keeps it, so urepsc and nrepsc on the same R
-    reuse it. Then the restricted Laplacian Y^T (D Y - A Y) of
-    the expected similarity matrix A, of the null space's dimension, is
-    decomposed. No Laplacian is built over A, and A is never decomposed
-    (``lambda_bar`` does that, on demand).
-
-    R's null block is solved before the expected similarity matrix is
-    built: beyond R, the solve's one N-by-N array (its copy of R,
-    tridiagonalized in place) or that one matrix is held, never both; R
-    keeps only the N-by-m null block.
+    inputs do not actually satisfy the regularity assumption. R's null
+    basis comes from ``constraint_null_basis`` (a ``Graph`` R keeps its
+    solve for urepsc and nrepsc on the same R) before the expected
+    similarity matrix is built, so the solve's copy of R and that matrix
+    are never held at once. No Laplacian is built over that matrix, and it
+    is never decomposed.
     """
     lambda1, lambda_rest = closed_form_eigenvalues(params)
     k = params.k
@@ -159,16 +130,6 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
         mu_normalized=mu_normalized,
         gamma_normalized=float(gamma_normalized),
     )
-
-
-def lambda_bar(params: RppParams) -> float:
-    """Smallest eigenvalue of the raw expectation matrix (p on the diagonal).
-
-    One N-by-N eigensolve of ``expected_adjacency``, whose eigenvalues are
-    the raw ones shifted by -p, in that matrix's own storage; nothing else in
-    the package reads it.
-    """
-    return float(sym_eig(_scratch(expected_adjacency(params)), count=1).eigenvalues[0] + params.p)
 
 
 @dataclass(frozen=True)

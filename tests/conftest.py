@@ -116,6 +116,49 @@ def random_assignment(rng: np.random.Generator, n: int, k: int) -> repsc.Cluster
             return repsc.ClusterAssignment(labels, k)
 
 
+def contrasts(count: int, weight: int = 1) -> np.ndarray:
+    """Helmert contrasts of ``count`` items of ``weight`` nodes each, one per
+    column: column j is 0 before item j, positive on it and equal and negative
+    after it, and has unit length over the nodes."""
+    remaining = np.arange(count - 1, 0, -1)
+    scale = 1.0 / np.sqrt(weight * remaining * (remaining + 1))
+    out = np.tril(np.broadcast_to(-scale, (count, count - 1)), -1)
+    np.fill_diagonal(out, remaining * scale)
+    return out
+
+
+def group_basis(groups: repsc.ClusterAssignment) -> np.ndarray:
+    """Y for the group constraint, written down: [1/sqrt(N), each non-empty
+    group's ``contrasts`` over its members in node order], the null basis of
+    the centered block matrix of the groups, with the linalg sign convention
+    by construction. The package solves that constraint on its complement W
+    (``clustering._group_complement``); this is the Y arm it is checked
+    against."""
+    sizes = groups.sizes[groups.sizes > 0]
+    basis = np.zeros((groups.n, 1 + groups.n - sizes.size))
+    basis[:, 0] = 1.0 / np.sqrt(groups.n)
+    column = 1
+    for members in np.split(np.argsort(groups.labels, kind="stable"), np.cumsum(sizes)[:-1]):
+        basis[members, column:column + members.size - 1] = contrasts(members.size)
+        column += members.size - 1
+    return basis
+
+
+def canonical_y_vectors(n: int, k: int) -> np.ndarray:
+    """Orthonormal cluster-contrast basis for k contiguous equal-size
+    clusters: column 0 is the normalized all-ones vector, and column j
+    (j >= 1) the clusters' ``contrasts`` column j - 1. Together the columns
+    span exactly the functions that are constant on each cluster."""
+    repsc.graphs._check_k(k)
+    if n % k != 0:
+        raise repsc.DivisibilityError(f"k={k} must divide n={n}")
+    m = n // k
+    basis = np.zeros((n, k))
+    basis[:, 0] = 1.0 / np.sqrt(n)
+    basis[:, 1:] = np.repeat(contrasts(k, m), m, axis=0)
+    return basis
+
+
 @pytest.fixture(scope="session")
 def toy_instance():
     """The 24-node, 2-cluster, 6-regular walkthrough instance."""

@@ -22,6 +22,7 @@ from conftest import (
     REGULAR_INSTANCES,
     SWEEP_PROBS,
     brute_force_mistake,
+    canonical_y_vectors,
     random_assignment,
     same_partition,
 )
@@ -120,7 +121,7 @@ def test_criterion_02_closed_form_spectrum():
         assert abs(top - lambda1) <= 1e-7 * abs(lambda1)
         # Path two: every cluster-contrast vector is an eigenvector at the
         # (k-1)-fold eigenvalue.
-        basis = repsc.canonical_y_vectors(n, k)
+        basis = canonical_y_vectors(n, k)
         for j in range(1, k):
             contrast = basis[:, j]
             rayleigh = float(contrast @ raw @ contrast)

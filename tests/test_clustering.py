@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 import repsc
 from repsc import clustering, linalg
 from repsc.clustering import _assign, _lifted_points, constraint_null_basis
-from conftest import (SWEEP_PROBS, r_solves, random_orthonormal, same_partition, traced_peak,
-                      traced_retained)
+from conftest import (SWEEP_PROBS, group_basis, r_solves, random_orthonormal, same_partition,
+                      traced_peak, traced_retained)
 
 
 def two_cliques(m: int) -> repsc.Graph:
@@ -759,7 +759,7 @@ def test_complement_arm_raises_when_fewer_than_k_dimensions_are_left():
         with pytest.raises(repsc.NullSpaceTooSmallError, match=message):
             clustering._solve(g, 12, repsc.KMeansConfig(), pairs(), normalized=normalized)
         with pytest.raises(repsc.NullSpaceTooSmallError, match=message):
-            clustering._embed(g, 12, clustering._group_basis(pairs()), normalized)
+            clustering._embed(g, 12, group_basis(pairs()), normalized)
 
 
 def test_complement_arm_with_exactly_k_dimensions_left(eigensolves):
@@ -771,7 +771,7 @@ def test_complement_arm_with_exactly_k_dimensions_left(eigensolves):
     for normalized in (False, True):
         result = clustering._solve(g, 11, repsc.KMeansConfig(), pairs(), normalized=normalized)
         assert eigensolves[-1].count == 11
-        _, spectrum, warnings = clustering._embed(g, 11, clustering._group_basis(pairs()),
+        _, spectrum, warnings = clustering._embed(g, 11, group_basis(pairs()),
                                                   normalized)
         assert result.warnings == warnings == ()
         assert np.allclose(result.spectrum_used, spectrum, atol=1e-10)
@@ -806,7 +806,7 @@ def test_complement_arm_accepts_heavy_edge_weights():
     assert clustering._basis(g, 3, groups, None)[0] is None
     for normalized in (False, True):
         got = clustering._solve(g, 3, repsc.KMeansConfig(), groups, normalized=normalized)
-        x, spectrum, _ = clustering._embed(g, 3, clustering._group_basis(groups), normalized)
+        x, spectrum, _ = clustering._embed(g, 3, group_basis(groups), normalized)
         scale = np.abs(spectrum).max()
         assert np.allclose(got.spectrum_used, spectrum, rtol=0.0, atol=1e-12 * scale)
         gram = got.embedding @ got.embedding.T

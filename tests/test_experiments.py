@@ -659,6 +659,26 @@ def test_cli_ingest_names_the_malformed_line(tmp_path, capsys):
     assert not (tmp_path / "ingested").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "check-expected", "ingest", "ingest --names"])
+def test_cli_rejects_an_input_file_that_is_not_utf8(tmp_path, capsys, command):
+    # Exit 1 means that some runs failed; undecodable input is bad input.
+    undecodable = tmp_path / "undecodable"
+    undecodable.write_bytes(b"\xff\xfe")
+    edges = tmp_path / "edges.txt"
+    edges.write_text(MULTIPLEX_SAMPLE)
+    ingest = ["ingest", "--multiplex", str(edges), "--rep-layers", "1..1",
+              "--sim-layers", "2..2", "--out", str(tmp_path / "ingested")]
+    args = {
+        "run": ["run", "--config", str(undecodable)],
+        "check-expected": ["check-expected", "--config", str(undecodable)],
+        "ingest": ingest[:2] + [str(undecodable)] + ingest[3:],
+        "ingest --names": ingest + ["--names", str(undecodable)],
+    }[command]
+    assert main(args) == 2
+    assert "error: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+    assert not (tmp_path / "ingested").exists()
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repsc
-from conftest import (REGULAR_INSTANCES, SWEEP_PROBS, random_assignment, traced_peak,
-                      traced_retained)
+from conftest import (REGULAR_INSTANCES, SWEEP_PROBS, canonical_y_vectors, random_assignment,
+                      traced_peak, traced_retained)
 from repsc import experiments, multiplex
 from repsc.graphs import _laplacian, _laplacian_product
 from repsc.linalg import RANK_REL_TOL, row_blocks
@@ -76,7 +76,7 @@ def test_contiguous_assignment():
     (lambda k: repsc.contiguous_assignment(10, k), 0),
     (lambda k: repsc.contiguous_assignment(10, k), -2),
     (lambda k: repsc.sample_planted_partition_rep_graph(10, k, 0.8, 0.2, 0), 0),
-    (lambda k: repsc.canonical_y_vectors(10, k), 0),
+    (lambda k: canonical_y_vectors(10, k), 0),
 ])
 def test_contiguous_constructors_reject_k_below_one(build, k):
     with pytest.raises(ValueError, match=f"k must be positive, got {k}"):

@@ -85,6 +85,19 @@ def test_as_float_matrix_shape_check():
         as_float_matrix(np.ones(3))
 
 
+def test_as_float_matrix_checks_finiteness_by_row_strips():
+    # A float64 matrix comes back as it is, and the finiteness check holds
+    # one row strip's mask at a time, not an N x N bool array (1/8 of the
+    # matrix); a non-finite entry in the last strip is still found.
+    n = 600
+    a = random_symmetric(np.random.default_rng(10), n)
+    assert as_float_matrix(a) is a
+    assert traced_peak(lambda: as_float_matrix(a)) <= 0.01 * n * n * 8
+    a[-1, -1] = np.nan
+    with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+        as_float_matrix(a)
+
+
 def random_symmetric(rng, n):
     a = rng.standard_normal((n, n))
     return (a + a.T) / 2.0
@@ -270,8 +283,8 @@ def test_sym_eig_pick_holds_one_copy_and_thin_blocks():
 
 def test_the_exact_null_solve_of_a_regular_r_holds_one_copy():
     # R's exact constraint on a fresh d-regular R at N = 400 (19 null
-    # pairs): its float copy of R, tridiagonalized in place, the bool
-    # finiteness check of that copy (1/8) and N x 19 blocks. Bisection
+    # pairs): its float copy of R, tridiagonalized in place, and N x 19
+    # blocks. Bisection
     # computes no other eigenvalue and no N-column eigenvector buffer is
     # made; the interval solve of scipy's subset driver read about 2.1.
     n = 400

@@ -1,6 +1,8 @@
-"""The package's public surface: ``repsc.__all__`` against what ``__init__`` imports."""
+"""The package's public surface: ``repsc.__all__`` against what ``__init__``
+imports and what uses each name."""
 
 import ast
+import re
 from pathlib import Path
 
 import repsc
@@ -21,3 +23,22 @@ def test_the_sweep_registry_holds_the_exported_functions():
     # The sweep calls each algorithm as it is exported, with no adapter between.
     for name, run in repsc.experiments.ALGORITHMS.items():
         assert name in repsc.__all__ and run is getattr(repsc, name), name
+
+
+def test_every_public_name_has_a_user_in_the_package_or_the_readme():
+    # A public name that nothing in the package calls is kept only for a
+    # user that README names; otherwise it belongs in tests/ as a reference.
+    package = Path(repsc.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    readme = (package.parents[1] / "README.md").read_text()
+    unused = [name for name in repsc.__all__
+              if name not in used and not re.search(rf"\b{name}\b", readme)]
+    assert unused == []

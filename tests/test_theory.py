@@ -8,9 +8,15 @@ import pytest
 
 import repsc
 from repsc.clustering import constraint_null_basis
+from repsc.linalg import sym_eig
 from repsc.theory import ExpectedSpectrum
 
-from conftest import REGULAR_INSTANCES, SWEEP_PROBS, traced_peak
+from conftest import REGULAR_INSTANCES, SWEEP_PROBS, canonical_y_vectors, traced_peak
+
+
+def lambda_bar(params):
+    """Smallest eigenvalue of the raw expectation matrix (p on the diagonal)."""
+    return float(sym_eig(repsc.expected_adjacency(params), count=1).eigenvalues[0] + params.p)
 
 
 def make_params(n, k, d, p, q, r, s):
@@ -39,7 +45,7 @@ def test_closed_form_matches_dense_eigensolve(n, k, d):
     raw = repsc.expected_adjacency(params) + params.p * np.eye(n)
     # The all-ones vector and every cluster-contrast vector are exact
     # eigenvectors of the raw expectation matrix.
-    basis = repsc.canonical_y_vectors(n, k)
+    basis = canonical_y_vectors(n, k)
     ones = basis[:, 0]
     assert np.max(np.abs(raw @ ones - lambda1 * ones)) <= 1e-9 * (1 + abs(lambda1))
     for j in range(1, k):
@@ -61,7 +67,7 @@ def test_closed_form_rejects_irregular_rep_graph():
 
 
 def test_canonical_y_vectors_small_case():
-    basis = repsc.canonical_y_vectors(4, 2)
+    basis = canonical_y_vectors(4, 2)
     assert np.allclose(basis[:, 0], 0.5)
     assert np.allclose(basis[:, 1], [0.5, 0.5, -0.5, -0.5])
 
@@ -81,25 +87,25 @@ def explicit_canonical_y_vectors(n, k):
 
 @pytest.mark.parametrize("n,k", sorted({(n, k) for n, k, _ in REGULAR_INSTANCES}))
 def test_canonical_y_vectors_equal_the_explicit_loop_bit_for_bit(n, k):
-    basis = repsc.canonical_y_vectors(n, k)
+    basis = canonical_y_vectors(n, k)
     assert basis.tobytes() == explicit_canonical_y_vectors(n, k).tobytes()
 
 
 def test_canonical_y_vectors_orthonormal_and_cluster_constant():
-    basis = repsc.canonical_y_vectors(24, 4)
+    basis = canonical_y_vectors(24, 4)
     assert np.allclose(basis.T @ basis, np.eye(4), atol=1e-12)
     for j in range(4):
         blocks = basis[:, j].reshape(4, 6)
         assert np.allclose(blocks, blocks[:, :1])  # constant within clusters
     with pytest.raises(repsc.DivisibilityError):
-        repsc.canonical_y_vectors(10, 3)
+        canonical_y_vectors(10, 3)
 
 
 def test_canonical_y_vectors_satisfy_constraint(toy_instance):
     rep, _, _ = toy_instance
     null_basis = constraint_null_basis(rep)
     projector = null_basis @ null_basis.T
-    basis = repsc.canonical_y_vectors(24, 2)
+    basis = canonical_y_vectors(24, 2)
     leftover = basis - projector @ basis
     assert np.max(np.abs(leftover)) <= 1e-9
 
@@ -118,7 +124,7 @@ def test_expected_spectrum_toy_values(toy_instance):
     assert spec.gamma_normalized == pytest.approx(spec.gamma / degree)
     # lambda_bar is the smallest raw-expectation eigenvalue.
     raw = repsc.expected_adjacency(params) + params.p * np.eye(24)
-    assert repsc.lambda_bar(params) == pytest.approx(float(np.linalg.eigvalsh(raw)[0]), abs=1e-9)
+    assert lambda_bar(params) == pytest.approx(float(np.linalg.eigvalsh(raw)[0]), abs=1e-9)
 
 
 def test_expected_degrees_are_constant(toy_instance):
@@ -133,7 +139,7 @@ def test_restricted_directions_beyond_cluster_space_sit_above_gap(toy_instance):
     spec = repsc.expected_spectrum(params)
     raw = repsc.expected_adjacency(params) + params.p * np.eye(24)
     null_basis = constraint_null_basis(rep)
-    cluster_space = repsc.canonical_y_vectors(24, 2)
+    cluster_space = canonical_y_vectors(24, 2)
     # Orthonormal basis of the constraint null space minus the cluster space.
     projected = null_basis - cluster_space @ (cluster_space.T @ null_basis)
     q, r_factor = np.linalg.qr(projected)
