@@ -34,12 +34,12 @@ from .linalg import (
     _complement_columns,
     _fix_signs,
     _scratch,
-    _symmetrize,
     as_float_matrix,
     matmul,
     orthonormal_columns,
     row_blocks,
     sym_eig,
+    sym_rank2k_update,
 )
 
 logger = logging.getLogger(__name__)
@@ -397,67 +397,39 @@ def _restrict(basis: np.ndarray, applied: np.ndarray) -> np.ndarray:
     return (reduced + reduced.T) / 2.0
 
 
-def _deflate(m: np.ndarray, complement: np.ndarray, rows) -> None:
-    """Turn symmetric ``m`` in place into m - W E^T - E W^T, where W is
-    ``complement`` (orthonormal columns) and E = m W - W (W^T m W + c I) / 2.
-
-    That is P m P + c W W^T with P = I - W W^T: m compressed to the
-    orthogonal complement S of span(W), and c on span(W). With c one more
-    than the largest absolute row sum of m, which bounds every eigenvalue of
-    m and so of P m P (Gershgorin), every eigenvalue of the compression lies
-    below c, and the bottom N - width(W) eigenpairs of the result are those
-    of m restricted to S. The product [W E][E W]^T is written over m, and
-    ``rows(strip)``, which rebuilds m's rows in a row strip with the same
-    bits, supplies m for the subtraction, so no second N-by-N array is made.
-    The result is averaged with its transpose: the product's rounding is of
-    the order of c times the rounding unit, which on heavy edge weights
-    exceeds ``sym_eig``'s absolute symmetry tolerance.
+def _deflate(m: np.ndarray, complement: np.ndarray) -> None:
+    """Turn symmetric ``m`` in place into P m P + c W W^T, exactly
+    symmetric, where W is ``complement`` (orthonormal columns) and
+    P = I - W W^T: m compressed to the orthogonal complement S of span(W),
+    and c on span(W). c is one more than the largest absolute row sum of m,
+    which bounds every eigenvalue of m and so of P m P (Gershgorin), so the
+    bottom N - width(W) eigenpairs of the result are those of m restricted
+    to S. That matrix is m - W E^T - E W^T with
+    E = m W - W (W^T m W + c I) / 2, one ``sym_rank2k_update``.
     """
-    strips = row_blocks(m.shape[0])
-    shift = 1.0 + max(np.abs(m[strip]).sum(axis=1).max() for strip in strips)
+    shift = 1.0 + max(np.abs(m[strip]).sum(axis=1).max() for strip in row_blocks(m.shape[0]))
     applied = matmul(m, complement)
     inner = matmul(complement.T, applied)
     inner[np.diag_indices_from(inner)] += shift
-    applied -= matmul(complement, inner) / 2.0
-    matmul(np.hstack([complement, applied]), np.hstack([applied, complement]).T, out=m)
-    for strip in strips:
-        np.subtract(rows(strip), m[strip], out=m[strip])
-    _symmetrize(m, check=False)
-
-
-def _operator(a: np.ndarray, inv_root: np.ndarray | None, rows: slice) -> np.ndarray:
-    """Rows ``rows`` of L = D - A, or of D^{-1/2} L D^{-1/2} given
-    ``inv_root`` (the degrees' inverse square roots), as a fresh array; a
-    strip has the bits of the same rows of the whole matrix, so ``_embed``
-    fills the N-by-N matrix strip by strip and a bool A is never converted
-    whole."""
-    _, m = _laplacian(a[rows], rows.start)
-    if inv_root is not None:
-        m *= inv_root[rows, None]
-        m *= inv_root
-    return m
+    inner /= 2.0
+    applied -= matmul(complement, inner)
+    sym_rank2k_update(m, complement, applied)
 
 
 def _embed(graph, k: int, basis: np.ndarray | None = None, normalized: bool = False,
            complement: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Solve the module's restricted problem; return (Y Z, spectrum, warnings).
+    """Solve the module's restricted problem; return (H, spectrum, warnings):
+    H the bottom k solutions, spectrum their values.
 
     B is D when ``normalized`` and I otherwise. The constraint space S is
     given by at most one of ``basis`` (Y, orthonormal columns spanning S)
     and ``complement`` (W, orthonormal columns spanning its orthogonal
-    complement); with neither, S is everything. On Y the problem is
-    (Y^T L Y, Y^T B Y), a generalized one when B = D, from N-by-m products
-    (L only as ``_laplacian_product``). Otherwise it is solved
-    on an N-by-N matrix: L, or with B = D its standard form
-    D^{-1/2} L D^{-1/2}, whose bottom eigenvectors V give D^{-1/2} V with
-    D-orthonormal columns (as for nsc); there W becomes D^{-1/2} W
-    orthonormalized, which spans the complement of D^{1/2} S. ``_deflate``
-    moves the span of W above the spectrum, and only the bottom
-    min(k + 1, dim S) eigenpairs are solved, so its eigenvalue enters
-    neither the spectrum nor the gap test. No N-by-N B is ever factored, and
-    that N-by-N matrix is the one the solve runs on (``_scratch``):
-    beyond the graph, one N-by-N array is held, built row strip by row
-    strip from a bool A.
+    complement); with neither, S is everything. Every solve is a standard
+    symmetric one (README, *Algorithms*): on Y an m-by-m one from N-by-m
+    products, otherwise one on an N-by-N matrix built row strip by row
+    strip from A and solved in its own storage, so beyond the graph one
+    N-by-N array is held. Only the bottom min(k + 1, dim S) eigenpairs are
+    solved.
     """
     _check_k(k)
     a = as_adjacency(graph)
@@ -479,20 +451,24 @@ def _embed(graph, k: int, basis: np.ndarray | None = None, normalized: bool = Fa
             raise NullSpaceTooSmallError(
                 f"constraint null space has {dims} dimensions, need at least k={k}"
             )
+    inv_root = 1.0 / np.sqrt(degrees)[:, None] if normalized else None
     if basis is not None:
-        weight = _restrict(basis, degrees[:, None] * basis) if normalized else None
+        if normalized:  # D^{-1/2} Y' for Y' orthonormal columns spanning D^{1/2} S
+            basis = orthonormal_columns(basis / inv_root)
+            basis *= inv_root
         reduced = _restrict(basis, _laplacian_product(a, degrees, basis))
-        values, vectors = sym_eig(reduced, weight, count=k + 1)
+        values, vectors = sym_eig(reduced, count=k + 1)
         return matmul(basis, vectors[:, :k]), values[:k], _gap_warnings(values, k)
-    inv_root = 1.0 / np.sqrt(degrees) if normalized else None
     operator = np.empty((n, n))
     for strip in row_blocks(n):
-        operator[strip] = _operator(a, inv_root, strip)
+        _, operator[strip] = _laplacian(a[strip], strip.start)
+        if normalized:  # D^{-1/2} L D^{-1/2}
+            operator[strip] *= inv_root[strip]
+            operator[strip] *= inv_root.T
     if complement is not None and complement.shape[1]:
-        _deflate(operator, orthonormal_columns(inv_root[:, None] * complement)
-                 if normalized else complement, lambda strip: _operator(a, inv_root, strip))
+        _deflate(operator, orthonormal_columns(inv_root * complement) if normalized else complement)
     values, vectors = sym_eig(_scratch(operator), count=min(k + 1, dims))
-    embedding = inv_root[:, None] * vectors[:, :k] if normalized else vectors[:, :k]
+    embedding = inv_root * vectors[:, :k] if normalized else vectors[:, :k]
     return embedding, values[:k], _gap_warnings(values, k)
 
 
@@ -609,11 +585,8 @@ def nrepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> Clus
 
     Minimizes tr(H^T L H) over H in the constraint space with H^T D H = I,
     so the volume-scaled indicator relaxation stays inside that space and
-    the embedding is D-orthonormal: on a null basis Y as the generalized
-    problem Y^T L Y z = mu Y^T D Y z, on its complement W as the standard
-    problem on D^{-1/2} L D^{-1/2} deflated by D^{-1/2} W orthonormalized
-    (see ``_embed``). The embedding rows are fed to k-means as they are; no
-    unit-length scaling is applied.
+    the embedding is D-orthonormal (README, *Algorithms*). The embedding
+    rows are fed to k-means as they are; no unit-length scaling is applied.
     """
     return _solve(graph, k, cfg, rep_graph, normalized=True)
 

@@ -2,8 +2,22 @@
 
 Every error signalling a violated precondition derives from RepscError so
 callers can catch the package's failures with a single except clause while
-tests can still pin down the exact condition.
+tests can still pin down the exact condition. ``_naming_file`` makes a file
+reader's decode error name its file.
 """
+
+from contextlib import contextmanager
+
+
+@contextmanager
+def _naming_file(path):
+    """Append ``path`` to the message of a UnicodeDecodeError raised in the
+    block, so a file that is not valid UTF-8 is named."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        exc.reason += f" in file {path}"
+        raise
 
 
 class RepscError(Exception):

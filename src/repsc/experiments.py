@@ -26,7 +26,7 @@ import numpy as np
 
 from . import clustering
 from .clustering import KMeansConfig, ClusteringResult, usc
-from .errors import ConfigError, RepscError
+from .errors import ConfigError, RepscError, _naming_file
 from .graphs import (
     ClusterAssignment,
     RppParams,
@@ -230,7 +230,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text())
+    with _naming_file(path):
+        return parse_config_text(Path(path).read_text())
 
 
 def _tenth(n: int) -> int:

@@ -1,40 +1,16 @@
 """Dense linear algebra with deterministic output conventions.
 
-All routines work on plain float64 numpy arrays and are meant for the
-desk-scale problems this package targets (a few thousand nodes), so
-everything is dense and exact up to LAPACK precision. This module owns every
-dense matrix product in the package (``matmul``) as well as every
-factorization: the eigensolver (``sym_eig``), the Cholesky QR of a few
-columns (``orthonormal_columns``) and the Householder QR that completes
-orthonormal columns to a basis (``_complement_columns``), and all of them
-run on scipy's BLAS and LAPACK.
-numpy links a second OpenBLAS with its own thread pool, and a pool whose
-threads still spin after a numpy product slows the next scipy eigensolve
-down; with one library for both, there is one pool. Two conventions are applied to every
-eigendecomposition so that repeated runs and different call sites agree
-bit for bit:
-
-* eigenvalues are reported in ascending order;
-* in every eigenvector column, the first entry whose magnitude
-  exceeds 1e-12 is made positive by flipping the column sign if needed.
-
-``sym_eig`` never modifies its inputs: LAPACK works on the symmetrized
-copies that ``ensure_symmetric`` makes, in place, so each argument is copied
-exactly once. An N-by-N scratch matrix that its caller built and drops,
-such as a Laplacian, is handed over as ``_scratch(m)`` instead: the symmetry
-check and the average (a + a^T)/2 run in place, strip by strip, and LAPACK
-overwrites the matrix, so the solve holds no second N-by-N array. Every
-N-by-N pass here works on row strips of about N/32 rows (``row_blocks``),
-so its temporaries stay a small fraction of one N-by-N matrix.
-
-``sym_eig(m, pick=fn)`` computes every eigenvalue but only the
-eigenvectors that ``fn`` asks for, from one tridiagonalization of the
-symmetrized copy (``_picked_eig``): N-by-w eigenvectors for w picked
-positions, with no N-by-N eigenvector matrix formed; ``pick=Band(t, w)``
-bisects it for the eigenpairs with |lambda| <= t and, when there are at
-most w, computes no other eigenpair. scipy's subset drivers, whose
-eigenvector buffers have N columns however few pairs are found, serve
-only ``count``.
+This module owns every dense matrix product (``matmul``), the symmetric
+rank-2k update (``sym_rank2k_update``) and every factorization
+(``sym_eig``, ``orthonormal_columns``, ``_complement_columns``), all on
+scipy's BLAS and LAPACK: numpy links a second OpenBLAS with its own thread
+pool, whose spinning threads slow the next scipy eigensolve down. Every
+eigendecomposition reports its eigenvalues in ascending order, and in
+every eigenvector column the first entry whose magnitude exceeds 1e-12 is
+made positive, so repeated runs and different call sites agree bit for
+bit. Every N-by-N pass works on row strips of about N/32 rows
+(``row_blocks``), so its temporaries stay a small fraction of one N-by-N
+matrix.
 """
 
 from __future__ import annotations
@@ -44,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dcopy, dgemm, dsyr2k
 
 from .errors import (
     EigenConvergenceError,
@@ -91,9 +67,9 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def _symmetrize(a: np.ndarray, name: str = "matrix", check: bool = True) -> np.ndarray:
-    """Overwrite square ``a`` with (a + a^T)/2 and return it; with ``check``,
-    first raise NotSymmetricError when max|a - a^T| exceeds SYMMETRY_ATOL.
+def _symmetrize(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Overwrite square ``a`` with (a + a^T)/2 and return it; first raise
+    NotSymmetricError when max|a - a^T| exceeds SYMMETRY_ATOL.
 
     Strip i of rows is paired with the same strip of columns at or right of
     the diagonal, whose entries no earlier strip has written, so every entry
@@ -101,16 +77,15 @@ def _symmetrize(a: np.ndarray, name: str = "matrix", check: bool = True) -> np.n
     made.
     """
     strips = row_blocks(a.shape[0])
-    if check:
-        gap = 0.0
-        for rows in strips:
-            diff = np.subtract(a[rows, rows.start:], a[rows.start:, rows].T)
-            np.abs(diff, out=diff)
-            gap = max(gap, diff.max())
-        if gap > SYMMETRY_ATOL:
-            raise NotSymmetricError(
-                f"{name} is not symmetric: max|m - m^T| = {gap:.3e} exceeds {SYMMETRY_ATOL:.0e}"
-            )
+    gap = 0.0
+    for rows in strips:
+        diff = np.subtract(a[rows, rows.start:], a[rows.start:, rows].T)
+        np.abs(diff, out=diff)
+        gap = max(gap, diff.max())
+    if gap > SYMMETRY_ATOL:
+        raise NotSymmetricError(
+            f"{name} is not symmetric: max|m - m^T| = {gap:.3e} exceeds {SYMMETRY_ATOL:.0e}"
+        )
     for rows in strips:
         half = np.add(a[rows, rows.start:], a[rows.start:, rows].T)
         half /= 2.0
@@ -184,6 +159,26 @@ def matmul(a, b, out: np.ndarray | None = None) -> np.ndarray:
         return out
     product = dgemm(1.0, first, second, trans_a=trans_a, trans_b=trans_b).T
     return product.reshape(a.shape[:-1] + b.shape[1:])[()]
+
+
+def sym_rank2k_update(m: np.ndarray, w: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Overwrite the symmetric ``m`` (C-contiguous float64, N-by-N) with
+    m - W E^T - E W^T for N-by-w W = ``w`` and E = ``e`` and return it.
+
+    One BLAS ``dsyr2k`` updates m's lower triangle in place, from W^T and
+    E^T as Fortran views (``trans``); then one ``dcopy`` per row mirrors
+    it, so the result is exactly symmetric and nothing is allocated beyond
+    what ``w`` and ``e`` need: a numpy copy within m would copy its source
+    first, and those strip temporaries stay resident in the heap.
+    """
+    if m.dtype != np.float64 or not m.flags.c_contiguous:
+        raise ValueError("m must be a C-contiguous float64 array")
+    dsyr2k(-1.0, np.ascontiguousarray(w).T, np.ascontiguousarray(e).T, beta=1.0, c=m.T,
+           trans=1, overwrite_c=1)
+    n, flat = m.shape[0], m.reshape(-1)
+    for j in range(n - 1):  # row j right of the diagonal from column j below it
+        dcopy(flat, flat, n - j - 1, (j + 1) * n + j, n, j * n + j + 1, 1)
+    return m
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -386,74 +381,49 @@ def _picked_eig(a: np.ndarray,
     return EigenDecomposition(values, _back_transform(factors, tau, vectors))
 
 
-def sym_eig(m, b=None, count: int | None = None,
+def sym_eig(m, count: int | None = None,
             pick: Callable[[np.ndarray], np.ndarray] | Band | None = None) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix, optionally generalized.
+    """Eigendecomposition of a symmetric matrix.
 
-    With ``b`` the problem is ``m z = lambda b z`` for a symmetric positive
-    definite ``b``, and the eigenvectors are b-orthonormal (Z^T b Z = I).
-    With ``count`` only the ``count`` smallest eigenpairs are computed.
-    With ``pick`` only the eigenvectors it asks for are computed, from one
-    tridiagonalization of the symmetrized copy (``_picked_eig``), and the
-    solve holds that copy and N-by-w blocks, never an N-by-N eigenvector
-    matrix. A callable ``pick`` gets every eigenvalue and marks the
-    positions wanted (a boolean mask over the ascending eigenvalues):
-    ``eigenvectors[:, j]`` then belongs to
-    ``eigenvalues[pick(eigenvalues)][j]``. A ``Band(bound, most)`` asks
-    for the eigenpairs with |lambda| <= bound, ascending, when there are at
-    most ``most`` of them, and computes no other eigenvalue; when there are
-    more, for every eigenvalue and the eigenvectors with |lambda| > bound,
-    so the eigenvalues returned number fewer than N only in the first case
-    (for ``most`` < N). The LAPACK driver follows from the call:
-    the divide-and-conquer drivers (``evd``/``gvd``) for a full spectrum,
-    and the subset drivers for ``count``.
-    ``m`` and ``b`` are never modified: LAPACK overwrites the symmetrized
-    copies made here, whose transposes are the Fortran-ordered views it
-    reads without copying again (the copies are exactly symmetric). Only an
-    ``m`` that the package marked with ``_scratch`` is symmetrized and
-    overwritten in place instead.
+    With ``count`` only the ``count`` smallest eigenpairs are computed. With
+    ``pick`` only the eigenvectors it asks for are computed, and the solve
+    holds one copy of ``m`` and N-by-w blocks, never an N-by-N eigenvector
+    matrix (``_picked_eig``): a callable gets every eigenvalue and returns a
+    boolean mask over them, and ``eigenvectors[:, j]`` belongs to
+    ``eigenvalues[pick(eigenvalues)][j]``; a ``Band`` asks for the pairs
+    its docstring names. ``m`` is never modified, except when the package
+    marked it with ``_scratch``.
 
     Args:
         m: square matrix, symmetric up to 1e-10 absolute tolerance.
-        b: optional positive definite matrix of the same shape.
         count: optional number of bottom eigenpairs, at least 1.
         pick: optional mask of the eigenvectors wanted, from the
-            eigenvalues, or a ``Band``; not with ``b`` or ``count``.
+            eigenvalues, or a ``Band``; not with ``count``.
 
     Returns:
-        EigenDecomposition with ascending eigenvalues and sign-fixed
-        eigenvectors (orthonormal, or b-orthonormal when ``b`` is given).
-        Both arrays own exactly their own bytes (``_owned``): the subset
-        solve's N-by-count block is copied out of LAPACK's larger output,
-        which is freed when the call returns, so a caller that keeps the
-        block keeps N count numbers, not more.
+        EigenDecomposition with ascending eigenvalues and orthonormal,
+        sign-fixed eigenvectors. Both arrays own exactly their own bytes
+        (``_owned``).
 
     Raises:
-        NonSquareError, NotSymmetricError, SizeMismatchError,
-        EigenConvergenceError (also when ``b`` is not positive definite).
+        NonSquareError, NotSymmetricError, EigenConvergenceError.
     """
     a = _symmetrize(_square_matrix(m, "matrix")) if type(m) is _Scratch else ensure_symmetric(m)
-    n = a.shape[0]
-    if b is not None:
-        b = ensure_symmetric(b, "b")
-        if b.shape != a.shape:
-            raise SizeMismatchError(f"b has shape {b.shape}, matrix has {a.shape}")
     if pick is not None:
-        if b is not None or count is not None:
-            raise ValueError("pick cannot be given with b or count")
+        if count is not None:
+            raise ValueError("pick cannot be given with count")
         values, vectors = _picked_eig(a, pick)
         return EigenDecomposition(_owned(values), _fix_signs(_owned(vectors)))
     if count is not None and count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    if count is None or count >= n:
-        options = {"driver": "evd" if b is None else "gvd"}
+    if count is None or count >= a.shape[0]:
+        options = {"driver": "evd"}
     else:
         options = {"subset_by_index": [0, count - 1]}
     try:
-        values, vectors = scipy.linalg.eigh(
-            a.T, None if b is None else b.T, overwrite_a=True, overwrite_b=True,
-            check_finite=False, **options,
-        )
+        # a is exactly symmetric, so a.T is the Fortran-ordered matrix LAPACK
+        # overwrites without copying again.
+        values, vectors = scipy.linalg.eigh(a.T, overwrite_a=True, check_finite=False, **options)
     except scipy.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
     return EigenDecomposition(_owned(values), _fix_signs(_owned(vectors)))

@@ -45,6 +45,7 @@ from .errors import (
     MalformedLineError,
     NoLayersError,
     SizeMismatchError,
+    _naming_file,
 )
 from .graphs import _FLOAT_FIELD, _INT_FIELD, Graph
 
@@ -95,7 +96,8 @@ def _layer_edges(net: MultiplexNetwork, layer: int) -> tuple[np.ndarray, np.ndar
 
 def load_node_names(path) -> tuple[str, ...]:
     """Read a node-name sidecar file: one name per line, blanks skipped."""
-    return tuple(line.strip() for line in Path(path).read_text().splitlines() if line.strip())
+    with _naming_file(path):
+        return tuple(line.strip() for line in Path(path).read_text().splitlines() if line.strip())
 
 
 def parse_multiplex(path, index_base: int = 0, names=None) -> MultiplexNetwork:
@@ -103,7 +105,7 @@ def parse_multiplex(path, index_base: int = 0, names=None) -> MultiplexNetwork:
     missing), read as a stream of blocks of whole lines, so the file's text
     is never held at once. A file that fails the read or a check is read a
     second time, only to name its first bad line."""
-    with Path(path).open() as handle:
+    with _naming_file(path), Path(path).open() as handle:
         def pieces():
             handle.seek(0)
             return map("".join, iter(functools.partial(handle.readlines, _PIECE_CHARS), []))

@@ -210,9 +210,9 @@ def eigensolves(monkeypatch):
     itself, which is not recorded."""
     solves = []
 
-    def recording(m, b=None, count=None, pick=None):
+    def recording(m, count=None, pick=None):
         solves.append(Solve(m, count, pick))
-        result = sym_eig(m, b, count, pick)
+        result = sym_eig(m, count, pick)
         if pick is not None:
             solves[-1] = solves[-1]._replace(width=result.eigenvectors.shape[1])
         return result

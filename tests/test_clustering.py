@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import repsc
 from repsc import clustering, linalg
@@ -813,25 +813,62 @@ def test_complement_arm_accepts_heavy_edge_weights():
         assert np.abs(gram - x @ x.T).max() <= 1e-9 * np.abs(x @ x.T).max()
 
 
-@pytest.mark.parametrize("normalized, constrained", [(False, False), (True, False), (True, True)])
-def test_an_n_by_n_solve_holds_one_matrix_beyond_the_graph(normalized, constrained):
-    # usc, nsc and a normalized W-arm solve, in N x N float64 units at
-    # N = 600: the Laplacian (deflated on the W arm), solved in its own
-    # storage; a copy for the solve would read about 2.05.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 80), share=st.floats(0.0, 1.0), heavy=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=80, share=1.0, heavy=True, seed=0)  # five whole strips of 16 rows, w = N - 1
+@example(n=33, share=0.0, heavy=False, seed=1)  # a last strip of one row, w = 1
+def test_deflation_is_the_compression_plus_the_shift(n, share, heavy, seed):
+    # _deflate's contract on a Laplacian, for w = 1 .. N - 1 (w = 1 when
+    # N = 1): m becomes P m P + c W W^T in its own buffer, exactly symmetric.
+    rng = np.random.default_rng(seed)
+    width = 1 + int(share * max(n - 2, 0))
+    upper = np.triu(rng.random((n, n)) < 0.5, 1) * (rng.uniform(0.0, 1e9, (n, n)) if heavy else 1.0)
+    a = upper + upper.T
+    m = np.diag(a.sum(axis=1)) - a
+    w = random_orthonormal(rng, n, width)
+    shift = 1.0 + np.abs(m).sum(axis=1).max()
+    p = np.eye(n) - w @ w.T
+    want = p @ m @ p + shift * (w @ w.T)
+    assert clustering._deflate(m, w) is None
+    assert np.array_equal(m, m.T)
+    assert np.abs(m - want).max() <= 1e-12 * shift
+
+
+def n_by_n_solve_peak(normalized, groups):
+    """Traced peak of ``_embed`` on the N = 600 benchmark graph, in N x N
+    float64 units: unconstrained, or on the W arm of ``groups`` contiguous
+    groups (w = groups - 1)."""
     n = 600
     rep, truth = repsc.build_d_regular_rep_graph(n, 5, 40)
     g = repsc.sample_rpp(repsc.RppParams(assignment=truth, rep_graph=rep, **SWEEP_PROBS), 1)
-    complement = clustering._group_complement(repsc.contiguous_assignment(n, 10))
-    peak = traced_peak(lambda: clustering._embed(g, 5, None, normalized,
-                                                 complement if constrained else None))
-    assert peak <= 1.25 * n * n * 8
+    complement = (clustering._group_complement(repsc.contiguous_assignment(n, groups))
+                  if groups else None)
+    return traced_peak(lambda: clustering._embed(g, 5, None, normalized, complement)) / (n * n * 8)
+
+
+@pytest.mark.parametrize("normalized, constrained", [(False, False), (True, False), (True, True)])
+def test_an_n_by_n_solve_holds_one_matrix_beyond_the_graph(normalized, constrained):
+    # usc, nsc and a normalized W-arm solve at w = 9: the Laplacian
+    # (deflated on the W arm), solved in its own storage; a copy for the
+    # solve would read about 2.05.
+    assert n_by_n_solve_peak(normalized, 10 if constrained else 0) <= 1.25
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_a_wide_deflation_holds_n_by_w_blocks_beyond_its_matrix(normalized):
+    # w = 59 (N/10 groups, as the planted baseline's): beyond the Laplacian
+    # the deflation holds N x w blocks, 1.21 (B = I) and 1.31 (B = D) in
+    # all; with two N x 2w stacks and their product it read 1.51 and 1.61.
+    assert n_by_n_solve_peak(normalized, 60) <= 1.45
 
 
 @pytest.mark.parametrize("normalized", [False, True])
 def test_the_basis_arm_holds_no_n_by_n_matrix_beyond_the_graph(normalized):
     # urepsc's and nrepsc's solve on a d-regular null basis at N = 900 (10
-    # of 900 dimensions), in N x N float64 units: Y^T L Y and Y^T D Y come
-    # from N x m products. A whole L built to be multiplied reads 1.01.
+    # of 900 dimensions), in N x N float64 units: Y^T L Y comes from N x m
+    # products, and nrepsc holds one more N x m basis (0.045 and 0.057). A
+    # whole L built to be multiplied reads 1.01.
     n = 900
     rep, truth = repsc.build_d_regular_rep_graph(n, 5, 40)
     g = repsc.sample_rpp(repsc.RppParams(assignment=truth, rep_graph=rep, **SWEEP_PROBS), 1)

@@ -675,7 +675,9 @@ def test_cli_rejects_an_input_file_that_is_not_utf8(tmp_path, capsys, command):
         "ingest --names": ingest + ["--names", str(undecodable)],
     }[command]
     assert main(args) == 2
-    assert "error: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: 'utf-8' codec can't decode byte 0xff" in err
+    assert f"in file {undecodable}\n" in err
     assert not (tmp_path / "ingested").exists()
 
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import repsc
 from repsc import clustering
 from repsc.clustering import ONES_IN_NULL_ATOL, constraint_null_basis
-from repsc.linalg import RANK_REL_TOL, Band, matmul, sym_eig
+from repsc.linalg import RANK_REL_TOL, Band, _fix_signs, matmul, sym_eig
 from conftest import clear_harness_caches, group_basis
 
 PROJECTOR_ATOL = 1e-8
@@ -570,9 +570,14 @@ def whole_laplacian_basis_arm(graph, k, basis, normalized):
     a = repsc.graphs.as_adjacency(graph)
     degrees = a.sum(axis=1)
     reduced = matmul(matmul(basis.T, np.diag(degrees) - a), basis)
-    weight = matmul(basis.T, degrees[:, None] * basis) if normalized else None
-    values, vectors = sym_eig((reduced + reduced.T) / 2.0,
-                              None if weight is None else (weight + weight.T) / 2.0, count=k + 1)
+    reduced = (reduced + reduced.T) / 2.0
+    if normalized:  # the generalized problem (Y^T L Y, Y^T D Y)
+        weight = matmul(basis.T, degrees[:, None] * basis)
+        values, vectors = scipy.linalg.eigh(reduced, (weight + weight.T) / 2.0,
+                                            subset_by_index=[0, min(k, len(reduced) - 1)])
+        _fix_signs(vectors)
+    else:
+        values, vectors = sym_eig(reduced, count=k + 1)
     return matmul(basis, vectors[:, :k]), values[:k], clustering._gap_warnings(values, k)
 
 

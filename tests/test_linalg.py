@@ -70,6 +70,8 @@ def test_sym_eig_rejects_bad_input():
         repsc.sym_eig(skew)
     with pytest.raises(ValueError):
         repsc.sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        repsc.sym_eig(np.diag([1.0, 2.0]), count=0)
 
 
 def test_symmetry_noise_below_tolerance_is_averaged():
@@ -103,28 +105,10 @@ def random_symmetric(rng, n):
     return (a + a.T) / 2.0
 
 
-def random_spd(rng, n):
-    b = rng.standard_normal((n, n))
-    return b @ b.T + n * np.eye(n)
-
-
 def assert_sign_fixed(vectors):
     for j in range(vectors.shape[1]):
         lead = vectors[np.abs(vectors[:, j]) > 1e-12, j]
         assert lead.size == 0 or lead[0] > 0
-
-
-def test_sym_eig_generalized_b_orthonormal_and_solves():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        n = int(rng.integers(2, 12))
-        a, b = random_symmetric(rng, n), random_spd(rng, n)
-        values, vectors = repsc.sym_eig(a, b)
-        assert np.all(np.diff(values) >= 0)
-        assert np.allclose(vectors.T @ b @ vectors, np.eye(n), atol=1e-9)
-        assert np.allclose(a @ vectors, b @ vectors * values, atol=1e-8)
-        assert np.allclose(values, scipy.linalg.eigvalsh(a, b), atol=1e-9)
-        assert_sign_fixed(vectors)
 
 
 def test_sym_eig_count_returns_the_bottom_pairs():
@@ -133,17 +117,15 @@ def test_sym_eig_count_returns_the_bottom_pairs():
         n = int(rng.integers(3, 12))
         count = int(rng.integers(1, n))
         a = random_symmetric(rng, n)
-        for b in (None, random_spd(rng, n)):
-            full = repsc.sym_eig(a, b)
-            part = repsc.sym_eig(a, b, count=count)
-            assert part.eigenvalues.shape == (count,)
-            assert part.eigenvectors.shape == (n, count)
-            assert np.allclose(part.eigenvalues, full.eigenvalues[:count], atol=1e-9)
-            gram = part.eigenvectors.T @ (np.eye(n) if b is None else b) @ part.eigenvectors
-            assert np.allclose(gram, np.eye(count), atol=1e-9)
-            assert_sign_fixed(part.eigenvectors)
-            # Random spectra are simple, so the vectors agree column by column.
-            assert np.allclose(part.eigenvectors, full.eigenvectors[:, :count], atol=1e-7)
+        full = repsc.sym_eig(a)
+        part = repsc.sym_eig(a, count=count)
+        assert part.eigenvalues.shape == (count,)
+        assert part.eigenvectors.shape == (n, count)
+        assert np.allclose(part.eigenvalues, full.eigenvalues[:count], atol=1e-9)
+        assert np.allclose(part.eigenvectors.T @ part.eigenvectors, np.eye(count), atol=1e-9)
+        assert_sign_fixed(part.eigenvectors)
+        # Random spectra are simple, so the vectors agree column by column.
+        assert np.allclose(part.eigenvectors, full.eigenvectors[:, :count], atol=1e-7)
         # A count past the dimension is the full spectrum.
         assert repsc.sym_eig(a, count=n + 3).eigenvalues.shape == (n,)
 
@@ -225,45 +207,42 @@ def test_sym_eig_pick_stands_alone():
     def every(values):
         return np.ones(values.size, dtype=bool)
 
-    for options in ({"b": np.eye(3)}, {"count": 1}):
-        with pytest.raises(ValueError, match="pick cannot be given with b or count"):
-            repsc.sym_eig(np.eye(3), pick=every, **options)
+    with pytest.raises(ValueError, match="pick cannot be given with count"):
+        repsc.sym_eig(np.eye(3), count=1, pick=every)
 
 
 def test_sym_eig_leaves_its_arguments_unchanged():
     rng = np.random.default_rng(9)
     n = 12
-    a, spd = random_symmetric(rng, n), random_spd(rng, n)
+    a = random_symmetric(rng, n)
     # Exactly symmetric inputs, C- and F-ordered, and one with rounding noise.
     noisy = a + 1e-13 * rng.standard_normal((n, n))
     for m in (a, np.asfortranarray(a), noisy):
-        for b in (None, spd, np.asfortranarray(spd)):
-            for count in (None, 1, 3):
-                m_before = m.copy()
-                b_before = None if b is None else b.copy()
-                repsc.sym_eig(m, b, count)
-                assert np.array_equal(m, m_before)
-                assert b is None or np.array_equal(b, b_before)
+        for count in (None, 1, 3):
+            m_before = m.copy()
+            repsc.sym_eig(m, count)
+            assert np.array_equal(m, m_before)
         for pick in (lambda values: values > 0.0, Band(1.0, n), Band(1.0, 0)):
             m_before = m.copy()
             repsc.sym_eig(m, pick=pick)
             assert np.array_equal(m, m_before)
 
 
-@pytest.mark.parametrize("use_b, count, copies", [
+@pytest.mark.parametrize("fortran, count, copies", [
     (False, None, 3),  # symmetrized copy + divide-and-conquer workspace (2 N^2)
-    (True, None, 4),
-    (True, 6, 2),      # one copy of m and one of b
+    (True, None, 3),   # a Fortran-ordered argument is copied once too
+    (True, 1, 1),
     (False, 1, 1),
 ])
-def test_sym_eig_peak_memory(use_b, count, copies):
+def test_sym_eig_peak_memory(fortran, count, copies):
     # Allocations inside sym_eig, in units of one N x N float64 matrix: the
-    # argument copies LAPACK works on, and no second copy made by scipy.
+    # argument copy LAPACK works on, and no second copy made by scipy.
     n = 400
     rng = np.random.default_rng(10)
     a = random_symmetric(rng, n)
-    b = np.diag(rng.uniform(1.0, 2.0, n)) if use_b else None
-    peak = traced_peak(lambda: repsc.sym_eig(a, b, count))
+    if fortran:
+        a = np.asfortranarray(a)
+    peak = traced_peak(lambda: repsc.sym_eig(a, count))
     assert peak <= (copies + 0.25) * n * n * 8
 
 
@@ -419,16 +398,6 @@ def test_fix_signs_equals_the_per_column_loop(m, layout):
     got = _fix_signs(m)
     assert got is m
     assert got.tobytes() == want.tobytes()
-
-
-def test_sym_eig_generalized_rejects_bad_b():
-    a = np.diag([1.0, 2.0])
-    with pytest.raises(repsc.SizeMismatchError):
-        repsc.sym_eig(a, np.eye(3))
-    with pytest.raises(repsc.NotSymmetricError):
-        repsc.sym_eig(a, np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        repsc.sym_eig(a, count=0)
 
 
 # -- matmul: every dense product on the BLAS of the eigensolver --------------
@@ -598,9 +567,9 @@ def test_importing_the_cli_loads_no_heavy_scipy_module():
 
 # -- what the removed helpers did, through the code that replaced them -------
 #
-# The SVD null space, the square root pair and the rank truncation are gone:
+# The SVD null space and the rank truncation are gone:
 # constraint_null_basis(R, rank) builds the null space of R (I - 11^T/N) from
-# one eigendecomposition of R, and sym_eig(m, b) replaces Q^{-1/2} whitening.
+# one eigendecomposition of R.
 
 
 def centered(r):
@@ -648,36 +617,6 @@ def test_null_space_deterministic_and_sign_fixed():
     assert np.allclose(b1.T @ b1, np.eye(3), atol=1e-10)
     assert np.allclose(centered(r) @ b1, 0.0, atol=1e-9)
     assert_sign_fixed(b1)
-
-
-def test_sqrt_and_inv_sqrt_roundtrip():
-    # The generalized problem m z = lambda b z is the whitened problem
-    # b^{-1/2} m b^{-1/2} u = lambda u with z = b^{-1/2} u.
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        n = int(rng.integers(2, 8))
-        a, spd = random_symmetric(rng, n), random_spd(rng, n)
-        q_values, q_vectors = scipy.linalg.eigh(spd)
-        root = (q_vectors * np.sqrt(q_values)) @ q_vectors.T
-        inv_root = (q_vectors / np.sqrt(q_values)) @ q_vectors.T
-        assert np.allclose(root @ root, spd, atol=1e-8)
-        assert np.allclose(root @ inv_root, np.eye(n), atol=1e-8)
-        whitened = inv_root @ a @ inv_root
-        values, vectors = repsc.sym_eig(a, spd)
-        assert np.allclose(values, scipy.linalg.eigvalsh((whitened + whitened.T) / 2.0),
-                           atol=1e-9)
-        u = root @ vectors
-        assert np.allclose(u.T @ u, np.eye(n), atol=1e-9)
-        assert np.allclose(whitened @ u, u * values, atol=1e-8)
-
-
-def test_sqrt_rejects_singular():
-    a = np.diag([1.0, 2.0])
-    for b in (np.diag([1.0, 0.0]), np.diag([1.0, -2.0])):
-        with pytest.raises(repsc.EigenConvergenceError):
-            repsc.sym_eig(a, b)
-        with pytest.raises(repsc.EigenConvergenceError):
-            repsc.sym_eig(a, b, count=1)
 
 
 def test_low_rank_approx_exact_on_low_rank_input():

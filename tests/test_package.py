@@ -42,3 +42,22 @@ def test_every_public_name_has_a_user_in_the_package_or_the_readme():
     unused = [name for name in repsc.__all__
               if name not in used and not re.search(rf"\b{name}\b", readme)]
     assert unused == []
+
+
+def test_only_linalg_imports_scipy():
+    # linalg owns every BLAS and LAPACK call; a scipy import anywhere else
+    # would be a second owner of one of them.
+    found = []
+    for path in sorted(Path(repsc.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {module}" for module in modules
+                      if module == "scipy" or module.startswith("scipy.")]
+    assert found == []
