@@ -406,8 +406,11 @@ def sym_eig(m, count: int | None = None,
         (``_owned``).
 
     Raises:
-        NonSquareError, NotSymmetricError, EigenConvergenceError.
+        NonSquareError, NotSymmetricError, EigenConvergenceError; TypeError
+        for a ``count`` that is not an integer, such as a second matrix.
     """
+    if count is not None and not isinstance(count, (int, np.integer)):
+        raise TypeError(f"count must be an integer, got {type(count).__name__}")
     a = _symmetrize(_square_matrix(m, "matrix")) if type(m) is _Scratch else ensure_symmetric(m)
     if pick is not None:
         if count is not None:

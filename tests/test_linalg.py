@@ -70,8 +70,20 @@ def test_sym_eig_rejects_bad_input():
         repsc.sym_eig(skew)
     with pytest.raises(ValueError):
         repsc.sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_sym_eig_generalized_rejects_bad_b():
+    # Every solve is a standard symmetric one: a second matrix, the b of a
+    # generalized problem, is refused by name or by position, never read as
+    # a count.
+    a = np.diag([1.0, 2.0])
+    for b in (np.eye(3), np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)):
+        with pytest.raises(TypeError, match="count must be an integer"):
+            repsc.sym_eig(a, b)
+        with pytest.raises(TypeError):
+            repsc.sym_eig(a, b=b)
     with pytest.raises(ValueError):
-        repsc.sym_eig(np.diag([1.0, 2.0]), count=0)
+        repsc.sym_eig(a, count=0)
 
 
 def test_symmetry_noise_below_tolerance_is_averaged():
