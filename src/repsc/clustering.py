@@ -30,12 +30,12 @@ from .graphs import (ClusterAssignment, Graph, _check_k, _degrees, _laplacian,
                      _laplacian_product, _memoized, as_adjacency)
 from .linalg import (
     RANK_REL_TOL,
-    Band,
     _complement_columns,
     _fix_signs,
     _scratch,
     as_float_matrix,
     matmul,
+    null_side_eig,
     orthonormal_columns,
     row_blocks,
     sym_eig,
@@ -275,35 +275,11 @@ def _gap_warnings(eigenvalues: np.ndarray, k: int) -> tuple[str, ...]:
     return ()
 
 
-def _pick(r: np.ndarray, tol: float, rank: int | None) -> tuple[np.ndarray, bool]:
-    """One ``sym_eig(r, pick=...)`` solve for the narrower side of R's null
-    mask (|lambda| <= ``tol``, and with ``rank`` every eigenpair outside the
-    ``rank`` of largest |lambda|, ties kept in ascending position): its
-    eigenvectors, and whether they are the null ones. Without ``rank`` the
-    null side is taken when its width m has 2 (m + 1) <= N, and R = 0
-    (``tol`` = 0, every eigenvalue null) takes the side that is not null."""
-    n = r.shape[0]
-    if rank is None and tol > 0.0:
-        values, vectors = sym_eig(r, pick=Band(tol, (n - 2) // 2))
-        return vectors, values.size < n  # a wide band returns every eigenvalue
-    null_side = False
-
-    def narrower(values: np.ndarray) -> np.ndarray:
-        nonlocal null_side
-        magnitude = np.abs(values)
-        null = magnitude <= tol
-        if rank is not None:
-            null[np.argsort(-magnitude, kind="stable")[rank:]] = True
-        null_side = rank is not None and 2 * np.count_nonzero(null) < null.size
-        return null if null_side else ~null
-
-    return sym_eig(r, pick=narrower).eigenvectors, null_side
-
-
 def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, bool]:
     """Orthonormal eigenvectors of R that span either null(R), or the null
     space of R's rank-``rank`` truncation, or its orthogonal complement,
-    whichever is narrower (``_pick``), and whether they span the null side.
+    whichever is narrower (``linalg.null_side_eig``), and whether they span
+    the null side.
 
     An eigenvalue counts as zero when |lambda| <= t = RANK_REL_TOL * N *
     ||R||_inf, with ||R||_inf the largest absolute row sum; with ``rank`` so
@@ -323,7 +299,7 @@ def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, bo
         return RANK_REL_TOL * n * (row_sums.max() if r.size else 0.0)
 
     tol = _memoized(rep_graph_or_matrix, "null_tol", null_tol)
-    return _memoized(rep_graph_or_matrix, ("picked", rank), lambda: _pick(r, tol, rank))
+    return _memoized(rep_graph_or_matrix, ("picked", rank), lambda: null_side_eig(r, tol, rank))
 
 
 def _split_ones(columns: np.ndarray, overlap: np.ndarray, drop: bool) -> np.ndarray:
@@ -508,14 +484,15 @@ def _basis(graph, k: int, rep, rank: int | None) -> tuple[np.ndarray | None, np.
     return None, _split_ones(vectors, overlap, drop=not leans)
 
 
-def _points(graph, k: int, rep, rank: int | None, normalized: bool,
-            unit_rows: bool) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """The deterministic half of ``_solve``: the k-means input points (the
-    rows of ``_embed``'s solution, scaled to unit length with ``unit_rows``
-    and as they are otherwise), the spectrum and the warnings."""
+def _points(graph, k: int, rep, rank: int | None,
+            normalized: bool) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The deterministic half of ``_solve``: the k-means input points, the
+    spectrum and the warnings. The points are the rows of ``_embed``'s
+    solution, scaled to unit length for nsc (``normalized`` without
+    ``rep``)."""
     basis, complement = _basis(graph, k, rep, rank)
     embedding, spectrum, warnings = _embed(graph, k, basis, normalized, complement)
-    if unit_rows:
+    if normalized and rep is None:
         norms = np.linalg.norm(embedding, axis=1)
         zero_rows = norms <= 1e-12
         if np.any(zero_rows):
@@ -528,13 +505,13 @@ def _points(graph, k: int, rep, rank: int | None, normalized: bool,
 
 
 def _solve(graph, k: int, cfg: KMeansConfig, rep=None, rank: int | None = None,
-           normalized: bool = False, unit_rows: bool = False) -> ClusteringResult:
+           normalized: bool = False) -> ClusteringResult:
     """k-means into k clusters, configured by ``cfg``, on ``_points``.
 
     ``rep`` is what the constraint is built from (see ``_basis``). When
     ``graph`` is a Graph and ``rep`` is a Graph or None, the points,
     spectrum and warnings are kept in ``graph``'s memo once the call
-    succeeds, keyed by (rep, rank, normalized, unit_rows, k), and a later
+    succeeds, keyed by (rep, rank, normalized, k), and a later
     call with that key runs only k-means, whose seed is in ``cfg``. Every
     result gets its own copies of the arrays. A k that is not a positive
     integer raises ValueError before any of it.
@@ -548,8 +525,8 @@ def _solve(graph, k: int, cfg: KMeansConfig, rep=None, rank: int | None = None,
                                 fit.iters, spectrum.copy(), warnings)
 
     holder = graph if rep is None or isinstance(rep, Graph) else None
-    return _memoized(holder, ("points", rep, rank, normalized, unit_rows, k),
-                     lambda: _points(graph, k, rep, rank, normalized, unit_rows), cluster)
+    return _memoized(holder, ("points", rep, rank, normalized, k),
+                     lambda: _points(graph, k, rep, rank, normalized), cluster)
 
 
 def usc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
@@ -567,7 +544,7 @@ def nsc(graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:
     Raises IsolatedNodeError when some degree is not positive, since the
     normalized Laplacian is undefined there.
     """
-    return _solve(graph, k, cfg, normalized=True, unit_rows=True)
+    return _solve(graph, k, cfg, normalized=True)
 
 
 def urepsc(graph, rep_graph, k: int, cfg: KMeansConfig = KMeansConfig()) -> ClusteringResult:

@@ -577,7 +577,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     args = [(cfg, task) for task in tasks]
     if cfg.threads > 1:
         chunk = max(1, len(args) // (cfg.threads * 4))
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        # A forked pool starts all its workers on the first task, so it gets
+        # no more of them than there are chunks.
+        workers = max(1, min(cfg.threads, -(-len(args) // chunk)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_execute_task, args, chunksize=chunk))
     else:
         rows = [_execute_task(arg) for arg in args]

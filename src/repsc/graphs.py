@@ -32,6 +32,7 @@ from .errors import (
     IndexOutOfRangeError,
     MalformedLineError,
     SizeMismatchError,
+    _naming_file,
 )
 from .linalg import _owned, as_float_matrix, ensure_symmetric, matmul, row_blocks
 
@@ -576,8 +577,8 @@ def read_graph(path) -> Graph:
     """Parse the edge-list format written by write_graph; its numbers are
     ASCII decimal integers, as in the assignment and multiplex grammars, and
     its header is exactly the two fields ``n=<N> diag=<0|1>``."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    with _naming_file(path):
+        lines = Path(path).read_text().splitlines()
     if not lines:
         raise MalformedLineError(1, "empty graph file")
     try:
@@ -625,7 +626,9 @@ def read_assignment(path) -> ClusterAssignment:
     """
     labels, label_lines = [], []
     k = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    with _naming_file(path):
+        text = Path(path).read_text()
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("#"):
             key, sep, value = stripped[1:].partition("=")

@@ -2,20 +2,20 @@
 
 This module owns every dense matrix product (``matmul``), the symmetric
 rank-2k update (``sym_rank2k_update``) and every factorization
-(``sym_eig``, ``orthonormal_columns``, ``_complement_columns``), all on
-scipy's BLAS and LAPACK: numpy links a second OpenBLAS with its own thread
-pool, whose spinning threads slow the next scipy eigensolve down. Every
-eigendecomposition reports its eigenvalues in ascending order, and in
-every eigenvector column the first entry whose magnitude exceeds 1e-12 is
-made positive, so repeated runs and different call sites agree bit for
-bit. Every N-by-N pass works on row strips of about N/32 rows
-(``row_blocks``), so its temporaries stay a small fraction of one N-by-N
-matrix.
+(``sym_eig``, ``null_side_eig``, ``orthonormal_columns``,
+``_complement_columns``), all on scipy's BLAS and LAPACK: numpy links a
+second OpenBLAS with its own thread pool, whose spinning threads slow the
+next scipy eigensolve down. Every eigendecomposition reports its
+eigenvalues in ascending order, and in every eigenvector column the first
+entry whose magnitude exceeds 1e-12 is made positive, so repeated runs and
+different call sites agree bit for bit. Every N-by-N pass works on row
+strips of about N/32 rows (``row_blocks``), so its temporaries stay a small
+fraction of one N-by-N matrix.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -40,8 +40,7 @@ class EigenDecomposition(NamedTuple):
     """Spectrum (or its bottom part) of a symmetric matrix.
 
     ``eigenvalues`` is ascending; column ``eigenvectors[:, i]`` belongs to
-    ``eigenvalues[i]`` (to the i-th picked one for ``sym_eig``'s ``pick``)
-    and carries the deterministic sign convention.
+    ``eigenvalues[i]`` and carries the deterministic sign convention.
     """
 
     eigenvalues: np.ndarray
@@ -238,8 +237,7 @@ def _owned(a: np.ndarray) -> np.ndarray:
     layout (``order="K"``: a Fortran block stays Fortran, so every later
     reduction over it sums in the same order). scipy's subset eigensolve
     (``count``) fills buffers sized for every eigenpair and returns slices
-    of them, as bisection does for a band's eigenvalues; a kept slice would
-    keep the whole buffer alive."""
+    of them; a kept slice would keep the whole buffer alive."""
     base = a.base
     if base is None or getattr(base, "nbytes", None) == a.nbytes:
         return a
@@ -257,17 +255,8 @@ def _scratch(m: np.ndarray) -> np.ndarray:
     overwrites, so an N-by-N matrix the caller built and drops, such as a
     Laplacian, is solved without a copy. It holds no meaningful values
     afterwards. The solve stays a ``sym_eig`` call, so every eigensolve of
-    the package is one."""
+    the package is one of that or ``null_side_eig``."""
     return m.view(_Scratch)
-
-
-class Band(NamedTuple):
-    """A ``pick`` for ``sym_eig``: the eigenpairs with |lambda| <= ``bound``
-    (positive and finite) when there are at most ``most`` of them, else
-    every eigenvalue and the eigenvectors with |lambda| > ``bound``."""
-
-    bound: float
-    most: int
 
 
 def _tridiagonal_vectors(diagonal: np.ndarray, offdiagonal: np.ndarray, values: np.ndarray,
@@ -315,57 +304,61 @@ def _back_transform(factors: np.ndarray, tau: np.ndarray, vectors: np.ndarray) -
     return vectors
 
 
-def _picked_eig(a: np.ndarray,
-                pick: Callable[[np.ndarray], np.ndarray] | Band) -> EigenDecomposition:
-    """The eigenpairs of ``a`` (symmetric and overwritten) that ``pick``
-    asks for: a callable marks positions in the ascending eigenvalues, all
-    of which are returned, or a ``Band``.
+def null_side_eig(m, tol: float, rank: int | None = None) -> tuple[np.ndarray, bool]:
+    """Orthonormal, sign-fixed eigenvectors of the symmetric ``m`` that span
+    the narrower of its two sides, and whether that is the null side. A pair
+    is null when |lambda| <= ``tol``, and with ``rank`` so is every pair
+    outside the ``rank`` of largest |lambda|, ties kept in ascending
+    position. The null side of width w is taken when 2 (w + 1) <= N, or with
+    ``rank`` when 2 w < N; so an m whose every eigenvalue is null gets no
+    eigenvector.
 
-    LAPACK's ``dsytrd`` reduces a = Q T Q^T to a tridiagonal T (reflectors
-    below the subdiagonal, ``uplo = L``). A ``Band`` first bisects T over
-    [-bound, bound] (``dstebz``, range ``V``, LAPACK's default absolute
+    The solve holds one copy of ``m`` (never modified) and N-by-w blocks,
+    never an N-by-N eigenvector matrix. LAPACK's ``dsytrd`` reduces the copy
+    a = Q T Q^T to a tridiagonal T (reflectors below the subdiagonal,
+    ``uplo = L``). Without ``rank`` and with ``tol`` > 0, ``dstebz`` first
+    bisects T over [-tol, tol] (range ``V``, LAPACK's default absolute
     tolerance 0, as ``dsyevr`` does; LAPACK's interval (vl, vu] is closed by
-    one step below -bound): a narrow band returns those eigenvalues and
-    takes their eigenvectors alone, with no other eigenvalue computed. A
-    callable, or a wide band's outside, reads every eigenvalue from
-    ``dsterf``; for each run of consecutive picked positions ``dstebz``
-    bisects for those eigenvalues (and T's split points). ``dstein`` takes
-    their eigenvectors of T by inverse iteration (``_tridiagonal_vectors``)
-    and Q takes them back, N-by-w (``_back_transform``).
+    one step below -tol): a narrow null side takes those eigenvalues alone,
+    with no other eigenvalue computed. Otherwise ``dsterf`` gives every
+    eigenvalue, and for each run of consecutive positions of the side taken
+    ``dstebz`` bisects for those eigenvalues (and T's split points).
+    ``dstein`` takes their eigenvectors of T by inverse iteration
+    (``_tridiagonal_vectors``) and Q takes them back (``_back_transform``).
+
+    Raises:
+        NonSquareError, NotSymmetricError, EigenConvergenceError.
     """
+    a = ensure_symmetric(m)
     n = a.shape[0]
-    if isinstance(pick, Band) and not 0.0 < pick.bound < np.inf:
-        raise ValueError(f"a band's bound must be positive and finite, got {pick.bound}")
     if n <= 1:  # scipy's tridiagonal wrappers reject an empty off-diagonal
-        values = a.diagonal().copy()
-        if isinstance(pick, Band):
-            inside = np.abs(values) <= pick.bound
-            if np.count_nonzero(inside) <= pick.most:
-                return EigenDecomposition(values[inside], np.eye(n, order="F")[:, inside])
-            return EigenDecomposition(values, np.eye(n, order="F")[:, ~inside])
-        return EigenDecomposition(values, np.eye(n, order="F")[:, pick(values)])
-    # a is symmetric, so a.T is the Fortran-ordered matrix LAPACK reads.
-    work, _ = lapack.dsytrd_lwork(n, lower=1)
-    factors, diagonal, offdiagonal, tau, _ = lapack.dsytrd(
-        a.T, lower=1, lwork=max(int(work), 1), overwrite_a=1)
-    if isinstance(pick, Band):
-        width, found, blocks, split, info = lapack.dstebz(
-            diagonal, offdiagonal, 1, np.nextafter(-pick.bound, -np.inf), pick.bound,
-            0, 0, 0.0, "E")
+        values = a.diagonal()
+    else:
+        # a is symmetric, so a.T is the Fortran-ordered matrix LAPACK reads.
+        work, _ = lapack.dsytrd_lwork(n, lower=1)
+        factors, diagonal, offdiagonal, tau, _ = lapack.dsytrd(
+            a.T, lower=1, lwork=max(int(work), 1), overwrite_a=1)
+        if rank is None and tol > 0.0:
+            width, found, blocks, split, info = lapack.dstebz(
+                diagonal, offdiagonal, 1, np.nextafter(-tol, -np.inf), tol, 0, 0, 0.0, "E")
+            if info:
+                raise EigenConvergenceError(f"dstebz failed on [-{tol}, {tol}] (info={info})")
+            if 2 * (width + 1) <= n:
+                vectors = _tridiagonal_vectors(diagonal, offdiagonal, found[:width],
+                                               blocks[:width], split)
+                return _fix_signs(_back_transform(factors, tau, vectors)), True
+        values, info = lapack.dsterf(diagonal, offdiagonal)
         if info:
-            raise EigenConvergenceError(f"dstebz failed on [-{pick.bound}, {pick.bound}] "
-                                        f"(info={info})")
-        if width <= pick.most:
-            vectors = _tridiagonal_vectors(diagonal, offdiagonal, found[:width],
-                                           blocks[:width], split)
-            return EigenDecomposition(found[:width], _back_transform(factors, tau, vectors))
-    values, info = lapack.dsterf(diagonal, offdiagonal)
-    if info:
-        raise EigenConvergenceError(f"dsterf failed to converge (info={info})")
-    positions = np.flatnonzero(np.abs(values) > pick.bound if isinstance(pick, Band)
-                               else pick(values))
-    if not positions.size:
-        return EigenDecomposition(values, np.zeros((n, 0), order="F"))
+            raise EigenConvergenceError(f"dsterf failed to converge (info={info})")
+    magnitude = np.abs(values)
+    null = magnitude <= tol
+    if rank is not None:
+        null[np.argsort(-magnitude, kind="stable")[rank:]] = True
+    width = np.count_nonzero(null)
+    null_side = 2 * width < n if rank is not None else 2 * (width + 1) <= n
+    positions = np.flatnonzero(null if null_side else ~null)
+    if n <= 1 or not positions.size:  # [1] is a 1 x 1 matrix's eigenvector
+        return np.ones((n, positions.size), order="F"), null_side
     found, blocks = [], []
     for run in np.split(positions, np.flatnonzero(np.diff(positions) > 1) + 1):
         width, bisected, block, split, info = lapack.dstebz(
@@ -378,27 +371,19 @@ def _picked_eig(a: np.ndarray,
         blocks.append(block[:width])
     vectors = _tridiagonal_vectors(diagonal, offdiagonal, np.concatenate(found),
                                    np.concatenate(blocks), split)
-    return EigenDecomposition(values, _back_transform(factors, tau, vectors))
+    return _fix_signs(_back_transform(factors, tau, vectors)), null_side
 
 
-def sym_eig(m, count: int | None = None,
-            pick: Callable[[np.ndarray], np.ndarray] | Band | None = None) -> EigenDecomposition:
+def sym_eig(m, count: int | None = None) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix.
 
-    With ``count`` only the ``count`` smallest eigenpairs are computed. With
-    ``pick`` only the eigenvectors it asks for are computed, and the solve
-    holds one copy of ``m`` and N-by-w blocks, never an N-by-N eigenvector
-    matrix (``_picked_eig``): a callable gets every eigenvalue and returns a
-    boolean mask over them, and ``eigenvectors[:, j]`` belongs to
-    ``eigenvalues[pick(eigenvalues)][j]``; a ``Band`` asks for the pairs
-    its docstring names. ``m`` is never modified, except when the package
-    marked it with ``_scratch``.
+    With ``count`` only the ``count`` smallest eigenpairs are computed.
+    ``m`` is never modified, except when the package marked it with
+    ``_scratch``.
 
     Args:
         m: square matrix, symmetric up to 1e-10 absolute tolerance.
         count: optional number of bottom eigenpairs, at least 1.
-        pick: optional mask of the eigenvectors wanted, from the
-            eigenvalues, or a ``Band``; not with ``count``.
 
     Returns:
         EigenDecomposition with ascending eigenvalues and orthonormal,
@@ -412,11 +397,6 @@ def sym_eig(m, count: int | None = None,
     if count is not None and not isinstance(count, (int, np.integer)):
         raise TypeError(f"count must be an integer, got {type(count).__name__}")
     a = _symmetrize(_square_matrix(m, "matrix")) if type(m) is _Scratch else ensure_symmetric(m)
-    if pick is not None:
-        if count is not None:
-            raise ValueError("pick cannot be given with count")
-        values, vectors = _picked_eig(a, pick)
-        return EigenDecomposition(_owned(values), _fix_signs(_owned(vectors)))
     if count is not None and count < 1:
         raise ValueError(f"count must be positive, got {count}")
     if count is None or count >= a.shape[0]:

@@ -11,7 +11,7 @@ import pytest
 
 import repsc
 from repsc import clustering, experiments
-from repsc.linalg import sym_eig
+from repsc.linalg import null_side_eig, sym_eig
 
 # Regular-representation instances used across the suite: (n, k, d) with
 # d/k representatives per cluster, chosen so the ring construction is
@@ -182,24 +182,23 @@ def empty_harness_caches():
 
 
 class Solve(NamedTuple):
-    """One ``sym_eig`` call: its matrix, ``count`` and ``pick``, and for a
-    select solve the number of eigenvectors it returned (None until it has
-    returned)."""
+    """One eigensolve: its matrix, ``count``, whether it was R's select
+    solve (``null_side_eig``), and for that one the number of eigenvectors
+    it returned (None until it has returned)."""
 
     matrix: np.ndarray
     count: int | None
-    pick: object = None
+    select: bool = False
     width: int | None = None
 
     @property
     def kind(self) -> str:
         """"subset" for the bottom ``count`` eigenpairs, "select" for the
-        eigenvectors ``pick`` asks for (a mask over every eigenvalue, or a
-        ``Band``, such as R's null block), and "full" for a whole
+        eigenvectors of the narrower side of R, and "full" for a whole
         spectrum."""
         if self.count is not None:
             return "subset"
-        return "full" if self.pick is None else "select"
+        return "select" if self.select else "full"
 
 
 @pytest.fixture
@@ -210,14 +209,18 @@ def eigensolves(monkeypatch):
     itself, which is not recorded."""
     solves = []
 
-    def recording(m, count=None, pick=None):
-        solves.append(Solve(m, count, pick))
-        result = sym_eig(m, count, pick)
-        if pick is not None:
-            solves[-1] = solves[-1]._replace(width=result.eigenvectors.shape[1])
-        return result
+    def recording(m, count=None):
+        solves.append(Solve(m, count))
+        return sym_eig(m, count)
+
+    def recording_select(m, tol, rank=None):
+        solves.append(Solve(m, None, select=True))
+        vectors, null_side = null_side_eig(m, tol, rank)
+        solves[-1] = solves[-1]._replace(width=vectors.shape[1])
+        return vectors, null_side
 
     monkeypatch.setattr(clustering, "sym_eig", recording)
+    monkeypatch.setattr(clustering, "null_side_eig", recording_select)
     return solves
 
 

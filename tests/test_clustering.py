@@ -320,7 +320,7 @@ def test_pipelines_deterministic(toy_instance):
 # entries, rank None for the exact constraint) --
 #
 # r_solves(eigensolves) lists R's solves in call order, as (kind, shape):
-# "select" for the eigenvectors of the narrower side (sym_eig's ``pick``;
+# "select" for the eigenvectors of the narrower side (``null_side_eig``;
 # the Solve's ``width`` counts them), R's null block among them.
 
 SELECT = ("select", (24, 24))
@@ -427,17 +427,17 @@ def test_null_basis_memo_recomputes_a_changed_r(eigensolves):
 
 def test_null_basis_memo_caches_no_failure(eigensolves, monkeypatch):
     rep, _ = repsc.build_d_regular_rep_graph(24, 2, 6)
-    recording = clustering.sym_eig
+    recording = clustering.null_side_eig
 
-    def failing(m, b=None, count=None, pick=None):
+    def failing(m, tol, rank=None):
         raise repsc.EigenConvergenceError("no convergence")
 
-    monkeypatch.setattr(clustering, "sym_eig", failing)
+    monkeypatch.setattr(clustering, "null_side_eig", failing)
     with pytest.raises(repsc.EigenConvergenceError):
         constraint_null_basis(rep)
     assert picked_ranks(rep) == []
     # Inverse iteration fails after bisection has found R wide.
-    monkeypatch.setattr(clustering, "sym_eig", recording)
+    monkeypatch.setattr(clustering, "null_side_eig", recording)
     with monkeypatch.context() as patch:
         patch.setattr(linalg.lapack, "dstein", lambda *args: (np.zeros((24, 0)), 1))
         with pytest.raises(repsc.EigenConvergenceError, match="dstein failed"):

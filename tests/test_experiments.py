@@ -141,6 +141,41 @@ def test_small_sweep_rows(tmp_path):
     assert (tmp_path / "run" / "aggregate.csv").exists()
 
 
+@pytest.mark.parametrize("trials, threads, workers", [(1, 16, 2), (2, 16, 4), (10, 3, 3)])
+def test_the_pool_forks_no_more_workers_than_chunks(tmp_path, monkeypatch, trials, threads,
+                                                    workers):
+    # A forked pool starts every worker it may have on the first task: a
+    # sweep of 2 x trials rows gets at most one worker per chunk. An
+    # in-process stand-in records the worker count and starts no process.
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(repsc.experiments, "ProcessPoolExecutor", InProcessPool)
+    timing = CSV_COLUMNS.index("runtime_ms")
+
+    def rows(count):
+        out_dir = tmp_path / f"threads{count}"
+        text = sweep_config(out_dir).replace("trials = 2", f"trials = {trials}")
+        repsc.run_experiment(repsc.parse_config_text(text + f"threads = {count}\n"))
+        return [line.split(",")[:timing] + line.split(",")[timing + 1:]
+                for line in (out_dir / "results.csv").read_text().splitlines()]
+
+    assert rows(threads) == rows(1)
+    assert pools == [workers]
+
+
 def test_sweep_deterministic_except_runtime(tmp_path):
     runtime_col = CSV_COLUMNS.index("runtime_ms")
 

@@ -1,6 +1,7 @@
 """Graph types, the two samplers, the regular builder, serialization."""
 
 import inspect
+import re
 import tempfile
 from pathlib import Path
 
@@ -397,6 +398,14 @@ def test_read_assignment_names_the_bad_line(tmp_path, text, line):
     with pytest.raises(repsc.MalformedLineError) as info:
         repsc.read_assignment(path)
     assert info.value.line_number == line
+
+
+@pytest.mark.parametrize("read", [repsc.read_graph, repsc.read_assignment])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, read):
+    path = tmp_path / "undecodable"
+    path.write_bytes(b"n=2 diag=0\n\xff\n")
+    with pytest.raises(UnicodeDecodeError, match=f"in file {re.escape(str(path))}$"):
+        read(path)
 
 
 def test_read_assignment_takes_signed_ascii_decimals(tmp_path):

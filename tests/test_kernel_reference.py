@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import repsc
 from repsc import clustering
 from repsc.clustering import ONES_IN_NULL_ATOL, constraint_null_basis
-from repsc.linalg import RANK_REL_TOL, Band, _fix_signs, matmul, sym_eig
+from repsc.linalg import RANK_REL_TOL, _fix_signs, matmul, null_side_eig, sym_eig
 from conftest import clear_harness_caches, group_basis
 
 PROJECTOR_ATOL = 1e-8
@@ -259,53 +259,37 @@ SELECT_CASES = {  # name: (R, ranks to pick for; None is the exact constraint)
 
 
 @pytest.mark.parametrize("name", SELECT_CASES)
-def test_select_solve_matches_the_full_decomposition(name, monkeypatch):
+def test_select_solve_matches_the_full_decomposition(name):
     make, ranks = SELECT_CASES[name]
     r = make()
     n = r.shape[0]
-    masks = []
-
-    def spying(m, pick):  # keeps the mask _pick hands the select solve
-        if isinstance(pick, Band):  # the side it takes, from every eigenvalue
-            inside = np.abs(sym_eig(m).eigenvalues) <= pick.bound
-            masks.append(inside if np.count_nonzero(inside) <= pick.most else ~inside)
-            return sym_eig(m, pick=pick)
-
-        def spy(spectrum):
-            masks.append(pick(spectrum))
-            return masks[-1]
-        return sym_eig(m, pick=spy)
-
-    monkeypatch.setattr(clustering, "sym_eig", spying)
     for rank in ranks:
         values, vectors, null = full_null_mask(r, rank)
         tol = RANK_REL_TOL * n * np.abs(r).sum(axis=1).max()
-        picked, on_null = clustering._pick(r, tol, rank)
+        picked, on_null = null_side_eig(r, tol, rank)
         # The narrower side: the null positions for a rank whose truncation
         # keeps more than half of R, the kept ones otherwise; for the exact
         # constraint, the null positions when 2 (m + 1) <= N.
         nulls = np.count_nonzero(null)
         assert on_null == (2 * nulls < n if rank is not None else 2 * (nulls + 1) <= n)
-        mask = masks.pop()
-        assert np.array_equal(mask, null if on_null else ~null)
-        assert picked.shape == (n, np.count_nonzero(mask))
-        held = vectors[:, mask]
+        held = vectors[:, null if on_null else ~null]
+        assert picked.shape == held.shape
         assert np.max(np.abs(picked @ picked.T - held @ held.T), initial=0.0) <= 1e-10
         assert np.allclose(picked.T @ picked, np.eye(held.shape[1]), atol=1e-12)
         for j in range(held.shape[1]):
             lead = picked[np.abs(picked[:, j]) > 1e-12, j]
             assert lead[0] > 0
         assert picked.base is None or picked.base.nbytes == picked.nbytes
-        solved = sym_eig(r, pick=lambda v: np.ones(v.size, dtype=bool))
-        assert np.allclose(solved.eigenvalues, values, atol=1e-12 * max(1.0, np.abs(values).max()))
-        assert solved.eigenvalues.base is None
+    # The eigenvalues the select solve reads: dsterf of R's tridiagonal.
+    _, diagonal, offdiagonal, _, _ = scipy.linalg.lapack.dsytrd(r.copy(), lower=1)
+    tridiagonal, _ = scipy.linalg.lapack.dsterf(diagonal, offdiagonal)
+    assert np.allclose(tridiagonal, values, atol=1e-12 * max(1.0, np.abs(values).max()))
     if name == "block":  # LAPACK's bisection sees T split into blocks
-        _, diagonal, offdiagonal, _, _ = scipy.linalg.lapack.dsytrd(r.copy(), lower=1)
         count, _, blocks, _, _ = scipy.linalg.lapack.dstebz(diagonal, offdiagonal, 0, 0.0, 0.0,
                                                             1, n, 0.0, "E")
         assert blocks[:count].max() > 1
     if name == "tie":  # the tie is real in both solves' eigenvalues
-        for spectrum in (values, sym_eig(r, pick=lambda v: v > 0).eigenvalues):
+        for spectrum in (values, tridiagonal):
             assert spectrum[0] == -spectrum[-1] and spectrum[1] == -spectrum[-2]
 
 

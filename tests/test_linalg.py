@@ -19,13 +19,13 @@ from repsc.clustering import constraint_null_basis
 from repsc.linalg import (
     SIGN_THRESHOLD,
     SYMMETRY_ATOL,
-    Band,
     _fix_signs,
     _scratch,
     _symmetrize,
     as_float_matrix,
     ensure_symmetric,
     matmul,
+    null_side_eig,
     orthonormal_columns,
 )
 
@@ -154,37 +154,62 @@ def planted_null(rng, n, m):
     return (a + a.T) / 2.0, 1e-8
 
 
-def assert_band_matches_the_full_decomposition(a, bound):
-    """The narrow and the wide answer of a ``Band`` against the full ``evd``:
-    the band's eigenvalues alone and the projector of their eigenvectors,
-    or every eigenvalue and the projector of the ones outside the band."""
+def assert_select_matches_the_full_decomposition(a, tol, rank=None):
+    """``null_side_eig`` against the full ``evd``: it takes the side that its
+    rule picks from every eigenvalue (the null pairs, |lambda| <= ``tol``
+    and with ``rank`` every pair outside the ``rank`` of largest |lambda|,
+    when 2 (w + 1) <= N, or 2 w < N with ``rank``), and its eigenvectors
+    have the projector of that side's columns."""
     n = a.shape[0]
     full = repsc.sym_eig(a)
-    inside = np.abs(full.eigenvalues) <= bound
-    narrow = repsc.sym_eig(a, pick=Band(bound, inside.sum()))
-    assert np.allclose(narrow.eigenvalues, full.eigenvalues[inside], atol=1e-9)
-    assert_same_projector(narrow.eigenvectors, full.eigenvectors[:, inside])
-    wide = repsc.sym_eig(a, pick=Band(bound, inside.sum() - 1))
-    assert np.allclose(wide.eigenvalues, full.eigenvalues, atol=1e-9)
-    assert_same_projector(wide.eigenvectors, full.eigenvectors[:, ~inside])
-    for vectors in (narrow.eigenvectors, wide.eigenvectors):
-        assert np.allclose(vectors.T @ vectors, np.eye(vectors.shape[1]), atol=1e-10)
-        assert_sign_fixed(vectors)
-        assert vectors.shape[0] == n and vectors.flags.f_contiguous
-    return narrow
+    magnitude = np.abs(full.eigenvalues)
+    null = magnitude <= tol
+    if rank is not None:
+        null[np.argsort(-magnitude, kind="stable")[rank:]] = True
+    width = np.count_nonzero(null)
+    vectors, null_side = null_side_eig(a, tol, rank)
+    assert null_side == (2 * width < n if rank is not None else 2 * (width + 1) <= n)
+    assert_same_projector(vectors, full.eigenvectors[:, null if null_side else ~null])
+    assert np.allclose(vectors.T @ vectors, np.eye(vectors.shape[1]), atol=1e-10)
+    assert_sign_fixed(vectors)
+    assert vectors.flags.f_contiguous
+    return vectors, null_side
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(4, 60), share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_a_band_spans_the_planted_null_space(n, share, seed):
+@given(case=st.integers(4, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n - 1))),
+       seed=st.integers(0, 2**32 - 1))
+@example(case=(20, 9), seed=0)  # w = (N - 2) // 2: the null side
+@example(case=(20, 10), seed=0)  # one more: the other side
+@example(case=(21, 9), seed=1)
+@example(case=(21, 10), seed=1)
+def test_a_band_spans_the_planted_null_space(case, seed):
     # A zero eigenvalue of multiplicity m >= 2: bisection over [-t, t] finds
     # the whole cluster, and inverse iteration spans the same null space as
-    # the null columns of the full decomposition.
-    m = 2 + int(share * (n - 3))
-    a, bound = planted_null(np.random.default_rng(seed), n, m)
-    narrow = assert_band_matches_the_full_decomposition(a, bound)
-    assert narrow.eigenvectors.shape == (n, m)
-    assert np.abs(narrow.eigenvalues).max() <= 1e-12
+    # the null columns of the full decomposition; past N/2 - 1 of them, the
+    # eigenvectors of the other eigenvalues span its complement.
+    n, m = case
+    a, tol = planted_null(np.random.default_rng(seed), n, m)
+    vectors, null_side = assert_select_matches_the_full_decomposition(a, tol)
+    assert null_side == (2 * (m + 1) <= n)
+    assert vectors.shape == (n, m if null_side else n - m)
+    if null_side:
+        assert np.abs(a @ vectors).max() <= 1e-11
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       seed=st.integers(0, 2**32 - 1))
+@example(case=(21, 11), seed=0)  # 2 w = N - 1 null pairs: the null side
+@example(case=(21, 10), seed=0)  # 2 w = N + 1: the kept side
+def test_a_rank_takes_the_narrower_side(case, seed):
+    # A random spectrum has no zero and no tie: all but the rank pairs of
+    # largest |lambda| are null.
+    n, rank = case
+    vectors, null_side = assert_select_matches_the_full_decomposition(
+        random_symmetric(np.random.default_rng(seed), n), 0.0, rank)
+    assert null_side == (2 * (n - rank) < n)
+    assert vectors.shape == (n, n - rank if null_side else rank)
 
 
 def test_band_returns_the_pairs_in_the_closed_interval():
@@ -192,35 +217,29 @@ def test_band_returns_the_pairs_in_the_closed_interval():
     for _ in range(20):
         n = int(rng.integers(3, 12))
         a = random_symmetric(rng, n)
-        # Halfway between two magnitudes: no eigenvalue sits near an end.
+        # Halfway between two magnitudes, so no eigenvalue sits near an end
+        # and 1 to n - 1 of them are null: both sides are taken.
         magnitudes = np.sort(np.abs(repsc.sym_eig(a).eigenvalues))
-        assert_band_matches_the_full_decomposition(
-            a, float(magnitudes[n // 2 - 1] + magnitudes[n // 2]) / 2.0)
+        inside = int(rng.integers(1, n))
+        assert_select_matches_the_full_decomposition(
+            a, float(magnitudes[inside - 1] + magnitudes[inside]) / 2.0)
     for seed, (n, m) in enumerate([(40, 2), (40, 19), (120, 39), (9, 7)]):
-        assert_band_matches_the_full_decomposition(*planted_null(np.random.default_rng(seed), n, m))
-    # Both ends of [-1, 1] belong to it, and an empty interval is no error.
-    values = repsc.sym_eig(np.diag([2.0, 1.0, -1.0, 0.5, -3.0]), pick=Band(1.0, 5)).eigenvalues
-    assert values.tolist() == [-1.0, 0.5, 1.0]
-    for n in (1, 2, 5):
-        empty = repsc.sym_eig(np.diag(np.linspace(2.0, 3.0, n)), pick=Band(1.0, 0))
-        assert empty.eigenvalues.shape == (0,) and empty.eigenvectors.shape == (n, 0)
-    # A wide 1 x 1 band: its eigenvalue, and no eigenvector outside it.
-    wide = repsc.sym_eig(np.array([[0.5]]), pick=Band(1.0, 0))
-    assert wide.eigenvalues.tolist() == [0.5] and wide.eigenvectors.shape == (1, 0)
-
-
-def test_band_rejects_a_bound_that_is_not_positive_and_finite():
-    for bound in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="bound must be positive and finite"):
-            repsc.sym_eig(np.eye(3), pick=Band(bound, 3))
-
-
-def test_sym_eig_pick_stands_alone():
-    def every(values):
-        return np.ones(values.size, dtype=bool)
-
-    with pytest.raises(ValueError, match="pick cannot be given with count"):
-        repsc.sym_eig(np.eye(3), count=1, pick=every)
+        assert_select_matches_the_full_decomposition(*planted_null(np.random.default_rng(seed), n, m))
+    # Both ends of [-1, 1] belong to it: the null side when it is narrow,
+    # the side outside it when it is wide.
+    narrow, null_side = null_side_eig(np.diag([2.0, 1.0, -1.0, 3.0, -3.0, 4.0, 5.0, -6.0]), 1.0)
+    assert null_side and np.array_equal(narrow @ narrow.T, np.diag([0.0, 1, 1, 0, 0, 0, 0, 0]))
+    wide, null_side = null_side_eig(np.diag([2.0, 1.0, -1.0, 0.5, -3.0]), 1.0)
+    assert not null_side and np.array_equal(wide @ wide.T, np.diag([1.0, 0, 0, 0, 1]))
+    # No null eigenvalue: the empty null side from N = 2 on.
+    for n in (2, 5):
+        empty, null_side = null_side_eig(np.diag(np.linspace(2.0, 3.0, n)), 1.0)
+        assert null_side and empty.shape == (n, 0)
+    # 1 x 1 and 0 x 0: the null side is never narrow, and [1] is the one
+    # eigenvector.
+    for m, width in ((np.array([[2.0]]), 1), (np.array([[0.5]]), 0), (np.zeros((0, 0)), 0)):
+        vectors, null_side = null_side_eig(m, 1.0)
+        assert not null_side and np.array_equal(vectors, np.ones((m.shape[0], width)))
 
 
 def test_sym_eig_leaves_its_arguments_unchanged():
@@ -234,9 +253,10 @@ def test_sym_eig_leaves_its_arguments_unchanged():
             m_before = m.copy()
             repsc.sym_eig(m, count)
             assert np.array_equal(m, m_before)
-        for pick in (lambda values: values > 0.0, Band(1.0, n), Band(1.0, 0)):
+        # R's select solve: a narrow band, a wide one, and a rank.
+        for tol, rank in ((1.0, None), (100.0, None), (0.0, 3)):
             m_before = m.copy()
-            repsc.sym_eig(m, pick=pick)
+            null_side_eig(m, tol, rank)
             assert np.array_equal(m, m_before)
 
 
@@ -258,17 +278,13 @@ def test_sym_eig_peak_memory(fortran, count, copies):
     assert peak <= (copies + 0.25) * n * n * 8
 
 
-def test_sym_eig_pick_holds_one_copy_and_thin_blocks():
+def test_the_select_solve_holds_one_copy_and_thin_blocks():
     # The select solve tridiagonalizes its one copy of m in place and keeps
     # the reflectors there: beyond it only N x w eigenvector blocks (w = N/10
     # here), not the 2 N^2 of workspace and vectors of a full solve.
     n = 400
     a = random_symmetric(np.random.default_rng(10), n)
-
-    def top(values):
-        return np.abs(values) >= np.sort(np.abs(values))[-n // 10]
-
-    peak = traced_peak(lambda: repsc.sym_eig(a, pick=top))
+    peak = traced_peak(lambda: null_side_eig(a, 0.0, n // 10))
     assert peak <= 1.5 * n * n * 8
 
 
@@ -294,19 +310,22 @@ def test_a_scratch_matrix_is_solved_without_a_copy():
     assert peak <= 0.25 * n * n * 8
 
 
-@pytest.mark.parametrize("options", [{}, {"count": 3}, {"pick": Band(1.0, 200)},
-                                     {"pick": lambda values: values > 0.0}])
+@pytest.mark.parametrize("options", [{}, {"count": 3}, {"tol": 1.0}, {"tol": 0.0, "rank": 100}])
 def test_sym_eig_results_own_their_bytes(options):
     # The subset solve fills buffers sized for all N pairs and scipy
-    # returns slices of them, and bisection returns a band's eigenvalues in
-    # an N-long buffer; a caller keeping such a slice, as R's memo keeps
-    # its null block, would keep the larger buffer alive. The copy keeps
-    # LAPACK's Fortran layout.
+    # returns slices of them; a caller keeping such a slice, as R's memo
+    # keeps the eigenvectors of R's select solve (``tol``), would keep the
+    # larger buffer alive. The copy keeps LAPACK's Fortran layout.
     n = 200
     a = random_symmetric(np.random.default_rng(3), n)
-    values, vectors = repsc.sym_eig(a, **options)
+    if "tol" in options:
+        vectors, _ = null_side_eig(a, **options)
+        arrays = (vectors,)
+    else:
+        arrays = repsc.sym_eig(a, **options)
+    vectors = arrays[-1]
     assert 0 < vectors.shape[1] < n or not options
-    for array in (values, vectors):
+    for array in arrays:
         assert array.base is None or array.base.nbytes == array.nbytes
     assert vectors.flags.f_contiguous
 
