@@ -650,8 +650,8 @@ def ingest_to_dir(multiplex_file, rep_layers: tuple[int, int], sim_layers: tuple
     write_graph(rep, paths["representation"])
     write_graph(sim, paths["similarity"])
     if names is not None:
-        lines = [f"{i}\t{names[i]}" for i in kept]
+        lines = [f"{i}\t{names[i]}\n" for i in kept]
     else:
-        lines = [str(i) for i in kept]
-    paths["kept_nodes"].write_text("\n".join(lines) + "\n")
+        lines = [f"{i}\n" for i in kept]
+    paths["kept_nodes"].write_text("".join(lines))
     return paths

@@ -2,27 +2,15 @@
 
 A multiplex network file describes one weighted directed graph per layer
 with lines ``layer_id src dst weight``: three ASCII decimal integers and a
-finite float, with ``#`` comment lines and blank lines skipped. The parser
-reads every edge line into one table with numpy's C tokenizer and checks
-it column by column; only when a check fails does it walk the lines, to
-name the first bad one. A file is read as a stream, in blocks of whole
-lines, so the parse holds the table (one 32-byte row per edge line) and
-the arrays that group it, not the text: its traced peak is about 71 bytes
-per edge line on a 282,213-line file (numpy 2.4). A file that fails a
-check is read a second time, only to name its bad line. The reduction
+finite float, with ``#`` comment lines and blank lines skipped. It is read
+in blocks of whole lines, whose rows are kept per layer, and each layer is
+grouped alone, so no table of the whole file is ever held. The reduction
 protocol used for real data builds, per layer, an undirected
-nearest-neighbor graph (each node keeps its
-strongest neighbors, then edges are symmetrized by union), aggregates a
-range of layers by entrywise OR, and finally drops nodes that end up
-isolated. Each of those steps is its own function here so the protocol
-stays inspectable and re-composable. Each parsed layer is one edge table
-(``src``, ``dst``, ``weight`` arrays sorted by (src, dst)), grouped from the
-file's lines by one sort of a packed (layer, src, dst) key, and the
-nearest-neighbor reduction works on it without a dense weight matrix.
-``_knn_union`` builds every nearest-neighbor graph: ``knn_layer_graph``'s
-one layer, and ``build_working_graphs``' union of a layer range, whose
-layers' selected pairs are stored into one adjacency without a graph per
-layer (the OR that ``aggregate_layers`` takes of the per-layer graphs).
+nearest-neighbor graph (each node keeps its strongest neighbors, then
+edges are symmetrized by union) without a dense weight matrix, aggregates
+a range of layers by entrywise OR, and finally drops nodes that end up
+isolated. Each step is its own function, so the protocol stays
+inspectable and re-composable; ``build_working_graphs`` fuses them.
 """
 
 from __future__ import annotations
@@ -49,14 +37,13 @@ from .errors import (
 )
 from .graphs import _FLOAT_FIELD, _INT_FIELD, Graph
 
-_ROW = np.dtype([("layer", np.int64), ("src", np.int64), ("dst", np.int64),
-                 ("weight", np.float64)])
+_EDGE = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
+_ROW = np.dtype([("layer", np.int64), *_EDGE.descr])
 _INT64 = np.iinfo(np.int64)
 # A line is skipped when its first non-blank character is missing or '#'.
 _HEAD = operator.itemgetter(slice(1))
 _SKIPPED_HEADS = frozenset(("", "#"))
-_LINES = operator.itemgetter(1)
-# Characters of file text read, split and filtered at a time.
+# Characters of text read, split and filtered at a time.
 _PIECE_CHARS = 1 << 16
 
 
@@ -102,9 +89,8 @@ def load_node_names(path) -> tuple[str, ...]:
 
 def parse_multiplex(path, index_base: int = 0, names=None) -> MultiplexNetwork:
     """``parse_multiplex_text`` of the file at ``path`` (FileNotFoundError if
-    missing), read as a stream of blocks of whole lines, so the file's text
-    is never held at once. A file that fails the read or a check is read a
-    second time, only to name its first bad line."""
+    missing), read as a stream of blocks of whole lines, and a second time
+    only to name a bad line."""
     with _naming_file(path), Path(path).open() as handle:
         def pieces():
             handle.seek(0)
@@ -127,10 +113,9 @@ def parse_multiplex_text(text: str, index_base: int = 0, names=None) -> Multiple
     Duplicate (layer, src, dst) triples have their weights summed in file
     order.
 
-    The lines are those of ``text.splitlines()``. The kept ones are read as
-    one table by numpy's C tokenizer and checked column by column, so no
-    Python code runs per line on a valid file. When the read or a check
-    fails, the lines are walked in file order and the first bad one raises.
+    The lines are those of ``text.splitlines()``. No Python code runs per
+    line on a valid file; on a bad one, the first bad line in file order
+    raises.
 
     Raises:
         MalformedLineError: wrong token count, a non-numeric field or a
@@ -140,7 +125,13 @@ def parse_multiplex_text(text: str, index_base: int = 0, names=None) -> Multiple
             index outside 64 bits; the message names the line.
         NoLayersError: no edges at all.
     """
-    return _parse_pieces(lambda: (text,), index_base, names)
+    def pieces():
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + _PIECE_CHARS) + 1 or len(text)
+            yield text[start:end]
+            start = end
+    return _parse_pieces(pieces, index_base, names)
 
 
 def _body(pieces: Iterable[str]):
@@ -160,58 +151,75 @@ def _body(pieces: Iterable[str]):
 def _parse_pieces(pieces, index_base: int, names) -> MultiplexNetwork:
     """``parse_multiplex_text`` of the text that ``pieces()`` yields piece by
     piece; ``pieces`` is called a second time only to name a bad line."""
-    lines = itertools.chain.from_iterable(map(_LINES, _body(pieces())))
-    first = next(lines, None)
-    if first is None:
+    buckets = _layer_rows(pieces, index_base, names)
+    if not buckets:
         raise NoLayersError("multiplex input contains no edges")
-    try:
-        table = np.loadtxt(itertools.chain((first,), lines), dtype=_ROW, comments=None, ndmin=1)
-    except ValueError:
-        table = None
-    if table is None or not _columns_pass(table, index_base, names):
-        numbered = itertools.chain.from_iterable(itertools.starmap(zip, _body(pieces())))
-        _raise_first_bad_line(numbered, index_base, names)
+    ids = sorted(buckets)
+    layers = tuple(_summed(np.frombuffer(buckets.pop(i), _EDGE)) for i in ids)
+    node_names = tuple(names) if names is not None else None
+    n = len(node_names) if node_names is not None else \
+        max(int(nodes.max()) for layer in layers for nodes in layer[:2]) + 1
+    return MultiplexNetwork(n=n, layers=layers, layer_ids=tuple(ids), node_names=node_names)
+
+
+def _layer_rows(pieces, index_base: int, names) -> dict[int, bytearray]:
+    """Per layer id, the checked rows of its lines as packed ``_EDGE`` bytes
+    in file order, index_base subtracted."""
     # int64 arithmetic wraps, so subtracting index_base modulo 2**64 gives
     # the exact adjusted index (in range, by the checks) for any index_base.
     base = (int(index_base) - _INT64.min) % 2**64 + _INT64.min
-    layer_of, src, dst = table["layer"], table["src"], table["dst"]
-    src -= base  # in place: the peak memory is the table's, so no copies
-    dst -= base
-    firsts, inverse = _group_rows((layer_of, src, dst))
-    # bincount adds each row's duplicates in file order, exactly as a running
-    # sum over the lines would. Each array is dropped once it is used.
-    summed = np.bincount(inverse, weights=table["weight"], minlength=len(firsts))
-    del inverse
-    layer_of, src, dst = layer_of[firsts], src[firsts], dst[firsts]
-    del table, firsts
-    ids, starts = np.unique(layer_of, return_index=True)
-    bounds = zip(starts, [*starts[1:], len(summed)])
-    layers = tuple((src[a:b], dst[a:b], summed[a:b]) for a, b in bounds)
-    node_names = tuple(names) if names is not None else None
-    n = len(node_names) if node_names is not None else int(max(src.max(), dst.max())) + 1
-    return MultiplexNetwork(n=n, layers=layers, layer_ids=tuple(ids.tolist()),
-                            node_names=node_names)
+    buckets = {}
+    for piece in pieces():
+        # numpy's reader skips blank lines, not comments, and warns on none.
+        lines = list(next(_body((piece,)))[1]) if "#" in piece else piece.splitlines()
+        if not lines or piece.isspace():
+            continue
+        try:
+            table = np.loadtxt(lines, dtype=_ROW, comments=None, ndmin=1)
+        except ValueError:
+            table = None
+        if table is None or not _columns_pass(table, index_base, names):
+            numbered = itertools.chain.from_iterable(itertools.starmap(zip, _body(pieces())))
+            _raise_first_bad_line(numbered, index_base, names)
+        table["src"] -= base
+        table["dst"] -= base
+        table = table[np.argsort(table["layer"], kind="stable")]
+        ids, starts = np.unique(table["layer"], return_index=True)
+        for layer_id, rows in zip(ids.tolist(), np.split(table[list(_EDGE.names)], starts[1:])):
+            buckets.setdefault(layer_id, bytearray()).extend(rows.astype(_EDGE))
+    return buckets
+
+
+def _summed(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One layer's rows grouped by (src, dst), in sorted order, each group's
+    weights summed in file order (as a running sum over the lines would)."""
+    src, dst = edges["src"], edges["dst"]
+    firsts, inverse = _group_rows((src, dst))
+    summed = np.bincount(inverse, weights=edges["weight"], minlength=len(firsts))
+    return src[firsts], dst[firsts], summed
 
 
 def _group_rows(columns) -> tuple[np.ndarray, np.ndarray]:
-    """For three equal-length int64 columns, the index of the first of each
-    group of equal rows, the groups sorted by (column 0, 1, 2), and each
-    row's group.
+    """For equal-length int64 columns, the index of the first of each group
+    of equal rows, the groups sorted by (column 0, 1, ...), and each row's
+    group.
 
     Each column, shifted to start at 0, is one digit of a mixed-radix int64
     key with column 0 the most significant, so one stable argsort of the key
     orders the rows. Only when the key's range would not fit in int64 does a
-    stable lexsort over the three columns order them instead. A row starts a
+    stable lexsort over the columns order them instead. A row starts a
     group when its key (or row) differs from the one before it in sorted
     order.
     """
     lo = [int(column.min()) for column in columns]
     spans = [int(column.max()) - a + 1 for column, a in zip(columns, lo)]
     if math.prod(spans) <= _INT64.max:
-        key = (columns[0] - lo[0]) * spans[1]
-        key += columns[1] - lo[1]
-        key *= spans[2]
-        key += columns[2] - lo[2]
+        key = columns[0] - lo[0]
+        for column, a, span in zip(columns[1:], lo[1:], spans[1:]):
+            # In place; a sum past int64 wraps, and the final key fits.
+            key *= span
+            key += column
+            key -= a
         order = np.argsort(key, kind="stable")
         ordered = key[order]
         del key
@@ -306,8 +314,10 @@ def _knn_selection(net: MultiplexNetwork, layer: int, k: int) -> tuple[np.ndarra
     keep = (src != dst) & (weight != 0.0)
     src, dst, weight = src[keep], dst[keep], weight[keep]
     # Group by source; within a source, descending weight, then ascending
-    # neighbor index. Each source keeps the first k entries of its group.
-    order = np.lexsort((dst, -weight, src))
+    # neighbor index (stable sorts of rows sorted by (src, dst)). Each
+    # source keeps the first k entries of its group.
+    order = np.argsort(-weight, kind="stable")
+    order = order[np.argsort(src[order], kind="stable")]
     src, dst = src[order], dst[order]
     top = np.arange(src.size) - np.searchsorted(src, src) < k
     return src[top], dst[top]
@@ -409,9 +419,9 @@ def build_working_graphs(path, rep_layers: tuple[int, int], sim_layers: tuple[in
     if knn_k < 1:
         raise ConfigError(f"knn_k must be at least 1, got {knn_k}")
     net = parse_multiplex(path, index_base=index_base, names=names)
-
     rep = _knn_union(net, layer_positions_for_id_range(net, *rep_layers), knn_k, True)
     sim = _knn_union(net, layer_positions_for_id_range(net, *sim_layers), knn_k, False)
+    del net  # the drop step's copies reuse its memory
     if drop_isolated:
         return drop_isolated_nodes(sim, rep)
     return sim, rep, np.arange(sim.n)

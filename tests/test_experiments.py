@@ -816,6 +816,24 @@ def test_cli_ingest_with_names(tmp_path):
     assert len(kept) == rep.n
 
 
+def test_cli_ingest_writes_no_line_when_every_node_is_dropped(tmp_path):
+    # Layer 1 joins nodes 0-1-2, layer 2 only loops node 0: no node has
+    # company in both graphs.
+    edges = tmp_path / "edges.txt"
+    edges.write_text("1 0 1 1.0\n1 1 2 1.0\n2 0 0 1.0\n")
+    out = tmp_path / "ingested"
+    code = main(["ingest", "--multiplex", str(edges), "--rep-layers", "1..1",
+                 "--sim-layers", "2..2", "--out", str(out)])
+    assert code == 0
+    assert (out / "kept_nodes.txt").read_text() == ""
+    assert repsc.read_graph(out / "representation.edges").n == 0
+    assert repsc.read_graph(out / "similarity.edges").n == 0
+    one = tmp_path / "one"
+    assert main(["ingest", "--multiplex", str(edges), "--rep-layers", "1..1",
+                 "--sim-layers", "1..1", "--out", str(one)]) == 0
+    assert (one / "kept_nodes.txt").read_text() == "0\n1\n2\n"
+
+
 def test_cli_module_entry_point(tmp_path):
     config_path = tmp_path / "sweep.cfg"
     config_path.write_text(sweep_config(tmp_path / "module_out"))

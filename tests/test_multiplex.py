@@ -463,15 +463,98 @@ def test_each_line_break_splits_a_file_as_it_splits_the_text(write_file, brk):
         (IndexOutOfRangeError, None)
 
 
-# Traced bytes a parse may hold at its peak per line of the file: three
-# times the 32-byte table row that the edge lines are read into.
-PARSE_BYTES_PER_LINE = 96
+# Characters a piece holds in the tests whose layers straddle many pieces.
+SMALL_PIECE_CHARS = 300
+
+
+@pytest.mark.filterwarnings("error")
+def test_layer_buckets_across_many_pieces_equal_the_reference_on_a_large_file(
+        write_file, monkeypatch):
+    # Each layer's lines and their duplicates straddle many pieces. A piece
+    # with a comment goes to numpy's reader through _body, the others as
+    # split; pieces of only comments or only blanks never reach the reader,
+    # which would warn.
+    monkeypatch.setattr(repsc.multiplex, "_PIECE_CHARS", SMALL_PIECE_CHARS)
+    text = "\n".join(["# comment"] * 40 + [" "] * 400 + large_file_lines()) + "\n"
+    assert_same_network(parse_both(write_file, text, index_base=1),
+                        parse_reference(text, index_base=1))
+    calls = {}
+
+    def counting(name, call):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return call(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np, "loadtxt", counting("read", np.loadtxt))
+    monkeypatch.setattr(repsc.multiplex, "_body", counting("_body", repsc.multiplex._body))
+    repsc.parse_multiplex(write_file(text), index_base=1)
+    assert calls["read"] > 1000 and 10 < calls["_body"] < calls["read"] / 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_files())
+@example(("1 0 1 1.0", 0, None))
+def test_layer_buckets_across_many_pieces_equal_the_per_line_reference(write_file, case):
+    text, index_base, names = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repsc.multiplex, "_PIECE_CHARS", SMALL_PIECE_CHARS)
+        got = parse_both(write_file, text, index_base=index_base, names=names)
+    assert_same_network(got, parse_reference(text, index_base=index_base, names=names))
+
+
+# Traced bytes a parse may hold at its peak per line of the file. The parse
+# holds each edge line once, as a 24-byte row in its layer's bucket, plus
+# the grouping of one layer, so the peak falls with the number of layers: a
+# file whose lines interleave 39 layers (or its text, beyond the text
+# itself) stays under PARSE_BYTES_PER_LINE, a file of 60 contiguous layers
+# (the benchmark's shape) under CONTIGUOUS_BYTES_PER_LINE, also through the
+# whole reduction, and a file of one layer, which groups every row at once,
+# under ONE_LAYER_BYTES_PER_LINE.
+PARSE_BYTES_PER_LINE = 48
+CONTIGUOUS_BYTES_PER_LINE = 32
+ONE_LAYER_BYTES_PER_LINE = 96
 
 
 def test_the_file_reader_holds_memory_for_the_table_not_the_text(write_file):
     lines = large_file_lines(50_000, seed=22)
     path = write_file("\n".join(lines) + "\n")
     assert traced_peak(lambda: repsc.parse_multiplex(path)) < PARSE_BYTES_PER_LINE * len(lines)
+
+
+def test_the_text_reader_holds_no_more_than_the_file_reader_beyond_its_text():
+    lines = large_file_lines(50_000, seed=22)
+    text = "\n".join(lines) + "\n"
+    assert traced_peak(lambda: repsc.parse_multiplex_text(text)) < \
+        PARSE_BYTES_PER_LINE * len(lines)
+
+
+def contiguous_layer_lines(layers, nodes=600, out_edges=8, seed=23):
+    """``out_edges`` lines from every node to random nodes, with exponential
+    weights, one layer after the other."""
+    rng = np.random.default_rng(seed)
+    src = np.repeat(np.arange(nodes), out_edges).tolist()
+    lines = ["# layer_id src dst weight"]
+    for layer in range(1, layers + 1):
+        dst = rng.integers(0, nodes, len(src)).tolist()
+        weight = rng.exponential(1.0, len(src)).tolist()
+        lines += [f"{layer} {a} {b} {w:.4f}" for a, b, w in zip(src, dst, weight)]
+    return lines
+
+
+def test_a_file_of_contiguous_layers_is_parsed_and_reduced_in_32_bytes_a_line(write_file):
+    lines = contiguous_layer_lines(60)
+    path = write_file("\n".join(lines) + "\n")
+    bound = CONTIGUOUS_BYTES_PER_LINE * len(lines)
+    assert traced_peak(lambda: repsc.parse_multiplex(path)) < bound
+    assert traced_peak(lambda: repsc.build_working_graphs(path, (1, 30), (31, 60), 5)) < bound
+
+
+def test_a_one_layer_file_stays_within_the_worst_case_bound(write_file):
+    lines = contiguous_layer_lines(1, out_edges=80)
+    path = write_file("\n".join(lines) + "\n")
+    assert traced_peak(lambda: repsc.parse_multiplex(path)) < \
+        ONE_LAYER_BYTES_PER_LINE * len(lines)
 
 
 def test_parse_from_file(tmp_path):
@@ -650,6 +733,20 @@ def test_knn_matches_the_per_row_reference(case, k):
     for t, layer_id in enumerate(net.layer_ids):
         g = repsc.knn_layer_graph(net, t, k)
         assert np.array_equal(g.adjacency, knn_reference(lines, n, layer_id, k))
+
+
+def test_knn_breaks_ties_as_the_reference_on_a_large_layer():
+    # Integer weights summed over duplicate lines: a layer of hundreds of
+    # entries with many ties, which an unstable sort would reorder.
+    rng = np.random.default_rng(24)
+    n = 30
+    lines = [(1, *rng.integers(0, n, 2).tolist(), float(rng.choice([-1, 0, 1, 2])))
+             for _ in range(4000)]
+    text = "".join(f"{lid} {src} {dst} {w!r}\n" for lid, src, dst, w in lines)
+    net = repsc.parse_multiplex_text(text, names=[str(i) for i in range(n)])
+    for k in (1, 3, 8):
+        assert np.array_equal(repsc.knn_layer_graph(net, 0, k).adjacency,
+                              knn_reference(lines, n, 1, k))
 
 
 # -- build_working_graphs against the public pipeline it fuses ---------------
