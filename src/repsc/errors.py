@@ -79,8 +79,11 @@ class MalformedLineError(RepscError):
     """
 
     def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+        super().__init__(line_number, message)  # the arguments, so it pickles
         self.line_number = line_number
+
+    def __str__(self) -> str:
+        return "line {}: {}".format(*self.args)
 
 
 class IndexOutOfRangeError(RepscError):

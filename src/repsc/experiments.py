@@ -273,56 +273,24 @@ ALGORITHMS = {
 }
 
 
-@dataclass(frozen=True)
-class _Task:
-    n: int | None
-    k: int
-    d: int | None
-    trial: int
-    algorithm: str
-    rank: int | None
-
-
-def _build_tasks(cfg: ExperimentConfig) -> list[_Task]:
-    tasks: list[_Task] = []
+def _grid(cfg: ExperimentConfig) -> list[tuple[int | None, int, int | None]]:
+    """The sweep's grid points (N, K, d), in row order."""
     if cfg.mode == "real_network":
-        grid = [(None, k, None) for k in cfg.k_values]
-    elif cfg.mode == "planted_partition_sweep":
-        grid = [(n, k, None) for n in cfg.n_values for k in cfg.k_values]
-    else:
-        grid = [(n, k, d) for n in cfg.n_values for k in cfg.k_values for d in cfg.d_values]
-    for n, k, d in grid:
-        for trial in range(cfg.trials):
-            for algorithm in cfg.algorithms:
-                ranked = "rank" in inspect.signature(ALGORITHMS[algorithm]).parameters
-                for rank in cfg.rank_values if ranked and cfg.rank_values else (None,):
-                    tasks.append(_Task(n, k, d, trial, algorithm, rank))
-    return tasks
+        return [(None, k, None) for k in cfg.k_values]
+    if cfg.mode == "planted_partition_sweep":
+        return [(n, k, None) for n in cfg.n_values for k in cfg.k_values]
+    return [(n, k, d) for n in cfg.n_values for k in cfg.k_values for d in cfg.d_values]
 
 
-def _one_entry_cache(build):
-    """Keep ``build``'s result for its latest arguments only.
-
-    Tasks run in grid point, trial, algorithm order, so consecutive calls
-    share arguments. The held value is dropped before the next one is built,
-    so two never coexist, and a failed build leaves nothing behind.
-    """
-    entry: list = []  # [args, value], or empty
-
-    @functools.wraps(build)
-    def cached(*args):
-        if not entry or entry[0] != args:
-            entry.clear()
-            entry.extend((args, build(*args)))
-        return entry[1]
-
-    cached.cache_clear = entry.clear
-    return cached
-
-
-@_one_entry_cache
-def _regular_setup(cfg: ExperimentConfig, n: int, k: int, d: int):
-    """Grid-point setup shared across trials: graph, truth, spectrum info."""
+def _setup(cfg: ExperimentConfig, n: int | None, k: int, d: int | None):
+    """What every trial of a grid point shares: the ingested graphs in
+    ``real_network``; otherwise R, the truth, the model, the expected matrix
+    (``expected_case_check`` only) and the spectrum info."""
+    if cfg.mode == "real_network":
+        return build_working_graphs(
+            cfg.multiplex_file, cfg.rep_layers, cfg.sim_layers, cfg.knn_k,
+            index_base=cfg.index_base, drop_isolated=cfg.drop_isolated,
+        )
     rep, truth = build_d_regular_rep_graph(n, k, d)
     params = RppParams(assignment=truth, rep_graph=rep, p=cfg.p, q=cfg.q, r=cfg.r, s=cfg.s)
     try:
@@ -335,57 +303,92 @@ def _regular_setup(cfg: ExperimentConfig, n: int, k: int, d: int):
     return rep, truth, params, expected, info
 
 
-@_one_entry_cache
-def _real_setup(cfg: ExperimentConfig):
-    return build_working_graphs(
-        cfg.multiplex_file, cfg.rep_layers, cfg.sim_layers, cfg.knn_k,
-        index_base=cfg.index_base, drop_isolated=cfg.drop_isolated,
-    )
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-@_one_entry_cache
-def _trial_inputs(cfg: ExperimentConfig, n: int | None, k: int, d: int | None, seed: int):
-    """Return (graph_or_matrix, rep_graph, truth_or_None, spectrum_info), shared by
-    every row of a trial: one sampled graph, and one R object, which keeps
-    each of its solves."""
-    if cfg.mode in ("d_regular_sweep", "expected_case_check"):
-        rep, truth, params, expected, info = _regular_setup(cfg, n, k, d)
-        graph = sample_rpp(params, seed) if cfg.mode == "d_regular_sweep" else expected
-        return graph, rep, truth, info
-    if cfg.mode == "planted_partition_sweep":
-        groups = cfg.rep_groups if cfg.rep_groups is not None else _tenth(n)
-        rep, _ = sample_planted_partition_rep_graph(n, groups, cfg.p_in, cfg.p_out, [seed, 0])
-        truth = contiguous_assignment(n, k)
-        params = RppParams(assignment=truth, rep_graph=rep, p=cfg.p, q=cfg.q, r=cfg.r, s=cfg.s)
-        return sample_rpp(params, [seed, 1]), rep, truth, None
-    sim, rep, _ = _real_setup(cfg)  # real_network, the one mode left
-    return sim, rep, None, None
+@dataclass(eq=False)
+class _Trial:
+    """One trial of a grid point. Its rows share ``setup``, the grid point's
+    setup or the text of the error that building it raised, and ``inputs``,
+    which the first row to read them builds, where the rows run: a pool
+    sends a trial's rows as one chunk, which unpickles into one _Trial."""
+
+    cfg: ExperimentConfig
+    n: int | None
+    k: int
+    d: int | None
+    index: int
+    seed: int
+    setup: object
+
+    @functools.cached_property
+    def inputs(self) -> tuple:
+        """(graph_or_matrix, rep_graph, truth_or_None, spectrum_info): one
+        sampled graph, and one R object, which keeps each of its solves."""
+        cfg, seed = self.cfg, self.seed
+        if cfg.mode in ("d_regular_sweep", "expected_case_check"):
+            rep, truth, params, expected, info = self.setup
+            graph = sample_rpp(params, seed) if cfg.mode == "d_regular_sweep" else expected
+            return graph, rep, truth, info
+        if cfg.mode == "planted_partition_sweep":
+            groups = cfg.rep_groups if cfg.rep_groups is not None else _tenth(self.n)
+            rep, _ = sample_planted_partition_rep_graph(self.n, groups, cfg.p_in, cfg.p_out,
+                                                        [seed, 0])
+            truth = contiguous_assignment(self.n, self.k)
+            params = RppParams(assignment=truth, rep_graph=rep, p=cfg.p, q=cfg.q, r=cfg.r, s=cfg.s)
+            return sample_rpp(params, [seed, 1]), rep, truth, None
+        sim, rep, _ = self.setup  # real_network, the one mode left
+        return sim, rep, None, None
 
 
-def _execute_task(args: tuple[ExperimentConfig, _Task]) -> dict:
-    cfg, task = args
-    seed = cfg.base_seed + task.trial
-    kcfg = cfg.kmeans_config(seed)
+def _row_args(cfg: ExperimentConfig):
+    """``_execute_task``'s argument for each row, (trial, algorithm, rank),
+    in row order. Each grid point's setup is built once, when its first row
+    is reached, and the multiplex file is ingested once per sweep; a setup
+    that fails is the text of its error, for the error cell of its rows."""
+    regular, setup = cfg.mode in ("d_regular_sweep", "expected_case_check"), None
+    for n, k, d in _grid(cfg):
+        if regular or (cfg.mode == "real_network" and setup is None):
+            setup = trial = None  # the previous grid point is freed before the next is built
+            try:
+                setup = _setup(cfg, n, k, d)
+            except Exception as exc:
+                setup = _error_text(exc)
+        for index in range(cfg.trials):
+            trial = _Trial(cfg, n, k, d, index, cfg.base_seed + index, setup)
+            for algorithm in cfg.algorithms:
+                ranked = "rank" in inspect.signature(ALGORITHMS[algorithm]).parameters
+                for rank in cfg.rank_values if ranked and cfg.rank_values else (None,):
+                    yield trial, algorithm, rank
+
+
+def _execute_task(args: tuple[_Trial, str, int | None]) -> dict:
+    trial, algorithm, rank = args
+    cfg = trial.cfg
     row: dict[str, object] = {column: None for column in CSV_COLUMNS}
     row.update(
-        mode=cfg.mode, algorithm=task.algorithm, N=task.n, K=task.k, d=task.d,
-        rank=task.rank, trial=task.trial, seed=seed,
+        mode=cfg.mode, algorithm=algorithm, N=trial.n, K=trial.k, d=trial.d,
+        rank=rank, trial=trial.index, seed=trial.seed,
     )
     if cfg.mode != "real_network":
         row.update(p=cfg.p, q=cfg.q, r=cfg.r, s=cfg.s)
+    if isinstance(trial.setup, str):
+        row["error"] = trial.setup
+        return row
     try:
-        graph, rep, truth, info = _trial_inputs(cfg, task.n, task.k, task.d, seed)
+        graph, rep, truth, info = trial.inputs
         n = rep.n
         row["N"] = n
         if info is not None:
             row["gamma"], row["bound_shape_unnormalized"], row["bound_shape_normalized"] = info
-        run = ALGORITHMS[task.algorithm]
-        given = {"rep_graph": rep, "rank": task.rank, "groups": cfg.baseline_groups}
+        run = ALGORITHMS[algorithm]
+        given = {"rep_graph": rep, "rank": rank, "groups": cfg.baseline_groups}
         inputs = {name: given[name] for name in inspect.signature(run).parameters if name in given}
-        if "rank" in inputs and task.rank is None:
+        if "rank" in inputs and rank is None:
             inputs["rank"] = row["rank"] = _tenth(n)
         start = time.perf_counter()
-        result = run(graph, k=task.k, cfg=kcfg, **inputs)
+        result = run(graph, k=trial.k, cfg=cfg.kmeans_config(trial.seed), **inputs)
         row["runtime_ms"] = (time.perf_counter() - start) * 1000.0
         score = score_partition(graph, rep, result.assignment, truth)
         row.update(
@@ -400,7 +403,7 @@ def _execute_task(args: tuple[ExperimentConfig, _Task]) -> dict:
             kmeans_iters=result.kmeans_iters,
         )
     except Exception as exc:  # any failure stays in its own row; the sweep goes on
-        row["error"] = f"{type(exc).__name__}: {exc}"
+        row["error"] = _error_text(exc)
     return row
 
 
@@ -573,17 +576,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     excluded). With ``threads > 1`` the runs execute in a process pool;
     output order and content do not depend on scheduling.
     """
-    tasks = _build_tasks(cfg)
-    args = [(cfg, task) for task in tasks]
+    args = _row_args(cfg)
     if cfg.threads > 1:
-        chunk = max(1, len(args) // (cfg.threads * 4))
-        # A forked pool starts all its workers on the first task, so it gets
-        # no more of them than there are chunks.
-        workers = max(1, min(cfg.threads, -(-len(args) // chunk)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_execute_task, args, chunksize=chunk))
+        # Every grid point's setup is built here, before the pool starts, and
+        # each chunk is the rows of one trial. A forked pool starts all its
+        # workers on the first task, so it gets no more of them than chunks.
+        args, trials = list(args), len(_grid(cfg)) * cfg.trials
+        with ProcessPoolExecutor(max_workers=min(cfg.threads, trials)) as pool:
+            rows = list(pool.map(_execute_task, args, chunksize=len(args) // trials))
     else:
-        rows = [_execute_task(arg) for arg in args]
+        # map drops each row's argument before it asks for the next one, so
+        # a finished trial and grid point are freed before the next is built.
+        rows = list(map(_execute_task, args))
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"

@@ -134,10 +134,17 @@ class Graph:
         its own bytes."""
         return {}
 
+    def __setstate__(self, state: dict) -> None:
+        """A Graph from ``pickle`` or ``copy`` is read-only as one built here
+        is, and keeps the memo: a pool worker reads R's solves from it."""
+        self.__dict__.update(_frozen(state))
+
 
 def _frozen(value):
-    """``value`` with each array in it (itself, or an item of a tuple) made
+    """``value`` with each array in it (itself, or in a tuple or a dict) made
     read-only and owning exactly its own bytes (``linalg._owned``)."""
+    if isinstance(value, dict):
+        return {key: _frozen(item) for key, item in value.items()}
     if isinstance(value, tuple):
         return tuple(map(_frozen, value))
     if isinstance(value, np.ndarray):

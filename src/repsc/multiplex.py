@@ -94,7 +94,7 @@ def parse_multiplex(path, index_base: int = 0, names=None) -> MultiplexNetwork:
     with _naming_file(path), Path(path).open() as handle:
         def pieces():
             handle.seek(0)
-            return map("".join, iter(functools.partial(handle.readlines, _PIECE_CHARS), []))
+            return _whole_lines(iter(functools.partial(handle.read, _PIECE_CHARS), ""))
         return _parse_pieces(pieces, index_base, names)
 
 
@@ -126,12 +126,22 @@ def parse_multiplex_text(text: str, index_base: int = 0, names=None) -> Multiple
         NoLayersError: no edges at all.
     """
     def pieces():
-        start = 0
-        while start < len(text):
-            end = text.find("\n", start + _PIECE_CHARS) + 1 or len(text)
-            yield text[start:end]
-            start = end
+        return _whole_lines(text[start:start + _PIECE_CHARS]
+                            for start in range(0, len(text), _PIECE_CHARS))
     return _parse_pieces(pieces, index_base, names)
+
+
+def _whole_lines(chunks: Iterable[str]):
+    """The text of ``chunks`` in pieces of whole lines: each chunk with the
+    unfinished line before it, cut after its last ``"\\n"``, which ends
+    every two-character line break (``"\\r\\n"``) too."""
+    rest = ""
+    for chunk in chunks:
+        text = rest + chunk
+        end = text.rfind("\n") + 1
+        yield text[:end]
+        rest = text[end:]
+    yield rest
 
 
 def _body(pieces: Iterable[str]):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import repsc
-from repsc import clustering, experiments
+from repsc import clustering
 from repsc.linalg import null_side_eig, sym_eig
 
 # Regular-representation instances used across the suite: (n, k, d) with
@@ -167,18 +167,15 @@ def toy_instance():
     return rep, truth, params
 
 
-def clear_harness_caches() -> None:
-    """Drop the grid point, trial and multiplex file the harness holds."""
-    for cache in (experiments._regular_setup, experiments._real_setup,
-                  experiments._trial_inputs):
-        cache.cache_clear()
-
-
-@pytest.fixture(autouse=True)
-def empty_harness_caches():
-    """Leave no grid point, trial or multiplex file in the harness caches."""
-    yield
-    clear_harness_caches()
+def kept_arrays(value):
+    """Every array in a memo entry: arrays, tuples of them, assignments."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from kept_arrays(item)
+    elif isinstance(value, repsc.ClusterAssignment):
+        yield value.labels
 
 
 class Solve(NamedTuple):

@@ -1,10 +1,10 @@
 """Config parsing, sweep execution, output files, and the CLI."""
 
 import itertools
+import multiprocessing
 import os
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ import repsc
 from repsc.cli import main
 from repsc.graphs import check_probabilities
 from repsc.experiments import CSV_COLUMNS, parse_layer_range, write_line_chart_svg
-from conftest import SWEEP_PROBS, clear_harness_caches, same_partition, traced_peak
+from conftest import SWEEP_PROBS, kept_arrays, same_partition, traced_peak
 
 
 # The results.csv cells computed from a row's partition.
@@ -145,8 +145,9 @@ def test_small_sweep_rows(tmp_path):
 def test_the_pool_forks_no_more_workers_than_chunks(tmp_path, monkeypatch, trials, threads,
                                                     workers):
     # A forked pool starts every worker it may have on the first task: a
-    # sweep of 2 x trials rows gets at most one worker per chunk. An
-    # in-process stand-in records the worker count and starts no process.
+    # sweep of 2 grid points x trials gets one chunk per trial, its 2 rows,
+    # and at most one worker per chunk. An in-process stand-in records the
+    # worker count and chunk size and starts no process.
     pools = []
 
     class InProcessPool:
@@ -160,6 +161,7 @@ def test_the_pool_forks_no_more_workers_than_chunks(tmp_path, monkeypatch, trial
             return False
 
         def map(self, fn, iterable, chunksize=1):
+            pools.append(chunksize)
             return map(fn, iterable)
 
     monkeypatch.setattr(repsc.experiments, "ProcessPoolExecutor", InProcessPool)
@@ -167,13 +169,14 @@ def test_the_pool_forks_no_more_workers_than_chunks(tmp_path, monkeypatch, trial
 
     def rows(count):
         out_dir = tmp_path / f"threads{count}"
-        text = sweep_config(out_dir).replace("trials = 2", f"trials = {trials}")
+        text = sweep_config(out_dir).replace("trials = 2", f"trials = {trials}").replace(
+            "n_values = 24", "n_values = 24, 48")
         repsc.run_experiment(repsc.parse_config_text(text + f"threads = {count}\n"))
         return [line.split(",")[:timing] + line.split(",")[timing + 1:]
                 for line in (out_dir / "results.csv").read_text().splitlines()]
 
     assert rows(threads) == rows(1)
-    assert pools == [workers]
+    assert pools == [workers, 2]
 
 
 def test_sweep_deterministic_except_runtime(tmp_path):
@@ -502,25 +505,26 @@ def test_expected_case_check_passes(tmp_path):
 def test_error_rows_do_not_stop_the_sweep(tmp_path):
     # A dense random representation graph leaves a one-dimensional constraint
     # null space, so the constrained algorithm fails while plain spectral
-    # clustering runs fine on the same graphs.
-    text = (
-        "mode = planted_partition_sweep\n"
-        "algorithms = usc, urepsc\n"
-        "n_values = 16\n"
-        "k_values = 2\n"
-        "rep_groups = 2\n"
-        "p_in = 0.5\n"
-        "p_out = 0.5\n"
-        f"out = {tmp_path / 'err'}\n"
-    )
-    result = repsc.run_experiment(repsc.parse_config_text(text))
-    by_algorithm = {row["algorithm"]: row for row in result.rows}
-    assert by_algorithm["usc"]["error"] is None
-    assert "NullSpaceTooSmall" in by_algorithm["urepsc"]["error"]
-    assert result.error_count == 1
-    # The error lands in the CSV error column, not in a crash.
-    content = (tmp_path / "err" / "results.csv").read_text()
-    assert "NullSpaceTooSmallError" in content
+    # clustering runs fine on the same graphs, in the parent or a worker.
+    for threads in (1, 2):
+        text = (
+            "mode = planted_partition_sweep\n"
+            "algorithms = usc, urepsc\n"
+            "n_values = 16\n"
+            "k_values = 2\n"
+            "rep_groups = 2\n"
+            "p_in = 0.5\n"
+            "p_out = 0.5\n"
+            f"threads = {threads}\nout = {tmp_path / 'err'}\n"
+        )
+        result = repsc.run_experiment(repsc.parse_config_text(text))
+        by_algorithm = {row["algorithm"]: row for row in result.rows}
+        assert by_algorithm["usc"]["error"] is None
+        assert "NullSpaceTooSmall" in by_algorithm["urepsc"]["error"]
+        assert result.error_count == 1
+        # The error lands in the CSV error column, not in a crash.
+        content = (tmp_path / "err" / "results.csv").read_text()
+        assert "NullSpaceTooSmallError" in content
 
 
 def test_fair_sc_baseline_single_group_is_unconstrained(toy_instance):
@@ -792,8 +796,10 @@ def test_value_error_in_grid_setup_lands_in_the_rows(tmp_path, monkeypatch):
         raise ValueError("setup exploded")
 
     monkeypatch.setattr(repsc.experiments, "expected_spectrum", broken)
-    result = repsc.run_experiment(repsc.parse_config_text(sweep_config(tmp_path / "out")))
-    assert [row["error"] for row in result.rows] == ["ValueError: setup exploded"] * 4
+    for threads in (1, 2):
+        text = sweep_config(tmp_path / "out") + f"threads = {threads}\n"
+        result = repsc.run_experiment(repsc.parse_config_text(text))
+        assert [row["error"] for row in result.rows] == ["ValueError: setup exploded"] * 4
 
 
 def test_cli_ingest_with_names(tmp_path):
@@ -887,9 +893,16 @@ def synthetic_multiplex(seed: int, nodes: int = 30, layers: int = 6) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_real_network_sweep_clusters_the_ingested_graphs(tmp_path):
-    from repsc.experiments import _real_setup
+def returned_by(monkeypatch, module, name):
+    """Patch ``module.name`` to keep what it returns (what a sweep built) in the list returned."""
+    kept, build = [], getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kwargs: kept.append(build(*args, **kwargs)) or kept[-1])
+    return kept
 
+
+def test_real_network_sweep_clusters_the_ingested_graphs(tmp_path, monkeypatch):
+    ingested = returned_by(monkeypatch, repsc.experiments, "build_working_graphs")
     edges = tmp_path / "multiplex.edges"
     edges.write_text(synthetic_multiplex(3))
     # Node 30 only talks to itself: it must be dropped from both graphs.
@@ -909,8 +922,8 @@ def test_real_network_sweep_clusters_the_ingested_graphs(tmp_path):
     result = repsc.run_experiment(cfg)
     assert result.error_count == 0
     assert [row["algorithm"] for row in result.rows] == ["usc", "urepsc_approx", "fair_sc_baseline"]
+    (sim, rep, kept), = ingested
     paths = repsc.experiments.ingest_to_dir(edges, (1, 3), (4, 6), 3, tmp_path / "ingested")
-    sim, rep, kept = _real_setup(cfg)
     assert kept.tolist() == list(range(30))
     assert all(row["N"] == 30 for row in result.rows)
     assert np.array_equal(repsc.read_graph(paths["similarity"]).adjacency, sim.adjacency)
@@ -929,39 +942,26 @@ def decomposed(solves) -> list[np.ndarray]:
 
 
 def test_each_trial_samples_its_graph_once(tmp_path, monkeypatch):
-    seeds = []
+    # A pool's parent builds each grid point's setup, R's null-block solve
+    # included, before it forks; each trial's rows, one chunk, sample once.
+    # Counts in shared memory, inherited by forked workers, see every process.
+    calls = multiprocessing.get_context("fork").Array("i", 4)
+    for module, name, slot in ((repsc.experiments, "expected_spectrum", lambda *args: 0),
+                               (repsc.clustering, "null_side_eig", lambda *args: 1),
+                               (repsc.experiments, "sample_rpp", lambda params, seed: 2 + seed)):
+        def counted(*args, call=getattr(module, name), slot=slot):
+            with calls.get_lock():
+                calls[slot(*args)] += 1
+            return call(*args)
 
-    def counting(params, seed):
-        seeds.append(seed)
-        return repsc.sample_rpp(params, seed)
-
-    monkeypatch.setattr(repsc.experiments, "sample_rpp", counting)
-    result = repsc.run_experiment(repsc.parse_config_text(sweep_config(tmp_path)))
-    assert result.error_count == 0 and len(result.rows) == 4
-    assert seeds == [0, 1]
-
-
-def test_real_network_sweep_decomposes_the_shared_r_once(tmp_path, eigensolves):
-    edges = tmp_path / "multiplex.edges"
-    edges.write_text(synthetic_multiplex(5))
-    cfg = repsc.parse_config_text(
-        "mode = real_network\n"
-        "algorithms = urepsc_approx, fair_sc_baseline\n"
-        f"multiplex_file = {edges}\n"
-        "rep_layers = 1..3\n"
-        "sim_layers = 4..6\n"
-        "knn_k = 3\n"
-        "k_values = 2\n"
-        "trials = 2\n"
-        "baseline_groups = 2\n"
-        f"out = {tmp_path / 'sweep'}\n"
-    )
-    result = repsc.run_experiment(cfg)
-    assert result.error_count == 0 and len(result.rows) == 4
-    _, rep, _ = repsc.experiments._real_setup(cfg)
-    # The shared R once; the fair_sc_baseline rows decompose nothing.
-    assert sum(m is rep.adjacency for m in decomposed(eigensolves)) == 1
-    assert len(decomposed(eigensolves)) == 1
+        monkeypatch.setattr(module, name, counted)
+    text = sweep_config(tmp_path).replace("n_values = 24", "n_values = 24, 48")
+    for threads in (1, 2):
+        calls[:] = [0] * 4
+        result = repsc.run_experiment(repsc.parse_config_text(text + f"threads = {threads}\n"))
+        assert result.error_count == 0 and len(result.rows) == 8
+        # Each grid point's spectrum and R once, each trial's seed once per grid point.
+        assert list(calls) == [2, 2, 2, 2]
 
 
 def test_real_network_sweep_solves_each_problem_once(tmp_path, monkeypatch, eigensolves):
@@ -969,6 +969,7 @@ def test_real_network_sweep_solves_each_problem_once(tmp_path, monkeypatch, eige
     # restricted eigensolves, and every row shares one group discovery
     # eigensolve; k-means runs for every row, and the discovery's once per
     # trial (its seed).
+    ingested = returned_by(monkeypatch, repsc.experiments, "build_working_graphs")
     ks, trials, groups = (2, 4), 2, 3
     discoveries, kmeans_ks = [], []
 
@@ -998,8 +999,11 @@ def test_real_network_sweep_solves_each_problem_once(tmp_path, monkeypatch, eige
     )
     result = repsc.run_experiment(cfg)
     assert result.error_count == 0 and len(result.rows) == 3 * len(ks) * trials
-    # R once, the two approximate problems once per k, the discovery once,
-    # and the baseline's group-constrained problem once per row.
+    # The ingested R once, the two approximate problems once per k, the
+    # discovery once, and the baseline's group-constrained problem once per
+    # row: its rows decompose nothing.
+    (_, rep, _), = ingested
+    assert [m is rep.adjacency for m in decomposed(eigensolves)] == [True]
     counts = [solve.count for solve in eigensolves]
     assert counts.count(None) == 1
     assert counts.count(groups + 1) == 1
@@ -1045,53 +1049,12 @@ def test_planted_sweep_takes_no_svd(tmp_path, monkeypatch):
     assert [row["error"] for row in result.rows if row["error"]] == []
 
 
-def test_one_entry_cache_holds_nothing_while_it_builds():
-    class Value:
-        pass
-
-    built = []  # weak references to every value built
-    alive_at_build = []
-
-    def build(key):
-        alive_at_build.append(sum(ref() is not None for ref in built))
-        if key == "bad":
-            raise ValueError("bad key")
-        value = Value()
-        built.append(weakref.ref(value))
-        return value
-
-    cached = repsc.experiments._one_entry_cache(build)
-    first = cached("a")
-    assert cached("a") is first and len(built) == 1
-    del first
-    cached("b")
-    with pytest.raises(ValueError):
-        cached("bad")
-    # "a" was freed before "b" was built, and "b" before the failed build;
-    # the failure left nothing in the cache.
-    assert alive_at_build == [0, 0, 0]
-    assert all(ref() is None for ref in built)
-    cached("b")
-    assert len(built) == 3
-    cached.cache_clear()
-    assert built[-1]() is None
-
-
-def kept_arrays(value):
-    """Every array in a memo entry: arrays, tuples of them, assignments."""
-    if isinstance(value, np.ndarray):
-        yield value
-    elif isinstance(value, tuple):
-        for item in value:
-            yield from kept_arrays(item)
-    elif isinstance(value, repsc.ClusterAssignment):
-        yield value.labels
-
-
-def test_every_array_a_graph_keeps_owns_its_bytes(tmp_path):
+def test_every_array_a_graph_keeps_owns_its_bytes(tmp_path, monkeypatch):
     # After a sweep's rows, R's null block and the k-means points and
     # spectra on G are whole arrays, not slices of a solve's larger output
     # that would keep it alive as long as the Graph.
+    built = returned_by(monkeypatch, repsc.experiments, "build_d_regular_rep_graph")
+    sampled = returned_by(monkeypatch, repsc.experiments, "sample_rpp")
     cfg = repsc.parse_config_text(
         "mode = d_regular_sweep\n"
         "algorithms = usc, nsc, urepsc, nrepsc\n"
@@ -1102,8 +1065,7 @@ def test_every_array_a_graph_keeps_owns_its_bytes(tmp_path):
         f"out = {tmp_path}\n"
     )
     assert repsc.run_experiment(cfg).error_count == 0
-    # The trial's inputs are still in the harness cache: this is a hit.
-    graph, rep, _, _ = repsc.experiments._trial_inputs(cfg, 120, 3, 18, cfg.base_seed)
+    ((rep, _),), (graph,) = built, sampled
     assert rep._memo[("picked", None)][1] and sum(key[0] == "points" for key in graph._memo) == 4
     kept = [array for memo in (graph._memo, rep._memo) for value in memo.values()
             for array in kept_arrays(value)]
@@ -1142,9 +1104,6 @@ def test_a_whole_sweep_holds_its_dense_floor(tmp_path, mode, budget):
                                   f"trials = 1\nout = {tmp_path}\n")
 
     def sweep():
-        try:
-            assert repsc.run_experiment(cfg).error_count == 0
-        finally:
-            clear_harness_caches()
+        assert repsc.run_experiment(cfg).error_count == 0
 
     assert traced_peak(sweep) <= budget * n * n * 8

@@ -1,6 +1,8 @@
 """Graph types, the two samplers, the regular builder, serialization."""
 
+import copy
 import inspect
+import pickle
 import re
 import tempfile
 from pathlib import Path
@@ -10,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repsc
-from conftest import (REGULAR_INSTANCES, SWEEP_PROBS, canonical_y_vectors, random_assignment,
-                      traced_peak, traced_retained)
+from conftest import (REGULAR_INSTANCES, SWEEP_PROBS, canonical_y_vectors, kept_arrays,
+                      random_assignment, traced_peak, traced_retained)
 from repsc import experiments, multiplex
 from repsc.graphs import _laplacian, _laplacian_product
 from repsc.linalg import RANK_REL_TOL, row_blocks
@@ -554,6 +556,25 @@ def test_graph_inputs_give_one_read_only_bool_adjacency():
     listed = repsc.Graph([[0, 1], [1, 0]])
     assert listed.adjacency.dtype == bool and listed.adjacency.tolist() == [[False, True],
                                                                             [True, False]]
+
+
+@pytest.mark.parametrize("clone", [lambda graphs: pickle.loads(pickle.dumps(graphs, protocol=4)),
+                                   copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_a_copied_graph_stays_read_only_and_keeps_its_memo(clone, eigensolves):
+    # Both make writable arrays; a pool worker clusters on its parent's solves.
+    rep, truth = repsc.build_d_regular_rep_graph(24, 2, 6)
+    graph = repsc.sample_rpp(repsc.RppParams(assignment=truth, rep_graph=rep, **SWEEP_PROBS), 0)
+    labels = repsc.urepsc(graph, rep, 2).assignment.labels
+    solved = len(eigensolves)
+    copies = clone((graph, rep))
+    for original, twin in zip((graph, rep), copies):
+        with pytest.raises(ValueError, match="read-only"):
+            twin.adjacency[0, 5] = True
+        assert len(twin._memo) == len(original._memo) > 0
+        kept = [array for value in twin._memo.values() for array in kept_arrays(value)]
+        assert kept and not any(array.flags.writeable for array in kept)
+    assert np.array_equal(repsc.urepsc(*copies, 2).assignment.labels, labels)
+    assert len(eigensolves) == solved
 
 
 @pytest.mark.parametrize("entry", [2.0, 0.5, -1.0])

@@ -18,7 +18,7 @@ import repsc
 from repsc import clustering
 from repsc.clustering import ONES_IN_NULL_ATOL, constraint_null_basis
 from repsc.linalg import RANK_REL_TOL, _fix_signs, matmul, null_side_eig, sym_eig
-from conftest import clear_harness_caches, group_basis
+from conftest import group_basis
 
 PROJECTOR_ATOL = 1e-8
 
@@ -601,7 +601,6 @@ def test_basis_arm_matches_the_whole_laplacian_formula_on_the_sweep(grid, tmp_pa
         if patched:
             monkeypatch.setattr(clustering, "_embed", reference)
         labels.append([])
-        clear_harness_caches()
         result = repsc.run_experiment(repsc.parse_config_text(
             "mode = d_regular_sweep\nalgorithms = urepsc, nrepsc\ntrials = 2\n"
             + BASIS_ARM_SWEEPS[grid] + f"out = {tmp_path / str(patched)}\n"))

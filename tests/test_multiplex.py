@@ -463,6 +463,16 @@ def test_each_line_break_splits_a_file_as_it_splits_the_text(write_file, brk):
         (IndexOutOfRangeError, None)
 
 
+@pytest.mark.parametrize("piece_chars", range(1, 24))
+def test_a_block_edge_anywhere_splits_no_line(write_file, monkeypatch, piece_chars):
+    # Block edges fall inside each line, each "\r\n" and the bad line,
+    # which the second read still names.
+    monkeypatch.setattr(repsc.multiplex, "_PIECE_CHARS", piece_chars)
+    text = "1 0 1 1.0\n1 2 3 4\r\n# note\r\n2 10 3 0.5\n2 3 10 1\r\n"
+    assert_same_network(parse_both(write_file, text), parse_reference(text))
+    assert parse_both(write_file, text + "1 0 x 1.0\r\n2 1 1 1\n") == (MalformedLineError, 6)
+
+
 # Characters a piece holds in the tests whose layers straddle many pieces.
 SMALL_PIECE_CHARS = 300
 

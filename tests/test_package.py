@@ -2,6 +2,7 @@
 imports and what uses each name."""
 
 import ast
+import pickle
 import re
 from pathlib import Path
 
@@ -61,3 +62,15 @@ def test_only_linalg_imports_scipy():
             found += [f"{path.name}:{node.lineno}: {module}" for module in modules
                       if module == "scipy" or module.startswith("scipy.")]
     assert found == []
+
+
+def test_every_package_error_survives_pickling():
+    # An error raised in a worker process reaches its parent through pickle.
+    classes = [repsc.RepscError]
+    for cls in classes:  # the list grows by each class's subclasses as it is walked
+        classes += cls.__subclasses__()
+    for error in [cls(3, "x") if cls is repsc.MalformedLineError else cls("x") for cls in classes]:
+        copy = pickle.loads(pickle.dumps(error))
+        assert (type(copy), str(copy), getattr(copy, "line_number", None)) == \
+            (type(error), str(error), getattr(error, "line_number", None))
+    assert str(repsc.MalformedLineError(3, "x")) == "line 3: x" and len(classes) > 10
