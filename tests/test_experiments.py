@@ -964,12 +964,35 @@ def test_each_trial_samples_its_graph_once(tmp_path, monkeypatch):
         assert list(calls) == [2, 2, 2, 2]
 
 
+def test_real_network_sweep_decomposes_the_shared_r_once(tmp_path, monkeypatch, eigensolves):
+    ingested = returned_by(monkeypatch, repsc.experiments, "build_working_graphs")
+    edges = tmp_path / "multiplex.edges"
+    edges.write_text(synthetic_multiplex(5))
+    cfg = repsc.parse_config_text(
+        "mode = real_network\n"
+        "algorithms = urepsc_approx, fair_sc_baseline\n"
+        f"multiplex_file = {edges}\n"
+        "rep_layers = 1..3\n"
+        "sim_layers = 4..6\n"
+        "knn_k = 3\n"
+        "k_values = 2\n"
+        "trials = 2\n"
+        "baseline_groups = 2\n"
+        f"out = {tmp_path / 'sweep'}\n"
+    )
+    result = repsc.run_experiment(cfg)
+    assert result.error_count == 0 and len(result.rows) == 4
+    (_, rep, _), = ingested
+    # The ingested R once; the fair_sc_baseline rows decompose nothing.
+    assert sum(m is rep.adjacency for m in decomposed(eigensolves)) == 1
+    assert len(decomposed(eigensolves)) == 1
+
+
 def test_real_network_sweep_solves_each_problem_once(tmp_path, monkeypatch, eigensolves):
     # Trials differ only in the k-means seed, so every row of a k shares its
     # restricted eigensolves, and every row shares one group discovery
     # eigensolve; k-means runs for every row, and the discovery's once per
     # trial (its seed).
-    ingested = returned_by(monkeypatch, repsc.experiments, "build_working_graphs")
     ks, trials, groups = (2, 4), 2, 3
     discoveries, kmeans_ks = [], []
 
@@ -999,11 +1022,8 @@ def test_real_network_sweep_solves_each_problem_once(tmp_path, monkeypatch, eige
     )
     result = repsc.run_experiment(cfg)
     assert result.error_count == 0 and len(result.rows) == 3 * len(ks) * trials
-    # The ingested R once, the two approximate problems once per k, the
-    # discovery once, and the baseline's group-constrained problem once per
-    # row: its rows decompose nothing.
-    (_, rep, _), = ingested
-    assert [m is rep.adjacency for m in decomposed(eigensolves)] == [True]
+    # R once, the two approximate problems once per k, the discovery once,
+    # and the baseline's group-constrained problem once per row.
     counts = [solve.count for solve in eigensolves]
     assert counts.count(None) == 1
     assert counts.count(groups + 1) == 1
