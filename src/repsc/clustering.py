@@ -29,7 +29,6 @@ from .errors import (
 from .graphs import (ClusterAssignment, Graph, _check_k, _degrees, _laplacian,
                      _laplacian_product, _memoized, as_adjacency)
 from .linalg import (
-    RANK_REL_TOL,
     _complement_columns,
     _fix_signs,
     _scratch,
@@ -45,9 +44,16 @@ from .linalg import (
 logger = logging.getLogger(__name__)
 
 DEGENERATE_GAP_TOL = 1e-10
+# An eigenvalue of R counts as zero when |lambda| <= RANK_REL_TOL * N *
+# ||R||_inf (``_rep_spectrum``).
+RANK_REL_TOL = 1e-10
 # The all-ones direction counts as orthogonal to null(R) when its unit
 # vector's projection there is shorter than this.
 ONES_IN_NULL_ATOL = 1e-8
+# Lloyd's stopping rule scales rel_tol by an inertia of at least this.
+INERTIA_FLOOR = 1e-300
+# nsc leaves an embedding row at the origin when its length is at most this.
+ZERO_ROW_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -217,7 +223,7 @@ def _lloyd(points: np.ndarray, k: int, seed: int, restarts, max_iters: int,
         centroids[active] = _update(points, new[moved], k)
         iters[active] += 1
         stale[active] = True
-        done = np.isfinite(last) & (last - cost <= rel_tol * np.maximum(np.abs(last), 1e-300))
+        done = np.isfinite(last) & (last - cost <= rel_tol * np.maximum(last, INERTIA_FLOOR))
         active = active[~done & (iters[active] < max_iters)]
     if stale.any():
         labels[stale], inertia[stale] = _assign(lifted, centroids[stale])
@@ -283,9 +289,10 @@ def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, bo
 
     An eigenvalue counts as zero when |lambda| <= t = RANK_REL_TOL * N *
     ||R||_inf, with ||R||_inf the largest absolute row sum; with ``rank`` so
-    do all but the ``rank`` eigenpairs of largest |lambda|. A ``Graph`` R
-    keeps t ("null_tol") and each solve (("picked", rank)), so it is solved
-    at most once per rank; a raw matrix R is solved on every call.
+    do all but the ``rank`` eigenpairs of largest |lambda|. Each solve
+    computes t, and a ``Graph`` R keeps only its solves (("picked", rank)),
+    so it is solved at most once per rank; a raw matrix R is solved on
+    every call.
     """
     graph = isinstance(rep_graph_or_matrix, Graph)
     r = rep_graph_or_matrix.adjacency if graph else as_float_matrix(rep_graph_or_matrix)
@@ -293,13 +300,12 @@ def _rep_spectrum(rep_graph_or_matrix, rank: int | None) -> tuple[np.ndarray, bo
     if rank is not None and not 0 <= rank <= n:
         raise ValueError(f"rank must lie in [0, {n}], got {rank}")
 
-    def null_tol() -> float:
+    def solve() -> tuple[np.ndarray, bool]:
         # A Graph's entries are 0 and 1, so its absolute row sums are its degrees.
         row_sums = _degrees(r) if graph else np.abs(r).sum(axis=1)
-        return RANK_REL_TOL * n * (row_sums.max() if r.size else 0.0)
+        return null_side_eig(r, RANK_REL_TOL * n * (row_sums.max() if r.size else 0.0), rank)
 
-    tol = _memoized(rep_graph_or_matrix, "null_tol", null_tol)
-    return _memoized(rep_graph_or_matrix, ("picked", rank), lambda: null_side_eig(r, tol, rank))
+    return _memoized(rep_graph_or_matrix, ("picked", rank), solve)
 
 
 def _split_ones(columns: np.ndarray, overlap: np.ndarray, drop: bool) -> np.ndarray:
@@ -494,7 +500,7 @@ def _points(graph, k: int, rep, rank: int | None,
     embedding, spectrum, warnings = _embed(graph, k, basis, normalized, complement)
     if normalized and rep is None:
         norms = np.linalg.norm(embedding, axis=1)
-        zero_rows = norms <= 1e-12
+        zero_rows = norms <= ZERO_ROW_ATOL
         if np.any(zero_rows):
             logger.warning(
                 "nsc: %d embedding rows have zero norm and stay at the origin",

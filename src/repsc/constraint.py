@@ -53,7 +53,7 @@ def _balance(counts: np.ndarray) -> BalanceReport:
     """``node_balance`` from the representative counts R onehot."""
     smallest = counts.min(axis=1)
     largest = counts.max(axis=1)
-    balance = np.where(largest > 0.0, smallest / np.maximum(largest, 1.0e-300), 1.0)
+    balance = np.divide(smallest, largest, out=np.ones_like(smallest), where=largest > 0.0)
     return BalanceReport(
         per_node_balance=balance,
         average_balance=float(balance.mean()),

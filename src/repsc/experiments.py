@@ -17,7 +17,6 @@ import functools
 import inspect
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -578,6 +577,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     args = _row_args(cfg)
     if cfg.threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         # Every grid point's setup is built here, before the pool starts, and
         # each chunk is the rows of one trial. A forked pool starts all its
         # workers on the first task, so it gets no more of them than chunks.

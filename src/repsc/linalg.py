@@ -7,10 +7,10 @@ rank-2k update (``sym_rank2k_update``) and every factorization
 second OpenBLAS with its own thread pool, whose spinning threads slow the
 next scipy eigensolve down. Every eigendecomposition reports its
 eigenvalues in ascending order, and in every eigenvector column the first
-entry whose magnitude exceeds 1e-12 is made positive, so repeated runs and
-different call sites agree bit for bit. Every N-by-N pass works on row
-strips of about N/32 rows (``row_blocks``), so its temporaries stay a small
-fraction of one N-by-N matrix.
+entry whose magnitude exceeds SIGN_THRESHOLD is made positive, so repeated
+runs and different call sites agree bit for bit. Every N-by-N pass works on
+row strips of about N/32 rows (``row_blocks``), so its temporaries stay a
+small fraction of one N-by-N matrix.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from .errors import (
 
 SYMMETRY_ATOL = 1e-10
 SIGN_THRESHOLD = 1e-12
-# An eigenvalue of R counts as zero when |lambda| <= RANK_REL_TOL * N *
-# ||R||_inf (``clustering._rep_spectrum``, the one place that applies it).
-RANK_REL_TOL = 1e-10
 
 
 class EigenDecomposition(NamedTuple):
@@ -331,6 +328,7 @@ def null_side_eig(m, tol: float, rank: int | None = None) -> tuple[np.ndarray, b
     """
     a = ensure_symmetric(m)
     n = a.shape[0]
+    limit = n - (rank is None)  # the null side of width w is taken when 2 w < limit
     if n <= 1:  # scipy's tridiagonal wrappers reject an empty off-diagonal
         values = a.diagonal()
     else:
@@ -343,7 +341,7 @@ def null_side_eig(m, tol: float, rank: int | None = None) -> tuple[np.ndarray, b
                 diagonal, offdiagonal, 1, np.nextafter(-tol, -np.inf), tol, 0, 0, 0.0, "E")
             if info:
                 raise EigenConvergenceError(f"dstebz failed on [-{tol}, {tol}] (info={info})")
-            if 2 * (width + 1) <= n:
+            if 2 * width < limit:
                 vectors = _tridiagonal_vectors(diagonal, offdiagonal, found[:width],
                                                blocks[:width], split)
                 return _fix_signs(_back_transform(factors, tau, vectors)), True
@@ -355,7 +353,7 @@ def null_side_eig(m, tol: float, rank: int | None = None) -> tuple[np.ndarray, b
     if rank is not None:
         null[np.argsort(-magnitude, kind="stable")[rank:]] = True
     width = np.count_nonzero(null)
-    null_side = 2 * width < n if rank is not None else 2 * (width + 1) <= n
+    null_side = 2 * width < limit
     positions = np.flatnonzero(null if null_side else ~null)
     if n <= 1 or not positions.size:  # [1] is a 1 x 1 matrix's eigenvector
         return np.ones((n, positions.size), order="F"), null_side
@@ -382,7 +380,7 @@ def sym_eig(m, count: int | None = None) -> EigenDecomposition:
     ``_scratch``.
 
     Args:
-        m: square matrix, symmetric up to 1e-10 absolute tolerance.
+        m: square matrix, symmetric up to SYMMETRY_ATOL absolute tolerance.
         count: optional number of bottom eigenpairs, at least 1.
 
     Returns:

@@ -25,6 +25,8 @@ from .graphs import (RppParams, _laplacian_product, build_d_regular_rep_graph,
 from .linalg import sym_eig
 
 SPECTRUM_REL_TOL = 1e-7
+# The normalized problem needs an expected degree above this.
+DEGREE_ATOL = 1e-12
 
 logger = logging.getLogger(__name__)
 
@@ -115,7 +117,7 @@ def expected_spectrum(params: RppParams) -> ExpectedSpectrum:
             "restricted eigengap %.3g is numerically degenerate; the "
             "recovery guarantees do not apply at this configuration", gamma
         )
-    if expected_degree <= 1e-12:
+    if expected_degree <= DEGREE_ATOL:
         raise ZeroGapError(
             f"expected degree {expected_degree:g} is not positive; the "
             "normalized problem is undefined"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repsc
 from conftest import REGULAR_INSTANCES, random_assignment
@@ -64,6 +65,23 @@ def test_balance_conventions():
     star = repsc.Graph(np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=float))
     labels = repsc.ClusterAssignment(np.array([0, 0, 1]), 2)
     assert repsc.node_balance(star, labels).per_node_balance[0] == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_balance_is_the_ratio_of_extreme_counts(n, k, seed):
+    # Representative counts are whole numbers, so each node's balance is its
+    # smallest count over its largest, or 1 with no representative, with no
+    # floor on the divisor and no division by zero.
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < rng.random())
+    rep = repsc.Graph(upper | upper.T, allows_self_loops=True)
+    assignment = repsc.ClusterAssignment(rng.integers(0, k, n), k)
+    counts = rep.adjacency.astype(float) @ assignment.onehot()
+    with np.errstate(all="raise"):
+        got = repsc.node_balance(rep, assignment).per_node_balance
+    want = [row.min() / row.max() if row.max() > 0.0 else 1.0 for row in counts]
+    assert got.tolist() == want
 
 
 def test_identity_representation_concentrates():

@@ -1,5 +1,6 @@
 """Config parsing, sweep execution, output files, and the CLI."""
 
+import concurrent.futures
 import itertools
 import multiprocessing
 import os
@@ -164,7 +165,8 @@ def test_the_pool_forks_no_more_workers_than_chunks(tmp_path, monkeypatch, trial
             pools.append(chunksize)
             return map(fn, iterable)
 
-    monkeypatch.setattr(repsc.experiments, "ProcessPoolExecutor", InProcessPool)
+    # run_experiment imports the pool class where it starts a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     timing = CSV_COLUMNS.index("runtime_ms")
 
     def rows(count):
@@ -1108,13 +1110,13 @@ BUDGET_CONFIGS = {
 @pytest.mark.parametrize("mode, budget", [
     # The bool R and G (1/8 each) and one N x N matrix with its solve's
     # thin blocks: usc's and nsc's Laplacian, or before G is drawn R's
-    # float copy, tridiagonalized in place for its null block. Reads 1.46;
+    # float copy, tridiagonalized in place for its null block. Reads 1.44;
     # R's interval solve with an N-column eigenvector buffer read 2.27,
     # float64 R and G 3.21, and a null block that pinned the buffer 4.18.
     ("d_regular", 1.75),
     # The bool R and G (1/8 each) and R's select solve: its float copy of
     # R, holding the reflectors, and N x r blocks of eigenvectors. Reads
-    # 2.09; float64 R and G read 3.84, and R's full decomposition (its copy
+    # 1.93; float64 R and G read 3.84, and R's full decomposition (its copy
     # of R and 2 N x N of workspace) 5.03.
     ("planted", 2.5),
 ])

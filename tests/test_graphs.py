@@ -15,8 +15,9 @@ import repsc
 from conftest import (REGULAR_INSTANCES, SWEEP_PROBS, canonical_y_vectors, kept_arrays,
                       random_assignment, traced_peak, traced_retained)
 from repsc import experiments, multiplex
+from repsc.clustering import RANK_REL_TOL
 from repsc.graphs import _laplacian, _laplacian_product
-from repsc.linalg import RANK_REL_TOL, row_blocks
+from repsc.linalg import row_blocks
 
 
 def test_graph_validation():
@@ -625,7 +626,7 @@ def hub_graphs(n=400):
     return sim, rep, truth
 
 
-def test_bool_adjacency_arithmetic_equals_the_float_formulas():
+def test_bool_adjacency_arithmetic_equals_the_float_formulas(monkeypatch):
     sim, rep, truth = hub_graphs()
     n = sim.n
     assert sim.degrees[0] == n - 1 and np.all(rep.degrees == 300)
@@ -650,9 +651,14 @@ def test_bool_adjacency_arithmetic_equals_the_float_formulas():
         onehot = truth.onehot()
         assert _laplacian_product(graph.adjacency, graph.degrees, onehot).tobytes() \
             == (laplacian @ onehot).tobytes()
+    # R's null threshold t, from its degrees, is what its solve receives.
+    tols, solve = [], repsc.clustering.null_side_eig
+    monkeypatch.setattr(repsc.clustering, "null_side_eig",
+                        lambda m, tol, rank=None: tols.append(tol) or solve(m, tol, rank))
     repsc.clustering._rep_spectrum(rep, None)
     weights = rep.adjacency.astype(np.float64)
-    assert rep._memo["null_tol"] == RANK_REL_TOL * n * np.abs(weights).sum(axis=1).max()
+    assert tols == [RANK_REL_TOL * n * np.abs(weights).sum(axis=1).max()]
+    assert list(rep._memo) == [("picked", None)]  # solves only, no threshold entry
 
     report = repsc.validate_regular_representation(rep, truth)
     assert report.ok and (report.degree, report.neighbors_per_cluster) == (300, 150)

@@ -16,8 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import repsc
 from repsc import clustering
-from repsc.clustering import ONES_IN_NULL_ATOL, constraint_null_basis
-from repsc.linalg import RANK_REL_TOL, _fix_signs, matmul, null_side_eig, sym_eig
+from repsc.clustering import ONES_IN_NULL_ATOL, RANK_REL_TOL, constraint_null_basis
+from repsc.linalg import _fix_signs, matmul, null_side_eig, sym_eig
 from conftest import group_basis
 
 PROJECTOR_ATOL = 1e-8

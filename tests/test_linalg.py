@@ -582,12 +582,18 @@ def test_memos_stay_attached_to_objects():
 # together they add about 0.2 s and 20 MiB to a process's import on a
 # 2-core machine.
 HEAVY_SCIPY = ("scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special", "scipy.fft")
+# Loaded by a process pool, which only a sweep with threads > 1 starts.
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
 
 
-def test_importing_the_cli_loads_no_heavy_scipy_module():
-    # A fresh interpreter, so modules the test suite has loaded do not count.
+def test_importing_the_cli_loads_no_heavy_scipy_module(tmp_path):
+    # A fresh interpreter, so modules the test suite has loaded do not count;
+    # a one-worker sweep after the import loads none of them either.
+    config = ("mode = d_regular_sweep\nalgorithms = usc, urepsc\nn_values = 24\n"
+              f"k_values = 2\nd_values = 6\ntrials = 2\nthreads = 1\nout = {tmp_path}\n")
     probe = ("import sys, repsc.cli; "
-             f"print(sorted(m for m in {HEAVY_SCIPY!r} if m in sys.modules))")
+             f"assert repsc.run_experiment(repsc.parse_config_text({config!r})).error_count == 0; "
+             f"print(sorted(m for m in {HEAVY_SCIPY + POOL_MODULES!r} if m in sys.modules))")
     src = str(Path(repsc.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}

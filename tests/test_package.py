@@ -74,3 +74,25 @@ def test_every_package_error_survives_pickling():
         assert (type(copy), str(copy), getattr(copy, "line_number", None)) == \
             (type(error), str(error), getattr(error, "line_number", None))
     assert str(repsc.MalformedLineError(3, "x")) == "line 3: x" and len(classes) > 10
+
+
+def test_every_small_float_is_a_named_constant_with_one_owner():
+    # A float below 1e-6 is a tolerance: it is the whole value of a module
+    # constant or of a config field's default, which names it, and one
+    # module defines each constant.
+    found, owners = [], {}
+    for path in sorted(Path(repsc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        named = {node.value for scope in scopes for node in scope.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))}
+        found += [f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                  and 0.0 < abs(node.value) < 1e-6 and node not in named]
+        for node in tree.body:
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    owners.setdefault(target.id, []).append(path.name)
+    assert found == []
+    assert {name: files for name, files in owners.items() if len(files) > 1} == {}
+    assert owners["RANK_REL_TOL"] == ["clustering.py"]
